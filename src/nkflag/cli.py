@@ -10,7 +10,6 @@ Human-readable output is a plain aligned table; machine output is JSON/CSV.
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -29,8 +28,40 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
 
-def _env(name: str, default):
+def _env(name: str, default: str | None) -> str | None:
+    """Environment fallback for a flag.  argparse sends a string default
+    through the flag's ``type``, so fallbacks get the same validation."""
     return os.environ.get(f"NKFLAG_{name}", default)
+
+
+def _one_of(options):
+    def parse(text: str) -> str:
+        if text not in options:
+            raise argparse.ArgumentTypeError(f"expected one of {', '.join(options)}, got {text!r}")
+        return text
+    return parse
+
+
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
+
+
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not 0.0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -41,12 +72,13 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"nkflag {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    signatures = tuple(sorted(_SIGNATURE_CHOICES))
     p_verify = sub.add_parser("verify", help="run the structural verification suites")
-    p_verify.add_argument("--signature", choices=sorted(_SIGNATURE_CHOICES),
+    p_verify.add_argument("--signature", choices=signatures, type=_one_of(signatures),
                           default=_env("SIGNATURE", "both"))
-    p_verify.add_argument("--seed", type=int, default=int(_env("SEED", constants.DEFAULT_SEED)))
-    p_verify.add_argument("--tol-exact", type=float,
-                          default=float(_env("TOL_EXACT", constants.TOL_EXACT)))
+    p_verify.add_argument("--seed", type=_int_at_least(0), default=_env("SEED", str(constants.DEFAULT_SEED)))
+    p_verify.add_argument("--tol-exact", type=_positive_float,
+                          default=_env("TOL_EXACT", str(constants.TOL_EXACT)))
     p_verify.add_argument("--out", default=_env("OUT", None),
                           help="write the JSON report here")
     p_verify.add_argument("--self-test", action="store_true",
@@ -54,18 +86,18 @@ def _build_parser() -> argparse.ArgumentParser:
                                "curvature cross-check to notice")
 
     p_classify = sub.add_parser("classify", help="print the solution-family tables")
-    p_classify.add_argument("--signature", choices=sorted(_SIGNATURE_CHOICES),
+    p_classify.add_argument("--signature", choices=signatures, type=_one_of(signatures),
                             default=_env("SIGNATURE", "both"))
     p_classify.add_argument("--no-oracle", action="store_true",
                             help="skip the grid-scan cross check")
 
     p_surface = sub.add_parser("surface", help="sample and export one example immersion")
     p_surface.add_argument("--id", type=int, required=True, help="surface id, 1..6")
-    p_surface.add_argument("--grid", type=int, default=int(_env("GRID", constants.DEFAULT_GRID)))
-    p_surface.add_argument("--tol-fd", type=float,
-                           default=float(_env("TOL_FD", constants.TOL_CURVATURE)))
+    p_surface.add_argument("--grid", type=_int_at_least(9), default=_env("GRID", str(constants.DEFAULT_GRID)))
+    p_surface.add_argument("--tol-fd", type=_positive_float,
+                           default=_env("TOL_FD", str(constants.TOL_CURVATURE)))
     p_surface.add_argument("--out", default=_env("OUT", None))
-    p_surface.add_argument("--format", choices=("csv", "json"),
+    p_surface.add_argument("--format", choices=("csv", "json"), type=_one_of(("csv", "json")),
                            default=_env("FORMAT", "csv"))
     return parser
 
@@ -94,16 +126,6 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if report.all_pass(reports) else EXIT_CHECK_FAILED
 
 
-_EXPECTED_TABLES = {
-    RIEMANNIAN: (((1.0, 0.0, 0.0), 4.0),
-                 ((1.0 / math.sqrt(2), 1.0 / math.sqrt(2), 0.0), 1.0),
-                 ((1.0 / math.sqrt(3),) * 3, 0.0)),
-    PSEUDO: (((1.0, 0.0, 0.0), 4.0),
-             ((0.0, 1.0, 0.0), 4.0),
-             ((0.0, 1.0 / math.sqrt(2), 1.0 / math.sqrt(2)), 1.0)),
-}
-
-
 def _cmd_classify(args) -> int:
     ok = True
     for eps in _SIGNATURE_CHOICES[args.signature]:
@@ -118,19 +140,12 @@ def _cmd_classify(args) -> int:
         for fam in fams:
             a, b, c = fam.amplitudes
             print(f"  {a:12.9f} {b:12.9f} {c:12.9f}  {fam.K:4.1f}  {fam.description}")
-        expected = _EXPECTED_TABLES[eps]
-        for fam, (amp, k) in zip(fams, expected):
-            if max(abs(x - y) for x, y in zip(fam.amplitudes, amp)) > 1e-10 or abs(fam.K - k) > 1e-11:
-                print(f"  MISMATCH: expected amplitudes {amp} with K={k}")
-                ok = False
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
 def _cmd_surface(args, parser: argparse.ArgumentParser) -> int:
     if args.id not in SURFACE_IDS:
         parser.error(f"--id must be one of {SURFACE_IDS}, got {args.id}")
-    if args.grid < 9:
-        parser.error("--grid must be at least 9")
     summary = surface_summary(args.id, args.grid)
     print(f"surface {args.id}: {summary['label']}")
     print(f"  signature            {signature_label(summary['signature'])}")

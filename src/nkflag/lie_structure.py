@@ -43,6 +43,7 @@ __all__ = [
     "tangent_matrix",
     "ad_H",
     "structure_constants",
+    "structure_constants_of",
     "bracket_coefficients",
     "biinvariant_D",
     "biinvariant_R",
@@ -136,18 +137,20 @@ def gram_diagonal(eps: int) -> np.ndarray:
     return _frozen(np.diag(g).copy())
 
 
+def _dual_of(b: np.ndarray, eps: int) -> np.ndarray:
+    """Extraction tensor of an orthogonal basis b: the twisted adjoint of each
+    b_i divided by 2 metric(b_i, b_i)."""
+    bh = adjoint(b)
+    if eps == PSEUDO:
+        bh = IMINUS @ bh @ IMINUS
+    norms = 0.5 * np.einsum("ijk,ikj->i", bh, b).real
+    return 0.5 * bh / norms[:, None, None]
+
+
 @functools.lru_cache(maxsize=None)
 def _dual(eps: int) -> np.ndarray:
     """Extraction tensor: coefficients(x)[i] = Re sum_jk dual[i,j,k] * x[k,j]."""
-    b = basis(eps)
-    d = np.empty((8, 3, 3), dtype=np.complex128)
-    diag = gram_diagonal(eps)
-    for i in range(8):
-        bi = adjoint(b[i])
-        if eps == PSEUDO:
-            bi = IMINUS @ bi @ IMINUS
-        d[i] = 0.5 * bi / diag[i]
-    return _frozen(d)
+    return _frozen(_dual_of(basis(eps), eps))
 
 
 def coefficients(x: np.ndarray, eps: int) -> np.ndarray:
@@ -201,19 +204,25 @@ def ad_H(s: float, t: float, x: np.ndarray) -> np.ndarray:
     return (phases[:, None] * x) * np.conj(phases)[None, :]
 
 
+def structure_constants_of(b: np.ndarray, eps: int) -> np.ndarray:
+    """c[i, j, k] with [b_i, b_j] = sum_k c[i, j, k] b_k for any ordered
+    orthogonal basis b of the algebra of signature eps; never cached."""
+    check_signature(eps)
+    br = commutator(b[:, None], b[None, :])
+    c = np.einsum("ljk,...kj->...l", _dual_of(b, eps), br).real
+    # guard against drift out of the algebra
+    drift = np.max(np.abs(np.einsum("...l,ljk->...jk", c, b) - br), axis=(-2, -1))
+    bad = np.argwhere(~(drift <= 1e-12))
+    if bad.size:
+        i, j = bad[0]
+        raise RuntimeError(f"bracket [{BASIS_NAMES[i]}, {BASIS_NAMES[j]}] left the algebra")
+    return c
+
+
 @functools.lru_cache(maxsize=None)
 def structure_constants(eps: int) -> np.ndarray:
     """c[i, j, k] with [b_i, b_j] = sum_k c[i, j, k] b_k, shape (8, 8, 8)."""
-    b = basis(eps)
-    c = np.empty((8, 8, 8))
-    for i in range(8):
-        for j in range(8):
-            br = commutator(b[i], b[j])
-            c[i, j] = coefficients(br, eps)
-            # guard against drift out of the algebra
-            if np.max(np.abs(from_coefficients(c[i, j], eps) - br)) > 1e-12:
-                raise RuntimeError(f"bracket [{BASIS_NAMES[i]}, {BASIS_NAMES[j]}] left the algebra")
-    return _frozen(c)
+    return _frozen(structure_constants_of(basis(eps), eps))
 
 
 def bracket_coefficients(cx, cy, eps: int) -> np.ndarray:
@@ -237,4 +246,4 @@ def group_defect(g: np.ndarray, eps: int) -> float:
     m = np.eye(3, dtype=np.complex128) if eps == RIEMANNIAN else IMINUS
     pres = np.max(np.abs(adjoint(g) @ m @ g - m))
     det = abs(np.linalg.det(g) - 1.0)
-    return float(max(pres, det))
+    return float(np.max([pres, det]))

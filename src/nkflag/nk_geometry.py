@@ -18,7 +18,7 @@ import functools
 
 import numpy as np
 
-from . import constants, lie_structure
+from . import constants
 from .lie_structure import (
     H_SLICE,
     M_SLICE,
@@ -37,6 +37,7 @@ __all__ = [
     "nabla",
     "g_tensor",
     "nabla_ji",
+    "tables_from",
     "curvature_lie",
     "curvature_tensorial",
     "identity_suite",
@@ -86,10 +87,10 @@ class _Tables:
     gram_m: np.ndarray       # (6,) diagonal tangent Gram
 
 
-@functools.lru_cache(maxsize=None)
-def _tables(eps: int) -> _Tables:
+def tables_from(sc: np.ndarray, eps: int) -> _Tables:
+    """Base-point tables built from (8, 8, 8) structure constants; never cached,
+    so a corrupted basis can be sent through the production route."""
     check_signature(eps)
-    sc = structure_constants(eps)
     bracket_mm = sc[M_SLICE, M_SLICE, :].copy()
     bracket_hm = sc[H_SLICE, M_SLICE, :].copy()
     nab = -0.5 * bracket_mm[:, :, M_SLICE].copy()
@@ -97,6 +98,11 @@ def _tables(eps: int) -> _Tables:
     for a in (bracket_mm, bracket_hm, nab, gram_m):
         a.setflags(write=False)
     return _Tables(bracket_mm, bracket_hm, nab, gram_m)
+
+
+@functools.lru_cache(maxsize=None)
+def _tables(eps: int) -> _Tables:
+    return tables_from(structure_constants(eps), eps)
 
 
 def metric_m(x, y, eps: int) -> float | np.ndarray:
@@ -140,9 +146,7 @@ def _bracket_mm(x, y, t: _Tables) -> np.ndarray:
     return np.einsum("...i,...j,ijk->...k", x, y, t.bracket_mm)
 
 
-def curvature_lie(x, y, z, eps: int) -> np.ndarray:
-    """Curvature from nested brackets of the reductive decomposition."""
-    t = _tables(eps)
+def _curvature_lie(x, y, z, t: _Tables) -> np.ndarray:
     x = np.asarray(x, float)
     y = np.asarray(y, float)
     z = np.asarray(z, float)
@@ -154,6 +158,11 @@ def curvature_lie(x, y, z, eps: int) -> np.ndarray:
     t3 = _bracket_mm(bxy[..., M_SLICE], z, t)[..., M_SLICE]
     t4 = np.einsum("...a,...j,ajk->...k", bxy[..., H_SLICE], z, t.bracket_hm)[..., M_SLICE]
     return 0.25 * t1 - 0.25 * t2 - 0.5 * t3 - t4
+
+
+def curvature_lie(x, y, z, eps: int) -> np.ndarray:
+    """Curvature from nested brackets of the reductive decomposition."""
+    return _curvature_lie(x, y, z, _tables(eps))
 
 
 def curvature_tensorial(x, y, z, eps: int) -> np.ndarray:

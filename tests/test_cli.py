@@ -45,6 +45,8 @@ class TestVerifyCommand:
     def test_absurd_tolerance_fails(self, capsys):
         code = cli.main(["verify", "--signature", "riemannian", "--tol-exact", "1e-30"])
         assert code == 1
+        # tiny but valid: the benchmark's negative control relies on exit 1 here
+        assert cli.main(["verify", "--signature", "riemannian", "--tol-exact", "1e-300"]) == 1
 
     def test_env_override(self, capsys, monkeypatch):
         monkeypatch.setenv("NKFLAG_TOL_EXACT", "1e-30")
@@ -113,6 +115,46 @@ class TestSurfaceCommand:
         out = tmp_path / "s.csv"
         assert cli.main(["surface", "--id", "3", "--out", str(out)]) == 0
         assert len(out.read_text().strip().splitlines()) == 1 + 121
+
+
+class TestBadInput:
+    """Flags and their NKFLAG_ fallbacks share one validator: bad values exit 2."""
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--seed", "abc"],
+        ["verify", "--seed", "-1"],
+        ["verify", "--tol-exact", "nan"],
+        ["verify", "--tol-exact", "inf"],
+        ["verify", "--tol-exact", "0"],
+        ["verify", "--tol-exact", "-1e-12"],
+        ["surface", "--id", "2", "--tol-fd", "nan"],
+        ["surface", "--id", "2", "--grid", "x"],
+        ["surface", "--id", "2", "--grid", "8"],
+    ])
+    def test_bad_flag_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert argv[-2] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, value, argv", [
+        ("SEED", "abc", ["verify"]),
+        ("TOL_EXACT", "nan", ["verify"]),
+        ("SIGNATURE", "hyperbolic", ["classify", "--no-oracle"]),
+        ("GRID", "x", ["surface", "--id", "2"]),
+        ("TOL_FD", "-1", ["surface", "--id", "2"]),
+        ("FORMAT", "xml", ["surface", "--id", "2"]),
+    ])
+    def test_bad_env_value_is_usage_error(self, name, value, argv, capsys, monkeypatch):
+        monkeypatch.setenv(f"NKFLAG_{name}", value)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert value in capsys.readouterr().err
+
+    def test_flag_overrides_bad_env_value(self, capsys, monkeypatch):
+        monkeypatch.setenv("NKFLAG_SEED", "abc")
+        assert cli.main(["verify", "--signature", "pseudo", "--seed", "3"]) == 0
 
 
 class TestReportFiles:

@@ -12,6 +12,8 @@ import itertools
 import numpy as np
 import pytest
 
+from nkflag import constants, verify
+from nkflag import lie_structure as ls
 from nkflag import nk_geometry as nk
 from nkflag.lie_structure import PSEUDO, RIEMANNIAN, SIGNATURES
 from nkflag.verify import connection_table, curvature_cross_check, expected_connection_table
@@ -258,6 +260,36 @@ class TestCurvature:
             rxyw = nk.curvature_tensorial(x, y, w, eps)
             assert nk.metric_m(rxyz, w, eps) + nk.metric_m(rxyw, z, eps) == pytest.approx(
                 0.0, abs=1e-11)
+
+
+def _nan_like(*vectors):
+    return np.full(np.broadcast_shapes(*(np.shape(v) for v in vectors)), np.nan)
+
+
+class TestFaultInjection:
+    """Faults injected into one route must reach the report, never read as a pass."""
+
+    def test_nan_curvature_fails_cross_check(self, monkeypatch):
+        monkeypatch.setattr(verify, "curvature_tensorial", lambda x, y, z, eps: _nan_like(x, y, z))
+        assert np.isnan(curvature_cross_check(RIEMANNIAN))
+        reports = {r.name: r for r in verify.run_verification(RIEMANNIAN)}
+        assert not reports["curvature_lie_vs_tensorial[riemannian]"].passed
+
+    def test_nan_connection_fails_table(self, monkeypatch):
+        monkeypatch.setattr(nk, "nabla", lambda x, y, eps: _nan_like(x, y, np.zeros(6)))
+        table_err, off_err = connection_table(PSEUDO)
+        assert np.isnan(table_err) and np.isnan(off_err)
+        reports = {r.name: r for r in verify.run_verification(PSEUDO)}
+        assert not reports["connection_table[pseudo]"].passed
+        assert not reports["connection_off_table[pseudo]"].passed
+
+    @pytest.mark.parametrize("eps", SIGNATURES)
+    @pytest.mark.parametrize("flip_slot", (ls.M1, ls.M2, ls.M3, ls.M4, ls.M5, ls.M6))
+    def test_sign_flip_detected_on_every_tangent_slot(self, eps, flip_slot):
+        """Negating any tangent basis matrix breaks the bracket route (the
+        mismatch is 3.0 on every slot).  Negating h1 or h2 leaves every
+        curvature value unchanged, so those slots are no control."""
+        assert verify.corruption_self_test(eps, flip_slot) > constants.CONTROL_RESIDUAL_MIN
 
 
 class TestIdentitySuite:
