@@ -182,15 +182,22 @@ def tangency_coefficient(a: float, b: float, c: float, eps: int) -> tuple[float,
     return lam, dev
 
 
-def holomorphic_K(x, eps: int) -> float:
-    """Sectional curvature of the plane (X, JX) for non-null X."""
+def holomorphic_K(x, eps: int) -> float | np.ndarray:
+    """Sectional curvature of the plane (X, JX) for non-null X.
+
+    ``x`` is one vector (a float comes back) or a ``(..., 6)`` batch (an
+    array comes back); any (near-)null vector in the batch raises.
+    """
     x = np.asarray(x, dtype=float)
     nx = metric_m(x, x, eps)
-    if abs(nx) < 1e-8:
-        raise ValueError(f"holomorphic curvature undefined for (near-)null vectors, <X,X> = {nx:.2e}")
+    null = np.abs(nx) < 1e-8
+    if np.any(null):
+        value = np.asarray(nx)[null].flat[0]
+        raise ValueError(f"holomorphic curvature undefined for (near-)null vectors, <X,X> = {value:.2e}")
     jx = apply_acs("J", x)
     r = curvature_tensorial(x, jx, jx, eps)
-    return float(metric_m(r, x, eps) / (nx * metric_m(jx, jx, eps)))
+    k = metric_m(r, x, eps) / (nx * metric_m(jx, jx, eps))
+    return float(k) if np.ndim(k) == 0 else k
 
 
 # ---------------------------------------------------------------------------

@@ -241,9 +241,9 @@ def biinvariant_R(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 def group_defect(g: np.ndarray, eps: int) -> float:
-    """How far g is from the structure group: max of the metric-preservation
-    and unit-determinant defects."""
+    """How far g (one matrix or a stack) is from the structure group: max of
+    the metric-preservation and unit-determinant defects over the stack."""
     m = np.eye(3, dtype=np.complex128) if eps == RIEMANNIAN else IMINUS
     pres = np.max(np.abs(adjoint(g) @ m @ g - m))
-    det = abs(np.linalg.det(g) - 1.0)
+    det = np.max(np.abs(np.linalg.det(g) - 1.0))
     return float(np.max([pres, det]))

@@ -385,13 +385,7 @@ def control_surface(mix: float = 0.6) -> SurfaceDescriptor:
     gen = _rotor_generator(a, b)
 
     def cf(t, u):
-        t, u = _broadcast(t, u)
-        out = _alloc(t)
-        it = np.nditer(t, flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            out[idx] = expm(gen(t[idx], u[idx]))
-        return out
+        return expm(gen(t, u))
 
     amps = (abs(math.cos(mix)), abs(math.sin(mix)), 0.0)
     return SurfaceDescriptor(
@@ -494,21 +488,27 @@ def induced_metric(sid, t, u, method: str = "analytic"):
     return e, f, g
 
 
-def almost_complex_check(sid, t, u, method: str = "analytic") -> tuple[float, float]:
-    """(residual, factor): best scalar f with omega_u_h = f * J(omega_t_h).
+def _almost_complex_fit(mt: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(residual, factor) per point of a batch of horizontal frame parts:
+    best scalar f with mu = f * J(mt).
 
-    Degenerate points where the u-derivative has no horizontal part return
-    (0, 0): both sides vanish.
+    Degenerate points where mu has no horizontal part give (0, 0): both
+    sides vanish.
     """
-    desc = _descriptor(sid)
-    mt, mu = _frames_m(desc, float(t), float(u), method)
     jmt = apply_acs("J", mt)
-    denom = float(jmt @ jmt)
-    if math.sqrt(float(mu @ mu)) < 1e-12:
-        return 0.0, 0.0
-    f = float(mu @ jmt) / denom
-    residual = float(np.linalg.norm(mu - f * jmt))
+    flat = np.sqrt(np.einsum("...i,...i->...", mu, mu)) < 1e-12
+    f = np.einsum("...i,...i->...", mu, jmt) / np.einsum("...i,...i->...", jmt, jmt)
+    f = np.where(flat, 0.0, f)
+    residual = np.where(flat, 0.0, np.linalg.norm(mu - f[..., None] * jmt, axis=-1))
     return residual, f
+
+
+def almost_complex_check(sid, t, u, method: str = "analytic") -> tuple[float, float]:
+    """(residual, factor) at one point: best scalar f with
+    omega_u_h = f * J(omega_t_h); (0, 0) where omega_u_h vanishes."""
+    desc = _descriptor(sid)
+    residual, f = _almost_complex_fit(*_frames_m(desc, float(t), float(u), method))
+    return float(residual), float(f)
 
 
 # ---------------------------------------------------------------------------
@@ -664,44 +664,51 @@ def expm_defect(sid, n: int = constants.DEFAULT_GRID) -> float:
     generator over the cross-check grid."""
     desc = _descriptor(sid)
     t, u = expm_grid(desc, n)
-    gens = desc.generator(t, u)
-    closed = desc.closed_form(t, u)
-    worst = 0.0
-    for i in range(gens.shape[0]):
-        worst = max(worst, max_abs(expm(gens[i]) - closed[i]))
-    return worst
+    return max_abs(expm(desc.generator(t, u)) - desc.closed_form(t, u))
 
 
 def group_membership_defect(sid, n: int = constants.DEFAULT_GRID) -> float:
     desc = _descriptor(sid)
     t, u = expm_grid(desc, n)
-    closed = desc.closed_form(t, u)
-    return max(group_defect(closed[i], desc.eps) for i in range(closed.shape[0]))
+    return group_defect(desc.closed_form(t, u), desc.eps)
+
+
+def _sample_columns(desc: SurfaceDescriptor, n: int, method: str) -> dict[str, np.ndarray]:
+    """Every per-point quantity of one surface over its default grid, in one
+    batched pass: the export columns (``CSV_COLUMNS`` minus ``id``), the
+    t-frame coefficients ``omega_t``, the unit horizontal frame
+    ``unit_frame`` and the mask ``nondegenerate`` of points whose induced
+    metric has |det| above the degeneracy floor.  K and the totally
+    geodesic residual are NaN at the other points."""
+    t, u = default_grid(desc, n)
+    om_t, om_u = frame_matrices(desc, t, u, method)
+    omega_t = coefficients(om_t, desc.eps)
+    mt, mu = omega_t[..., 2:], coefficients(om_u, desc.eps)[..., 2:]
+    e, f, g = metric_m(mt, mt, desc.eps), metric_m(mt, mu, desc.eps), metric_m(mu, mu, desc.eps)
+    ok = np.abs(e * g - f ** 2) > constants.DEGENERATE_METRIC_MIN
+    k = gauss_curvature_batch(desc, t, u, method=method)
+    unit_frame = mt / np.sqrt(np.abs(e))[:, None]
+    tg = np.full_like(k, np.nan)
+    tg[ok] = np.abs(k[ok] - holomorphic_K(unit_frame[ok], desc.eps))
+    ac, _ = _almost_complex_fit(mt, mu)
+    return {
+        "t": t, "u": u, "E": e, "F": f, "G": g,
+        "K": k, "tg_residual": tg, "ac_residual": ac,
+        "omega_t": omega_t, "unit_frame": unit_frame, "nondegenerate": ok,
+    }
+
+
+def _rows(desc: SurfaceDescriptor, columns: dict[str, np.ndarray]) -> list[dict]:
+    names = CSV_COLUMNS[1:]
+    return [{"id": desc.sid, **dict(zip(names, values))}
+            for values in zip(*(columns[name].tolist() for name in names))]
 
 
 def sample_rows(sid, n: int = constants.DEFAULT_GRID, method: str = "analytic") -> list[dict]:
     """Per-grid-point records for export; K and the totally geodesic residual
     are NaN at metric-degenerate points."""
     desc = _descriptor(sid)
-    t, u = default_grid(desc, n)
-    e, f, g = induced_metric(desc, t, u, method)
-    k = gauss_curvature_batch(desc, t, u, method=method)
-    mt, mu = _frames_m(desc, t, u, method)
-    norms = metric_m(mt, mt, desc.eps)
-    xhat = mt / np.sqrt(np.abs(norms))[:, None]
-    rows = []
-    for i in range(t.shape[0]):
-        if math.isnan(k[i]):
-            tg = math.nan
-        else:
-            tg = abs(k[i] - holomorphic_K(xhat[i], desc.eps))
-        ac, _ = almost_complex_check(desc, t[i], u[i], method)
-        rows.append({
-            "id": desc.sid, "t": float(t[i]), "u": float(u[i]),
-            "E": float(e[i]), "F": float(f[i]), "G": float(g[i]),
-            "K": float(k[i]), "tg_residual": float(tg), "ac_residual": float(ac),
-        })
-    return rows
+    return _rows(desc, _sample_columns(desc, n, method))
 
 
 def write_csv(path, rows: list[dict]) -> None:
@@ -714,46 +721,41 @@ def write_csv(path, rows: list[dict]) -> None:
 
 
 def surface_summary(sid, n: int = constants.DEFAULT_GRID) -> dict:
-    """Aggregate verification numbers for one surface over its default grids."""
+    """Aggregate verification numbers for one surface over its default grids,
+    plus the per-point export records under ``rows``.  Aggregates over the
+    metric-nondegenerate points reduce with ``np.max``, so a NaN there
+    reaches the summary."""
     desc = _descriptor(sid)
-    rows = sample_rows(desc, n)
-    t, u = default_grid(desc, n)
+    cols = _sample_columns(desc, n, "analytic")
+    ok = cols["nondegenerate"]
 
     # frame structure
-    om_t, om_u = frame_matrices(desc, t, u)
-    ct = coefficients(om_t, desc.eps)
-    horizontality = float(np.max(np.abs(ct[..., :2])))
+    horizontality = float(np.max(np.abs(cols["omega_t"][..., :2])))
 
     # amplitude constancy against the expected family
-    mt = ct[..., 2:]
-    norms = metric_m(mt, mt, desc.eps)
-    xhat = mt / np.sqrt(np.abs(norms))[:, None]
-    amps = distribution_amplitudes(xhat, desc.eps)
+    amps = distribution_amplitudes(cols["unit_frame"], desc.eps)
     amp_err = float(np.max(np.abs(amps - np.array(desc.expected_amplitudes))))
 
     # metric closed form
-    e, f, g = induced_metric(desc, t, u)
-    ee, fe, ge = desc.expected_metric(t)
-    metric_err = float(max(np.max(np.abs(e - ee)), np.max(np.abs(f - fe)), np.max(np.abs(g - ge))))
+    expected = desc.expected_metric(cols["t"])
+    metric_err = float(np.max([np.max(np.abs(cols[c] - want)) for c, want in zip("EFG", expected)]))
 
-    ks = np.array([r["K"] for r in rows])
-    tgs = np.array([r["tg_residual"] for r in rows])
-    acs = np.array([r["ac_residual"] for r in rows])
-    valid = ~np.isnan(ks)
+    ks = cols["K"][ok]
     return {
         "id": desc.sid,
         "label": desc.label,
         "signature": desc.eps,
-        "samples": len(rows),
-        "degenerate_points": int((~valid).sum()),
+        "samples": int(ok.size),
+        "degenerate_points": int((~ok).sum()),
         "expm_defect": expm_defect(desc, n),
         "group_defect": group_membership_defect(desc, n),
         "horizontality": horizontality,
         "metric_closed_form_error": metric_err,
         "amplitude_error": amp_err,
         "K_expected": desc.expected_K,
-        "K_mean": float(np.mean(ks[valid])),
-        "K_max_deviation": float(np.max(np.abs(ks[valid] - desc.expected_K))),
-        "tg_residual_max": float(np.nanmax(tgs)),
-        "ac_residual_max": float(np.max(acs)),
+        "K_mean": float(np.mean(ks)),
+        "K_max_deviation": float(np.max(np.abs(ks - desc.expected_K))),
+        "tg_residual_max": float(np.max(cols["tg_residual"][ok])),
+        "ac_residual_max": float(np.max(cols["ac_residual"])),
+        "rows": _rows(desc, cols),
     }

@@ -8,6 +8,7 @@ import pytest
 from nkflag import classification as cl
 from nkflag import nk_geometry as nk
 from nkflag.lie_structure import PSEUDO, RIEMANNIAN, SIGNATURES
+from nkflag.surfaces import SURFACE_IDS, default_grid, get_surface, tangent_plane_vector
 
 E6 = np.eye(6)
 SQ2, SQ3 = math.sqrt(2.0), math.sqrt(3.0)
@@ -164,6 +165,22 @@ class TestHolomorphicK:
         null = E6[0] + E6[1]  # <X, X> = 1 - 1 = 0 in the split form
         with pytest.raises(ValueError):
             cl.holomorphic_K(null, PSEUDO)
+
+    @pytest.mark.parametrize("sid", SURFACE_IDS)
+    def test_batch_matches_rows(self, sid):
+        desc = get_surface(sid)
+        t, u = default_grid(desc, 11)
+        x = np.array([tangent_plane_vector(desc, ti, ui) for ti, ui in zip(t, u)])
+        batch = cl.holomorphic_K(x, desc.eps)
+        assert batch.shape == t.shape
+        np.testing.assert_array_equal(batch, [cl.holomorphic_K(row, desc.eps) for row in x])
+        assert isinstance(cl.holomorphic_K(x[0], desc.eps), float)
+
+    def test_batch_with_one_null_vector_raises(self):
+        x = np.array([E6[0], E6[1], E6[0] + E6[1]])  # the last is null in the split form
+        assert cl.holomorphic_K(x[:2], PSEUDO).shape == (2,)
+        with pytest.raises(ValueError):
+            cl.holomorphic_K(x, PSEUDO)
 
     @pytest.mark.parametrize("eps", SIGNATURES)
     def test_matches_closed_form_prediction(self, eps, rng):

@@ -1,10 +1,16 @@
 """End-to-end tests of the command-line interface and report files."""
 
 import json
+import math
+import os
+import pathlib
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
-from nkflag import cli
+from nkflag import cli, surfaces
 from nkflag.report import (
     SCHEMA_VERSION,
     CheckReport,
@@ -116,6 +122,21 @@ class TestSurfaceCommand:
         assert cli.main(["surface", "--id", "3", "--out", str(out)]) == 0
         assert len(out.read_text().strip().splitlines()) == 1 + 121
 
+    @pytest.mark.parametrize("name, fault", [
+        ("holomorphic_K", lambda x, eps: math.nan),
+        ("expm", lambda a: np.full(np.shape(a), np.nan)),
+    ], ids=["holomorphic_K", "expm"])
+    def test_nan_fails_the_verdict(self, name, fault, capsys, monkeypatch):
+        # a NaN in the totally geodesic residual or the exponential
+        # cross-check must not read as a pass
+        monkeypatch.setattr(surfaces, name, fault)
+        assert cli.main(["surface", "--id", "1", "--grid", "11"]) == 1
+        assert "nan" in capsys.readouterr().out
+
+    def test_largest_grid_is_accepted(self):
+        args = cli._build_parser().parse_args(["surface", "--id", "2", "--grid", "201"])
+        assert args.grid == 201
+
 
 class TestBadInput:
     """Flags and their NKFLAG_ fallbacks share one validator: bad values exit 2."""
@@ -130,6 +151,7 @@ class TestBadInput:
         ["surface", "--id", "2", "--tol-fd", "nan"],
         ["surface", "--id", "2", "--grid", "x"],
         ["surface", "--id", "2", "--grid", "8"],
+        ["surface", "--id", "2", "--grid", "202"],
     ])
     def test_bad_flag_is_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -144,6 +166,7 @@ class TestBadInput:
         ("GRID", "x", ["surface", "--id", "2"]),
         ("TOL_FD", "-1", ["surface", "--id", "2"]),
         ("FORMAT", "xml", ["surface", "--id", "2"]),
+        ("GRID", "500", ["surface", "--id", "2"]),
     ])
     def test_bad_env_value_is_usage_error(self, name, value, argv, capsys, monkeypatch):
         monkeypatch.setenv(f"NKFLAG_{name}", value)
@@ -155,6 +178,15 @@ class TestBadInput:
     def test_flag_overrides_bad_env_value(self, capsys, monkeypatch):
         monkeypatch.setenv("NKFLAG_SEED", "abc")
         assert cli.main(["verify", "--signature", "pseudo", "--seed", "3"]) == 0
+
+
+def test_cli_import_leaves_scipy_out():
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = "import sys, nkflag.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out.strip() == "False"
 
 
 class TestReportFiles:

@@ -153,3 +153,79 @@ class TestExpm:
         for t in np.linspace(0.0, 2 * math.pi, 9):
             for u in (0.0, 1.0, 2.5):
                 assert mc.max_abs(mc.expm(generator(1, t, u)) - evaluate(1, t, u)) < 1e-13
+
+
+class TestBatchedExpm:
+    """Contract of the numpy Pade-13 scaling-and-squaring ``expm`` on stacks."""
+
+    @staticmethod
+    def algebra_elements(rng, eps, n, low, high):
+        """n algebra elements of the given signature with 2-norms in [low, high]."""
+        a = ls.from_coefficients(rng.uniform(-1, 1, size=(n, 8)), eps)
+        return a * (rng.uniform(low, high, size=n) / np.linalg.norm(a, 2, axis=(-2, -1)))[:, None, None]
+
+    def test_stack_equals_per_matrix_calls(self, rng):
+        a = random_complex3(rng, 12).reshape(3, 4, 3, 3) * rng.uniform(0.0, 20.0, size=(3, 4, 1, 1))
+        got = mc.expm(a)
+        assert got.shape == (3, 4, 3, 3)
+        want = np.array([[mc.expm(a[i, j]) for j in range(4)] for i in range(3)])
+        np.testing.assert_array_equal(got, want)
+
+    def test_zero_gives_identity_exactly(self):
+        assert np.array_equal(mc.expm(np.zeros((3, 3))), mc.identity())
+        assert np.array_equal(mc.expm(np.zeros((5, 3, 3))), np.broadcast_to(mc.identity(), (5, 3, 3)))
+
+    def test_scaling_path_compact(self, rng):
+        # 2-norms up to 10 put the 1-norm above theta_13, so these are scaled
+        # and squared back; the reference diagonalizes the Hermitian -i*a
+        a = self.algebra_elements(rng, ls.RIEMANNIAN, 40, 5.0, 10.0)
+        assert np.all(np.abs(a).sum(axis=-2).max(axis=-1) > mc._THETA13)
+        lam, vec = np.linalg.eigh(-1j * a)
+        want = (vec * np.exp(1j * lam)[:, None, :]) @ mc.adjoint(vec)
+        got = mc.expm(a)
+        assert mc.max_abs(got - want) < 1e-13
+        assert mc.max_abs(got @ mc.expm(-a) - mc.identity()) < 1e-12
+        assert ls.group_defect(got, ls.RIEMANNIAN) < 1e-12
+
+    def test_split_moderate_and_scaled_norms(self, rng):
+        # 2-norms up to 2 keep the 1-norm below theta_13 (no scaling); the
+        # larger copies are scaled and squared back.  The reference
+        # diagonalizes a (real spectrum), so it is compared relatively.
+        a = self.algebra_elements(rng, ls.PSEUDO, 40, 0.5, 2.0)
+        got = mc.expm(a)
+        assert mc.max_abs(got @ mc.expm(-a) - mc.identity()) < 1e-12
+        assert ls.group_defect(got, ls.PSEUDO) < 1e-12
+        big = self.algebra_elements(rng, ls.PSEUDO, 40, 3.5, 6.0)
+        assert np.any(np.abs(big).sum(axis=-2).max(axis=-1) > mc._THETA13)
+        for x in (a, big):
+            lam, vec = np.linalg.eig(x)
+            want = (vec * np.exp(lam)[:, None, :]) @ np.linalg.inv(vec)
+            assert mc.max_abs(mc.expm(x) - want) < 1e-12 * mc.max_abs(want)
+
+    def test_non_finite_input(self, rng):
+        a = np.zeros((5, 3, 3), dtype=complex)
+        a[0] = random_complex3(rng)
+        a[1, 0, 1] = np.nan
+        a[2, 2, 2] = np.inf
+        a[3, 1, 0] = -np.inf * 1j
+        a[4, :, 0] = 1e308  # finite entries, but the 1-norm overflows
+        got = mc.expm(a)
+        assert np.array_equal(got[0], mc.expm(a[0]))
+        assert np.all(np.isnan(got[1:]))
+
+    def test_huge_finite_norm_terminates(self):
+        # about a thousand squarings at most; the result overflows
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = mc.expm(np.diag([1e300, 0.0, 0.0]))
+        assert not np.all(np.isfinite(got))
+
+    def test_agrees_with_scipy(self, rng):
+        scipy_linalg = pytest.importorskip("scipy.linalg")
+        stacks = [self.algebra_elements(rng, ls.RIEMANNIAN, 50, 0.1, 10.0),
+                  self.algebra_elements(rng, ls.PSEUDO, 50, 0.1, 2.0),
+                  random_complex3(rng, 50) * rng.uniform(0.01, 3.0, size=(50, 1, 1))]
+        for a in stacks:
+            got = mc.expm(a)
+            for g, x in zip(got, a):
+                want = scipy_linalg.expm(x)
+                assert mc.max_abs(g - want) <= 1e-14 * mc.max_abs(want)

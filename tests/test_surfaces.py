@@ -5,6 +5,7 @@ forms, curvature, residuals) run on a 21-point grid here; the acceptance
 module repeats them on the full default grids.
 """
 
+import json
 import math
 
 import numpy as np
@@ -128,6 +129,15 @@ class TestAlmostComplex:
         assert residual == 0.0 and f == 0.0
 
     @pytest.mark.parametrize("sid", sf.SURFACE_IDS)
+    def test_batched_fit_matches_pointwise(self, sid):
+        desc = sf.get_surface(sid)
+        t, u = sf.default_grid(desc, 11)
+        residual, factor = sf._almost_complex_fit(*sf._frames_m(desc, t, u))
+        pointwise = np.array([sf.almost_complex_check(desc, ti, ui) for ti, ui in zip(t, u)])
+        np.testing.assert_array_equal(residual, pointwise[:, 0])
+        np.testing.assert_array_equal(factor, pointwise[:, 1])
+
+    @pytest.mark.parametrize("sid", sf.SURFACE_IDS)
     def test_max_residual_over_grid(self, sid, summary_cache):
         assert summary_cache(sid, GRID)["ac_residual_max"] < constants.TOL_AC_RESIDUAL
 
@@ -219,6 +229,11 @@ class TestExport:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == ",".join(sf.CSV_COLUMNS)
         assert len(lines) == 122
+
+    @pytest.mark.parametrize("sid", sf.SURFACE_IDS)
+    def test_summary_rows_are_the_sample_rows(self, sid):
+        # NaN-aware exact comparison: JSON writes every float in full
+        assert json.dumps(sf.surface_summary(sid, 11)["rows"]) == json.dumps(sf.sample_rows(sid, 11))
 
     def test_degenerate_rows_are_nan(self):
         rows = sf.sample_rows(1, 11)
