@@ -6,10 +6,13 @@ distributions.  Total geodesy forces R(X, JX)JX to be tangent, which is a
 rank-one condition on a 2x3 matrix of cubic polynomials in (a, b, c); its
 three independent minors are the residuals used everywhere below.
 
-Solutions are enumerated twice: by closed-form case analysis, and by a
-dense grid scan of the unit-norm charts with local refinement (the oracle,
-see :mod:`nkflag.kernels`).  A mismatch between the two routes raises
-:class:`ClassificationError` rather than being patched over.
+Solutions are enumerated twice: by closed-form case analysis, and by an
+interval branch-and-bound over the unit-norm charts with local refinement
+of the surviving boxes (the oracle, see :mod:`nkflag.kernels`).  The oracle
+also gives a certified lower bound on the residual over the region where
+all amplitudes are nonzero.  A mismatch between the two routes raises
+:class:`ClassificationError` rather than being patched over; so does a NaN
+anywhere in the comparison.
 """
 
 import dataclasses
@@ -19,7 +22,7 @@ import math
 import numpy as np
 
 from . import constants, kernels
-from .lie_structure import PSEUDO, RIEMANNIAN, check_signature
+from .lie_structure import RIEMANNIAN, check_signature
 from .nk_geometry import (
     acs_matrix,
     apply_acs,
@@ -94,9 +97,9 @@ class TangentDecomposition:
             vec = np.asarray(vec, dtype=float)
             amps = distribution_amplitudes(vec, self.eps)
             others = [amps[d] for d in range(3) if d != slot]
-            if max(others) > 1e-12:
+            if not all(x <= 1e-12 for x in others):
                 raise ValueError(f"{name} is not contained in distribution V{slot + 1}")
-            if abs(metric_m(vec, vec, self.eps) - want) > 1e-12:
+            if not abs(metric_m(vec, vec, self.eps) - want) <= 1e-12:
                 raise ValueError(f"{name} must have squared norm {want}")
 
     def assemble(self) -> np.ndarray:
@@ -229,7 +232,7 @@ def _family(a: float, b: float, c: float, eps: int, description: str) -> Solutio
     norm = a * a + eps * (b * b + c * c)
     norm_sign = 1 if norm > 0 else -1
     lam, dev = tangency_coefficient(a, b, c, eps)
-    if dev > 1e-12:
+    if not dev <= 1e-12:
         raise ClassificationError(
             f"case-analysis amplitudes ({a}, {b}, {c}) are not tangent: deviation {dev:.2e}")
     return SolutionFamily(
@@ -276,37 +279,28 @@ class OracleResult:
     points: int
 
 
-def grid_oracle(eps: int, step: float = constants.GRID_ORACLE_STEP,
-                backend: str | None = None) -> OracleResult:
-    """Independent enumeration: dense chart scan, greedy clustering of the
-    sub-threshold hits, then shrinking-box refinement of each cluster."""
+def grid_oracle(eps: int, step: float = constants.GRID_ORACLE_STEP) -> OracleResult:
+    """Independent enumeration: interval branch-and-bound over each chart,
+    greedy clustering of the leaf boxes, then shrinking-box refinement of
+    each cluster."""
     check_signature(eps)
+    scans = [kernels.scan_chart(chart, eps, step,
+                                hit_thresh=constants.ORACLE_HIT_THRESHOLD,
+                                margin=constants.NONZERO_MARGIN,
+                                empty_bound=constants.NONZERO_EMPTY_BOUND,
+                                extent=constants.ORACLE_CHART_EXTENT)
+             for chart in _charts_for(eps)]
     candidates: list[tuple[float, float, float]] = []
     residuals: list[float] = []
-    interior_min = np.inf
-    interior_argmin = (0.0, 0.0, 0.0)
-    points = 0
-    for chart in _charts_for(eps):
-        scan = kernels.scan_chart(
-            chart, eps, step,
-            hit_thresh=constants.ORACLE_HIT_THRESHOLD,
-            margin=constants.NONZERO_MARGIN,
-            extent=constants.ORACLE_CHART_EXTENT,
-            backend=backend,
-        )
-        points += scan.points
-        if scan.interior_min < interior_min:
-            interior_min = scan.interior_min
-            interior_argmin = scan.interior_argmin
-        order = np.argsort(scan.hit_residuals)
-        taken: list[np.ndarray] = []
-        for idx in order:
-            abc = scan.hits[idx, 2:5]
-            if any(np.linalg.norm(abc - other) < 0.05 for other in taken):
-                continue
-            taken.append(abc)
+    for scan in scans:
+        # take the best remaining hit, drop every hit within 0.05 of it
+        abc = scan.hits[:, 2:5]
+        alive = np.ones(len(abc), dtype=bool)
+        while alive.any():
+            idx = int(np.argmin(np.where(alive, scan.hit_residuals, np.inf)))
+            alive &= np.linalg.norm(abc - abc[idx], axis=1) >= 0.05
             a, b, c, res = kernels.refine_candidate(
-                chart, eps, scan.hits[idx, 0], scan.hits[idx, 1],
+                scan.chart, eps, scan.hits[idx, 0], scan.hits[idx, 1],
                 half_width=5.0 * step, extent=constants.ORACLE_CHART_EXTENT)
             candidates.append(canonical_amplitudes(a, b, c, eps))
             residuals.append(res)
@@ -320,14 +314,15 @@ def grid_oracle(eps: int, step: float = constants.GRID_ORACLE_STEP,
         merged.append(abc)
         merged_res.append(res)
     merged_sorted = sorted(zip(merged, merged_res), reverse=True)
+    worst = scans[int(np.argmin([scan.interior_min for scan in scans]))]  # a NaN bound wins
     return OracleResult(
         eps=eps,
         step=step,
         families=tuple(abc for abc, _ in merged_sorted),
         residuals=tuple(res for _, res in merged_sorted),
-        interior_min=float(interior_min),
-        interior_argmin=interior_argmin,
-        points=points,
+        interior_min=worst.interior_min,
+        interior_argmin=worst.interior_argmin,
+        points=sum(scan.points for scan in scans),
     )
 
 
@@ -337,8 +332,10 @@ def solve_families(eps: int, *, oracle: bool = True,
     """All congruence classes for one signature, cross-checked by the oracle.
 
     Raises :class:`ClassificationError` if the oracle finds a family the case
-    analysis missed (or vice versa), or if the split-signature all-nonzero
-    region is not certifiably empty.
+    analysis missed (or vice versa), or if the oracle's certified lower bound
+    on the all-nonzero region disagrees with the case analysis: above
+    ``NONZERO_EMPTY_BOUND`` exactly when no family lies there (the split
+    form).  Every comparison fails on NaN.
     """
     fams = _closed_form_families(eps)
     if oracle:
@@ -346,7 +343,7 @@ def solve_families(eps: int, *, oracle: bool = True,
         expected = [np.array(f.amplitudes) for f in fams]
         for abc in found.families:
             dists = [np.linalg.norm(np.array(abc) - e) for e in expected]
-            if min(dists) > constants.ORACLE_MATCH_TOL:
+            if not np.min(dists) <= constants.ORACLE_MATCH_TOL:
                 raise ClassificationError(
                     f"grid oracle found a family missed by the case analysis: {abc}")
         for f, e in zip(fams, expected):
@@ -354,10 +351,14 @@ def solve_families(eps: int, *, oracle: bool = True,
                        for abc in found.families):
                 raise ClassificationError(
                     f"grid oracle did not recover the family {f.amplitudes}")
-        if eps == PSEUDO and found.interior_min <= constants.NONZERO_EMPTY_BOUND:
+        occupied = any(min(f.amplitudes) >= constants.NONZERO_MARGIN for f in fams)
+        bound = found.interior_min
+        if not (bound <= constants.NONZERO_EMPTY_BOUND if occupied
+                else bound > constants.NONZERO_EMPTY_BOUND):
             raise ClassificationError(
-                "split-signature scan found a near-solution with all amplitudes "
-                f"nonzero: residual {found.interior_min:.2e} at {found.interior_argmin}")
+                f"oracle lower bound {bound:.2e} on the all-nonzero region (box at "
+                f"{found.interior_argmin}) contradicts the case analysis, which has "
+                f"{'a' if occupied else 'no'} family there")
     return fams
 
 

@@ -94,7 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_classify.add_argument("--signature", choices=signatures, type=_one_of(signatures),
                             default=_env("SIGNATURE", "both"))
     p_classify.add_argument("--no-oracle", action="store_true",
-                            help="skip the grid-scan cross check")
+                            help="skip the oracle cross check")
 
     p_surface = sub.add_parser("surface", help="sample and export one example immersion")
     p_surface.add_argument("--id", type=int, required=True, help="surface id, 1..6")

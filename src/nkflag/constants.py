@@ -66,13 +66,13 @@ DEGENERATE_METRIC_MIN = 1e-6
 
 # --- classification grid oracle -------------------------------------------
 
-#: amplitude resolution of the dense scan over the unit-norm charts
+#: leaf box width of the oracle's branch-and-bound over the unit-norm charts
 GRID_ORACLE_STEP = 1e-3
 
 #: refined oracle candidates must match the case analysis this closely
 ORACLE_MATCH_TOL = 1e-8
 
-#: residual threshold marking a scan point as a candidate hit
+#: an oracle box whose residual lower bound exceeds this holds no solution
 ORACLE_HIT_THRESHOLD = 5e-3
 
 #: "all amplitudes nonzero" means all of a, b, c at least this large
@@ -81,7 +81,7 @@ NONZERO_MARGIN = 0.1
 #: certified lower bound for the residual on the all-nonzero region (pseudo)
 NONZERO_EMPTY_BOUND = 1e-2
 
-#: chart extent for the hyperboloid scans (amplitudes up to ~cosh 2)
+#: chart extent for the hyperboloid charts (amplitudes up to ~cosh 2)
 ORACLE_CHART_EXTENT = 2.0
 
 #: negative controls must miss by at least this much

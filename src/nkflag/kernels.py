@@ -1,64 +1,68 @@
-"""Hot numeric kernels: dense residual scans over the unit-norm charts.
+"""Classification oracle kernels: interval branch-and-bound over the charts.
 
-The classification oracle sweeps millions of points over the constraint
-surfaces, which dominates the runtime of a full verification run.  The scan
-kernels therefore come in two interchangeable flavors: a numba ``@njit``
-version (default when numba imports) and a pure-numpy fallback.  Set
-``NKFLAG_NO_NUMBA=1`` to force the numpy path; ``benchmarks/bench_kernels.py``
-times both.
+The oracle covers each unit-norm chart with (p, q) boxes.  Every box gets a
+rigorous interval enclosure of the amplitudes (a, b, c) and from it a lower
+bound on the largest tangency residual over the box (interval arithmetic in
+the style of Moore, Kearfott & Cloud, *Introduction to Interval Analysis*,
+SIAM 2009).  A box whose bound clears the hit threshold holds no solution
+and is dropped; the rest are bisected down to the oracle step.  The
+surviving leaf boxes are the hits, and the smallest bound over the boxes
+that meet the all-nonzero region is a proven lower bound on the residual
+there, not a sample.
 
 Charts
 ------
 Amplitude triples (a, b, c) >= 0 on the unit-norm surfaces are parametrized
-by two angles/rapidities (p, q):
+by two angles/rapidities (p, q), with q in [0, pi/2]:
 
-* chart 0 (compact form): a = cos p, b = sin p cos q, c = sin p sin q
-* chart 1 (split form, norm +1): a = cosh p, b = sinh p cos q, c = sinh p sin q
-* chart 2 (split form, norm -1): a = sinh p, b = cosh p cos q, c = cosh p sin q
+* chart 0 (compact form): a = cos p, b = sin p cos q, c = sin p sin q,
+  p in [0, pi/2]
+* chart 1 (split form, norm +1): a = cosh p, b = sinh p cos q, c = sinh p sin q,
+  p in [0, extent]
+* chart 2 (split form, norm -1): a = sinh p, b = cosh p cos q, c = cosh p sin q,
+  p in [0, extent]
 
-The positive octant suffices: the three residual polynomials are odd or
-even under each sign flip of a, b, c, so their zero set is sign-symmetric,
-and representatives are canonicalized afterwards anyway.
+Each chart function is monotone on its interval, so its range over a box is
+spanned by its values at the box ends.  The positive octant suffices: the
+three residual polynomials are odd or even under each sign flip of a, b, c,
+so their zero set is sign-symmetric, and representatives are canonicalized
+afterwards anyway.
 """
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
-
-try:
-    import numba
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    numba = None
-    HAVE_NUMBA = False
 
 CHART_SPHERE = 0
 CHART_SPLIT_POSITIVE = 1
 CHART_SPLIT_NEGATIVE = 2
 
-_HIT_CAPACITY = 400_000
+#: (a(p), s(p)) per chart, with b = s(p) cos q and c = s(p) sin q
+_CHART_FUNCTIONS = {
+    CHART_SPHERE: (np.cos, np.sin),
+    CHART_SPLIT_POSITIVE: (np.cosh, np.sinh),
+    CHART_SPLIT_NEGATIVE: (np.sinh, np.cosh),
+}
 
-
-def numba_enabled() -> bool:
-    return HAVE_NUMBA and os.environ.get("NKFLAG_NO_NUMBA", "") not in ("1", "true", "yes")
+#: outward widening of each chart-function value, as a multiple of
+#: max(1, value): 4 ulps of 1 cover libm error and the gap between float and
+#: true pi/2 (cos of the float is 6e-17, not 0)
+_WIDEN = 4 * np.spacing(1.0)
 
 
 def active_backend() -> str:
-    return "numba" if numba_enabled() else "numpy"
+    """Name of the array backend; the oracle is numpy code only."""
+    return "numpy"
 
 
-def chart_point(chart: int, p: float, q: float) -> tuple[float, float, float]:
-    """Amplitudes (a, b, c) of the chart parameters (p, q)."""
-    if chart == CHART_SPHERE:
-        return math.cos(p), math.sin(p) * math.cos(q), math.sin(p) * math.sin(q)
-    if chart == CHART_SPLIT_POSITIVE:
-        return math.cosh(p), math.sinh(p) * math.cos(q), math.sinh(p) * math.sin(q)
-    if chart == CHART_SPLIT_NEGATIVE:
-        return math.sinh(p), math.cosh(p) * math.cos(q), math.cosh(p) * math.sin(q)
-    raise ValueError(f"unknown chart {chart!r}")
+def chart_point(chart: int, p, q):
+    """Amplitudes (a, b, c) of the chart parameters (p, q), scalar or array."""
+    if chart not in _CHART_FUNCTIONS:
+        raise ValueError(f"unknown chart {chart!r}")
+    fa, fs = _CHART_FUNCTIONS[chart]
+    s = fs(p)
+    return fa(p), s * np.cos(q), s * np.sin(q)
 
 
 def residual_linf(a, b, c, eps: int):
@@ -69,103 +73,70 @@ def residual_linf(a, b, c, eps: int):
     return np.maximum(np.abs(r1), np.maximum(np.abs(r2), np.abs(r3)))
 
 
+def _outward(lo, hi):
+    """One ulp outward: encloses the exact result of a rounded + - * op."""
+    return np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+
+
+def _range(f, lo, hi):
+    """Enclosure of a monotone function >= 0 over [lo, hi], widened outward."""
+    f_lo, f_hi = f(lo), f(hi)
+    lo, hi = np.minimum(f_lo, f_hi), np.maximum(f_lo, f_hi)
+    slack = _WIDEN * np.maximum(1.0, hi)
+    return lo - slack, hi + slack
+
+
+def _mul_nonneg(x, y):
+    """Product of two intervals whose exact ranges are >= 0."""
+    return _outward(x[0] * y[0], x[1] * y[1])
+
+
+def _mul(m, d):
+    """Product of an interval m >= 0 with a general interval d."""
+    return _outward(np.minimum(m[0] * d[0], m[1] * d[0]),
+                    np.maximum(m[0] * d[1], m[1] * d[1]))
+
+
+def _sub(x, y):
+    return _outward(x[0] - y[1], x[1] - y[0])
+
+
+def box_enclosure(chart: int, eps: int, p_lo, p_hi, q_lo, q_hi):
+    """(lower, a_hi, b_hi, c_hi) for each box [p_lo, p_hi] x [q_lo, q_hi].
+
+    ``lower`` is a rounding-safe lower bound on :func:`residual_linf` over
+    the box and ``*_hi`` are upper bounds on the amplitudes.  A NaN anywhere
+    in the arithmetic comes out as a NaN ``lower``.
+    """
+    fa, fs = _CHART_FUNCTIONS[chart]
+    # every chart amplitude is >= 0 on the chart domain, so clip the widening
+    a, s, cq, sq = (
+        (np.maximum(lo, 0.0), hi) for lo, hi in (
+            _range(fa, p_lo, p_hi), _range(fs, p_lo, p_hi),
+            _range(np.cos, q_lo, q_hi), _range(np.sin, q_lo, q_hi)))
+    b = _mul_nonneg(s, cq)
+    c = _mul_nonneg(s, sq)
+    a2, b2, c2 = (_mul_nonneg(x, x) for x in (a, b, c))
+    signed = (lambda x: x) if eps > 0 else (lambda x: (-x[1], -x[0]))
+    residuals = (_mul(_mul_nonneg(a, b), _sub(a2, signed(b2))),
+                 _mul(_mul_nonneg(a, c), _sub(a2, signed(c2))),
+                 _mul(_mul_nonneg(b, c), _sub(c2, b2)))
+    lower = np.zeros_like(a[0])
+    for lo, hi in residuals:
+        # |r| >= lo when lo > 0, >= -hi when hi < 0, else only >= 0
+        lower = np.maximum(lower, np.maximum(lo, -hi))
+    return lower, a[1], b[1], c[1]
+
+
 @dataclass(frozen=True)
 class ScanResult:
     chart: int
     eps: int
-    hits: np.ndarray          # (n_hits, 5): p, q, a, b, c
-    hit_residuals: np.ndarray
-    interior_min: float       # min residual where min(a,b,c) >= margin
-    interior_argmin: tuple[float, float, float]
-    points: int
-
-
-def _scan_chart_py(chart, epsf, n_p, n_q, p_max, q_max, hit_thresh, margin,
-                   hits, hit_res):
-    """Reference scan loop; numba compiles this same body."""
-    n_hits = 0
-    interior_min = 1e300
-    ia = ib = ic = 0.0
-    dp = p_max / (n_p - 1)
-    dq = q_max / (n_q - 1)
-    for ip in range(n_p):
-        p = ip * dp
-        if chart == 0:
-            ca, sa = math.cos(p), math.sin(p)
-        elif chart == 1:
-            ca, sa = math.cosh(p), math.sinh(p)
-        else:
-            ca, sa = math.sinh(p), math.cosh(p)
-        for iq in range(n_q):
-            q = iq * dq
-            a = ca
-            b = sa * math.cos(q)
-            c = sa * math.sin(q)
-            r1 = a * (a * a - epsf * b * b) * b
-            r2 = a * (a * a - epsf * c * c) * c
-            r3 = b * (c * c - b * b) * c
-            res = max(abs(r1), max(abs(r2), abs(r3)))
-            if res < hit_thresh:
-                if n_hits < hits.shape[0]:
-                    hits[n_hits, 0] = p
-                    hits[n_hits, 1] = q
-                    hits[n_hits, 2] = a
-                    hits[n_hits, 3] = b
-                    hits[n_hits, 4] = c
-                    hit_res[n_hits] = res
-                n_hits += 1
-            if a >= margin and b >= margin and c >= margin and res < interior_min:
-                interior_min = res
-                ia, ib, ic = a, b, c
-    return n_hits, interior_min, ia, ib, ic
-
-
-if HAVE_NUMBA:
-    _scan_chart_numba = numba.njit(cache=True)(_scan_chart_py)
-else:  # pragma: no cover
-    _scan_chart_numba = None
-
-
-def _scan_chart_numpy(chart, epsf, n_p, n_q, p_max, q_max, hit_thresh, margin,
-                      hits, hit_res):
-    """Vectorized fallback with the same contract as the jitted loop."""
-    dp = p_max / (n_p - 1)
-    dq = q_max / (n_q - 1)
-    q = np.arange(n_q) * dq
-    cq, sq = np.cos(q), np.sin(q)
-    n_hits = 0
-    interior_min = np.inf
-    ia = ib = ic = 0.0
-    block = 256
-    for start in range(0, n_p, block):
-        p = (np.arange(start, min(start + block, n_p)) * dp)[:, None]
-        if chart == CHART_SPHERE:
-            a = np.broadcast_to(np.cos(p), (p.shape[0], n_q))
-            sa = np.sin(p)
-        elif chart == CHART_SPLIT_POSITIVE:
-            a = np.broadcast_to(np.cosh(p), (p.shape[0], n_q))
-            sa = np.sinh(p)
-        else:
-            a = np.broadcast_to(np.sinh(p), (p.shape[0], n_q))
-            sa = np.cosh(p)
-        b = sa * cq[None, :]
-        c = sa * sq[None, :]
-        res = residual_linf(a, b, c, epsf)
-        mask = res < hit_thresh
-        idx = np.nonzero(mask)
-        for ip, iq in zip(*idx):
-            if n_hits < hits.shape[0]:
-                hits[n_hits] = (p[ip, 0], q[iq], a[ip, iq], b[ip, iq], c[ip, iq])
-                hit_res[n_hits] = res[ip, iq]
-            n_hits += 1
-        interior = (a >= margin) & (b >= margin) & (c >= margin)
-        if interior.any():
-            masked = np.where(interior, res, np.inf)
-            k = np.unravel_index(np.argmin(masked), masked.shape)
-            if masked[k] < interior_min:
-                interior_min = float(masked[k])
-                ia, ib, ic = float(a[k]), float(b[k]), float(c[k])
-    return n_hits, interior_min, ia, ib, ic
+    hits: np.ndarray          # (n_hits, 5): p, q, a, b, c at each leaf box centre
+    hit_residuals: np.ndarray  # residual_linf at each leaf box centre
+    interior_min: float       # proven lower bound where min(a,b,c) >= margin
+    interior_argmin: tuple[float, float, float]  # (a, b, c) at that box's centre
+    points: int               # boxes evaluated
 
 
 def chart_domain(chart: int, extent: float) -> tuple[float, float]:
@@ -176,38 +147,56 @@ def chart_domain(chart: int, extent: float) -> tuple[float, float]:
 
 
 def scan_chart(chart: int, eps: int, step: float, *, hit_thresh: float,
-               margin: float, extent: float, backend: str | None = None) -> ScanResult:
-    """Dense residual scan of one chart at the given parameter resolution."""
-    p_max, q_max = chart_domain(chart, extent)
-    n_p = int(math.ceil(p_max / step)) + 1
-    n_q = int(math.ceil(q_max / step)) + 1
-    hits = np.empty((_HIT_CAPACITY, 5))
-    hit_res = np.empty(_HIT_CAPACITY)
-    if backend is None:
-        backend = active_backend()
-    if backend == "numba":
-        fn = _scan_chart_numba
-        if fn is None:  # pragma: no cover
-            raise RuntimeError("numba backend requested but numba is unavailable")
-    elif backend == "numpy":
-        fn = _scan_chart_numpy
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
-    n_hits, interior_min, ia, ib, ic = fn(
-        chart, float(eps), n_p, n_q, p_max, q_max, hit_thresh, margin, hits, hit_res)
-    if n_hits > _HIT_CAPACITY:
-        raise RuntimeError(
-            f"scan produced {n_hits} hits, over capacity {_HIT_CAPACITY}; "
-            "raise the threshold or the capacity")
+               margin: float, empty_bound: float, extent: float) -> ScanResult:
+    """Interval branch-and-bound over one chart down to boxes of width <= step.
+
+    A box is dropped when its residual lower bound exceeds ``hit_thresh``;
+    a box that may meet the region a, b, c >= ``margin`` needs a bound above
+    ``empty_bound`` as well.  A NaN bound never drops its box.  The leaves
+    that survive are the hits.  ``interior_min`` is the smallest bound over
+    the final boxes that may meet the region, where a NaN bound counts as
+    meeting it and wins the minimum (inf if no box meets it).
+    """
+    if chart not in _CHART_FUNCTIONS:
+        raise ValueError(f"unknown chart {chart!r}")
+    if not (math.isfinite(step) and step > 0 and math.isfinite(extent) and extent > 0):
+        raise ValueError(f"step and extent must be finite and positive, got {step!r}, {extent!r}")
+    lo, hi = np.zeros((1, 2)), np.array([chart_domain(chart, extent)])
+    halvings = [max(0, math.ceil(math.log2(width / step))) for width in hi[0]]
+    points = 0
+    bounds, centres = [np.array([np.inf])], [np.full((1, 2), np.nan)]
+    for level in range(max(halvings) + 1):
+        lower, a_hi, b_hi, c_hi = box_enclosure(chart, eps, lo[:, 0], hi[:, 0], lo[:, 1], hi[:, 1])
+        points += lower.size
+        leaf = level == max(halvings)
+        meets = ((a_hi >= margin) & (b_hi >= margin) & (c_hi >= margin)) | np.isnan(lower)
+        drop = (lower > hit_thresh) & (~meets | (lower > empty_bound))
+        final = (drop | leaf) & meets
+        bounds.append(lower[final])
+        centres.append(0.5 * (lo[final] + hi[final]))
+        lo, hi = lo[~drop], hi[~drop]
+        for axis, n in enumerate(halvings):
+            if level < n:
+                # both children take the same float midpoint: no gap between them
+                mid, k = 0.5 * (lo[:, axis] + hi[:, axis]), len(lo)
+                lo, hi = np.concatenate([lo, lo]), np.concatenate([hi, hi])
+                hi[:k, axis] = lo[k:, axis] = mid
+    bounds, centres = np.concatenate(bounds), np.concatenate(centres)
+    k = int(np.argmin(bounds))  # the first NaN, if there is one
+    p, q = 0.5 * (lo[:, 0] + hi[:, 0]), 0.5 * (lo[:, 1] + hi[:, 1])
+    a, b, c = chart_point(chart, p, q)
     return ScanResult(
         chart=chart,
         eps=eps,
-        hits=hits[:n_hits].copy(),
-        hit_residuals=hit_res[:n_hits].copy(),
-        interior_min=float(interior_min),
-        interior_argmin=(ia, ib, ic),
-        points=n_p * n_q,
+        hits=np.column_stack([p, q, a, b, c]),
+        hit_residuals=residual_linf(a, b, c, eps),
+        interior_min=float(bounds[k]),
+        interior_argmin=tuple(float(x) for x in chart_point(chart, *centres[k])),
+        points=points,
     )
+
+
+_STENCIL = np.linspace(-1.0, 1.0, 5)
 
 
 def refine_candidate(chart: int, eps: int, p0: float, q0: float,
@@ -223,16 +212,11 @@ def refine_candidate(chart: int, eps: int, p0: float, q0: float,
     p, q = p0, q0
     w = half_width
     for _ in range(iterations):
-        ps = np.clip(np.linspace(p - w, p + w, 5), 0.0, p_max)
-        qs = np.clip(np.linspace(q - w, q + w, 5), 0.0, q_max)
-        best = (np.inf, p, q)
-        for pp in ps:
-            for qq in qs:
-                a, b, c = chart_point(chart, pp, qq)
-                r = float(residual_linf(a, b, c, eps))
-                if r < best[0]:
-                    best = (r, pp, qq)
-        _, p, q = best
+        ps = np.minimum(np.maximum(p + w * _STENCIL, 0.0), p_max)
+        qs = np.minimum(np.maximum(q + w * _STENCIL, 0.0), q_max)
+        r = residual_linf(*chart_point(chart, ps[:, None], qs[None, :]), eps)
+        i, j = divmod(int(np.argmin(r)), _STENCIL.size)
+        p, q = float(ps[i]), float(qs[j])
         w *= 0.5
-    a, b, c = chart_point(chart, p, q)
+    a, b, c = (float(x) for x in chart_point(chart, p, q))
     return a, b, c, float(residual_linf(a, b, c, eps))

@@ -100,7 +100,7 @@ def test_criterion_5_classification():
     ok = worst_amp < 1e-10 and worst_k < 1e-11 and interior_min > 1e-2
     _line(5, "solution families match the two classification tables",
           ok, f"amplitudes {worst_amp:.3e} (tol 1e-10), K {worst_k:.3e} (tol 1e-11), "
-              f"split all-nonzero residual floor {interior_min:.3e}")
+              f"split all-nonzero certified lower bound {interior_min:.3e}")
 
 
 @pytest.mark.parametrize("sid", sf.SURFACE_IDS)

@@ -1,11 +1,13 @@
 """Tests of the tangency analysis, solution families, and phase alignment."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from nkflag import classification as cl
+from nkflag import kernels
 from nkflag import nk_geometry as nk
 from nkflag.lie_structure import PSEUDO, RIEMANNIAN, SIGNATURES
 from nkflag.surfaces import SURFACE_IDS, default_grid, get_surface, tangent_plane_vector
@@ -48,6 +50,10 @@ class TestDecomposition:
     def test_split_norm_convention(self, rng):
         dec = cl.TangentDecomposition.random(rng, 0.0, 1.0, 0.0, PSEUDO)
         assert nk.metric_m(dec.z, dec.z, PSEUDO) == pytest.approx(-1.0, abs=1e-13)
+
+    def test_validation_rejects_nan_vector(self):
+        with pytest.raises(ValueError):
+            cl.TangentDecomposition(1.0, 0.0, 0.0, np.full(6, np.nan), E6[1], E6[2], RIEMANNIAN)
 
 
 class TestJiOnJX:
@@ -244,6 +250,11 @@ class TestSolveFamilies:
             norm = a * a + eps * (b * b + c * c)
             assert lam == pytest.approx(fam.K * norm, abs=1e-12)
 
+    def test_nan_deviation_is_not_tangent(self, monkeypatch):
+        monkeypatch.setattr(cl, "tangency_coefficient", lambda a, b, c, eps: (4.0, math.nan))
+        with pytest.raises(cl.ClassificationError):
+            cl._family(1.0, 0.0, 0.0, RIEMANNIAN, "NaN deviation")
+
     def test_canonicalization(self):
         assert cl.canonical_amplitudes(0.0, -1 / SQ2, 1 / SQ2, RIEMANNIAN) == \
             pytest.approx((1 / SQ2, 1 / SQ2, 0.0))
@@ -296,3 +307,57 @@ class TestPhaseAlign:
         assert np.max(np.abs(ry - y)) == 0.0
         assert np.max(np.abs(rz - z)) == 0.0
         assert np.max(np.abs(rw - w)) == 0.0
+
+
+class TestOracleVerdicts:
+    """solve_families must fail on any NaN the oracle hands back."""
+
+    @pytest.fixture()
+    def fake_oracle(self, monkeypatch):
+        def install(eps, **changes):
+            real = cl.grid_oracle(eps)
+            monkeypatch.setattr(cl, "grid_oracle",
+                                lambda eps, step: dataclasses.replace(real, **changes))
+        cl.solve_families.cache_clear()
+        yield install
+        cl.solve_families.cache_clear()
+
+    @pytest.mark.parametrize("eps", SIGNATURES)
+    def test_unchanged_oracle_passes(self, fake_oracle, eps):
+        fake_oracle(eps)
+        assert len(cl.solve_families(eps)) == 3
+
+    @pytest.mark.parametrize("eps", SIGNATURES)
+    def test_nan_interior_bound_fails(self, fake_oracle, eps):
+        fake_oracle(eps, interior_min=math.nan)
+        with pytest.raises(cl.ClassificationError):
+            cl.solve_families(eps)
+
+    @pytest.mark.parametrize("eps", SIGNATURES)
+    def test_extra_nan_family_fails(self, fake_oracle, eps):
+        real = cl.grid_oracle(eps)
+        fake_oracle(eps, families=real.families + ((math.nan,) * 3,))
+        with pytest.raises(cl.ClassificationError):
+            cl.solve_families(eps)
+
+    def test_nan_bound_on_one_chart_reaches_the_result(self, monkeypatch):
+        real = kernels.scan_chart
+
+        def first_chart_nan(chart, *args, **kwargs):
+            scan = real(chart, *args, **kwargs)
+            if chart == kernels.CHART_SPLIT_POSITIVE:
+                return dataclasses.replace(scan, interior_min=math.nan)
+            return scan
+
+        monkeypatch.setattr(kernels, "scan_chart", first_chart_nan)
+        assert math.isnan(cl.grid_oracle(PSEUDO).interior_min)
+
+    def test_interior_bound_must_admit_the_flat_family(self, fake_oracle):
+        fake_oracle(RIEMANNIAN, interior_min=1.0)
+        with pytest.raises(cl.ClassificationError):
+            cl.solve_families(RIEMANNIAN)
+
+    def test_split_interior_bound_must_certify_emptiness(self, fake_oracle):
+        fake_oracle(PSEUDO, interior_min=1e-3)
+        with pytest.raises(cl.ClassificationError):
+            cl.solve_families(PSEUDO)

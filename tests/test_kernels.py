@@ -1,11 +1,12 @@
-"""Backend equivalence and chart geometry of the scan kernels."""
+"""Chart geometry, interval enclosures and branch-and-bound of the oracle kernels."""
 
 import math
 
 import numpy as np
 import pytest
 
-from nkflag import kernels
+from nkflag import classification as cl
+from nkflag import constants, kernels
 from nkflag.classification import minor_equations
 
 
@@ -31,35 +32,110 @@ class TestCharts:
             assert kernels.residual_linf(a, b, c, eps) == pytest.approx(want, abs=1e-15)
 
 
-class TestBackends:
-    @pytest.mark.parametrize("chart,eps", [
-        (kernels.CHART_SPHERE, 1),
-        (kernels.CHART_SPLIT_POSITIVE, -1),
-        (kernels.CHART_SPLIT_NEGATIVE, -1),
-    ])
-    def test_numpy_and_numba_agree(self, chart, eps):
-        kwargs = dict(hit_thresh=5e-3, margin=0.1, extent=2.0)
-        coarse = 2e-3
-        a = kernels.scan_chart(chart, eps, coarse, backend="numpy", **kwargs)
-        if not kernels.HAVE_NUMBA:
-            pytest.skip("numba unavailable")
-        b = kernels.scan_chart(chart, eps, coarse, backend="numba", **kwargs)
-        assert a.points == b.points
-        assert a.hits.shape == b.hits.shape
-        np.testing.assert_allclose(a.hits, b.hits, atol=1e-14)
-        assert a.interior_min == pytest.approx(b.interior_min, rel=1e-12)
+_ORACLE = dict(hit_thresh=constants.ORACLE_HIT_THRESHOLD, margin=constants.NONZERO_MARGIN,
+               empty_bound=constants.NONZERO_EMPTY_BOUND, extent=constants.ORACLE_CHART_EXTENT)
+_CHARTS = [(kernels.CHART_SPHERE, 1), (kernels.CHART_SPLIT_POSITIVE, -1),
+           (kernels.CHART_SPLIT_NEGATIVE, -1)]
 
-    def test_env_flag_switches_backend(self, monkeypatch):
-        monkeypatch.setenv("NKFLAG_NO_NUMBA", "1")
-        assert kernels.active_backend() == "numpy"
-        monkeypatch.delenv("NKFLAG_NO_NUMBA")
-        expected = "numba" if kernels.HAVE_NUMBA else "numpy"
-        assert kernels.active_backend() == expected
 
-    def test_unknown_backend_rejected(self):
+def _scan(chart, eps):
+    return kernels.scan_chart(chart, eps, constants.GRID_ORACLE_STEP, **_ORACLE)
+
+
+def _leaf_size(chart):
+    """Leaf box widths: each chart axis halved until it is at most the step."""
+    step = constants.GRID_ORACLE_STEP
+    return tuple(w / 2 ** math.ceil(math.log2(w / step))
+                 for w in kernels.chart_domain(chart, constants.ORACLE_CHART_EXTENT))
+
+
+def _dense_grid(chart, spacing=2e-3):
+    p_max, q_max = kernels.chart_domain(chart, constants.ORACLE_CHART_EXTENT)
+    p, q = np.meshgrid(np.append(np.arange(0.0, p_max, spacing), p_max),
+                       np.append(np.arange(0.0, q_max, spacing), q_max), indexing="ij")
+    return p.ravel(), q.ravel(), kernels.chart_point(chart, p.ravel(), q.ravel())
+
+
+class TestBranchAndBound:
+    @pytest.mark.parametrize("chart,eps", _CHARTS)
+    def test_enclosure_is_sound(self, chart, eps, rng):
+        p_max, q_max = kernels.chart_domain(chart, constants.ORACLE_CHART_EXTENT)
+        n = 400
+        wp = np.minimum(10.0 ** rng.uniform(-4, 0, n), p_max)
+        wq = np.minimum(10.0 ** rng.uniform(-4, 0, n), q_max)
+        p_lo, q_lo = rng.uniform(0, 1, n) * (p_max - wp), rng.uniform(0, 1, n) * (q_max - wq)
+        lower, a_hi, b_hi, c_hi = kernels.box_enclosure(chart, eps, p_lo, p_lo + wp, q_lo, q_lo + wq)
+        # random interior points plus the four corners of every box
+        tp = np.concatenate([rng.uniform(0, 1, (n, 30)), [[0, 0, 1, 1]] * n], axis=1)
+        tq = np.concatenate([rng.uniform(0, 1, (n, 30)), [[0, 1, 0, 1]] * n], axis=1)
+        a, b, c = kernels.chart_point(chart, p_lo[:, None] + tp * wp[:, None],
+                                      q_lo[:, None] + tq * wq[:, None])
+        assert np.all(lower[:, None] <= kernels.residual_linf(a, b, c, eps))
+        assert np.all(a <= a_hi[:, None]) and np.all(b <= b_hi[:, None]) and np.all(c <= c_hi[:, None])
+        assert np.any(lower > constants.ORACLE_HIT_THRESHOLD)  # the bound is not vacuous
+
+    @pytest.mark.parametrize("chart,eps", _CHARTS)
+    def test_leaves_cover_every_sub_threshold_point(self, chart, eps):
+        scan = _scan(chart, eps)
+        wp, wq = _leaf_size(chart)
+        assert wp <= constants.GRID_ORACLE_STEP and wq <= constants.GRID_ORACLE_STEP
+        p_max, q_max = kernels.chart_domain(chart, constants.ORACLE_CHART_EXTENT)
+        shape = (round(p_max / wp), round(q_max / wq))
+        occupied = np.zeros(shape, dtype=bool)
+        occupied[(scan.hits[:, 0] / wp).astype(int), (scan.hits[:, 1] / wq).astype(int)] = True
+        p, q, abc = _dense_grid(chart)
+        low = kernels.residual_linf(*abc, eps) < constants.ORACLE_HIT_THRESHOLD
+        p, q = p[low], q[low]
+        assert p.size > 0
+        # a point on a box edge belongs to the boxes on both sides
+        cells = [(np.clip(np.floor(x / w + s), 0, m - 1).astype(int))
+                 for x, w, m in ((p, wp, shape[0]), (q, wq, shape[1])) for s in (-1e-9, 1e-9)]
+        covered = np.zeros(p.size, dtype=bool)
+        for ip in cells[:2]:
+            for iq in cells[2:]:
+                covered |= occupied[ip, iq]
+        assert covered.all(), f"{np.count_nonzero(~covered)} sub-threshold points outside the leaves"
+
+    def test_split_interior_bound_is_certified_and_not_above_samples(self):
+        for chart, eps in _CHARTS[1:]:
+            scan = _scan(chart, eps)
+            p, q, (a, b, c) = _dense_grid(chart)
+            interior = (a >= constants.NONZERO_MARGIN) & (b >= constants.NONZERO_MARGIN) \
+                & (c >= constants.NONZERO_MARGIN)
+            sampled = kernels.residual_linf(a, b, c, eps)[interior].min()
+            assert constants.NONZERO_EMPTY_BOUND < scan.interior_min <= sampled
+
+    def test_compact_interior_bound_admits_the_flat_family(self):
+        assert _scan(kernels.CHART_SPHERE, 1).interior_min == 0.0
+
+    def test_nan_bound_keeps_its_box_and_poisons_the_interior_bound(self, monkeypatch):
+        real = kernels.box_enclosure
+        p0, q0 = 1.0, 0.05  # residual ~0.19 there, far above the hit threshold
+
+        def poisoned(chart, eps, p_lo, p_hi, q_lo, q_hi):
+            lower, *rest = real(chart, eps, p_lo, p_hi, q_lo, q_hi)
+            inside = (p_lo <= p0) & (p0 <= p_hi) & (q_lo <= q0) & (q0 <= q_hi)
+            return (np.where(inside, np.nan, lower), *rest)
+
+        monkeypatch.setattr(kernels, "box_enclosure", poisoned)
+        scan = _scan(kernels.CHART_SPHERE, 1)
+        wp, wq = _leaf_size(kernels.CHART_SPHERE)
+        near = (np.abs(scan.hits[:, 0] - p0) <= wp / 2) & (np.abs(scan.hits[:, 1] - q0) <= wq / 2)
+        assert near.any()
+        assert math.isnan(scan.interior_min)
+        cl.solve_families.cache_clear()
+        try:
+            with pytest.raises(cl.ClassificationError):
+                cl.solve_families(1)
+        finally:
+            cl.solve_families.cache_clear()
+
+    @pytest.mark.parametrize("kwargs", [dict(chart=7), dict(extent=math.nan),
+                                        dict(extent=math.inf), dict(step=0.0)])
+    def test_bad_arguments_rejected(self, kwargs):
+        args = dict(chart=kernels.CHART_SPLIT_POSITIVE, eps=-1, step=1e-2, **_ORACLE) | kwargs
         with pytest.raises(ValueError):
-            kernels.scan_chart(0, 1, 1e-2, hit_thresh=1e-3, margin=0.1,
-                               extent=2.0, backend="fortran")
+            kernels.scan_chart(args.pop("chart"), args.pop("eps"), args.pop("step"), **args)
 
 
 class TestRefine:
