@@ -181,7 +181,7 @@ def tangency_coefficient(a: float, b: float, c: float, eps: int) -> tuple[float,
     comps = (cy, cz, cw)
     k = max(range(3), key=lambda i: abs(amps[i]))
     lam = cx + comps[k] / amps[k]
-    dev = max(abs(comps[i] - (lam - cx) * amps[i]) for i in range(3))
+    dev = float(np.max([abs(comps[i] - (lam - cx) * amps[i]) for i in range(3)]))
     return lam, dev
 
 

@@ -38,7 +38,6 @@ __all__ = [
     "from_coefficients",
     "project_m",
     "project_h",
-    "m_part",
     "h_part",
     "tangent_matrix",
     "ad_H",
@@ -161,11 +160,6 @@ def coefficients(x: np.ndarray, eps: int) -> np.ndarray:
 def from_coefficients(c, eps: int) -> np.ndarray:
     """Inverse of :func:`coefficients` (batched over leading axes)."""
     return np.einsum("...i,ijk->...jk", np.asarray(c, dtype=float), basis(eps))
-
-
-def m_part(x: np.ndarray, eps: int) -> np.ndarray:
-    """The six tangent coordinates, order (m1, ..., m6)."""
-    return coefficients(x, eps)[..., M_SLICE]
 
 
 def h_part(x: np.ndarray, eps: int) -> np.ndarray:

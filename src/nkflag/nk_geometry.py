@@ -247,22 +247,16 @@ def identity_suite(eps: int, seed: int = constants.DEFAULT_SEED,
         np.max(np.abs(j + jmats["J1"] + jmats["J2"] + jmats["J3"])), constants.TOL_EXACT, 36)
     add("acs_triple_product",
         np.max(np.abs(j + jmats["J1"] @ jmats["J2"] @ jmats["J3"])), constants.TOL_EXACT, 36)
-    comm_err = 0.0
-    for a in ACS_KINDS:
-        for b in ACS_KINDS:
-            comm_err = max(comm_err, np.max(np.abs(jmats[a] @ jmats[b] - jmats[b] @ jmats[a])))
-    add("acs_commutativity", comm_err, constants.TOL_EXACT, 36)
+    add("acs_commutativity",
+        np.max([np.max(np.abs(jmats[a] @ jmats[b] - jmats[b] @ jmats[a]))
+                for a in ACS_KINDS for b in ACS_KINDS]), constants.TOL_EXACT, 36)
 
     # compatibility of every structure with every metric in the family
-    compat_err = 0.0
-    for _ in range(8):
-        lam = tuple(rng.uniform(0.2, 3.0, size=3))
-        for kind in ACS_KINDS:
-            jx = xs @ jmats[kind].T
-            jy = ys @ jmats[kind].T
-            compat_err = max(compat_err, np.max(np.abs(
-                metric_family(lam, jx, jy, eps) - metric_family(lam, xs, ys, eps))))
-    add("acs_metric_compatibility", compat_err, constants.TOL_EXACT)
+    lams = [tuple(rng.uniform(0.2, 3.0, size=3)) for _ in range(8)]
+    add("acs_metric_compatibility",
+        np.max([np.max(np.abs(metric_family(lam, xs @ m.T, ys @ m.T, eps)
+                              - metric_family(lam, xs, ys, eps)))
+                for lam in lams for m in jmats.values()]), constants.TOL_EXACT)
 
     # structure tensor
     gxy = g_tensor(xs, ys, eps)
@@ -271,7 +265,7 @@ def identity_suite(eps: int, seed: int = constants.DEFAULT_SEED,
     add("g_anticommutes_with_j",
         np.max(np.abs(g_tensor(xs, ys @ j.T, eps) + gxy @ j.T)), constants.TOL_EXACT)
     add("g_output_orthogonality",
-        max(np.max(np.abs(metric_m(gxy, xs, eps))), np.max(np.abs(metric_m(gxy, ys, eps)))),
+        np.max([np.max(np.abs(metric_m(gxy, v, eps))) for v in (xs, ys)]),
         constants.TOL_EXACT)
 
     # compatibility identities tying each auxiliary structure to G

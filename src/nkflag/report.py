@@ -64,7 +64,7 @@ def write_report_file(path, reports: Sequence[CheckReport], **meta) -> None:
         "reports": [report_to_dict(r) for r in reports],
     }
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
+        json.dump(payload, fh, indent=1)
         fh.write("\n")
 
 

@@ -30,20 +30,19 @@ from .lie_structure import (
 )
 from .matrix_core import expm, max_abs
 from .nk_geometry import apply_acs, distribution_amplitudes, metric_m
+from .report import CheckReport
 
 __all__ = [
     "SurfaceDescriptor",
-    "FrameSample",
     "SURFACE_IDS",
     "get_surface",
     "control_surface",
     "evaluate",
     "generator",
-    "frame",
     "frame_matrices",
     "almost_complex_check",
     "induced_metric",
-    "gauss_curvature",
+    "gauss_curvature_batch",
     "totally_geodesic_check",
     "default_grid",
     "expm_grid",
@@ -414,34 +413,6 @@ def generator(sid, t, u) -> np.ndarray:
     return _descriptor(sid).generator(t, u)
 
 
-@dataclasses.dataclass(frozen=True)
-class FrameSample:
-    """Left-translated frame derivatives at one parameter point, as
-    coefficient vectors in the ordered algebra basis."""
-
-    t: float
-    u: float
-    eps: int
-    omega_t: np.ndarray
-    omega_u: np.ndarray
-
-    @property
-    def omega_t_h(self) -> np.ndarray:
-        return self.omega_t[2:]
-
-    @property
-    def omega_t_v(self) -> np.ndarray:
-        return self.omega_t[:2]
-
-    @property
-    def omega_u_h(self) -> np.ndarray:
-        return self.omega_u[2:]
-
-    @property
-    def omega_u_v(self) -> np.ndarray:
-        return self.omega_u[:2]
-
-
 def frame_matrices(sid, t, u, method: str = "analytic") -> tuple[np.ndarray, np.ndarray]:
     """(omega_t, omega_u) as matrices; ``method`` picks the analytic closed
     forms or central differences of the immersion followed by left translation."""
@@ -458,16 +429,6 @@ def frame_matrices(sid, t, u, method: str = "analytic") -> tuple[np.ndarray, np.
     dft = (desc.closed_form(t + h, u) - desc.closed_form(t - h, u)) / (2.0 * h)
     dfu = (desc.closed_form(t, u + h) - desc.closed_form(t, u - h)) / (2.0 * h)
     return finv @ dft, finv @ dfu
-
-
-def frame(sid, t, u, method: str = "analytic") -> FrameSample:
-    desc = _descriptor(sid)
-    om_t, om_u = frame_matrices(desc, t, u, method)
-    return FrameSample(
-        t=float(t), u=float(u), eps=desc.eps,
-        omega_t=coefficients(om_t, desc.eps),
-        omega_u=coefficients(om_u, desc.eps),
-    )
 
 
 def _frames_m(desc: SurfaceDescriptor, t, u, method: str = "analytic"):
@@ -587,24 +548,11 @@ def _curvature_from_jets(g: np.ndarray, dg: np.ndarray, ddg: np.ndarray) -> np.n
     return r_1212 / det
 
 
-def gauss_curvature(sid, t, u, method: str = "analytic",
-                    h: float = constants.CURV_STEP) -> float:
-    """Numeric Gauss curvature of the induced metric at one point.
-
-    Raises at degenerate points, where the induced metric determinant falls
-    below the documented floor.
-    """
-    k = gauss_curvature_batch(sid, [t], [u], method=method, h=h)[0]
-    if math.isnan(k):
-        raise ValueError(
-            f"induced metric is degenerate at (t, u) = ({t}, {u}); "
-            f"|det| <= {constants.DEGENERATE_METRIC_MIN}")
-    return float(k)
-
-
 def gauss_curvature_batch(sid, t, u, method: str = "analytic",
                           h: float = constants.CURV_STEP) -> np.ndarray:
-    """Vectorized :func:`gauss_curvature`; degenerate points come back NaN."""
+    """Numeric Gauss curvature of the induced metric at each point (t, u);
+    degenerate points, where the induced metric determinant falls below the
+    documented floor, come back NaN."""
     desc = _descriptor(sid)
     g, dg, ddg = _metric_jets(desc, t, u, h, method)
     det = g[:, 0, 0] * g[:, 1, 1] - g[:, 0, 1] ** 2
@@ -613,26 +561,6 @@ def gauss_curvature_batch(sid, t, u, method: str = "analytic",
     if good.any():
         out[good] = _curvature_from_jets(g[good], dg[good], ddg[good])
     return out
-
-
-def tangent_plane_vector(sid, t, u, method: str = "analytic") -> np.ndarray:
-    """Unit horizontal frame vector of the surface, translated to the base
-    point (squared norm +1, or -1 on negative-definite planes)."""
-    desc = _descriptor(sid)
-    mt, _ = _frames_m(desc, float(t), float(u), method)
-    norm = metric_m(mt, mt, desc.eps)
-    if abs(norm) < 1e-12:
-        raise ValueError(f"degenerate frame at (t, u) = ({t}, {u})")
-    return mt / math.sqrt(abs(norm))
-
-
-def totally_geodesic_check(sid, t, u, method: str = "analytic") -> float:
-    """|numeric surface curvature - ambient holomorphic curvature|; zero
-    exactly for totally geodesic almost complex surfaces."""
-    desc = _descriptor(sid)
-    k_surface = gauss_curvature(desc, t, u, method=method)
-    k_ambient = holomorphic_K(tangent_plane_vector(desc, t, u, method), desc.eps)
-    return abs(k_surface - k_ambient)
 
 
 # ---------------------------------------------------------------------------
@@ -673,14 +601,13 @@ def group_membership_defect(sid, n: int = constants.DEFAULT_GRID) -> float:
     return group_defect(desc.closed_form(t, u), desc.eps)
 
 
-def _sample_columns(desc: SurfaceDescriptor, n: int, method: str) -> dict[str, np.ndarray]:
-    """Every per-point quantity of one surface over its default grid, in one
-    batched pass: the export columns (``CSV_COLUMNS`` minus ``id``), the
-    t-frame coefficients ``omega_t``, the unit horizontal frame
+def _sample_columns(desc: SurfaceDescriptor, t, u, method: str) -> dict[str, np.ndarray]:
+    """Every per-point quantity of one surface at the 1-D point arrays
+    (t, u), in one batched pass: the export columns (``CSV_COLUMNS`` minus
+    ``id``), the t-frame coefficients ``omega_t``, the unit horizontal frame
     ``unit_frame`` and the mask ``nondegenerate`` of points whose induced
     metric has |det| above the degeneracy floor.  K and the totally
     geodesic residual are NaN at the other points."""
-    t, u = default_grid(desc, n)
     om_t, om_u = frame_matrices(desc, t, u, method)
     omega_t = coefficients(om_t, desc.eps)
     mt, mu = omega_t[..., 2:], coefficients(om_u, desc.eps)[..., 2:]
@@ -698,6 +625,22 @@ def _sample_columns(desc: SurfaceDescriptor, n: int, method: str) -> dict[str, n
     }
 
 
+def totally_geodesic_check(sid, t, u, method: str = "analytic") -> float:
+    """|numeric surface curvature - ambient holomorphic curvature| at one
+    point; zero exactly for totally geodesic almost complex surfaces.
+
+    Raises at degenerate points, where the induced metric determinant falls
+    below the documented floor.
+    """
+    desc = _descriptor(sid)
+    tg = _sample_columns(desc, np.array([t], float), np.array([u], float), method)["tg_residual"][0]
+    if math.isnan(tg):
+        raise ValueError(
+            f"induced metric is degenerate at (t, u) = ({t}, {u}); "
+            f"|det| <= {constants.DEGENERATE_METRIC_MIN}")
+    return float(tg)
+
+
 def _rows(desc: SurfaceDescriptor, columns: dict[str, np.ndarray]) -> list[dict]:
     names = CSV_COLUMNS[1:]
     return [{"id": desc.sid, **dict(zip(names, values))}
@@ -708,7 +651,7 @@ def sample_rows(sid, n: int = constants.DEFAULT_GRID, method: str = "analytic") 
     """Per-grid-point records for export; K and the totally geodesic residual
     are NaN at metric-degenerate points."""
     desc = _descriptor(sid)
-    return _rows(desc, _sample_columns(desc, n, method))
+    return _rows(desc, _sample_columns(desc, *default_grid(desc, n), method))
 
 
 def write_csv(path, rows: list[dict]) -> None:
@@ -720,42 +663,50 @@ def write_csv(path, rows: list[dict]) -> None:
         writer.writerows(rows)
 
 
-def surface_summary(sid, n: int = constants.DEFAULT_GRID) -> dict:
-    """Aggregate verification numbers for one surface over its default grids,
-    plus the per-point export records under ``rows``.  Aggregates over the
-    metric-nondegenerate points reduce with ``np.max``, so a NaN there
-    reaches the summary."""
+def surface_summary(sid, n: int = constants.DEFAULT_GRID,
+                    tol_fd: float = constants.TOL_CURVATURE) -> dict:
+    """Verification of one surface over its default grids.
+
+    ``reports`` holds one :class:`CheckReport` per aggregate, named
+    ``<check>[surface<id>]``; ``tol_fd`` bounds the two finite-difference
+    curvature checks.  ``rows`` holds the per-point export records.
+    Aggregates reduce with ``np.max``, so a NaN reaches its report and
+    fails it; K and the totally geodesic residual cover only the
+    metric-nondegenerate points.
+    """
     desc = _descriptor(sid)
-    cols = _sample_columns(desc, n, "analytic")
+    cols = _sample_columns(desc, *default_grid(desc, n), "analytic")
     ok = cols["nondegenerate"]
-
-    # frame structure
-    horizontality = float(np.max(np.abs(cols["omega_t"][..., :2])))
-
-    # amplitude constancy against the expected family
-    amps = distribution_amplitudes(cols["unit_frame"], desc.eps)
-    amp_err = float(np.max(np.abs(amps - np.array(desc.expected_amplitudes))))
-
-    # metric closed form
-    expected = desc.expected_metric(cols["t"])
-    metric_err = float(np.max([np.max(np.abs(cols[c] - want)) for c, want in zip("EFG", expected)]))
-
     ks = cols["K"][ok]
+    amps = distribution_amplitudes(cols["unit_frame"], desc.eps)
+    expected = desc.expected_metric(cols["t"])
+
+    def check(name: str, err, tol: float, samples: int) -> CheckReport:
+        return CheckReport(f"{name}[surface{desc.sid}]", float(err), tol, int(samples))
+
+    reports = [
+        check("expm_defect", expm_defect(desc, n), constants.TOL_EXPM_CLOSED_FORM, n * n),
+        check("group_defect", group_membership_defect(desc, n),
+              constants.TOL_GROUP_MEMBERSHIP, n * n),
+        check("horizontality", np.max(np.abs(cols["omega_t"][..., :2])),
+              constants.TOL_HORIZONTAL, ok.size),
+        check("metric_closed_form_error",
+              np.max([np.max(np.abs(cols[c] - want)) for c, want in zip("EFG", expected)]),
+              constants.TOL_METRIC_CLOSED_FORM, ok.size),
+        check("amplitude_error", np.max(np.abs(amps - np.array(desc.expected_amplitudes))),
+              constants.TOL_AMPLITUDE_CONST, ok.size),
+        check("K_max_deviation", np.max(np.abs(ks - desc.expected_K)), tol_fd, ks.size),
+        check("tg_residual_max", np.max(cols["tg_residual"][ok]), tol_fd, ks.size),
+        check("ac_residual_max", np.max(cols["ac_residual"]), constants.TOL_AC_RESIDUAL, ok.size),
+    ]
     return {
         "id": desc.sid,
         "label": desc.label,
         "signature": desc.eps,
         "samples": int(ok.size),
         "degenerate_points": int((~ok).sum()),
-        "expm_defect": expm_defect(desc, n),
-        "group_defect": group_membership_defect(desc, n),
-        "horizontality": horizontality,
-        "metric_closed_form_error": metric_err,
-        "amplitude_error": amp_err,
         "K_expected": desc.expected_K,
         "K_mean": float(np.mean(ks)),
-        "K_max_deviation": float(np.max(np.abs(ks - desc.expected_K))),
-        "tg_residual_max": float(np.max(cols["tg_residual"][ok])),
-        "ac_residual_max": float(np.max(cols["ac_residual"])),
+        "reports": reports,
         "rows": _rows(desc, cols),
     }

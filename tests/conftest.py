@@ -21,3 +21,14 @@ def summary_cache():
         return cache[key]
 
     return get
+
+
+@pytest.fixture(scope="session")
+def surface_error(summary_cache):
+    """Worst error of the report named ``<check>[surface<id>]`` in a cached
+    surface summary."""
+    def get(sid: int, n: int, check: str) -> float:
+        by_name = {r.name: r for r in summary_cache(sid, n)["reports"]}
+        return by_name[f"{check}[surface{sid}]"].max_abs_error
+
+    return get

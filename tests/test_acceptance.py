@@ -104,15 +104,14 @@ def test_criterion_5_classification():
 
 
 @pytest.mark.parametrize("sid", sf.SURFACE_IDS)
-def test_criterion_6_surfaces(sid, summary_cache):
-    s = summary_cache(sid, 41)
+def test_criterion_6_surfaces(sid, surface_error):
     checks = {
-        "expm": (s["expm_defect"], 1e-10),
-        "metric": (s["metric_closed_form_error"], 1e-10),
-        "K": (s["K_max_deviation"], 1e-4),
-        "tg": (s["tg_residual_max"], 1e-4),
-        "horizontality": (s["horizontality"], 1e-12),
-        "amplitudes": (s["amplitude_error"], 1e-9),
+        "expm": (surface_error(sid, 41, "expm_defect"), 1e-10),
+        "metric": (surface_error(sid, 41, "metric_closed_form_error"), 1e-10),
+        "K": (surface_error(sid, 41, "K_max_deviation"), 1e-4),
+        "tg": (surface_error(sid, 41, "tg_residual_max"), 1e-4),
+        "horizontality": (surface_error(sid, 41, "horizontality"), 1e-12),
+        "amplitudes": (surface_error(sid, 41, "amplitude_error"), 1e-9),
     }
     ok = all(err < tol for err, tol in checks.values())
     detail = ", ".join(f"{k} {err:.2e}" for k, (err, tol) in checks.items())

@@ -10,7 +10,7 @@ from nkflag import classification as cl
 from nkflag import kernels
 from nkflag import nk_geometry as nk
 from nkflag.lie_structure import PSEUDO, RIEMANNIAN, SIGNATURES
-from nkflag.surfaces import SURFACE_IDS, default_grid, get_surface, tangent_plane_vector
+from nkflag.surfaces import SURFACE_IDS, _sample_columns, default_grid, get_surface
 
 E6 = np.eye(6)
 SQ2, SQ3 = math.sqrt(2.0), math.sqrt(3.0)
@@ -111,6 +111,11 @@ class TestClosedFormCurvature:
         # K = lambda / <X, X> with <X, X> = -1
         assert lam / (a * a - b * b - c * c) == pytest.approx(1.0)
 
+    def test_nan_component_reaches_the_deviation(self, monkeypatch):
+        monkeypatch.setattr(cl, "r_xjx_closed", lambda a, b, c, eps: (-0.5, 4.5, 0.0, math.nan))
+        lam, dev = cl.tangency_coefficient(1.0, 0.0, 0.0, RIEMANNIAN)
+        assert lam == 4.0 and math.isnan(dev)
+
     @pytest.mark.parametrize("eps", SIGNATURES)
     def test_matches_full_curvature_on_random_frames(self, eps, rng):
         # the closed form must hold for any frame realization, not just the
@@ -176,7 +181,7 @@ class TestHolomorphicK:
     def test_batch_matches_rows(self, sid):
         desc = get_surface(sid)
         t, u = default_grid(desc, 11)
-        x = np.array([tangent_plane_vector(desc, ti, ui) for ti, ui in zip(t, u)])
+        x = _sample_columns(desc, t, u, "analytic")["unit_frame"]
         batch = cl.holomorphic_K(x, desc.eps)
         assert batch.shape == t.shape
         np.testing.assert_array_equal(batch, [cl.holomorphic_K(row, desc.eps) for row in x])

@@ -39,7 +39,7 @@ class TestVerifyCommand:
         code = cli.main(["verify", "--signature", "both"])
         assert code == 0
         printed = capsys.readouterr().out
-        # around sixty entries in a full two-signature run
+        # every check of both signatures; --self-test would add one per signature
         assert "87 checks, 0 failed" in printed
 
     def test_self_test_detects_corruption(self, capsys):
@@ -101,7 +101,7 @@ class TestSurfaceCommand:
         assert code == 0
         payload = json.loads(out.read_text())
         assert payload["schema_version"] == SCHEMA_VERSION
-        assert payload["surface"] == 5
+        assert payload["surface"] == 5 and payload["grid"] == 11
         assert len(payload["rows"]) == 121
         # negative-definite metric throughout
         assert all(row["G"] <= 0 for row in payload["rows"])
@@ -131,7 +131,9 @@ class TestSurfaceCommand:
         # cross-check must not read as a pass
         monkeypatch.setattr(surfaces, name, fault)
         assert cli.main(["surface", "--id", "1", "--grid", "11"]) == 1
-        assert "nan" in capsys.readouterr().out
+        nan_rows = [line.split() for line in capsys.readouterr().out.splitlines()
+                    if " nan " in line]
+        assert nan_rows and all(row[1] == "fail" for row in nan_rows)
 
     def test_largest_grid_is_accepted(self):
         args = cli._build_parser().parse_args(["surface", "--id", "2", "--grid", "201"])

@@ -283,6 +283,33 @@ class TestFaultInjection:
         assert not reports["connection_table[pseudo]"].passed
         assert not reports["connection_off_table[pseudo]"].passed
 
+    def test_nan_metric_family_fails_compatibility(self, monkeypatch):
+        monkeypatch.setattr(nk, "metric_family", lambda lam, x, y, eps: _nan_like(x, y))
+        report = {r.name: r for r in nk.identity_suite(RIEMANNIAN)}["acs_metric_compatibility"]
+        assert np.isnan(report.max_abs_error) and not report.passed
+
+    def test_nan_in_one_orthogonality_term_fails(self, monkeypatch):
+        # NaN only in <G(X, Y), Y>; <G(X, Y), X> stays finite
+        g_tensor, metric_m = nk.g_tensor, nk.metric_m
+        first = []
+
+        def recording_g(x, y, eps):
+            out = g_tensor(x, y, eps)
+            first.append((y, out))  # the suite's first call builds G(X, Y)
+            return out
+
+        def faulty_metric(x, y, eps):
+            out = metric_m(x, y, eps)
+            ys, gxy = first[0]
+            return _nan_like(out) if x is gxy and y is ys else out
+
+        monkeypatch.setattr(nk, "g_tensor", recording_g)
+        monkeypatch.setattr(nk, "metric_m", faulty_metric)
+        reports = {r.name: r for r in nk.identity_suite(PSEUDO)}
+        assert np.isnan(reports["g_output_orthogonality"].max_abs_error)
+        assert not reports["g_output_orthogonality"].passed
+        assert reports["constant_type_identity"].passed
+
     @pytest.mark.parametrize("eps", SIGNATURES)
     @pytest.mark.parametrize("flip_slot", (ls.M1, ls.M2, ls.M3, ls.M4, ls.M5, ls.M6))
     def test_sign_flip_detected_on_every_tangent_slot(self, eps, flip_slot):

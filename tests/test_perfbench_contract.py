@@ -1,10 +1,12 @@
-"""Contract between the package and the benchmark's per-layer tracer.
+"""Contract between the package and the benchmark's tracer and output gate.
 
 ``perfbench/layers.py`` wraps nkflag functions by name and times the cold
 builds of lru-cached tables; ``perfbench/run.py`` imports
 ``kernels.active_backend``.  A rename or a dropped cache would silently break
 ``perfbench/run.py --trace 1``, so the names are pinned here, and one traced
 ``classify`` run checks the oracle spans and counters end to end.
+``perfbench/gate.py`` parses the printed check tables, so the gate is run
+here on real ``verify`` and ``surface`` output.
 """
 
 import importlib
@@ -18,17 +20,27 @@ import sys
 import pytest
 
 import nkflag
-from nkflag import kernels, lie_structure
+from nkflag import cli, kernels, lie_structure
+from nkflag.report import load_report_file
 
-_LAYERS_PATH = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+_PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", _PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def layers():
-    spec = importlib.util.spec_from_file_location("perfbench_layers", _LAYERS_PATH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load("layers")
+
+
+@pytest.fixture(scope="module")
+def gate():
+    return _load("gate")
 
 
 def test_traced_functions_resolve(layers):
@@ -58,7 +70,7 @@ def test_traced_classify_records_the_oracle_layers():
         "print(json.dumps({'rc': rc, 'spans': sorted({s[0] for s in tracer.spans}),\n"
         "                  'counters': tracer.counters}))\n"
     )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(_LAYERS_PATH.parent)]))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(_PERFBENCH)]))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120).stdout
     record = json.loads(out.strip().splitlines()[-1])
@@ -67,3 +79,32 @@ def test_traced_classify_records_the_oracle_layers():
     assert want | {"kernels.refine_candidate"} <= set(record["spans"])
     assert record["counters"]["kernels.scan_chart.points"] > 0
     assert record["counters"]["kernels.scan_chart.hits"] > 0
+
+
+def test_gate_parses_every_verify_table_row(gate, capsys):
+    assert cli.main(["verify", "--signature", "pseudo", "--self-test"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rules = [i for i, line in enumerate(lines) if line and set(line) == {"-"}]
+    assert len(rules) == 2
+    rows = lines[rules[0] + 1:rules[1]]
+    assert len(rows) > 40
+    assert [row for row in rows if not gate._TABLE_ROW.match(row)] == []
+
+
+def test_gate_rejects_failing_surface_rows(gate, capsys):
+    assert cli.main(["surface", "--id", "1", "--tol-fd", "1e-12"]) == 1
+    out = capsys.readouterr().out
+    check = gate.check_samples(41 * 41)
+    assert check(1, out, None) is not None
+    # the fail rows alone are enough, whatever the exit code
+    assert check(0, out, None) == ("failing check rows: "
+                                   "K_max_deviation[surface1], tg_residual_max[surface1]")
+
+
+def test_surface_json_export_is_a_report_file(capsys, tmp_path):
+    out = tmp_path / "surface5.json"
+    assert cli.main(["surface", "--id", "5", "--grid", "11", "--out", str(out),
+                     "--format", "json"]) == 0
+    meta, reports = load_report_file(out)
+    assert meta["surface"] == 5 and meta["grid"] == 11 and len(meta["rows"]) == 121
+    assert len(reports) == 8 and all(r.passed for r in reports)

@@ -14,7 +14,7 @@ import pytest
 from nkflag import constants
 from nkflag import surfaces as sf
 from nkflag.classification import minor_equations
-from nkflag.lie_structure import M1, M4, PSEUDO, RIEMANNIAN
+from nkflag.lie_structure import M1, M4, PSEUDO, RIEMANNIAN, coefficients
 from nkflag.matrix_core import max_abs
 
 SQ3 = math.sqrt(3.0)
@@ -58,12 +58,12 @@ class TestClosedForms:
         assert max_abs(sf.evaluate(1, math.pi / 2, 0.0) - expected) < 1e-15
 
     @pytest.mark.parametrize("sid", sf.SURFACE_IDS)
-    def test_matches_exponential(self, sid, summary_cache):
-        assert summary_cache(sid, GRID)["expm_defect"] < constants.TOL_EXPM_CLOSED_FORM
+    def test_matches_exponential(self, sid, surface_error):
+        assert surface_error(sid, GRID, "expm_defect") < constants.TOL_EXPM_CLOSED_FORM
 
     @pytest.mark.parametrize("sid", sf.SURFACE_IDS)
-    def test_group_membership(self, sid, summary_cache):
-        assert summary_cache(sid, GRID)["group_defect"] < constants.TOL_GROUP_MEMBERSHIP
+    def test_group_membership(self, sid, surface_error):
+        assert surface_error(sid, GRID, "group_defect") < constants.TOL_GROUP_MEMBERSHIP
 
 
 class TestFrames:
@@ -81,27 +81,28 @@ class TestFrames:
     def test_t_derivative_is_generator_direction(self):
         desc = sf.get_surface(1)
         for t, u in ((0.4, 0.9), (1.2, 3.3)):
-            fr = sf.frame(desc, t, u)
+            omega_t, _ = sf.frame_matrices(desc, t, u)
             want = np.zeros(8)
             want[M1], want[M4] = math.cos(u), math.sin(u)
-            np.testing.assert_allclose(fr.omega_t, want, atol=1e-13)
+            np.testing.assert_allclose(coefficients(omega_t, desc.eps), want, atol=1e-13)
 
     @pytest.mark.parametrize("sid", sf.SURFACE_IDS)
-    def test_t_derivative_horizontal(self, sid, summary_cache):
-        assert summary_cache(sid, GRID)["horizontality"] < constants.TOL_HORIZONTAL
+    def test_t_derivative_horizontal(self, sid, surface_error):
+        assert surface_error(sid, GRID, "horizontality") < constants.TOL_HORIZONTAL
 
     def test_vertical_part_of_u_derivative(self):
         # for the V1 sphere the isotropy component is
         # -(sin^2 t / 2) h1 + (sqrt(3) sin^2 t / 2) h2
         for t, u in ((0.5, 0.0), (1.1, 2.0)):
-            fr = sf.frame(1, t, u)
+            _, omega_u = sf.frame_matrices(1, t, u)
             s2 = math.sin(t) ** 2
-            np.testing.assert_allclose(fr.omega_u_v, [-s2 / 2.0, SQ3 * s2 / 2.0], atol=1e-13)
+            np.testing.assert_allclose(coefficients(omega_u, RIEMANNIAN)[:2],
+                                       [-s2 / 2.0, SQ3 * s2 / 2.0], atol=1e-13)
 
     def test_flat_torus_frames_fully_horizontal(self):
-        fr = sf.frame(3, 0.8, 1.9)
-        assert np.max(np.abs(fr.omega_u_v)) < 1e-14
-        assert np.max(np.abs(fr.omega_t_v)) < 1e-14
+        omega_t, omega_u = sf.frame_matrices(3, 0.8, 1.9)
+        assert np.max(np.abs(coefficients(omega_u, RIEMANNIAN)[:2])) < 1e-14
+        assert np.max(np.abs(coefficients(omega_t, RIEMANNIAN)[:2])) < 1e-14
 
     def test_frame_method_validation(self):
         with pytest.raises(ValueError):
@@ -138,8 +139,8 @@ class TestAlmostComplex:
         np.testing.assert_array_equal(factor, pointwise[:, 1])
 
     @pytest.mark.parametrize("sid", sf.SURFACE_IDS)
-    def test_max_residual_over_grid(self, sid, summary_cache):
-        assert summary_cache(sid, GRID)["ac_residual_max"] < constants.TOL_AC_RESIDUAL
+    def test_max_residual_over_grid(self, sid, surface_error):
+        assert surface_error(sid, GRID, "ac_residual_max") < constants.TOL_AC_RESIDUAL
 
 
 class TestInducedMetric:
@@ -153,8 +154,8 @@ class TestInducedMetric:
         assert (e, f, g) == pytest.approx((-1.0, 0.0, -math.sinh(t) ** 2), abs=1e-13)
 
     @pytest.mark.parametrize("sid", sf.SURFACE_IDS)
-    def test_matches_closed_form_over_grid(self, sid, summary_cache):
-        assert summary_cache(sid, GRID)["metric_closed_form_error"] < constants.TOL_METRIC_CLOSED_FORM
+    def test_matches_closed_form_over_grid(self, sid, surface_error):
+        assert surface_error(sid, GRID, "metric_closed_form_error") < constants.TOL_METRIC_CLOSED_FORM
 
     def test_negative_definite_sign(self):
         t, u = sf.default_grid(5, 11)
@@ -164,35 +165,35 @@ class TestInducedMetric:
 
 class TestGaussCurvature:
     @pytest.mark.parametrize("sid", sf.SURFACE_IDS)
-    def test_constant_curvature(self, sid, summary_cache):
+    def test_constant_curvature(self, sid, summary_cache, surface_error):
         s = summary_cache(sid, GRID)
-        assert s["K_max_deviation"] < constants.TOL_CURVATURE
+        assert surface_error(sid, GRID, "K_max_deviation") < constants.TOL_CURVATURE
         assert s["K_mean"] == pytest.approx(s["K_expected"], abs=1e-5)
 
     def test_degenerate_rejection(self):
         # the V1 spheres close up at t = pi/2 where the u-circle shrinks away
         with pytest.raises(ValueError):
-            sf.gauss_curvature(1, math.pi / 2, 0.3)
+            sf.totally_geodesic_check(1, math.pi / 2, 0.3)
         k = sf.gauss_curvature_batch(1, [math.pi / 2], [0.3])
         assert math.isnan(k[0])
 
     def test_single_point_value(self):
-        assert sf.gauss_curvature(2, 0.9, 1.0) == pytest.approx(1.0, abs=1e-6)
+        assert sf.gauss_curvature_batch(2, [0.9], [1.0])[0] == pytest.approx(1.0, abs=1e-6)
 
 
 class TestTotallyGeodesic:
     @pytest.mark.parametrize("sid", sf.SURFACE_IDS)
-    def test_residual_over_grid(self, sid, summary_cache):
-        assert summary_cache(sid, GRID)["tg_residual_max"] < constants.TOL_TOTALLY_GEODESIC
+    def test_residual_over_grid(self, sid, surface_error):
+        assert surface_error(sid, GRID, "tg_residual_max") < constants.TOL_TOTALLY_GEODESIC
 
     def test_single_point(self):
         # numeric surface curvature and ambient holomorphic curvature both 4
-        assert sf.gauss_curvature(1, math.pi / 4, 0.0) == pytest.approx(4.0, abs=1e-6)
+        assert sf.gauss_curvature_batch(1, [math.pi / 4], [0.0])[0] == pytest.approx(4.0, abs=1e-6)
         assert sf.totally_geodesic_check(1, math.pi / 4, 0.0) < 1e-6
 
     @pytest.mark.parametrize("sid", sf.SURFACE_IDS)
-    def test_amplitudes_constant(self, sid, summary_cache):
-        assert summary_cache(sid, GRID)["amplitude_error"] < constants.TOL_AMPLITUDE_CONST
+    def test_amplitudes_constant(self, sid, surface_error):
+        assert surface_error(sid, GRID, "amplitude_error") < constants.TOL_AMPLITUDE_CONST
 
 
 class TestControlSurface:
@@ -234,6 +235,27 @@ class TestExport:
     def test_summary_rows_are_the_sample_rows(self, sid):
         # NaN-aware exact comparison: JSON writes every float in full
         assert json.dumps(sf.surface_summary(sid, 11)["rows"]) == json.dumps(sf.sample_rows(sid, 11))
+
+    def test_summary_reports(self, summary_cache):
+        s = summary_cache(1, GRID)
+        checked = GRID * GRID - s["degenerate_points"]
+        assert [(r.name, r.tolerance, r.samples) for r in s["reports"]] == [
+            ("expm_defect[surface1]", constants.TOL_EXPM_CLOSED_FORM, GRID * GRID),
+            ("group_defect[surface1]", constants.TOL_GROUP_MEMBERSHIP, GRID * GRID),
+            ("horizontality[surface1]", constants.TOL_HORIZONTAL, GRID * GRID),
+            ("metric_closed_form_error[surface1]", constants.TOL_METRIC_CLOSED_FORM, GRID * GRID),
+            ("amplitude_error[surface1]", constants.TOL_AMPLITUDE_CONST, GRID * GRID),
+            ("K_max_deviation[surface1]", constants.TOL_CURVATURE, checked),
+            ("tg_residual_max[surface1]", constants.TOL_CURVATURE, checked),
+            ("ac_residual_max[surface1]", constants.TOL_AC_RESIDUAL, GRID * GRID),
+        ]
+        assert 0 < checked < GRID * GRID
+
+    def test_tol_fd_bounds_the_curvature_reports(self):
+        reports = sf.surface_summary(2, 11, tol_fd=1e-12)["reports"]
+        assert [r.name for r in reports if not r.passed] == [
+            "K_max_deviation[surface2]", "tg_residual_max[surface2]"]
+        assert {r.tolerance for r in reports[5:7]} == {1e-12}
 
     def test_degenerate_rows_are_nan(self):
         rows = sf.sample_rows(1, 11)
