@@ -11,16 +11,16 @@ import math
 
 # --- exact-structure tier -------------------------------------------------
 
-#: generic exact checks (identities evaluated on random vectors)
+#: generic exact checks (identities evaluated on the basis)
 TOL_EXACT = 1e-12
 
 #: basis-table coefficients (+-1/2 entries), Jacobi sums, pinned tensor values
 TOL_TABLE = 1e-13
 
-#: randomized curvature/metric property checks (Bianchi, pair symmetry, ...)
+#: curvature/metric property checks (Bianchi, pair symmetry, ...)
 TOL_PROPERTY = 1e-11
 
-#: constant-type identity over random pairs (quartic expressions, looser)
+#: constant-type identity (quartic expressions, looser)
 TOL_ALPHA = 1e-9
 
 #: coefficient extraction round trip
@@ -39,9 +39,6 @@ CURV_STEP = 1e-3
 
 #: numeric Gauss curvature vs expected constant
 TOL_CURVATURE = 1e-4
-
-#: totally geodesic residual (difference of two curvature routes)
-TOL_TOTALLY_GEODESIC = 1e-4
 
 #: induced metric samples vs closed forms
 TOL_METRIC_CLOSED_FORM = 1e-10

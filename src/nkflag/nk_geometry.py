@@ -41,7 +41,6 @@ __all__ = [
     "curvature_lie",
     "curvature_tensorial",
     "identity_suite",
-    "random_tangent",
     "distribution_parts",
     "distribution_amplitudes",
 ]
@@ -186,12 +185,6 @@ def curvature_tensorial(x, y, z, eps: int) -> np.ndarray:
     return acc
 
 
-def random_tangent(rng: np.random.Generator, n: int | None = None) -> np.ndarray:
-    """Uniform samples from the [-1, 1]^6 coordinate box."""
-    shape = (6,) if n is None else (n, 6)
-    return rng.uniform(-1.0, 1.0, size=shape)
-
-
 def distribution_parts(x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Projections of a tangent vector onto V1, V2, V3 (batched)."""
     x = np.asarray(x, dtype=float)
@@ -215,25 +208,26 @@ def distribution_amplitudes(x, eps: int) -> np.ndarray:
 # identity suite
 # ---------------------------------------------------------------------------
 
-def _basis_vectors() -> np.ndarray:
-    return np.eye(6)
+#: weight vectors of the metric family; they span R^3, so a check linear in
+#: the weights that holds on them holds for every weight vector
+_FAMILY_WEIGHTS = ((2.0, 1.0, 1.0), (1.0, 2.0, 1.0), (1.0, 1.0, 2.0))
 
 
-def identity_suite(eps: int, seed: int = constants.DEFAULT_SEED,
-                   samples: int = 1000) -> list[CheckReport]:
-    """Evaluate every structural identity on all basis pairs plus random pairs.
+def identity_suite(eps: int) -> list[CheckReport]:
+    """Evaluate every structural identity on the tangent basis.
 
-    Returns one report per identity with the worst error observed.
+    Each identity is multilinear in its vector arguments, so holding on every
+    basis pair (or quadruple, for the quartic constant-type identity) proves
+    it for all vectors; nothing is sampled.  Returns one report per identity
+    with the worst error observed.
     """
     check_signature(eps)
-    rng = np.random.default_rng(seed)
-    e6 = _basis_vectors()
-    xs = np.vstack([np.repeat(e6, 6, axis=0), random_tangent(rng, samples)])
-    ys = np.vstack([np.tile(e6, (6, 1)), random_tangent(rng, samples)])
-    n = xs.shape[0]
+    e6 = np.eye(6)
+    # (xs, ys) broadcast to all 36 ordered basis pairs: tensors have axes (i, j, component)
+    xs, ys = e6[:, None], e6[None, :]
     reports: list[CheckReport] = []
 
-    def add(name: str, err: float, tol: float, count: int = n):
+    def add(name: str, err: float, tol: float, count: int = 36):
         reports.append(CheckReport(name, float(err), tol, count))
 
     j = acs_matrix("J")
@@ -242,26 +236,28 @@ def identity_suite(eps: int, seed: int = constants.DEFAULT_SEED,
     # algebraic relations between the four structures
     for kind in ACS_KINDS:
         m = jmats[kind]
-        add(f"acs_square_{kind}", np.max(np.abs(m @ m + np.eye(6))), constants.TOL_EXACT, 36)
+        add(f"acs_square_{kind}", np.max(np.abs(m @ m + np.eye(6))), constants.TOL_EXACT)
     add("acs_sum_relation",
-        np.max(np.abs(j + jmats["J1"] + jmats["J2"] + jmats["J3"])), constants.TOL_EXACT, 36)
+        np.max(np.abs(j + jmats["J1"] + jmats["J2"] + jmats["J3"])), constants.TOL_EXACT)
     add("acs_triple_product",
-        np.max(np.abs(j + jmats["J1"] @ jmats["J2"] @ jmats["J3"])), constants.TOL_EXACT, 36)
+        np.max(np.abs(j + jmats["J1"] @ jmats["J2"] @ jmats["J3"])), constants.TOL_EXACT)
     add("acs_commutativity",
         np.max([np.max(np.abs(jmats[a] @ jmats[b] - jmats[b] @ jmats[a]))
-                for a in ACS_KINDS for b in ACS_KINDS]), constants.TOL_EXACT, 36)
+                for a in ACS_KINDS for b in ACS_KINDS]), constants.TOL_EXACT)
 
-    # compatibility of every structure with every metric in the family
-    lams = [tuple(rng.uniform(0.2, 3.0, size=3)) for _ in range(8)]
+    # compatibility of every structure with the metric family (linear in the weights)
     add("acs_metric_compatibility",
         np.max([np.max(np.abs(metric_family(lam, xs @ m.T, ys @ m.T, eps)
                               - metric_family(lam, xs, ys, eps)))
-                for lam in lams for m in jmats.values()]), constants.TOL_EXACT)
+                for lam in _FAMILY_WEIGHTS for m in jmats.values()]),
+        constants.TOL_EXACT, 36 * len(_FAMILY_WEIGHTS))
 
-    # structure tensor
+    # structure tensor; a bilinear map vanishes on the diagonal exactly when
+    # its symmetric part vanishes on the basis
     gxy = g_tensor(xs, ys, eps)
     add("g_skew_symmetry", np.max(np.abs(gxy + g_tensor(ys, xs, eps))), constants.TOL_EXACT)
-    add("g_vanishing_on_diagonal", np.max(np.abs(g_tensor(xs, xs, eps))), constants.TOL_EXACT)
+    add("g_vanishing_on_diagonal", np.max(np.abs(gxy + np.swapaxes(gxy, 0, 1))),
+        constants.TOL_EXACT)
     add("g_anticommutes_with_j",
         np.max(np.abs(g_tensor(xs, ys @ j.T, eps) + gxy @ j.T)), constants.TOL_EXACT)
     add("g_output_orthogonality",
@@ -288,10 +284,18 @@ def identity_suite(eps: int, seed: int = constants.DEFAULT_SEED,
         rhs = -0.5 * gxy - 0.5 * g_tensor(xs @ ji.T, ys, eps) @ j.T
         add(f"nabla_J{i}_identity", np.max(np.abs(lhs - rhs)), constants.TOL_EXACT)
 
-    # constant-type identity (unit constant); quartic in the inputs
-    lhs = metric_m(gxy, gxy, eps)
-    rhs = (metric_m(xs, xs, eps) * metric_m(ys, ys, eps)
-           - metric_m(xs, ys, eps) ** 2 - metric_m(xs, ys @ j.T, eps) ** 2)
-    add("constant_type_identity", np.max(np.abs(lhs - rhs)), constants.TOL_ALPHA)
+    # constant-type identity |G(X,Y)|^2 = |X|^2 |Y|^2 - <X,Y>^2 - <X,JY>^2 (unit
+    # constant) is biquadratic: it holds for all X, Y exactly when the 4-tensor
+    # <G_ij, G_kl> - g_ik g_jl + g_ij g_kl + A_ij A_kl, A_ij = <e_i, J e_j>,
+    # vanishes once symmetrized over i <-> k and j <-> l
+    gij = metric_m(xs, ys, eps)
+    aij = metric_m(xs, ys @ j.T, eps)
+    d = (metric_m(gxy[:, :, None, None], gxy[None, None], eps)
+         - gij[:, None, :, None] * gij[None, :, None, :]
+         + gij[:, :, None, None] * gij[None, None]
+         + aij[:, :, None, None] * aij[None, None])
+    d = d + d.transpose(2, 1, 0, 3)
+    d = d + d.transpose(0, 3, 2, 1)
+    add("constant_type_identity", np.max(np.abs(d)) / 4.0, constants.TOL_ALPHA, 6 ** 4)
 
     return reports

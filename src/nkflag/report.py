@@ -63,9 +63,9 @@ def write_report_file(path, reports: Sequence[CheckReport], **meta) -> None:
         **meta,
         "reports": [report_to_dict(r) for r in reports],
     }
+    # one json.dumps call runs the C encoder; json.dump and indent do not
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
+        fh.write(json.dumps(payload) + "\n")
 
 
 def load_report_file(path) -> tuple[dict, list[CheckReport]]:

@@ -91,6 +91,15 @@ def test_gate_parses_every_verify_table_row(gate, capsys):
     assert [row for row in rows if not gate._TABLE_ROW.match(row)] == []
 
 
+def test_verify_emits_the_gated_report_count(gate, capsys, tmp_path):
+    out = tmp_path / "verify.json"
+    rc = cli.main(["verify", "--signature", "both", "--self-test", "--out", str(out)])
+    _meta, reports = load_report_file(out)
+    names = [r.name for r in reports]
+    assert len(names) == len(set(names)) == gate.VERIFY_CHECKS
+    assert gate.check_verify(rc, capsys.readouterr().out, str(out)) is None
+
+
 def test_gate_rejects_failing_surface_rows(gate, capsys):
     assert cli.main(["surface", "--id", "1", "--tol-fd", "1e-12"]) == 1
     out = capsys.readouterr().out

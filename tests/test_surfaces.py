@@ -184,7 +184,7 @@ class TestGaussCurvature:
 class TestTotallyGeodesic:
     @pytest.mark.parametrize("sid", sf.SURFACE_IDS)
     def test_residual_over_grid(self, sid, surface_error):
-        assert surface_error(sid, GRID, "tg_residual_max") < constants.TOL_TOTALLY_GEODESIC
+        assert surface_error(sid, GRID, "tg_residual_max") < constants.TOL_CURVATURE
 
     def test_single_point(self):
         # numeric surface curvature and ambient holomorphic curvature both 4

@@ -1,0 +1,156 @@
+"""Tests of ``verify.run_verification``: the report list, which reports the
+seed can move, and one injected fault per basis check.
+
+Every check except the three ``expm`` contracts is a finite basis check, so
+each of those is shown here to fail when one entry of the table it reads is
+perturbed (a +-1e-6 change, a scaling by 1 + 1e-6, or a NaN).
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from nkflag import lie_structure as ls
+from nkflag import nk_geometry as nk
+from nkflag import verify
+from nkflag.lie_structure import PSEUDO, RIEMANNIAN, SIGNATURES, signature_label
+
+# report names of one signature in emission order; the split form has no
+# Killing-form check
+_NAMES = (
+    "basis_traceless", "basis_antihermitian", "gram_diagonal", "coefficient_roundtrip",
+    "structure_antisymmetry", "jacobi_identity", "reductive_bracket",
+    "metric_ad_invariance", "ad_preserves_distributions", "killing_form_proportionality",
+    "expm_inverse_defect", "expm_group_membership", "expm_commuting_product",
+    "connection_table", "connection_off_table", "connection_diagonal",
+    "g_m1_m2_is_m6", "g_skew_on_basis", "g_vanishing_diagonal_random",
+    "acs_square_J", "acs_square_J1", "acs_square_J2", "acs_square_J3",
+    "acs_sum_relation", "acs_triple_product", "acs_commutativity",
+    "acs_metric_compatibility", "g_skew_symmetry", "g_vanishing_on_diagonal",
+    "g_anticommutes_with_j", "g_output_orthogonality",
+    "g_compatibility_J1", "g_compatibility_J2", "g_compatibility_J3", "g_sum_identity",
+    "nabla_J1_identity", "nabla_J2_identity", "nabla_J3_identity", "constant_type_identity",
+    "curvature_lie_vs_tensorial", "curvature_skew_first_pair", "curvature_first_bianchi",
+    "curvature_pair_symmetry", "curvature_metric_compatibility",
+)
+
+_SAMPLED = ("expm_inverse_defect", "expm_group_membership", "expm_commuting_product")
+
+
+@pytest.mark.parametrize("eps", SIGNATURES)
+def test_report_names_in_order(eps):
+    label = signature_label(eps)
+    want = [f"{n}[{label}]" for n in _NAMES
+            if eps == RIEMANNIAN or n != "killing_form_proportionality"]
+    reports = verify.run_verification(eps)
+    assert [r.name for r in reports] == want
+    assert all(r.passed for r in reports)
+
+
+@pytest.mark.parametrize("eps", SIGNATURES)
+def test_only_the_expm_contracts_depend_on_the_seed(eps):
+    def rows(seed):
+        return {r.name.split("[")[0]: (r.max_abs_error, r.samples, r.tolerance)
+                for r in verify.run_verification(eps, seed=seed)}
+
+    first, second = rows(0), rows(1)
+    assert first.keys() == second.keys()
+    assert {n: v for n, v in first.items() if n not in _SAMPLED} == \
+        {n: v for n, v in second.items() if n not in _SAMPLED}
+    # the seed still drives the expm samples
+    assert any(first[n][0] != second[n][0] for n in _SAMPLED)
+
+
+# --- fault injection --------------------------------------------------------
+
+def _edited(a: np.ndarray, index, *, add: float = 0.0, scale: float = 1.0) -> np.ndarray:
+    out = np.array(a, copy=True)
+    out[index] = out[index] * scale + add
+    return out
+
+
+def _patch_structure_constants(monkeypatch, **edit):
+    sc = verify.structure_constants
+    monkeypatch.setattr(verify, "structure_constants", lambda eps: _edited(sc(eps), **edit))
+
+
+def _patch_tables(monkeypatch, field: str, **edit):
+    """Serve nk_geometry's base-point tables with one entry of ``field`` edited."""
+    tables = nk._tables
+    monkeypatch.setattr(nk, "_tables", lambda eps: dataclasses.replace(
+        tables(eps), **{field: _edited(getattr(tables(eps), field), **edit)}))
+
+
+def _fault_metric_ad_invariance(mp):
+    # [h1, m1] stays in V1 but no longer matches [h1, m4]: ad(h1) is not skew
+    _patch_structure_constants(mp, index=(ls.H1, ls.M1, ls.M4), scale=1.0 + 1e-6)
+
+
+def _fault_ad_preserves_distributions(mp):
+    # [h1, m1] gains an m2 component, leaving V1
+    _patch_structure_constants(mp, index=(ls.H1, ls.M1, ls.M2), add=1e-6)
+
+
+def _fault_killing_form(mp):
+    basis = verify.basis
+    mp.setattr(verify, "basis", lambda eps: _edited(basis(eps), index=ls.M1, scale=1.0 + 1e-6))
+
+
+def _fault_coefficient_roundtrip(mp):
+    dual = ls._dual
+    mp.setattr(ls, "_dual", lambda eps: _edited(dual(eps), index=ls.M1, scale=1.0 + 1e-6))
+
+
+def _fault_nabla_diagonal(mp):
+    # nabla(m1, m1) gains an m2 component: neither nabla nor G vanishes on the diagonal
+    _patch_tables(mp, "nabla", index=(0, 0, 1), add=1e-6)
+
+
+def _fault_metric_family(mp):
+    # the weight of m1 drifts away from that of m4 = J m1
+    _patch_tables(mp, "gram_m", index=0, scale=1.0 + 1e-6)
+
+
+def _fault_constant_type(mp):
+    g_tensor = nk.g_tensor
+    mp.setattr(nk, "g_tensor", lambda x, y, eps: (1.0 + 1e-6) * g_tensor(x, y, eps))
+
+
+def _fault_nan_isotropy_constant(mp):
+    # [h2, m2] gains a NaN m3 component
+    _patch_structure_constants(mp, index=(ls.H2, ls.M2, ls.M3), add=np.nan)
+
+
+_FAULTS = {
+    "metric_ad_invariance": _fault_metric_ad_invariance,
+    "ad_preserves_distributions": _fault_ad_preserves_distributions,
+    "killing_form_proportionality": _fault_killing_form,
+    "coefficient_roundtrip": _fault_coefficient_roundtrip,
+    "connection_diagonal": _fault_nabla_diagonal,
+    "g_vanishing_diagonal_random": _fault_nabla_diagonal,
+    "g_vanishing_on_diagonal": _fault_nabla_diagonal,
+    "acs_metric_compatibility": _fault_metric_family,
+    "constant_type_identity": _fault_constant_type,
+}
+
+_CASES = [(name, eps) for name in _FAULTS for eps in SIGNATURES
+          if eps == RIEMANNIAN or name != "killing_form_proportionality"]
+
+
+@pytest.mark.parametrize("name, eps", _CASES)
+def test_injected_fault_fails_the_check(name, eps, monkeypatch):
+    clean = {r.name: r for r in verify.run_verification(eps)}
+    key = f"{name}[{signature_label(eps)}]"
+    assert clean[key].passed
+    _FAULTS[name](monkeypatch)
+    faulty = {r.name: r for r in verify.run_verification(eps)}[key]
+    assert not faulty.passed
+    assert faulty.max_abs_error >= 1e-7, faulty
+
+
+@pytest.mark.parametrize("name", ("metric_ad_invariance", "ad_preserves_distributions"))
+def test_nan_isotropy_constant_fails_the_torus_checks(name, monkeypatch):
+    _fault_nan_isotropy_constant(monkeypatch)
+    report = {r.name: r for r in verify.run_verification(PSEUDO)}[f"{name}[pseudo]"]
+    assert np.isnan(report.max_abs_error) and not report.passed
