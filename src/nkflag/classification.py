@@ -7,8 +7,9 @@ rank-one condition on a 2x3 matrix of cubic polynomials in (a, b, c); its
 three independent minors are the residuals used everywhere below.
 
 Solutions are enumerated twice: by closed-form case analysis, and by an
-interval branch-and-bound over the unit-norm charts with local refinement
-of the surviving boxes (the oracle, see :mod:`nkflag.kernels`).  The oracle
+interval branch-and-bound over the unit sphere of amplitudes, which meets
+every ray of the residuals' zero cone, with local refinement of the
+surviving boxes (the oracle, see :mod:`nkflag.kernels`).  The oracle
 also gives a certified lower bound on the residual over the region where
 all amplitudes are nonzero.  A mismatch between the two routes raises
 :class:`ClassificationError` rather than being patched over; so does a NaN
@@ -22,6 +23,7 @@ import math
 import numpy as np
 
 from . import constants, kernels
+from .kernels import minor_equations
 from .lie_structure import RIEMANNIAN, check_signature
 from .nk_geometry import (
     acs_matrix,
@@ -63,10 +65,9 @@ class ClassificationError(RuntimeError):
 # tangent-plane decompositions
 # ---------------------------------------------------------------------------
 
-def random_distribution_unit(rng: np.random.Generator, distribution: int,
-                             eps: int) -> np.ndarray:
-    """Random unit vector inside one distribution (0, 1 or 2); the norm is
-    +1 on V1 and the signature sign on V2, V3."""
+def random_distribution_unit(rng: np.random.Generator, distribution: int) -> np.ndarray:
+    """Random unit vector inside one distribution (0, 1 or 2); its squared
+    norm is +1 on V1 and the signature sign on V2, V3."""
     phi = rng.uniform(0.0, 2.0 * math.pi)
     v = np.zeros(6)
     v[distribution] = math.cos(phi)
@@ -109,9 +110,9 @@ class TangentDecomposition:
     def random(cls, rng: np.random.Generator, a: float, b: float, c: float,
                eps: int) -> "TangentDecomposition":
         return cls(a, b, c,
-                   random_distribution_unit(rng, 0, eps),
-                   random_distribution_unit(rng, 1, eps),
-                   random_distribution_unit(rng, 2, eps), eps)
+                   random_distribution_unit(rng, 0),
+                   random_distribution_unit(rng, 1),
+                   random_distribution_unit(rng, 2), eps)
 
 
 def ji_on_JX(dec: TangentDecomposition) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -139,17 +140,6 @@ def r_xjx_closed(a: float, b: float, c: float, eps: int) -> tuple[float, float, 
     coef_z = 1.5 * (3.0 * e * b ** 3 - a * a * b - e * b * c * c)
     coef_w = 1.5 * (3.0 * e * c ** 3 - e * b * b * c - a * a * c)
     return coef_x, coef_y, coef_z, coef_w
-
-
-def minor_equations(a: float, b: float, c: float, eps: int) -> tuple[float, float, float]:
-    """The three tangency residuals; all zero exactly on the solution set."""
-    check_signature(eps)
-    e = float(eps)
-    return (
-        a * (a * a - e * b * b) * b,
-        a * (a * a - e * c * c) * c,
-        b * (c * c - b * b) * c,
-    )
 
 
 def rank_condition_matrix(a: float, b: float, c: float, eps: int) -> np.ndarray:
@@ -262,12 +252,6 @@ def _closed_form_families(eps: int) -> tuple[SolutionFamily, ...]:
     return tuple(sorted(fams, key=lambda f: f.amplitudes, reverse=True))
 
 
-def _charts_for(eps: int) -> tuple[int, ...]:
-    if eps == RIEMANNIAN:
-        return (kernels.CHART_SPHERE,)
-    return (kernels.CHART_SPLIT_POSITIVE, kernels.CHART_SPLIT_NEGATIVE)
-
-
 @dataclasses.dataclass(frozen=True)
 class OracleResult:
     eps: int
@@ -279,56 +263,54 @@ class OracleResult:
     points: int
 
 
-def grid_oracle(eps: int, step: float = constants.GRID_ORACLE_STEP) -> OracleResult:
-    """Independent enumeration: interval branch-and-bound over each chart,
-    greedy clustering of the leaf boxes, then shrinking-box refinement of
-    each cluster."""
+def _amplitude_order(item) -> tuple[float, ...]:
+    """Sort key of an (amplitudes, residual) pair: amplitudes rounded far
+    above rounding noise (a = 6e-17 must not outrank a = 3e-16) and far
+    below ``ORACLE_MATCH_TOL``."""
+    return tuple(round(x, 12) for x in item[0])
+
+
+def grid_oracle(eps: int) -> OracleResult:
+    """Independent enumeration: interval branch-and-bound over the amplitude
+    sphere, greedy clustering of the leaf boxes, then shrinking-box
+    refinement of each cluster."""
     check_signature(eps)
-    scans = [kernels.scan_chart(chart, eps, step,
-                                hit_thresh=constants.ORACLE_HIT_THRESHOLD,
-                                margin=constants.NONZERO_MARGIN,
-                                empty_bound=constants.NONZERO_EMPTY_BOUND,
-                                extent=constants.ORACLE_CHART_EXTENT)
-             for chart in _charts_for(eps)]
-    candidates: list[tuple[float, float, float]] = []
-    residuals: list[float] = []
-    for scan in scans:
-        # take the best remaining hit, drop every hit within 0.05 of it
-        abc = scan.hits[:, 2:5]
-        alive = np.ones(len(abc), dtype=bool)
-        while alive.any():
-            idx = int(np.argmin(np.where(alive, scan.hit_residuals, np.inf)))
-            alive &= np.linalg.norm(abc - abc[idx], axis=1) >= 0.05
-            a, b, c, res = kernels.refine_candidate(
-                scan.chart, eps, scan.hits[idx, 0], scan.hits[idx, 1],
-                half_width=5.0 * step, extent=constants.ORACLE_CHART_EXTENT)
-            candidates.append(canonical_amplitudes(a, b, c, eps))
-            residuals.append(res)
+    step = constants.GRID_ORACLE_STEP
+    scan = kernels.scan_chart(kernels.CHART_SPHERE, eps, step,
+                              hit_thresh=constants.ORACLE_HIT_THRESHOLD,
+                              margin=constants.NONZERO_MARGIN,
+                              empty_bound=constants.NONZERO_EMPTY_BOUND)
+    candidates: list[tuple[tuple[float, float, float], float]] = []
+    # take the best remaining hit, drop every hit within 0.05 of it
+    abc = scan.hits[:, 2:5]
+    alive = np.ones(len(abc), dtype=bool)
+    while alive.any():
+        idx = int(np.argmin(np.where(alive, scan.hit_residuals, np.inf)))
+        alive &= np.linalg.norm(abc - abc[idx], axis=1) >= 0.05
+        a, b, c, res = kernels.refine_candidate(
+            scan.chart, eps, scan.hits[idx, 0], scan.hits[idx, 1], half_width=5.0 * step)
+        candidates.append((canonical_amplitudes(a, b, c, eps), res))
     # merge candidates that refined to the same canonical point
-    merged: list[tuple[float, float, float]] = []
-    merged_res: list[float] = []
-    for abc, res in sorted(zip(candidates, residuals)):
-        if merged and np.linalg.norm(np.subtract(abc, merged[-1])) < 1e-6:
-            merged_res[-1] = min(merged_res[-1], res)
+    merged: list[tuple[tuple[float, float, float], float]] = []
+    for amps, res in sorted(candidates, key=_amplitude_order):
+        if merged and np.linalg.norm(np.subtract(amps, merged[-1][0])) < 1e-6:
+            merged[-1] = (merged[-1][0], min(merged[-1][1], res))
             continue
-        merged.append(abc)
-        merged_res.append(res)
-    merged_sorted = sorted(zip(merged, merged_res), reverse=True)
-    worst = scans[int(np.argmin([scan.interior_min for scan in scans]))]  # a NaN bound wins
+        merged.append((amps, res))
+    merged.sort(key=_amplitude_order, reverse=True)
     return OracleResult(
         eps=eps,
         step=step,
-        families=tuple(abc for abc, _ in merged_sorted),
-        residuals=tuple(res for _, res in merged_sorted),
-        interior_min=worst.interior_min,
-        interior_argmin=worst.interior_argmin,
-        points=sum(scan.points for scan in scans),
+        families=tuple(amps for amps, _ in merged),
+        residuals=tuple(res for _, res in merged),
+        interior_min=scan.interior_min,
+        interior_argmin=scan.interior_argmin,
+        points=scan.points,
     )
 
 
 @functools.lru_cache(maxsize=None)
-def solve_families(eps: int, *, oracle: bool = True,
-                   step: float = constants.GRID_ORACLE_STEP) -> tuple[SolutionFamily, ...]:
+def solve_families(eps: int, *, oracle: bool = True) -> tuple[SolutionFamily, ...]:
     """All congruence classes for one signature, cross-checked by the oracle.
 
     Raises :class:`ClassificationError` if the oracle finds a family the case
@@ -339,7 +321,7 @@ def solve_families(eps: int, *, oracle: bool = True,
     """
     fams = _closed_form_families(eps)
     if oracle:
-        found = grid_oracle(eps, step)
+        found = grid_oracle(eps)
         expected = [np.array(f.amplitudes) for f in fams]
         for abc in found.families:
             dists = [np.linalg.norm(np.array(abc) - e) for e in expected]

@@ -63,7 +63,8 @@ DEGENERATE_METRIC_MIN = 1e-6
 
 # --- classification grid oracle -------------------------------------------
 
-#: leaf box width of the oracle's branch-and-bound over the unit-norm charts
+#: leaf box width of the oracle's branch-and-bound over the amplitude sphere
+#: (both signatures; the sphere meets every ray of the residuals' zero cone)
 GRID_ORACLE_STEP = 1e-3
 
 #: refined oracle candidates must match the case analysis this closely
@@ -77,9 +78,6 @@ NONZERO_MARGIN = 0.1
 
 #: certified lower bound for the residual on the all-nonzero region (pseudo)
 NONZERO_EMPTY_BOUND = 1e-2
-
-#: chart extent for the hyperboloid charts (amplitudes up to ~cosh 2)
-ORACLE_CHART_EXTENT = 2.0
 
 #: negative controls must miss by at least this much
 CONTROL_RESIDUAL_MIN = 1e-2

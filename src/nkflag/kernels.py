@@ -1,32 +1,27 @@
-"""Classification oracle kernels: interval branch-and-bound over the charts.
+"""Classification oracle kernels: interval branch-and-bound over the chart.
 
-The oracle covers each unit-norm chart with (p, q) boxes.  Every box gets a
-rigorous interval enclosure of the amplitudes (a, b, c) and from it a lower
-bound on the largest tangency residual over the box (interval arithmetic in
-the style of Moore, Kearfott & Cloud, *Introduction to Interval Analysis*,
+The oracle covers the chart with (p, q) boxes.  Every box gets a rigorous
+interval enclosure of the amplitudes (a, b, c) and from it a lower bound on
+the largest tangency residual over the box (interval arithmetic in the
+style of Moore, Kearfott & Cloud, *Introduction to Interval Analysis*,
 SIAM 2009).  A box whose bound clears the hit threshold holds no solution
 and is dropped; the rest are bisected down to the oracle step.  The
 surviving leaf boxes are the hits, and the smallest bound over the boxes
 that meet the all-nonzero region is a proven lower bound on the residual
 there, not a sample.
 
-Charts
-------
-Amplitude triples (a, b, c) >= 0 on the unit-norm surfaces are parametrized
-by two angles/rapidities (p, q), with q in [0, pi/2]:
+Chart
+-----
+One chart serves both signatures: the unit sphere of amplitudes,
+a = cos p, b = sin p cos q, c = sin p sin q with p, q in [0, pi/2].  The
+three residuals are homogeneous of degree 4 in (a, b, c), so their zeros
+form a cone, and every ray of the positive octant meets the sphere once,
+null rays of the split form included.  The positive octant suffices: each
+residual is odd or even under each sign flip of a, b, c, so the zero set
+is sign-symmetric, and representatives are canonicalized afterwards anyway.
 
-* chart 0 (compact form): a = cos p, b = sin p cos q, c = sin p sin q,
-  p in [0, pi/2]
-* chart 1 (split form, norm +1): a = cosh p, b = sinh p cos q, c = sinh p sin q,
-  p in [0, extent]
-* chart 2 (split form, norm -1): a = sinh p, b = cosh p cos q, c = cosh p sin q,
-  p in [0, extent]
-
-Each chart function is monotone on its interval, so its range over a box is
-spanned by its values at the box ends.  The positive octant suffices: the
-three residual polynomials are odd or even under each sign flip of a, b, c,
-so their zero set is sign-symmetric, and representatives are canonicalized
-afterwards anyway.
+cos and sin are monotone on [0, pi/2], so their range over a box is
+spanned by their values at the box ends.
 """
 
 import math
@@ -34,20 +29,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .lie_structure import check_signature
+
 CHART_SPHERE = 0
-CHART_SPLIT_POSITIVE = 1
-CHART_SPLIT_NEGATIVE = 2
 
-#: (a(p), s(p)) per chart, with b = s(p) cos q and c = s(p) sin q
-_CHART_FUNCTIONS = {
-    CHART_SPHERE: (np.cos, np.sin),
-    CHART_SPLIT_POSITIVE: (np.cosh, np.sinh),
-    CHART_SPLIT_NEGATIVE: (np.sinh, np.cosh),
-}
-
-#: outward widening of each chart-function value, as a multiple of
-#: max(1, value): 4 ulps of 1 cover libm error and the gap between float and
-#: true pi/2 (cos of the float is 6e-17, not 0)
+#: outward widening of each chart-function value: 4 ulps of 1 cover libm
+#: error and the gap between float and true pi/2 (cos of the float is 6e-17)
 _WIDEN = 4 * np.spacing(1.0)
 
 
@@ -56,21 +43,41 @@ def active_backend() -> str:
     return "numpy"
 
 
+def _check_chart(chart: int) -> None:
+    if chart != CHART_SPHERE:
+        raise ValueError(f"unknown chart {chart!r}")
+
+
 def chart_point(chart: int, p, q):
     """Amplitudes (a, b, c) of the chart parameters (p, q), scalar or array."""
-    if chart not in _CHART_FUNCTIONS:
-        raise ValueError(f"unknown chart {chart!r}")
-    fa, fs = _CHART_FUNCTIONS[chart]
-    s = fs(p)
-    return fa(p), s * np.cos(q), s * np.sin(q)
+    _check_chart(chart)
+    s = np.sin(p)
+    return np.cos(p), s * np.cos(q), s * np.sin(q)
+
+
+def chart_domain(chart: int) -> tuple[float, float]:
+    """(p_max, q_max) of the chart; both parameters start at 0."""
+    _check_chart(chart)
+    return math.pi / 2.0, math.pi / 2.0
+
+
+def minor_equations(a, b, c, eps: int):
+    """The three tangency residuals; all zero exactly on the solution set.
+
+    Scalars or arrays; each is homogeneous of degree 4 in (a, b, c).
+    """
+    check_signature(eps)
+    return (
+        a * (a * a - eps * b * b) * b,
+        a * (a * a - eps * c * c) * c,
+        b * (c * c - b * b) * c,
+    )
 
 
 def residual_linf(a, b, c, eps: int):
-    """Largest magnitude among the three tangency polynomials (vectorized)."""
-    r1 = a * (a * a - eps * b * b) * b
-    r2 = a * (a * a - eps * c * c) * c
-    r3 = b * (c * c - b * b) * c
-    return np.maximum(np.abs(r1), np.maximum(np.abs(r2), np.abs(r3)))
+    """Largest magnitude among the three tangency residuals (vectorized)."""
+    r1, r2, r3 = (np.abs(r) for r in minor_equations(a, b, c, eps))
+    return np.maximum(r1, np.maximum(r2, r3))
 
 
 def _outward(lo, hi):
@@ -79,11 +86,10 @@ def _outward(lo, hi):
 
 
 def _range(f, lo, hi):
-    """Enclosure of a monotone function >= 0 over [lo, hi], widened outward."""
+    """Enclosure of a monotone function with values in [0, 1] over [lo, hi],
+    widened outward and clipped at 0."""
     f_lo, f_hi = f(lo), f(hi)
-    lo, hi = np.minimum(f_lo, f_hi), np.maximum(f_lo, f_hi)
-    slack = _WIDEN * np.maximum(1.0, hi)
-    return lo - slack, hi + slack
+    return np.maximum(np.minimum(f_lo, f_hi) - _WIDEN, 0.0), np.maximum(f_lo, f_hi) + _WIDEN
 
 
 def _mul_nonneg(x, y):
@@ -108,14 +114,10 @@ def box_enclosure(chart: int, eps: int, p_lo, p_hi, q_lo, q_hi):
     the box and ``*_hi`` are upper bounds on the amplitudes.  A NaN anywhere
     in the arithmetic comes out as a NaN ``lower``.
     """
-    fa, fs = _CHART_FUNCTIONS[chart]
-    # every chart amplitude is >= 0 on the chart domain, so clip the widening
-    a, s, cq, sq = (
-        (np.maximum(lo, 0.0), hi) for lo, hi in (
-            _range(fa, p_lo, p_hi), _range(fs, p_lo, p_hi),
-            _range(np.cos, q_lo, q_hi), _range(np.sin, q_lo, q_hi)))
-    b = _mul_nonneg(s, cq)
-    c = _mul_nonneg(s, sq)
+    _check_chart(chart)
+    a, s = _range(np.cos, p_lo, p_hi), _range(np.sin, p_lo, p_hi)
+    b = _mul_nonneg(s, _range(np.cos, q_lo, q_hi))
+    c = _mul_nonneg(s, _range(np.sin, q_lo, q_hi))
     a2, b2, c2 = (_mul_nonneg(x, x) for x in (a, b, c))
     signed = (lambda x: x) if eps > 0 else (lambda x: (-x[1], -x[0]))
     residuals = (_mul(_mul_nonneg(a, b), _sub(a2, signed(b2))),
@@ -139,16 +141,9 @@ class ScanResult:
     points: int               # boxes evaluated
 
 
-def chart_domain(chart: int, extent: float) -> tuple[float, float]:
-    """(p_max, q_max) for a chart; extent bounds the rapidity charts."""
-    if chart == CHART_SPHERE:
-        return math.pi / 2.0, math.pi / 2.0
-    return extent, math.pi / 2.0
-
-
 def scan_chart(chart: int, eps: int, step: float, *, hit_thresh: float,
-               margin: float, empty_bound: float, extent: float) -> ScanResult:
-    """Interval branch-and-bound over one chart down to boxes of width <= step.
+               margin: float, empty_bound: float) -> ScanResult:
+    """Interval branch-and-bound over the chart down to boxes of width <= step.
 
     A box is dropped when its residual lower bound exceeds ``hit_thresh``;
     a box that may meet the region a, b, c >= ``margin`` needs a bound above
@@ -157,11 +152,9 @@ def scan_chart(chart: int, eps: int, step: float, *, hit_thresh: float,
     the final boxes that may meet the region, where a NaN bound counts as
     meeting it and wins the minimum (inf if no box meets it).
     """
-    if chart not in _CHART_FUNCTIONS:
-        raise ValueError(f"unknown chart {chart!r}")
-    if not (math.isfinite(step) and step > 0 and math.isfinite(extent) and extent > 0):
-        raise ValueError(f"step and extent must be finite and positive, got {step!r}, {extent!r}")
-    lo, hi = np.zeros((1, 2)), np.array([chart_domain(chart, extent)])
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError(f"step must be finite and positive, got {step!r}")
+    lo, hi = np.zeros((1, 2)), np.array([chart_domain(chart)])
     halvings = [max(0, math.ceil(math.log2(width / step))) for width in hi[0]]
     points = 0
     bounds, centres = [np.array([np.inf])], [np.full((1, 2), np.nan)]
@@ -200,18 +193,17 @@ _STENCIL = np.linspace(-1.0, 1.0, 5)
 
 
 def refine_candidate(chart: int, eps: int, p0: float, q0: float,
-                     half_width: float, extent: float,
-                     iterations: int = 50) -> tuple[float, float, float, float]:
+                     half_width: float) -> tuple[float, float, float, float]:
     """Shrinking-box bisection on the residual around a scan hit.
 
-    Each round samples a 5x5 sub-grid of the current box, recenters on the
-    argmin and halves the box; the residual grows linearly away from the
-    simple zeros, so the amplitudes converge well below 1e-10.
+    Each of 50 rounds samples a 5x5 sub-grid of the current box, recenters
+    on the argmin and halves the box; the residual grows linearly away from
+    the simple zeros, so the amplitudes converge well below 1e-10.
     """
-    p_max, q_max = chart_domain(chart, extent)
+    p_max, q_max = chart_domain(chart)
     p, q = p0, q0
     w = half_width
-    for _ in range(iterations):
+    for _ in range(50):
         ps = np.minimum(np.maximum(p + w * _STENCIL, 0.0), p_max)
         qs = np.minimum(np.maximum(q + w * _STENCIL, 0.0), q_max)
         r = residual_linf(*chart_point(chart, ps[:, None], qs[None, :]), eps)

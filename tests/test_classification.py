@@ -292,9 +292,9 @@ class TestPhaseAlign:
 
     def test_random_frames_align(self, rng):
         for _ in range(10):
-            y = cl.random_distribution_unit(rng, 0, RIEMANNIAN)
-            z = cl.random_distribution_unit(rng, 1, RIEMANNIAN)
-            w = cl.random_distribution_unit(rng, 2, RIEMANNIAN)
+            y = cl.random_distribution_unit(rng, 0)
+            z = cl.random_distribution_unit(rng, 1)
+            w = cl.random_distribution_unit(rng, 2)
             theta, phi = cl.phase_align(y, z, w)
             g = nk.g_tensor(y, z, RIEMANNIAN)
             jw = nk.apply_acs("J", w)
@@ -305,9 +305,9 @@ class TestPhaseAlign:
             assert np.max(np.abs(resid)) < 1e-12
 
     def test_zero_rotation_is_identity(self, rng):
-        y = cl.random_distribution_unit(rng, 0, RIEMANNIAN)
-        z = cl.random_distribution_unit(rng, 1, RIEMANNIAN)
-        w = cl.random_distribution_unit(rng, 2, RIEMANNIAN)
+        y = cl.random_distribution_unit(rng, 0)
+        z = cl.random_distribution_unit(rng, 1)
+        w = cl.random_distribution_unit(rng, 2)
         ry, rz, rw = cl.rotate_frame(y, z, w, 0.0)
         assert np.max(np.abs(ry - y)) == 0.0
         assert np.max(np.abs(rz - z)) == 0.0
@@ -322,7 +322,7 @@ class TestOracleVerdicts:
         def install(eps, **changes):
             real = cl.grid_oracle(eps)
             monkeypatch.setattr(cl, "grid_oracle",
-                                lambda eps, step: dataclasses.replace(real, **changes))
+                                lambda eps: dataclasses.replace(real, **changes))
         cl.solve_families.cache_clear()
         yield install
         cl.solve_families.cache_clear()
@@ -348,14 +348,13 @@ class TestOracleVerdicts:
     def test_nan_bound_on_one_chart_reaches_the_result(self, monkeypatch):
         real = kernels.scan_chart
 
-        def first_chart_nan(chart, *args, **kwargs):
-            scan = real(chart, *args, **kwargs)
-            if chart == kernels.CHART_SPLIT_POSITIVE:
-                return dataclasses.replace(scan, interior_min=math.nan)
-            return scan
+        def split_scan_nan(chart, eps, *args, **kwargs):
+            scan = real(chart, eps, *args, **kwargs)
+            return dataclasses.replace(scan, interior_min=math.nan) if eps == PSEUDO else scan
 
-        monkeypatch.setattr(kernels, "scan_chart", first_chart_nan)
+        monkeypatch.setattr(kernels, "scan_chart", split_scan_nan)
         assert math.isnan(cl.grid_oracle(PSEUDO).interior_min)
+        assert not math.isnan(cl.grid_oracle(RIEMANNIAN).interior_min)
 
     def test_interior_bound_must_admit_the_flat_family(self, fake_oracle):
         fake_oracle(RIEMANNIAN, interior_min=1.0)
