@@ -275,11 +275,7 @@ def grid_oracle(eps: int) -> OracleResult:
     sphere, greedy clustering of the leaf boxes, then shrinking-box
     refinement of each cluster."""
     check_signature(eps)
-    step = constants.GRID_ORACLE_STEP
-    scan = kernels.scan_chart(kernels.CHART_SPHERE, eps, step,
-                              hit_thresh=constants.ORACLE_HIT_THRESHOLD,
-                              margin=constants.NONZERO_MARGIN,
-                              empty_bound=constants.NONZERO_EMPTY_BOUND)
+    scan = kernels.scan_chart(kernels.CHART_SPHERE, eps)
     candidates: list[tuple[tuple[float, float, float], float]] = []
     # take the best remaining hit, drop every hit within 0.05 of it
     abc = scan.hits[:, 2:5]
@@ -288,7 +284,7 @@ def grid_oracle(eps: int) -> OracleResult:
         idx = int(np.argmin(np.where(alive, scan.hit_residuals, np.inf)))
         alive &= np.linalg.norm(abc - abc[idx], axis=1) >= 0.05
         a, b, c, res = kernels.refine_candidate(
-            scan.chart, eps, scan.hits[idx, 0], scan.hits[idx, 1], half_width=5.0 * step)
+            scan.chart, eps, scan.hits[idx, 0], scan.hits[idx, 1])
         candidates.append((canonical_amplitudes(a, b, c, eps), res))
     # merge candidates that refined to the same canonical point
     merged: list[tuple[tuple[float, float, float], float]] = []
@@ -300,7 +296,7 @@ def grid_oracle(eps: int) -> OracleResult:
     merged.sort(key=_amplitude_order, reverse=True)
     return OracleResult(
         eps=eps,
-        step=step,
+        step=constants.GRID_ORACLE_STEP,
         families=tuple(amps for amps, _ in merged),
         residuals=tuple(res for _, res in merged),
         interior_min=scan.interior_min,

@@ -3,10 +3,11 @@
 Three subcommands: ``verify`` runs the structural suites and writes a JSON
 report, ``classify`` prints the solution-family tables, ``surface`` checks
 one example immersion and exports its per-grid-point samples.  Every flag
-can also be supplied through an ``NKFLAG_``-prefixed environment variable
-(flags win); exit codes are 0 = all checks passed, 1 = some check failed,
-2 = usage error.  Human-readable output is a plain aligned table; machine
-output is JSON/CSV.
+that takes a value, except ``--id``, can also be supplied through an
+``NKFLAG_``-prefixed environment variable (flags win); ``--id``,
+``--self-test`` and ``--no-oracle`` have no fallback.  Exit codes are
+0 = all checks passed, 1 = some check failed, 2 = usage error.
+Human-readable output is a plain aligned table; machine output is JSON/CSV.
 """
 
 import argparse

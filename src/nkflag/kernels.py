@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import constants
 from .lie_structure import check_signature
 
 CHART_SPHERE = 0
@@ -141,35 +142,35 @@ class ScanResult:
     points: int               # boxes evaluated
 
 
-def scan_chart(chart: int, eps: int, step: float, *, hit_thresh: float,
-               margin: float, empty_bound: float) -> ScanResult:
-    """Interval branch-and-bound over the chart down to boxes of width <= step.
+def scan_chart(chart: int, eps: int) -> ScanResult:
+    """Interval branch-and-bound over the square chart down to boxes of
+    width <= ``GRID_ORACLE_STEP``, bisecting both axes at every level.
 
-    A box is dropped when its residual lower bound exceeds ``hit_thresh``;
-    a box that may meet the region a, b, c >= ``margin`` needs a bound above
-    ``empty_bound`` as well.  A NaN bound never drops its box.  The leaves
-    that survive are the hits.  ``interior_min`` is the smallest bound over
-    the final boxes that may meet the region, where a NaN bound counts as
-    meeting it and wins the minimum (inf if no box meets it).
+    A box is dropped when its residual lower bound exceeds
+    ``ORACLE_HIT_THRESHOLD``; a box that may meet the region
+    a, b, c >= ``NONZERO_MARGIN`` needs a bound above ``NONZERO_EMPTY_BOUND``
+    as well.  A NaN bound never drops its box.  The leaves that survive are
+    the hits.  ``interior_min`` is the smallest bound over the final boxes
+    that may meet the region, where a NaN bound counts as meeting it and
+    wins the minimum (inf if no box meets it).
     """
-    if not (math.isfinite(step) and step > 0):
-        raise ValueError(f"step must be finite and positive, got {step!r}")
+    margin = constants.NONZERO_MARGIN
     lo, hi = np.zeros((1, 2)), np.array([chart_domain(chart)])
-    halvings = [max(0, math.ceil(math.log2(width / step))) for width in hi[0]]
+    levels = math.ceil(math.log2(np.max(hi) / constants.GRID_ORACLE_STEP))
     points = 0
     bounds, centres = [np.array([np.inf])], [np.full((1, 2), np.nan)]
-    for level in range(max(halvings) + 1):
+    for level in range(levels + 1):
         lower, a_hi, b_hi, c_hi = box_enclosure(chart, eps, lo[:, 0], hi[:, 0], lo[:, 1], hi[:, 1])
         points += lower.size
-        leaf = level == max(halvings)
         meets = ((a_hi >= margin) & (b_hi >= margin) & (c_hi >= margin)) | np.isnan(lower)
-        drop = (lower > hit_thresh) & (~meets | (lower > empty_bound))
-        final = (drop | leaf) & meets
+        drop = (lower > constants.ORACLE_HIT_THRESHOLD) & (
+            ~meets | (lower > constants.NONZERO_EMPTY_BOUND))
+        final = (drop | (level == levels)) & meets
         bounds.append(lower[final])
         centres.append(0.5 * (lo[final] + hi[final]))
         lo, hi = lo[~drop], hi[~drop]
-        for axis, n in enumerate(halvings):
-            if level < n:
+        if level < levels:
+            for axis in (0, 1):
                 # both children take the same float midpoint: no gap between them
                 mid, k = 0.5 * (lo[:, axis] + hi[:, axis]), len(lo)
                 lo, hi = np.concatenate([lo, lo]), np.concatenate([hi, hi])
@@ -192,17 +193,18 @@ def scan_chart(chart: int, eps: int, step: float, *, hit_thresh: float,
 _STENCIL = np.linspace(-1.0, 1.0, 5)
 
 
-def refine_candidate(chart: int, eps: int, p0: float, q0: float,
-                     half_width: float) -> tuple[float, float, float, float]:
+def refine_candidate(chart: int, eps: int, p0: float,
+                     q0: float) -> tuple[float, float, float, float]:
     """Shrinking-box bisection on the residual around a scan hit.
 
-    Each of 50 rounds samples a 5x5 sub-grid of the current box, recenters
-    on the argmin and halves the box; the residual grows linearly away from
-    the simple zeros, so the amplitudes converge well below 1e-10.
+    The first box has half width 5 * ``GRID_ORACLE_STEP``.  Each of 50
+    rounds samples a 5x5 sub-grid of the current box, recenters on the
+    argmin and halves the box; the residual grows linearly away from the
+    simple zeros, so the amplitudes converge well below 1e-10.
     """
     p_max, q_max = chart_domain(chart)
     p, q = p0, q0
-    w = half_width
+    w = 5.0 * constants.GRID_ORACLE_STEP
     for _ in range(50):
         ps = np.minimum(np.maximum(p + w * _STENCIL, 0.0), p_max)
         qs = np.minimum(np.maximum(q + w * _STENCIL, 0.0), q_max)

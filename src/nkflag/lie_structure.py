@@ -36,16 +36,10 @@ __all__ = [
     "gram_diagonal",
     "coefficients",
     "from_coefficients",
-    "project_m",
-    "project_h",
-    "h_part",
     "tangent_matrix",
     "ad_H",
     "structure_constants",
     "structure_constants_of",
-    "bracket_coefficients",
-    "biinvariant_D",
-    "biinvariant_R",
     "group_defect",
 ]
 
@@ -162,22 +156,6 @@ def from_coefficients(c, eps: int) -> np.ndarray:
     return np.einsum("...i,ijk->...jk", np.asarray(c, dtype=float), basis(eps))
 
 
-def h_part(x: np.ndarray, eps: int) -> np.ndarray:
-    return coefficients(x, eps)[..., H_SLICE]
-
-
-def project_m(x: np.ndarray, eps: int) -> np.ndarray:
-    c = coefficients(x, eps)
-    c[..., H_SLICE] = 0.0
-    return from_coefficients(c, eps)
-
-
-def project_h(x: np.ndarray, eps: int) -> np.ndarray:
-    c = coefficients(x, eps)
-    c[..., M_SLICE] = 0.0
-    return from_coefficients(c, eps)
-
-
 def tangent_matrix(v, eps: int) -> np.ndarray:
     """Matrix realization of a six-coordinate tangent vector."""
     v = np.asarray(v, dtype=float)
@@ -217,21 +195,6 @@ def structure_constants_of(b: np.ndarray, eps: int) -> np.ndarray:
 def structure_constants(eps: int) -> np.ndarray:
     """c[i, j, k] with [b_i, b_j] = sum_k c[i, j, k] b_k, shape (8, 8, 8)."""
     return _frozen(structure_constants_of(basis(eps), eps))
-
-
-def bracket_coefficients(cx, cy, eps: int) -> np.ndarray:
-    """Bracket in coordinates (batched over leading axes)."""
-    return np.einsum("...i,...j,ijk->...k", np.asarray(cx, float), np.asarray(cy, float), structure_constants(eps))
-
-
-def biinvariant_D(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Connection of the bi-invariant metric on the group: half the bracket."""
-    return 0.5 * commutator(x, y)
-
-
-def biinvariant_R(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Curvature of the bi-invariant connection: quarter nested bracket."""
-    return 0.25 * commutator(z, commutator(x, y))
 
 
 def group_defect(g: np.ndarray, eps: int) -> float:

@@ -14,8 +14,6 @@ __all__ = [
     "identity",
     "commutator",
     "adjoint",
-    "trace",
-    "det3",
     "expm",
     "max_abs",
 ]
@@ -33,19 +31,6 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def adjoint(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose (an involution)."""
     return np.conj(np.swapaxes(a, -1, -2))
-
-
-def trace(a: np.ndarray) -> complex:
-    return complex(a[0, 0] + a[1, 1] + a[2, 2])
-
-
-def det3(a: np.ndarray) -> complex:
-    """Determinant by explicit cofactor expansion along the first row."""
-    return complex(
-        a[0, 0] * (a[1, 1] * a[2, 2] - a[1, 2] * a[2, 1])
-        - a[0, 1] * (a[1, 0] * a[2, 2] - a[1, 2] * a[2, 0])
-        + a[0, 2] * (a[1, 0] * a[2, 1] - a[1, 1] * a[2, 0])
-    )
 
 
 #: numerator coefficients of the degree-13 Pade approximant to exp

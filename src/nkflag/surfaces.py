@@ -3,12 +3,13 @@
 Each surface is a two-parameter exponential in the ambient group whose
 projection to the quotient realizes one classification family.  For every
 surface the closed-form matrix is cross-checked against the matrix
-exponential of its generator, the left-translated frame derivatives come in
-an analytic and a finite-difference flavor, and the induced metric feeds a
-stencil-based Gauss curvature that is compared with the ambient holomorphic
-sectional curvature at the base point (homogeneity moves the tangent plane
-there).  The control surface exponentiates a plane that violates the
-tangency equations; its residuals must stay away from zero.
+exponential of its generator, the analytic left-translated frame derivatives
+are cross-checked against central differences of the closed form, and the
+induced metric feeds a stencil-based Gauss curvature that is compared with
+the ambient holomorphic sectional curvature at the base point (homogeneity
+moves the tangent plane there).  The control surface exponentiates a plane
+that violates the tangency equations; its residuals must stay away from
+zero.
 """
 
 import dataclasses
@@ -37,8 +38,6 @@ __all__ = [
     "SURFACE_IDS",
     "get_surface",
     "control_surface",
-    "evaluate",
-    "generator",
     "frame_matrices",
     "almost_complex_check",
     "induced_metric",
@@ -372,10 +371,12 @@ def get_surface(sid: int) -> SurfaceDescriptor:
         raise ValueError(f"surface id must be one of {SURFACE_IDS}, got {sid!r}") from None
 
 
-def control_surface(mix: float = 0.6) -> SurfaceDescriptor:
+def control_surface() -> SurfaceDescriptor:
     """Negative control: exponential of a plane mixing V1 and V2 with unequal
-    amplitudes, which violates the tangency equations.  No closed form; the
-    matrix exponential is the definition, frames go through differences."""
+    amplitudes (cos 0.6, sin 0.6), which violates the tangency equations.  No
+    closed form; the matrix exponential is the definition, frames go through
+    differences."""
+    mix = 0.6
     x0 = np.zeros(6)
     x0[0], x0[1] = math.cos(mix), math.sin(mix)
     jx0 = apply_acs("J", x0)
@@ -386,7 +387,7 @@ def control_surface(mix: float = 0.6) -> SurfaceDescriptor:
     def cf(t, u):
         return expm(gen(t, u))
 
-    amps = (abs(math.cos(mix)), abs(math.sin(mix)), 0.0)
+    amps = (math.cos(mix), math.sin(mix), 0.0)
     return SurfaceDescriptor(
         sid=0, eps=RIEMANNIAN, trig=True,
         label=f"control plane, amplitudes ({amps[0]:.3f}, {amps[1]:.3f}, 0)",
@@ -403,26 +404,9 @@ def _descriptor(sid) -> SurfaceDescriptor:
     return sid if isinstance(sid, SurfaceDescriptor) else get_surface(sid)
 
 
-def evaluate(sid, t, u) -> np.ndarray:
-    """Closed-form immersion matrix at (t, u); broadcasts over arrays."""
-    return _descriptor(sid).closed_form(t, u)
-
-
-def generator(sid, t, u) -> np.ndarray:
-    """Exponent whose matrix exponential reproduces :func:`evaluate`."""
-    return _descriptor(sid).generator(t, u)
-
-
-def frame_matrices(sid, t, u, method: str = "analytic") -> tuple[np.ndarray, np.ndarray]:
-    """(omega_t, omega_u) as matrices; ``method`` picks the analytic closed
-    forms or central differences of the immersion followed by left translation."""
-    desc = _descriptor(sid)
-    if method == "analytic":
-        if not desc.has_analytic_frames:
-            raise ValueError(f"surface {desc.sid} has no analytic frame derivatives")
-        return desc.omega_t_analytic(t, u), desc.omega_u_analytic(t, u)
-    if method != "fd":
-        raise ValueError(f"frame method must be 'analytic' or 'fd', got {method!r}")
+def _fd_frames(desc: SurfaceDescriptor, t, u) -> tuple[np.ndarray, np.ndarray]:
+    """(omega_t, omega_u) from central differences of the closed form,
+    left-translated to the identity."""
     h = constants.FD_STEP
     t, u = _broadcast(t, u)
     finv = np.linalg.inv(desc.closed_form(t, u))
@@ -431,22 +415,32 @@ def frame_matrices(sid, t, u, method: str = "analytic") -> tuple[np.ndarray, np.
     return finv @ dft, finv @ dfu
 
 
-def _frames_m(desc: SurfaceDescriptor, t, u, method: str = "analytic"):
+def frame_matrices(sid, t, u) -> tuple[np.ndarray, np.ndarray]:
+    """(omega_t, omega_u) as matrices: the analytic closed forms where the
+    surface has them, central differences otherwise (the control plane)."""
+    desc = _descriptor(sid)
+    if desc.has_analytic_frames:
+        return desc.omega_t_analytic(t, u), desc.omega_u_analytic(t, u)
+    return _fd_frames(desc, t, u)
+
+
+def _frames_m(desc: SurfaceDescriptor, t, u):
     """Tangent parts of both frame vectors, batched: two (..., 6) arrays."""
-    om_t, om_u = frame_matrices(desc, t, u, method)
+    om_t, om_u = frame_matrices(desc, t, u)
     ct = coefficients(om_t, desc.eps)
     cu = coefficients(om_u, desc.eps)
     return ct[..., 2:], cu[..., 2:]
 
 
-def induced_metric(sid, t, u, method: str = "analytic"):
+def _metric_from_frames(mt: np.ndarray, mu: np.ndarray, eps: int):
+    """(E, F, G) of the horizontal frame parts mt, mu."""
+    return metric_m(mt, mt, eps), metric_m(mt, mu, eps), metric_m(mu, mu, eps)
+
+
+def induced_metric(sid, t, u):
     """Induced metric components (E, F, G) from the horizontal frame parts."""
     desc = _descriptor(sid)
-    mt, mu = _frames_m(desc, t, u, method)
-    e = metric_m(mt, mt, desc.eps)
-    f = metric_m(mt, mu, desc.eps)
-    g = metric_m(mu, mu, desc.eps)
-    return e, f, g
+    return _metric_from_frames(*_frames_m(desc, t, u), desc.eps)
 
 
 def _almost_complex_fit(mt: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -464,11 +458,11 @@ def _almost_complex_fit(mt: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, np.
     return residual, f
 
 
-def almost_complex_check(sid, t, u, method: str = "analytic") -> tuple[float, float]:
+def almost_complex_check(sid, t, u) -> tuple[float, float]:
     """(residual, factor) at one point: best scalar f with
     omega_u_h = f * J(omega_t_h); (0, 0) where omega_u_h vanishes."""
     desc = _descriptor(sid)
-    residual, f = _almost_complex_fit(*_frames_m(desc, float(t), float(u), method))
+    residual, f = _almost_complex_fit(*_frames_m(desc, float(t), float(u)))
     return float(residual), float(f)
 
 
@@ -482,19 +476,20 @@ _D2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
 _OFFSETS = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
 
 
-def _metric_jets(desc: SurfaceDescriptor, t, u, h: float, method: str):
+def _metric_jets(desc: SurfaceDescriptor, t, u):
     """Metric and its first/second parameter derivatives at each point.
 
     Returns (g, dg, ddg) with shapes (n, 2, 2), (n, 2, 2, 2), (n, 2, 2, 2, 2);
     trailing axes are derivative directions (0 = t, 1 = u).
     """
+    h = constants.CURV_STEP
     t = np.atleast_1d(np.asarray(t, dtype=float))
     u = np.atleast_1d(np.asarray(u, dtype=float))
     n = t.shape[0]
     ts = t[:, None, None] + h * _OFFSETS[None, :, None]
     us = u[:, None, None] + h * _OFFSETS[None, None, :]
     ts, us = np.broadcast_arrays(ts, us)
-    e, f, g = induced_metric(desc, ts, us, method)
+    e, f, g = induced_metric(desc, ts, us)
     comp = np.stack([e, f, g], axis=-1)          # (n, 5, 5, 3)
 
     def jets(w):                                  # w: (n, 5, 5)
@@ -548,13 +543,12 @@ def _curvature_from_jets(g: np.ndarray, dg: np.ndarray, ddg: np.ndarray) -> np.n
     return r_1212 / det
 
 
-def gauss_curvature_batch(sid, t, u, method: str = "analytic",
-                          h: float = constants.CURV_STEP) -> np.ndarray:
+def gauss_curvature_batch(sid, t, u) -> np.ndarray:
     """Numeric Gauss curvature of the induced metric at each point (t, u);
     degenerate points, where the induced metric determinant falls below the
     documented floor, come back NaN."""
     desc = _descriptor(sid)
-    g, dg, ddg = _metric_jets(desc, t, u, h, method)
+    g, dg, ddg = _metric_jets(desc, t, u)
     det = g[:, 0, 0] * g[:, 1, 1] - g[:, 0, 1] ** 2
     good = np.abs(det) > constants.DEGENERATE_METRIC_MIN
     out = np.full(g.shape[0], np.nan)
@@ -601,19 +595,20 @@ def group_membership_defect(sid, n: int = constants.DEFAULT_GRID) -> float:
     return group_defect(desc.closed_form(t, u), desc.eps)
 
 
-def _sample_columns(desc: SurfaceDescriptor, t, u, method: str) -> dict[str, np.ndarray]:
+def _sample_columns(desc: SurfaceDescriptor, t, u) -> dict[str, np.ndarray]:
     """Every per-point quantity of one surface at the 1-D point arrays
     (t, u), in one batched pass: the export columns (``CSV_COLUMNS`` minus
-    ``id``), the t-frame coefficients ``omega_t``, the unit horizontal frame
-    ``unit_frame`` and the mask ``nondegenerate`` of points whose induced
-    metric has |det| above the degeneracy floor.  K and the totally
+    ``id``), the matrices ``frames`` (omega_t, omega_u) of
+    :func:`frame_matrices`, the t-frame coefficients ``omega_t``, the unit
+    horizontal frame ``unit_frame`` and the mask ``nondegenerate`` of points
+    whose induced metric has |det| above the degeneracy floor.  K and the totally
     geodesic residual are NaN at the other points."""
-    om_t, om_u = frame_matrices(desc, t, u, method)
-    omega_t = coefficients(om_t, desc.eps)
-    mt, mu = omega_t[..., 2:], coefficients(om_u, desc.eps)[..., 2:]
-    e, f, g = metric_m(mt, mt, desc.eps), metric_m(mt, mu, desc.eps), metric_m(mu, mu, desc.eps)
+    frames = frame_matrices(desc, t, u)
+    omega_t = coefficients(frames[0], desc.eps)
+    mt, mu = omega_t[..., 2:], coefficients(frames[1], desc.eps)[..., 2:]
+    e, f, g = _metric_from_frames(mt, mu, desc.eps)
     ok = np.abs(e * g - f ** 2) > constants.DEGENERATE_METRIC_MIN
-    k = gauss_curvature_batch(desc, t, u, method=method)
+    k = gauss_curvature_batch(desc, t, u)
     unit_frame = mt / np.sqrt(np.abs(e))[:, None]
     tg = np.full_like(k, np.nan)
     tg[ok] = np.abs(k[ok] - holomorphic_K(unit_frame[ok], desc.eps))
@@ -621,11 +616,12 @@ def _sample_columns(desc: SurfaceDescriptor, t, u, method: str) -> dict[str, np.
     return {
         "t": t, "u": u, "E": e, "F": f, "G": g,
         "K": k, "tg_residual": tg, "ac_residual": ac,
-        "omega_t": omega_t, "unit_frame": unit_frame, "nondegenerate": ok,
+        "frames": frames, "omega_t": omega_t, "unit_frame": unit_frame,
+        "nondegenerate": ok,
     }
 
 
-def totally_geodesic_check(sid, t, u, method: str = "analytic") -> float:
+def totally_geodesic_check(sid, t, u) -> float:
     """|numeric surface curvature - ambient holomorphic curvature| at one
     point; zero exactly for totally geodesic almost complex surfaces.
 
@@ -633,7 +629,7 @@ def totally_geodesic_check(sid, t, u, method: str = "analytic") -> float:
     below the documented floor.
     """
     desc = _descriptor(sid)
-    tg = _sample_columns(desc, np.array([t], float), np.array([u], float), method)["tg_residual"][0]
+    tg = _sample_columns(desc, np.array([t], float), np.array([u], float))["tg_residual"][0]
     if math.isnan(tg):
         raise ValueError(
             f"induced metric is degenerate at (t, u) = ({t}, {u}); "
@@ -647,11 +643,11 @@ def _rows(desc: SurfaceDescriptor, columns: dict[str, np.ndarray]) -> list[dict]
             for values in zip(*(columns[name].tolist() for name in names))]
 
 
-def sample_rows(sid, n: int = constants.DEFAULT_GRID, method: str = "analytic") -> list[dict]:
+def sample_rows(sid, n: int = constants.DEFAULT_GRID) -> list[dict]:
     """Per-grid-point records for export; K and the totally geodesic residual
     are NaN at metric-degenerate points."""
     desc = _descriptor(sid)
-    return _rows(desc, _sample_columns(desc, *default_grid(desc, n), method))
+    return _rows(desc, _sample_columns(desc, *default_grid(desc, n)))
 
 
 def write_csv(path, rows: list[dict]) -> None:
@@ -669,17 +665,20 @@ def surface_summary(sid, n: int = constants.DEFAULT_GRID,
 
     ``reports`` holds one :class:`CheckReport` per aggregate, named
     ``<check>[surface<id>]``; ``tol_fd`` bounds the two finite-difference
-    curvature checks.  ``rows`` holds the per-point export records.
+    curvature checks.  ``frame_agreement`` compares the analytic frames with
+    central differences of the closed form under its own tolerance.
+    ``rows`` holds the per-point export records.
     Aggregates reduce with ``np.max``, so a NaN reaches its report and
     fails it; K and the totally geodesic residual cover only the
     metric-nondegenerate points.
     """
     desc = _descriptor(sid)
-    cols = _sample_columns(desc, *default_grid(desc, n), "analytic")
+    cols = _sample_columns(desc, *default_grid(desc, n))
     ok = cols["nondegenerate"]
     ks = cols["K"][ok]
     amps = distribution_amplitudes(cols["unit_frame"], desc.eps)
     expected = desc.expected_metric(cols["t"])
+    fd_frames = _fd_frames(desc, cols["t"], cols["u"])
 
     def check(name: str, err, tol: float, samples: int) -> CheckReport:
         return CheckReport(f"{name}[surface{desc.sid}]", float(err), tol, int(samples))
@@ -698,6 +697,8 @@ def surface_summary(sid, n: int = constants.DEFAULT_GRID,
         check("K_max_deviation", np.max(np.abs(ks - desc.expected_K)), tol_fd, ks.size),
         check("tg_residual_max", np.max(cols["tg_residual"][ok]), tol_fd, ks.size),
         check("ac_residual_max", np.max(cols["ac_residual"]), constants.TOL_AC_RESIDUAL, ok.size),
+        check("frame_agreement", max_abs(np.subtract(cols["frames"], fd_frames)),
+              constants.TOL_FRAME_AGREEMENT, ok.size),
     ]
     return {
         "id": desc.sid,

@@ -112,6 +112,7 @@ def test_criterion_6_surfaces(sid, surface_error):
         "tg": (surface_error(sid, 41, "tg_residual_max"), 1e-4),
         "horizontality": (surface_error(sid, 41, "horizontality"), 1e-12),
         "amplitudes": (surface_error(sid, 41, "amplitude_error"), 1e-9),
+        "frames": (surface_error(sid, 41, "frame_agreement"), 1e-6),
     }
     ok = all(err < tol for err, tol in checks.values())
     detail = ", ".join(f"{k} {err:.2e}" for k, (err, tol) in checks.items())
@@ -119,10 +120,10 @@ def test_criterion_6_surfaces(sid, surface_error):
 
 
 def test_criterion_7_negative_controls():
-    ctrl = sf.control_surface(0.6)
+    ctrl = sf.control_surface()
     a, b, c = ctrl.expected_amplitudes
     minor = max(abs(r) for r in cl.minor_equations(a, b, c, RIEMANNIAN))
-    tg = min(sf.totally_geodesic_check(ctrl, t, u, method="fd")
+    tg = min(sf.totally_geodesic_check(ctrl, t, u)
              for t, u in ((0.5, 0.3), (0.9, 2.0)))
     corrupted = min(verify.corruption_self_test(eps) for eps in SIGNATURES)
     ok = minor > 1e-2 and tg > 1e-2 and corrupted > 1e-2

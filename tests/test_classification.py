@@ -181,7 +181,7 @@ class TestHolomorphicK:
     def test_batch_matches_rows(self, sid):
         desc = get_surface(sid)
         t, u = default_grid(desc, 11)
-        x = _sample_columns(desc, t, u, "analytic")["unit_frame"]
+        x = _sample_columns(desc, t, u)["unit_frame"]
         batch = cl.holomorphic_K(x, desc.eps)
         assert batch.shape == t.shape
         np.testing.assert_array_equal(batch, [cl.holomorphic_K(row, desc.eps) for row in x])

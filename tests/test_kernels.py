@@ -40,13 +40,7 @@ class TestCharts:
             assert np.all(np.abs(r_scaled - lam ** 4 * r) <= tol)
 
 
-_ORACLE = dict(hit_thresh=constants.ORACLE_HIT_THRESHOLD, margin=constants.NONZERO_MARGIN,
-               empty_bound=constants.NONZERO_EMPTY_BOUND)
 _CHARTS = [(kernels.CHART_SPHERE, eps) for eps in SIGNATURES]
-
-
-def _scan(chart, eps):
-    return kernels.scan_chart(chart, eps, constants.GRID_ORACLE_STEP, **_ORACLE)
 
 
 def _leaf_size(chart):
@@ -83,7 +77,7 @@ class TestBranchAndBound:
 
     @pytest.mark.parametrize("chart,eps", _CHARTS)
     def test_leaves_cover_every_sub_threshold_point(self, chart, eps):
-        scan = _scan(chart, eps)
+        scan = kernels.scan_chart(chart, eps)
         wp, wq = _leaf_size(chart)
         assert wp <= constants.GRID_ORACLE_STEP and wq <= constants.GRID_ORACLE_STEP
         p_max, q_max = kernels.chart_domain(chart)
@@ -104,7 +98,7 @@ class TestBranchAndBound:
         assert covered.all(), f"{np.count_nonzero(~covered)} sub-threshold points outside the leaves"
 
     def test_split_interior_bound_is_certified_and_not_above_samples(self):
-        scan = _scan(kernels.CHART_SPHERE, PSEUDO)
+        scan = kernels.scan_chart(kernels.CHART_SPHERE, PSEUDO)
         p, q, (a, b, c) = _dense_grid(kernels.CHART_SPHERE)
         interior = (a >= constants.NONZERO_MARGIN) & (b >= constants.NONZERO_MARGIN) \
             & (c >= constants.NONZERO_MARGIN)
@@ -112,7 +106,7 @@ class TestBranchAndBound:
         assert constants.NONZERO_EMPTY_BOUND < scan.interior_min <= sampled
 
     def test_compact_interior_bound_admits_the_flat_family(self):
-        assert _scan(kernels.CHART_SPHERE, 1).interior_min == 0.0
+        assert kernels.scan_chart(kernels.CHART_SPHERE, 1).interior_min == 0.0
 
     def test_nan_bound_keeps_its_box_and_poisons_the_interior_bound(self, monkeypatch):
         real = kernels.box_enclosure
@@ -124,7 +118,7 @@ class TestBranchAndBound:
             return (np.where(inside, np.nan, lower), *rest)
 
         monkeypatch.setattr(kernels, "box_enclosure", poisoned)
-        scan = _scan(kernels.CHART_SPHERE, 1)
+        scan = kernels.scan_chart(kernels.CHART_SPHERE, 1)
         wp, wq = _leaf_size(kernels.CHART_SPHERE)
         near = (np.abs(scan.hits[:, 0] - p0) <= wp / 2) & (np.abs(scan.hits[:, 1] - q0) <= wq / 2)
         assert near.any()
@@ -157,19 +151,16 @@ class TestBranchAndBound:
         finally:
             cl.solve_families.cache_clear()
 
-    @pytest.mark.parametrize("kwargs", [dict(chart=7), dict(chart=1), dict(chart=2),
-                                        dict(step=0.0), dict(step=math.nan),
-                                        dict(step=math.inf)])
+    @pytest.mark.parametrize("kwargs", [dict(chart=7), dict(chart=1), dict(chart=2)])
     def test_bad_arguments_rejected(self, kwargs):
-        args = dict(chart=kernels.CHART_SPHERE, eps=-1, step=1e-2, **_ORACLE) | kwargs
         with pytest.raises(ValueError):
-            kernels.scan_chart(args.pop("chart"), args.pop("eps"), args.pop("step"), **args)
+            kernels.scan_chart(kwargs["chart"], -1)
 
 
 class TestRefine:
     def test_converges_to_single_distribution_solution(self):
         a, b, c, res = kernels.refine_candidate(
-            kernels.CHART_SPHERE, 1, p0=4e-3, q0=0.3, half_width=5e-3)
+            kernels.CHART_SPHERE, 1, p0=4e-3, q0=0.3)
         assert abs(a - 1.0) < 1e-11 and abs(b) < 1e-11 and abs(c) < 1e-11
         assert res < 1e-12
 
@@ -177,7 +168,7 @@ class TestRefine:
         p0 = math.acos(1.0 / math.sqrt(3.0)) + 3e-3
         q0 = math.pi / 4 - 2e-3
         a, b, c, res = kernels.refine_candidate(
-            kernels.CHART_SPHERE, 1, p0=p0, q0=q0, half_width=5e-3)
+            kernels.CHART_SPHERE, 1, p0=p0, q0=q0)
         want = 1.0 / math.sqrt(3.0)
         assert max(abs(a - want), abs(b - want), abs(c - want)) < 1e-10
         assert res < 1e-12

@@ -90,25 +90,20 @@ class TestCoefficients:
             back = ls.coefficients(ls.from_coefficients(c, eps), eps)
             assert np.max(np.abs(back - c)) < 1e-14
 
-    def test_projections_reconstruct(self, rng):
-        for eps in ls.SIGNATURES:
-            x = ls.from_coefficients(rng.uniform(-1, 1, 8), eps)
-            assert max_abs(ls.project_m(x, eps) + ls.project_h(x, eps) - x) < 1e-14
-
     def test_project_bracket_m1_m4(self):
         b = ls.basis(+1)
-        br = commutator(b[ls.M1], b[ls.M4])
-        assert max_abs(ls.project_m(br, +1)) < 1e-14
-        np.testing.assert_allclose(ls.h_part(br, +1), [1.0, -SQ3], atol=1e-13)
+        c = ls.coefficients(commutator(b[ls.M1], b[ls.M4]), +1)
+        assert np.max(np.abs(c[2:])) < 1e-14
+        np.testing.assert_allclose(c[:2], [1.0, -SQ3], atol=1e-13)
 
     def test_project_bracket_m1_m2(self):
         b = ls.basis(+1)
-        br = commutator(b[ls.M1], b[ls.M2])
-        assert max_abs(ls.project_h(br, +1)) < 1e-14
-        assert max_abs(ls.project_m(br, +1) + b[ls.M3]) < 1e-14
+        c = ls.coefficients(commutator(b[ls.M1], b[ls.M2]), +1)
+        assert np.max(np.abs(c[:2])) < 1e-14
+        assert max_abs(ls.from_coefficients(c, +1) + b[ls.M3]) < 1e-14
 
     def test_project_h_of_tangent_vanishes(self):
-        assert max_abs(ls.project_h(ls.basis(+1)[ls.M5], +1)) == 0.0
+        assert np.max(np.abs(ls.coefficients(ls.basis(+1)[ls.M5], +1)[:2])) == 0.0
 
 
 class TestAdH:
@@ -148,22 +143,6 @@ class TestAdH:
                 assert after == pytest.approx(before, abs=1e-12)
 
 
-class TestBiinvariant:
-    def test_connection_value(self):
-        b = ls.basis(+1)
-        assert max_abs(ls.biinvariant_D(b[ls.M1], b[ls.M2]) + 0.5 * b[ls.M3]) < 1e-15
-
-    def test_curvature_antisymmetry(self, rng):
-        x, z = ls.from_coefficients(rng.uniform(-1, 1, (2, 8)), +1)
-        assert max_abs(ls.biinvariant_R(x, x, z)) == 0.0
-
-    def test_curvature_nested_bracket_value(self):
-        # [m1, [m1, m2]] = [m1, -m3] = -m2, so a quarter of it is -m2/4
-        b = ls.basis(+1)
-        got = ls.biinvariant_R(b[ls.M1], b[ls.M2], b[ls.M1])
-        assert max_abs(got + 0.25 * b[ls.M2]) < 1e-15
-
-
 class TestStructure:
     @pytest.mark.parametrize("eps", ls.SIGNATURES)
     def test_jacobi_identity_all_triples(self, eps):
@@ -182,7 +161,7 @@ class TestStructure:
         b = ls.basis(eps)
         for h in b[:2]:
             for m in b[2:]:
-                assert np.max(np.abs(ls.h_part(commutator(h, m), eps))) < 1e-13
+                assert np.max(np.abs(ls.coefficients(commutator(h, m), eps)[..., :2])) < 1e-13
 
     @pytest.mark.parametrize("eps", ls.SIGNATURES)
     def test_structure_constants_antisymmetric(self, eps):
@@ -193,7 +172,7 @@ class TestStructure:
         for eps in ls.SIGNATURES:
             cx, cy = rng.uniform(-1, 1, (2, 8))
             x, y = ls.from_coefficients(cx, eps), ls.from_coefficients(cy, eps)
-            via_table = ls.bracket_coefficients(cx, cy, eps)
+            via_table = np.einsum("i,j,ijk->k", cx, cy, ls.structure_constants(eps))
             via_matrix = ls.coefficients(commutator(x, y), eps)
             assert np.max(np.abs(via_table - via_matrix)) < 1e-12
 

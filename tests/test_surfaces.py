@@ -5,6 +5,7 @@ forms, curvature, residuals) run on a 21-point grid here; the acceptance
 module repeats them on the full default grids.
 """
 
+import dataclasses
 import json
 import math
 
@@ -14,7 +15,7 @@ import pytest
 from nkflag import constants
 from nkflag import surfaces as sf
 from nkflag.classification import minor_equations
-from nkflag.lie_structure import M1, M4, PSEUDO, RIEMANNIAN, coefficients
+from nkflag.lie_structure import H1, M1, M3, M4, PSEUDO, RIEMANNIAN, basis, coefficients
 from nkflag.matrix_core import max_abs
 
 SQ3 = math.sqrt(3.0)
@@ -39,8 +40,8 @@ class TestDescriptors:
 class TestClosedForms:
     def test_identity_at_origin(self):
         for sid in sf.SURFACE_IDS:
-            assert max_abs(sf.evaluate(sid, 0.0, 0.0) - np.eye(3)) < 1e-14
-        assert max_abs(sf.evaluate(3, 0.0, 0.0) - np.eye(3)) == 0.0
+            assert max_abs(sf.get_surface(sid).closed_form(0.0, 0.0) - np.eye(3)) < 1e-14
+        assert max_abs(sf.get_surface(3).closed_form(0.0, 0.0) - np.eye(3)) == 0.0
 
     def test_hyperbolic_disc_formula(self):
         for t in (0.2, 0.9, 1.7):
@@ -51,11 +52,11 @@ class TestClosedForms:
                     [0, ch, sh / ph],
                     [0, sh * ph, ch],
                 ])
-                assert max_abs(sf.evaluate(5, t, u) - expected) < 1e-14
+                assert max_abs(sf.get_surface(5).closed_form(t, u) - expected) < 1e-14
 
     def test_quarter_turn_value(self):
         expected = np.array([[0, -1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex)
-        assert max_abs(sf.evaluate(1, math.pi / 2, 0.0) - expected) < 1e-15
+        assert max_abs(sf.get_surface(1).closed_form(math.pi / 2, 0.0) - expected) < 1e-15
 
     @pytest.mark.parametrize("sid", sf.SURFACE_IDS)
     def test_matches_exponential(self, sid, surface_error):
@@ -68,15 +69,8 @@ class TestClosedForms:
 
 class TestFrames:
     @pytest.mark.parametrize("sid", sf.SURFACE_IDS)
-    def test_analytic_vs_finite_difference(self, sid):
-        desc = sf.get_surface(sid)
-        t_lo, t_hi = desc.t_range
-        for t in np.linspace(t_lo, t_hi, 5):
-            for u in (0.3, 2.1, 5.0):
-                at, au = sf.frame_matrices(desc, t, u, "analytic")
-                ft, fu = sf.frame_matrices(desc, t, u, "fd")
-                assert max_abs(at - ft) < constants.TOL_FRAME_AGREEMENT
-                assert max_abs(au - fu) < constants.TOL_FRAME_AGREEMENT
+    def test_analytic_vs_finite_difference(self, sid, surface_error):
+        assert surface_error(sid, GRID, "frame_agreement") < constants.TOL_FRAME_AGREEMENT
 
     def test_t_derivative_is_generator_direction(self):
         desc = sf.get_surface(1)
@@ -103,10 +97,6 @@ class TestFrames:
         omega_t, omega_u = sf.frame_matrices(3, 0.8, 1.9)
         assert np.max(np.abs(coefficients(omega_u, RIEMANNIAN)[:2])) < 1e-14
         assert np.max(np.abs(coefficients(omega_t, RIEMANNIAN)[:2])) < 1e-14
-
-    def test_frame_method_validation(self):
-        with pytest.raises(ValueError):
-            sf.frame_matrices(1, 0.3, 0.3, "symbolic")
 
 
 class TestAlmostComplex:
@@ -198,26 +188,30 @@ class TestTotallyGeodesic:
 
 class TestControlSurface:
     def test_minor_residual_large(self):
-        ctrl = sf.control_surface(0.6)
+        ctrl = sf.control_surface()
         a, b, c = ctrl.expected_amplitudes
         residuals = minor_equations(a, b, c, RIEMANNIAN)
         assert max(abs(r) for r in residuals) > constants.CONTROL_RESIDUAL_MIN
 
     def test_totally_geodesic_residual_large(self):
-        ctrl = sf.control_surface(0.6)
+        ctrl = sf.control_surface()
         for t, u in ((0.5, 0.3), (0.9, 2.0)):
-            assert sf.totally_geodesic_check(ctrl, t, u, method="fd") > constants.CONTROL_RESIDUAL_MIN
+            assert sf.totally_geodesic_check(ctrl, t, u) > constants.CONTROL_RESIDUAL_MIN
 
     def test_exponential_is_its_own_closed_form(self):
-        ctrl = sf.control_surface(0.6)
+        ctrl = sf.control_surface()
         got = ctrl.closed_form(0.7, 0.4)
         from nkflag.matrix_core import expm
         assert max_abs(got - expm(ctrl.generator(0.7, 0.4))) < 1e-14
 
     def test_no_analytic_frames(self):
-        ctrl = sf.control_surface(0.6)
-        with pytest.raises(ValueError):
-            sf.frame_matrices(ctrl, 0.3, 0.3, "analytic")
+        # the frames come from central differences; exp(t X(u)) has
+        # omega_t = X(u), the generator at t = 1
+        ctrl = sf.control_surface()
+        assert not ctrl.has_analytic_frames
+        for t, u in ((0.5, 0.3), (0.9, 2.0)):
+            omega_t, _ = sf.frame_matrices(ctrl, t, u)
+            assert max_abs(omega_t - ctrl.generator(1.0, u)) < constants.TOL_FRAME_AGREEMENT
 
 
 class TestExport:
@@ -248,6 +242,7 @@ class TestExport:
             ("K_max_deviation[surface1]", constants.TOL_CURVATURE, checked),
             ("tg_residual_max[surface1]", constants.TOL_CURVATURE, checked),
             ("ac_residual_max[surface1]", constants.TOL_AC_RESIDUAL, GRID * GRID),
+            ("frame_agreement[surface1]", constants.TOL_FRAME_AGREEMENT, GRID * GRID),
         ]
         assert 0 < checked < GRID * GRID
 
@@ -277,3 +272,51 @@ class TestExport:
         assert t.max() == pytest.approx(2 * math.pi)
         t, _ = sf.expm_grid(5, 11)
         assert t.max() == pytest.approx(2.0)
+
+
+def _shifted(fn, delta):
+    return lambda *args: fn(*args) + delta
+
+
+_H1, _M3 = basis(RIEMANNIAN)[H1], basis(RIEMANNIAN)[M3]
+
+#: one fault per ``surface`` report, injected into the layer the report reads
+#: and at least 10x its tolerance: report name -> (descriptor, monkeypatch)
+#: -> faulty descriptor of the compact surface 2
+_FAULTS = {
+    "expm_defect": lambda d, mp: dataclasses.replace(
+        d, generator=_shifted(d.generator, 1e-6 * _H1)),
+    "group_defect": lambda d, mp: dataclasses.replace(
+        d, closed_form=lambda t, u: (1.0 + 1e-6) * d.closed_form(t, u)),
+    "horizontality": lambda d, mp: dataclasses.replace(
+        d, omega_t_analytic=_shifted(d.omega_t_analytic, 1e-6 * _H1)),
+    "metric_closed_form_error": lambda d, mp: dataclasses.replace(
+        d, expected_metric=lambda t: (d.expected_metric(t)[0] + 1e-6, *d.expected_metric(t)[1:])),
+    "amplitude_error": lambda d, mp: dataclasses.replace(
+        d, expected_amplitudes=(d.expected_amplitudes[0] + 1e-6, *d.expected_amplitudes[1:])),
+    "K_max_deviation": lambda d, mp: dataclasses.replace(d, expected_K=d.expected_K + 1e-3),
+    "tg_residual_max": lambda d, mp: mp.setattr(
+        sf, "holomorphic_K", _shifted(sf.holomorphic_K, 1e-3)) or d,
+    # V3 lies outside the V1 + V2 plane of surface 2, so J(omega_t) misses it
+    "ac_residual_max": lambda d, mp: dataclasses.replace(
+        d, omega_u_analytic=_shifted(d.omega_u_analytic, 1e-6 * _M3)),
+    # only the difference frames see the vertical part of omega_u
+    "frame_agreement": lambda d, mp: dataclasses.replace(
+        d, omega_u_analytic=_shifted(d.omega_u_analytic, 1e-5 * _H1)),
+}
+
+
+class TestFaultTable:
+    def test_every_report_has_a_fault(self, summary_cache):
+        emitted = {r.name.split("[")[0] for sid in sf.SURFACE_IDS
+                   for r in summary_cache(sid, GRID)["reports"]}
+        assert set(_FAULTS) == emitted
+
+    @pytest.mark.parametrize("check", sorted(_FAULTS))
+    def test_fault_fails_its_report(self, check, summary_cache, monkeypatch):
+        name = f"{check}[surface2]"
+        clean = {r.name: r for r in summary_cache(2, 11)["reports"]}
+        assert clean[name].passed
+        faulty = _FAULTS[check](sf.get_surface(2), monkeypatch)
+        by_name = {r.name: r for r in sf.surface_summary(faulty, 11)["reports"]}
+        assert not by_name[name].passed
