@@ -11,9 +11,9 @@ interval branch-and-bound over the unit sphere of amplitudes, which meets
 every ray of the residuals' zero cone, with local refinement of the
 surviving boxes (the oracle, see :mod:`nkflag.kernels`).  The oracle
 also gives a certified lower bound on the residual over the region where
-all amplitudes are nonzero.  A mismatch between the two routes raises
-:class:`ClassificationError` rather than being patched over; so does a NaN
-anywhere in the comparison.
+all amplitudes are nonzero.  :func:`classification_reports` judges the
+two routes against each other as :class:`~nkflag.report.CheckReport` rows;
+a NaN anywhere in a comparison fails its row.
 """
 
 import dataclasses
@@ -24,7 +24,7 @@ import numpy as np
 
 from . import constants, kernels
 from .kernels import minor_equations
-from .lie_structure import RIEMANNIAN, check_signature
+from .lie_structure import RIEMANNIAN, check_signature, signature_label
 from .nk_geometry import (
     acs_matrix,
     apply_acs,
@@ -33,9 +33,9 @@ from .nk_geometry import (
     g_tensor,
     metric_m,
 )
+from .report import CheckReport, floor_check
 
 __all__ = [
-    "ClassificationError",
     "TangentDecomposition",
     "SolutionFamily",
     "ji_on_JX",
@@ -47,6 +47,7 @@ __all__ = [
     "holomorphic_K",
     "solve_families",
     "grid_oracle",
+    "classification_reports",
     "canonical_amplitudes",
     "phase_align",
     "rotate_frame",
@@ -55,10 +56,6 @@ __all__ = [
 
 _SQ2 = math.sqrt(2.0)
 _SQ3 = math.sqrt(3.0)
-
-
-class ClassificationError(RuntimeError):
-    """The grid oracle and the closed-form case analysis disagree."""
 
 
 # ---------------------------------------------------------------------------
@@ -221,10 +218,7 @@ def canonical_amplitudes(a: float, b: float, c: float, eps: int) -> tuple[float,
 def _family(a: float, b: float, c: float, eps: int, description: str) -> SolutionFamily:
     norm = a * a + eps * (b * b + c * c)
     norm_sign = 1 if norm > 0 else -1
-    lam, dev = tangency_coefficient(a, b, c, eps)
-    if not dev <= 1e-12:
-        raise ClassificationError(
-            f"case-analysis amplitudes ({a}, {b}, {c}) are not tangent: deviation {dev:.2e}")
+    lam, _ = tangency_coefficient(a, b, c, eps)
     return SolutionFamily(
         amplitudes=canonical_amplitudes(a, b, c, eps),
         K=lam / norm,
@@ -234,9 +228,12 @@ def _family(a: float, b: float, c: float, eps: int, description: str) -> Solutio
     )
 
 
-def _closed_form_families(eps: int) -> tuple[SolutionFamily, ...]:
-    """Exhaustive case analysis of the three residuals on the unit-norm set,
-    one canonical representative per symmetry class."""
+@functools.lru_cache(maxsize=None)
+def solve_families(eps: int) -> tuple[SolutionFamily, ...]:
+    """All congruence classes for one signature: exhaustive case analysis
+    of the three residuals on the unit-norm set, one canonical
+    representative per symmetry class.  :func:`classification_reports`
+    cross-checks them against the oracle."""
     if eps == RIEMANNIAN:
         fams = (
             _family(1.0, 0.0, 0.0, eps, "plane inside one distribution; round sphere of radius 1/2"),
@@ -255,7 +252,6 @@ def _closed_form_families(eps: int) -> tuple[SolutionFamily, ...]:
 @dataclasses.dataclass(frozen=True)
 class OracleResult:
     eps: int
-    step: float
     families: tuple[tuple[float, float, float], ...]
     residuals: tuple[float, ...]
     interior_min: float
@@ -296,7 +292,6 @@ def grid_oracle(eps: int) -> OracleResult:
     merged.sort(key=_amplitude_order, reverse=True)
     return OracleResult(
         eps=eps,
-        step=constants.GRID_ORACLE_STEP,
         families=tuple(amps for amps, _ in merged),
         residuals=tuple(res for _, res in merged),
         interior_min=scan.interior_min,
@@ -305,39 +300,35 @@ def grid_oracle(eps: int) -> OracleResult:
     )
 
 
-@functools.lru_cache(maxsize=None)
-def solve_families(eps: int, *, oracle: bool = True) -> tuple[SolutionFamily, ...]:
-    """All congruence classes for one signature, cross-checked by the oracle.
+def _hausdorff(found, expected) -> float:
+    """Hausdorff distance between two sets of amplitude triples: inf when
+    only one is empty, NaN when a triple holds a NaN."""
+    d = np.linalg.norm(np.reshape(found, (-1, 1, 3)) - np.reshape(expected, (1, -1, 3)), axis=-1)
+    return float(np.max([*np.min(d, axis=0, initial=np.inf), *np.min(d, axis=1, initial=np.inf)]))
 
-    Raises :class:`ClassificationError` if the oracle finds a family the case
-    analysis missed (or vice versa), or if the oracle's certified lower bound
-    on the all-nonzero region disagrees with the case analysis: above
-    ``NONZERO_EMPTY_BOUND`` exactly when no family lies there (the split
-    form).  Every comparison fails on NaN.
-    """
-    fams = _closed_form_families(eps)
+
+def classification_reports(eps: int, oracle: bool = True) -> list[CheckReport]:
+    """One signature's verdicts: the case analysis' families are tangent
+    and, with the oracle, match the oracle's families; the oracle's bound
+    on the all-nonzero region is at most ``NONZERO_EMPTY_BOUND`` where the
+    case analysis has a family there and at least that floor where not."""
+    fams, label = solve_families(eps), signature_label(eps)
+    deviation = np.max([tangency_coefficient(*f.amplitudes, eps)[1] for f in fams])
+    reports = [CheckReport(f"case_analysis_tangency[{label}]", float(deviation),
+                           constants.TOL_EXACT, len(fams))]
     if oracle:
         found = grid_oracle(eps)
-        expected = [np.array(f.amplitudes) for f in fams]
-        for abc in found.families:
-            dists = [np.linalg.norm(np.array(abc) - e) for e in expected]
-            if not np.min(dists) <= constants.ORACLE_MATCH_TOL:
-                raise ClassificationError(
-                    f"grid oracle found a family missed by the case analysis: {abc}")
-        for f, e in zip(fams, expected):
-            if not any(np.linalg.norm(np.array(abc) - e) <= constants.ORACLE_MATCH_TOL
-                       for abc in found.families):
-                raise ClassificationError(
-                    f"grid oracle did not recover the family {f.amplitudes}")
-        occupied = any(min(f.amplitudes) >= constants.NONZERO_MARGIN for f in fams)
-        bound = found.interior_min
-        if not (bound <= constants.NONZERO_EMPTY_BOUND if occupied
-                else bound > constants.NONZERO_EMPTY_BOUND):
-            raise ClassificationError(
-                f"oracle lower bound {bound:.2e} on the all-nonzero region (box at "
-                f"{found.interior_argmin}) contradicts the case analysis, which has "
-                f"{'a' if occupied else 'no'} family there")
-    return fams
+        reports.append(CheckReport(f"oracle_family_match[{label}]",
+                                   _hausdorff(found.families, [f.amplitudes for f in fams]),
+                                   constants.ORACLE_MATCH_TOL, len(found.families)))
+        bound, floor = found.interior_min, constants.NONZERO_EMPTY_BOUND
+        if any(min(f.amplitudes) >= constants.NONZERO_MARGIN for f in fams):
+            reports.append(CheckReport(f"oracle_interior_occupied[{label}]", bound, floor,
+                                       found.points))
+        else:
+            reports.append(floor_check(f"oracle_interior_empty[{label}]", floor, bound,
+                                       found.points))
+    return reports
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,14 @@
 
 Three subcommands: ``verify`` runs the structural suites and writes a JSON
 report, ``classify`` prints the solution-family tables, ``surface`` checks
-one example immersion and exports its per-grid-point samples.  Every flag
-that takes a value, except ``--id``, can also be supplied through an
-``NKFLAG_``-prefixed environment variable (flags win); ``--id``,
-``--self-test`` and ``--no-oracle`` have no fallback.  Exit codes are
-0 = all checks passed, 1 = some check failed, 2 = usage error.
+one example immersion and exports its per-grid-point samples.  The
+verdicts are :class:`~nkflag.report.CheckReport` rows built below this
+module; every command ends by printing the shared check table and taking its
+exit code from it.  Every flag that takes a value, except ``--id``, can
+also be supplied through an ``NKFLAG_``-prefixed environment variable
+(flags win); ``--id``, ``--self-test`` and ``--no-oracle`` have no
+fallback.  Exit codes are 0 = all checks passed, 1 = some check failed,
+2 = usage error.
 Human-readable output is a plain aligned table; machine output is JSON/CSV.
 """
 
@@ -15,7 +18,7 @@ import os
 import sys
 
 from . import __version__, constants, report, verify
-from .classification import ClassificationError, solve_families
+from .classification import classification_reports, solve_families
 from .lie_structure import PSEUDO, RIEMANNIAN, signature_label
 from .report import CheckReport
 from .surfaces import SURFACE_IDS, surface_summary, write_csv
@@ -108,69 +111,58 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_verify(args) -> int:
-    reports: list[CheckReport] = []
-    for eps in _SIGNATURE_CHOICES[args.signature]:
-        reports.extend(verify.run_verification(eps, seed=args.seed, tol_exact=args.tol_exact))
-        if args.self_test:
-            detected = verify.corruption_self_test(eps) > constants.CONTROL_RESIDUAL_MIN
-            reports.append(CheckReport(
-                f"self_test_corruption_detected[{signature_label(eps)}]",
-                0.0 if detected else 1.0, 0.5, 216))
+def _finish(reports: list[CheckReport], out=None, what="", write=None) -> int:
+    """The tail of every command: print the check table, write ``out``
+    through ``write`` if given, and judge the exit code from the reports."""
     print(report.format_table(reports))
-    if args.out:
+    if out:
         try:
-            report.write_report_file(
-                args.out, reports,
-                generated_by=f"nkflag {__version__}",
-                signature=args.signature, seed=args.seed)
+            write(out)
         except OSError as exc:
-            print(f"error: cannot write report: {exc}", file=sys.stderr)
+            print(f"error: cannot write {what}: {exc}", file=sys.stderr)
             return EXIT_CHECK_FAILED
-        print(f"report written to {args.out}")
+        print(f"{what} written to {out}")
     return EXIT_OK if report.all_pass(reports) else EXIT_CHECK_FAILED
 
 
+def _cmd_verify(args) -> int:
+    reports: list[CheckReport] = []
+    for eps in _SIGNATURE_CHOICES[args.signature]:
+        reports.extend(verify.run_verification(eps, seed=args.seed, tol_exact=args.tol_exact,
+                                               self_test=args.self_test))
+    return _finish(reports, args.out, "report", lambda path: report.write_report_file(
+        path, reports, generated_by=f"nkflag {__version__}",
+        signature=args.signature, seed=args.seed))
+
+
 def _cmd_classify(args) -> int:
-    ok = True
+    reports: list[CheckReport] = []
     for eps in _SIGNATURE_CHOICES[args.signature]:
         print(f"signature: {signature_label(eps)}")
-        try:
-            fams = solve_families(eps, oracle=not args.no_oracle)
-        except ClassificationError as exc:
-            print(f"  CLASSIFICATION MISMATCH: {exc}")
-            ok = False
-            continue
         print(f"  {'a':>12} {'b':>12} {'c':>12}  {'K':>4}  description")
-        for fam in fams:
+        for fam in solve_families(eps):
             a, b, c = fam.amplitudes
             print(f"  {a:12.9f} {b:12.9f} {c:12.9f}  {fam.K:4.1f}  {fam.description}")
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+        reports.extend(classification_reports(eps, oracle=not args.no_oracle))
+    return _finish(reports)
 
 
 def _cmd_surface(args, parser: argparse.ArgumentParser) -> int:
     if args.id not in SURFACE_IDS:
         parser.error(f"--id must be one of {SURFACE_IDS}, got {args.id}")
     summary = surface_summary(args.id, args.grid, tol_fd=args.tol_fd)
-    reports = summary["reports"]
+    reports, rows = summary["reports"], summary["rows"]
     print(f"surface {args.id}: {summary['label']}")
     print(f"  signature            {signature_label(summary['signature'])}")
     print(f"  samples              {summary['samples']} ({summary['degenerate_points']} degenerate skipped)")
     print(f"  K mean / expected    {summary['K_mean']:.6f} / {summary['K_expected']}")
-    print(report.format_table(reports))
-    if args.out:
-        rows = summary["rows"]
-        try:
-            if args.format == "csv":
-                write_csv(args.out, rows)
-            else:
-                report.write_report_file(args.out, reports, surface=args.id, grid=args.grid,
-                                         rows=rows)
-        except OSError as exc:
-            print(f"error: cannot write samples: {exc}", file=sys.stderr)
-            return EXIT_CHECK_FAILED
-        print(f"samples written to {args.out} ({args.format})")
-    return EXIT_OK if report.all_pass(reports) else EXIT_CHECK_FAILED
+
+    def write(path):
+        if args.format == "csv":
+            return write_csv(path, rows)
+        report.write_report_file(path, reports, surface=args.id, grid=args.grid, rows=rows)
+
+    return _finish(reports, args.out, f"{args.format} samples", write)
 
 
 def main(argv=None) -> int:

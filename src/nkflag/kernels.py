@@ -115,6 +115,7 @@ def box_enclosure(chart: int, eps: int, p_lo, p_hi, q_lo, q_hi):
     the box and ``*_hi`` are upper bounds on the amplitudes.  A NaN anywhere
     in the arithmetic comes out as a NaN ``lower``.
     """
+    check_signature(eps)
     _check_chart(chart)
     a, s = _range(np.cos, p_lo, p_hi), _range(np.sin, p_lo, p_hi)
     b = _mul_nonneg(s, _range(np.cos, q_lo, q_hi))
@@ -154,6 +155,7 @@ def scan_chart(chart: int, eps: int) -> ScanResult:
     that may meet the region, where a NaN bound counts as meeting it and
     wins the minimum (inf if no box meets it).
     """
+    check_signature(eps)
     margin = constants.NONZERO_MARGIN
     lo, hi = np.zeros((1, 2)), np.array([chart_domain(chart)])
     levels = math.ceil(math.log2(np.max(hi) / constants.GRID_ORACLE_STEP))

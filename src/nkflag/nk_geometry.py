@@ -41,7 +41,6 @@ __all__ = [
     "curvature_lie",
     "curvature_tensorial",
     "identity_suite",
-    "distribution_parts",
     "distribution_amplitudes",
 ]
 
@@ -185,23 +184,13 @@ def curvature_tensorial(x, y, z, eps: int) -> np.ndarray:
     return acc
 
 
-def distribution_parts(x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Projections of a tangent vector onto V1, V2, V3 (batched)."""
-    x = np.asarray(x, dtype=float)
-    parts = []
-    for d in range(3):
-        p = np.zeros_like(x)
-        p[..., d] = x[..., d]
-        p[..., d + 3] = x[..., d + 3]
-        parts.append(p)
-    return tuple(parts)
-
-
 def distribution_amplitudes(x, eps: int) -> np.ndarray:
-    """Norms of the three distribution projections, shape (..., 3)."""
-    parts = distribution_parts(x)
-    amps = [np.sqrt(np.abs(np.asarray(metric_m(p, p, eps)))) for p in parts]
-    return np.stack(amps, axis=-1)
+    """Norms of the three distribution projections, shape (..., 3).  The
+    metric is definite on each distribution Vd (slots d and d + 3), so each
+    norm is the Euclidean norm of its two coordinates."""
+    check_signature(eps)
+    x = np.asarray(x, dtype=float)
+    return np.sqrt(x[..., :3] ** 2 + x[..., 3:] ** 2)
 
 
 # ---------------------------------------------------------------------------

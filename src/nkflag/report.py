@@ -2,11 +2,12 @@
 
 import dataclasses
 import json
+import math
 from typing import Iterable, Sequence
 
 SCHEMA_VERSION = 1
 
-__all__ = ["SCHEMA_VERSION", "CheckReport", "report_to_dict", "report_from_dict",
+__all__ = ["SCHEMA_VERSION", "CheckReport", "floor_check", "report_to_dict", "report_from_dict",
            "write_report_file", "load_report_file", "format_table", "all_pass"]
 
 
@@ -26,6 +27,14 @@ class CheckReport:
     @property
     def status(self) -> str:
         return "pass" if self.passed else "fail"
+
+
+def floor_check(name: str, floor: float, measured: float, samples: int) -> CheckReport:
+    """A check that ``measured`` is at least ``floor``, as the error
+    floor / measured under tolerance 1.  A measured 0 gives inf, a negative
+    or NaN one gives NaN, so all three fail."""
+    ratio = floor / measured if measured > 0 else (math.inf if measured == 0 else math.nan)
+    return CheckReport(name, ratio, 1.0, samples)
 
 
 def all_pass(reports: Iterable[CheckReport]) -> bool:

@@ -42,7 +42,6 @@ __all__ = [
     "almost_complex_check",
     "induced_metric",
     "gauss_curvature_batch",
-    "totally_geodesic_check",
     "default_grid",
     "expm_grid",
     "sample_rows",
@@ -619,22 +618,6 @@ def _sample_columns(desc: SurfaceDescriptor, t, u) -> dict[str, np.ndarray]:
         "frames": frames, "omega_t": omega_t, "unit_frame": unit_frame,
         "nondegenerate": ok,
     }
-
-
-def totally_geodesic_check(sid, t, u) -> float:
-    """|numeric surface curvature - ambient holomorphic curvature| at one
-    point; zero exactly for totally geodesic almost complex surfaces.
-
-    Raises at degenerate points, where the induced metric determinant falls
-    below the documented floor.
-    """
-    desc = _descriptor(sid)
-    tg = _sample_columns(desc, np.array([t], float), np.array([u], float))["tg_residual"][0]
-    if math.isnan(tg):
-        raise ValueError(
-            f"induced metric is degenerate at (t, u) = ({t}, {u}); "
-            f"|det| <= {constants.DEGENERATE_METRIC_MIN}")
-    return float(tg)
 
 
 def _rows(desc: SurfaceDescriptor, columns: dict[str, np.ndarray]) -> list[dict]:

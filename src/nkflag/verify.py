@@ -13,8 +13,10 @@ sampled from a generator seeded by ``seed``.  Reductions use ``np.max`` so
 a NaN anywhere reaches the report.  It returns plain reports; pass/fail
 policy lives in the tolerances.
 ``corruption_self_test`` flips one basis sign, rebuilds the bracket route
-through the production table construction, and confirms the curvature cross-check
-notices: a meta-check that the suite has teeth.
+through the production table construction, and measures how far the
+curvature cross-check moves; ``run_verification(..., self_test=True)``
+requires it to move by at least ``CONTROL_RESIDUAL_MIN``: a meta-check that
+the suite has teeth.
 """
 
 import numpy as np
@@ -36,7 +38,7 @@ from .lie_structure import (
 )
 from .matrix_core import commutator, expm, identity, max_abs
 from .nk_geometry import curvature_lie, curvature_tensorial
-from .report import CheckReport
+from .report import CheckReport, floor_check
 
 __all__ = [
     "run_verification",
@@ -108,10 +110,12 @@ def curvature_cross_check(eps: int) -> float:
 
 
 def run_verification(eps: int, seed: int = constants.DEFAULT_SEED,
-                     tol_exact: float | None = None) -> list[CheckReport]:
+                     tol_exact: float | None = None,
+                     self_test: bool = False) -> list[CheckReport]:
     """Full structural suite for one signature; 44 reports (43 in the split
-    form, which has no Killing-form check).  ``seed`` drives only the
-    ``expm`` samples."""
+    form, which has no Killing-form check), plus
+    ``self_test_corruption_detected`` with ``self_test``.  ``seed`` drives
+    only the ``expm`` samples."""
     lie_structure.check_signature(eps)
     tol_exact = constants.TOL_EXACT if tol_exact is None else tol_exact
     label = signature_label(eps)
@@ -228,6 +232,9 @@ def run_verification(eps: int, seed: int = constants.DEFAULT_SEED,
     add("curvature_metric_compatibility",
         np.max(np.abs(lowered + lowered.swapaxes(2, 3))), constants.TOL_PROPERTY, 1296)
 
+    if self_test:
+        reports.append(floor_check(f"self_test_corruption_detected[{label}]",
+                                   constants.CONTROL_RESIDUAL_MIN, corruption_self_test(eps), 216))
     return reports
 
 

@@ -7,13 +7,36 @@ import numpy as np
 import pytest
 
 from nkflag import classification as cl
-from nkflag import kernels
+from nkflag import cli, kernels
 from nkflag import nk_geometry as nk
-from nkflag.lie_structure import PSEUDO, RIEMANNIAN, SIGNATURES
+from nkflag.lie_structure import PSEUDO, RIEMANNIAN, SIGNATURES, signature_label
 from nkflag.surfaces import SURFACE_IDS, _sample_columns, default_grid, get_surface
 
 E6 = np.eye(6)
 SQ2, SQ3 = math.sqrt(2.0), math.sqrt(3.0)
+
+#: the interior row the case analysis selects for each signature
+_INTERIOR = {RIEMANNIAN: "oracle_interior_occupied", PSEUDO: "oracle_interior_empty"}
+
+
+def _report(eps, check, **kwargs):
+    """The ``classify`` report named ``<check>[<signature>]``."""
+    name = f"{check}[{signature_label(eps)}]"
+    return {r.name: r for r in cl.classification_reports(eps, **kwargs)}[name]
+
+
+@pytest.fixture()
+def fresh_families():
+    """Keep families built under an injected fault out of the shared cache."""
+    cl.solve_families.cache_clear()
+    yield
+    cl.solve_families.cache_clear()
+
+
+def _fake_oracle(monkeypatch, eps, **changes):
+    """Serve ``grid_oracle(eps)`` with some fields of its result replaced."""
+    real = cl.grid_oracle(eps)
+    monkeypatch.setattr(cl, "grid_oracle", lambda eps: dataclasses.replace(real, **changes))
 
 
 def random_decomposition(rng, eps, normalized=None):
@@ -232,7 +255,7 @@ class TestSolveFamilies:
     @pytest.mark.parametrize("eps", SIGNATURES)
     def test_oracle_recovers_families(self, eps):
         oracle = cl.grid_oracle(eps)
-        fams = cl.solve_families(eps, oracle=False)
+        fams = cl.solve_families(eps)
         assert len(oracle.families) == len(fams)
         for found, fam in zip(oracle.families, fams):
             np.testing.assert_allclose(found, fam.amplitudes, atol=1e-8)
@@ -255,10 +278,10 @@ class TestSolveFamilies:
             norm = a * a + eps * (b * b + c * c)
             assert lam == pytest.approx(fam.K * norm, abs=1e-12)
 
-    def test_nan_deviation_is_not_tangent(self, monkeypatch):
+    def test_nan_deviation_is_not_tangent(self, monkeypatch, fresh_families):
         monkeypatch.setattr(cl, "tangency_coefficient", lambda a, b, c, eps: (4.0, math.nan))
-        with pytest.raises(cl.ClassificationError):
-            cl._family(1.0, 0.0, 0.0, RIEMANNIAN, "NaN deviation")
+        report = _report(RIEMANNIAN, "case_analysis_tangency", oracle=False)
+        assert math.isnan(report.max_abs_error) and not report.passed
 
     def test_canonicalization(self):
         assert cl.canonical_amplitudes(0.0, -1 / SQ2, 1 / SQ2, RIEMANNIAN) == \
@@ -315,35 +338,41 @@ class TestPhaseAlign:
 
 
 class TestOracleVerdicts:
-    """solve_families must fail on any NaN the oracle hands back."""
+    """The oracle rows of ``classification_reports`` fail on any NaN or
+    missing family the oracle hands back."""
 
     @pytest.fixture()
     def fake_oracle(self, monkeypatch):
-        def install(eps, **changes):
-            real = cl.grid_oracle(eps)
-            monkeypatch.setattr(cl, "grid_oracle",
-                                lambda eps: dataclasses.replace(real, **changes))
-        cl.solve_families.cache_clear()
-        yield install
-        cl.solve_families.cache_clear()
+        return lambda eps, **changes: _fake_oracle(monkeypatch, eps, **changes)
 
     @pytest.mark.parametrize("eps", SIGNATURES)
     def test_unchanged_oracle_passes(self, fake_oracle, eps):
         fake_oracle(eps)
-        assert len(cl.solve_families(eps)) == 3
+        reports = cl.classification_reports(eps)
+        label = signature_label(eps)
+        assert [r.name for r in reports] == [f"case_analysis_tangency[{label}]",
+                                             f"oracle_family_match[{label}]",
+                                             f"{_INTERIOR[eps]}[{label}]"]
+        assert all(r.passed for r in reports)
 
     @pytest.mark.parametrize("eps", SIGNATURES)
     def test_nan_interior_bound_fails(self, fake_oracle, eps):
         fake_oracle(eps, interior_min=math.nan)
-        with pytest.raises(cl.ClassificationError):
-            cl.solve_families(eps)
+        report = _report(eps, _INTERIOR[eps])
+        assert math.isnan(report.max_abs_error) and not report.passed
 
     @pytest.mark.parametrize("eps", SIGNATURES)
     def test_extra_nan_family_fails(self, fake_oracle, eps):
         real = cl.grid_oracle(eps)
         fake_oracle(eps, families=real.families + ((math.nan,) * 3,))
-        with pytest.raises(cl.ClassificationError):
-            cl.solve_families(eps)
+        report = _report(eps, "oracle_family_match")
+        assert math.isnan(report.max_abs_error) and not report.passed
+
+    @pytest.mark.parametrize("eps", SIGNATURES)
+    def test_no_family_found_fails(self, fake_oracle, eps):
+        fake_oracle(eps, families=(), residuals=())
+        report = _report(eps, "oracle_family_match")
+        assert report.max_abs_error == math.inf and report.samples == 0 and not report.passed
 
     def test_nan_bound_on_one_chart_reaches_the_result(self, monkeypatch):
         real = kernels.scan_chart
@@ -358,10 +387,69 @@ class TestOracleVerdicts:
 
     def test_interior_bound_must_admit_the_flat_family(self, fake_oracle):
         fake_oracle(RIEMANNIAN, interior_min=1.0)
-        with pytest.raises(cl.ClassificationError):
-            cl.solve_families(RIEMANNIAN)
+        assert not _report(RIEMANNIAN, "oracle_interior_occupied").passed
 
     def test_split_interior_bound_must_certify_emptiness(self, fake_oracle):
         fake_oracle(PSEUDO, interior_min=1e-3)
-        with pytest.raises(cl.ClassificationError):
-            cl.solve_families(PSEUDO)
+        report = _report(PSEUDO, "oracle_interior_empty")
+        assert report.max_abs_error == pytest.approx(10.0) and not report.passed
+
+    @pytest.mark.parametrize("bound, passed", [(0.0, False), (1e-2, True), (math.inf, True)])
+    def test_split_interior_floor_edges(self, fake_oracle, bound, passed):
+        # floor / bound <= 1: a zero bound fails, the floor itself passes, and
+        # no box meeting the region at all (inf) passes
+        fake_oracle(PSEUDO, interior_min=bound)
+        assert _report(PSEUDO, "oracle_interior_empty").passed is passed
+
+
+def _shift_one_family(monkeypatch):
+    # the oracle's first family moves 1e-6, 100x the match tolerance
+    families = cl.grid_oracle(PSEUDO).families
+    first = (families[0][0] - 1e-6, *families[0][1:])
+    _fake_oracle(monkeypatch, PSEUDO, families=(first, *families[1:]))
+
+
+def _perturb_curvature_coefficient(monkeypatch):
+    # one coefficient of R(X, JX)JX off by 1e-6: the Z coefficient
+    closed = cl.r_xjx_closed
+
+    def faulty(a, b, c, eps):
+        cx, cy, cz, cw = closed(a, b, c, eps)
+        return cx, cy, cz + 1e-6, cw
+
+    monkeypatch.setattr(cl, "r_xjx_closed", faulty)
+
+
+#: one fault per ``classify`` report, injected into the layer the report
+#: reads: check name -> (signature, fault(monkeypatch))
+_FAULTS = {
+    "case_analysis_tangency": (RIEMANNIAN, _perturb_curvature_coefficient),
+    "oracle_family_match": (PSEUDO, _shift_one_family),
+    "oracle_interior_occupied": (RIEMANNIAN, lambda mp: _fake_oracle(mp, RIEMANNIAN, interior_min=1.0)),
+    "oracle_interior_empty": (PSEUDO, lambda mp: _fake_oracle(mp, PSEUDO, interior_min=1e-3)),
+}
+
+
+def _check_rows(printed: str) -> dict[str, str]:
+    """name -> status of every row of a printed check table."""
+    rows = (line.split() for line in printed.splitlines())
+    return {row[0]: row[1] for row in rows if len(row) == 5 and row[1] in ("pass", "fail")}
+
+
+class TestFaultTable:
+    def test_every_report_has_a_fault(self, capsys):
+        assert cli.main(["classify", "--signature", "both"]) == 0
+        emitted = {name.split("[")[0] for name in _check_rows(capsys.readouterr().out)}
+        assert set(_FAULTS) == emitted
+
+    @pytest.mark.parametrize("check", sorted(_FAULTS))
+    def test_fault_fails_its_report(self, check, capsys, monkeypatch, fresh_families):
+        eps, fault = _FAULTS[check]
+        label = signature_label(eps)
+        name = f"{check}[{label}]"
+        assert _report(eps, check).passed
+        fault(monkeypatch)
+        assert cli.main(["classify", "--signature", label]) == 1
+        rows = _check_rows(capsys.readouterr().out)
+        assert rows[name] == "fail"
+        assert [n for n, status in rows.items() if status == "fail"] == [name]

@@ -82,6 +82,16 @@ class TestClassifyCommand:
         rows = [line for line in capsys.readouterr().out.splitlines() if "plane" in line]
         assert len(rows) == 6
 
+    @pytest.mark.parametrize("argv, checks", [([], 6), (["--no-oracle"], 2)])
+    def test_check_table_follows_the_families(self, capsys, argv, checks):
+        assert cli.main(["classify", *argv]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == f"{checks} checks, 0 failed"
+        rows = lines[-checks - 2:-2]
+        assert all(not row.startswith(" ") and " pass " in row for row in rows)
+        if argv:
+            assert all(row.startswith("case_analysis_tangency[") for row in rows)
+
 
 class TestSurfaceCommand:
     def test_summary_and_csv(self, capsys, tmp_path):
@@ -121,6 +131,17 @@ class TestSurfaceCommand:
         out = tmp_path / "s.csv"
         assert cli.main(["surface", "--id", "3", "--out", str(out)]) == 0
         assert len(out.read_text().strip().splitlines()) == 1 + 121
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--signature", "pseudo"],
+        ["surface", "--id", "3", "--grid", "11"],
+        ["surface", "--id", "3", "--grid", "11", "--format", "json"],
+    ], ids=["verify", "surface-csv", "surface-json"])
+    def test_unwritable_out_exits_1(self, argv, capsys, tmp_path):
+        # every check passes; only the shared tail's write fails
+        assert cli.main([*argv, "--out", str(tmp_path / "missing" / "out")]) == 1
+        captured = capsys.readouterr()
+        assert "0 failed" in captured.out and "error: cannot write" in captured.err
 
     @pytest.mark.parametrize("name, fault", [
         ("holomorphic_K", lambda x, eps: math.nan),

@@ -123,12 +123,9 @@ class TestBranchAndBound:
         near = (np.abs(scan.hits[:, 0] - p0) <= wp / 2) & (np.abs(scan.hits[:, 1] - q0) <= wq / 2)
         assert near.any()
         assert math.isnan(scan.interior_min)
-        cl.solve_families.cache_clear()
-        try:
-            with pytest.raises(cl.ClassificationError):
-                cl.solve_families(1)
-        finally:
-            cl.solve_families.cache_clear()
+        report = cl.classification_reports(1)[-1]
+        assert report.name == "oracle_interior_occupied[riemannian]"
+        assert math.isnan(report.max_abs_error) and not report.passed
 
     def test_a_zero_on_the_null_cone_fails_the_split_classification(self, monkeypatch):
         # (p, q) = (pi/4, 0.05) on the sphere is a null direction: a^2 = b^2 + c^2
@@ -144,17 +141,26 @@ class TestBranchAndBound:
             return (np.where(inside, 0.0, lower), *rest)
 
         monkeypatch.setattr(kernels, "box_enclosure", zero_there)
-        cl.solve_families.cache_clear()
-        try:
-            with pytest.raises(cl.ClassificationError):
-                cl.solve_families(PSEUDO)
-        finally:
-            cl.solve_families.cache_clear()
+        failed = [r.name for r in cl.classification_reports(PSEUDO) if not r.passed]
+        assert failed == ["oracle_family_match[pseudo]"]
 
     @pytest.mark.parametrize("kwargs", [dict(chart=7), dict(chart=1), dict(chart=2)])
     def test_bad_arguments_rejected(self, kwargs):
         with pytest.raises(ValueError):
             kernels.scan_chart(kwargs["chart"], -1)
+
+    def test_bad_signature_rejected_before_any_box(self, monkeypatch):
+        calls = []
+        real = kernels.box_enclosure
+        monkeypatch.setattr(kernels, "box_enclosure", lambda *args: calls.append(args) or real(*args))
+        with pytest.raises(ValueError):
+            kernels.scan_chart(kernels.CHART_SPHERE, 0)
+        assert calls == []
+
+    @pytest.mark.parametrize("eps", [0, 0.5, 2])
+    def test_enclosure_rejects_a_bad_signature(self, eps):
+        with pytest.raises(ValueError):
+            kernels.box_enclosure(kernels.CHART_SPHERE, eps, 0.0, 0.1, 0.0, 0.1)
 
 
 class TestRefine:

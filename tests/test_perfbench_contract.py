@@ -6,12 +6,14 @@ builds of lru-cached tables; ``perfbench/run.py`` imports
 ``perfbench/run.py --trace 1``, so the names are pinned here, and one traced
 ``classify`` run checks the oracle spans and counters end to end.
 ``perfbench/gate.py`` parses the printed check tables, so the gate is run
-here on real ``verify`` and ``surface`` output.
+here on real ``verify``, ``surface`` and ``classify`` output.
 """
 
+import dataclasses
 import importlib
 import importlib.util
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -20,7 +22,7 @@ import sys
 import pytest
 
 import nkflag
-from nkflag import cli, kernels, lie_structure
+from nkflag import classification, cli, kernels, lie_structure
 from nkflag.report import load_report_file
 
 _PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
@@ -116,3 +118,23 @@ def test_surface_json_export_is_a_report_file(capsys, tmp_path):
     meta, reports = load_report_file(out)
     assert meta["surface"] == 5 and meta["grid"] == 11 and len(meta["rows"]) == 121
     assert len(reports) == 9 and all(r.passed for r in reports)
+
+
+def test_gate_judges_the_classify_check_table(gate, capsys, monkeypatch):
+    assert cli.main(["classify"]) == 0
+    out = capsys.readouterr().out
+    assert gate.check_classify(0, out, None) is None
+    lines = out.splitlines()
+    table = lines[lines.index(next(line for line in lines if line.startswith("check "))):]
+    assert len(table) == 2 + 6 + 2 and table[-1] == "6 checks, 0 failed"
+    # family rows are indented; a check row read as one would corrupt the K list
+    assert [line for line in table if gate._FAMILY_ROW.match(line)] == []
+
+    grid_oracle = classification.grid_oracle
+    monkeypatch.setattr(classification, "grid_oracle", lambda eps: dataclasses.replace(
+        grid_oracle(eps), interior_min=math.nan) if eps == lie_structure.PSEUDO else grid_oracle(eps))
+    rc = cli.main(["classify"])
+    out = capsys.readouterr().out
+    assert rc == 1 and gate.check_classify(rc, out, None) is not None
+    # the fail row alone is enough, whatever the exit code
+    assert gate.check_classify(0, out, None) == "failing check rows: oracle_interior_empty[pseudo]"

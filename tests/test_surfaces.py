@@ -153,6 +153,11 @@ class TestInducedMetric:
         assert np.all(e < 0) and np.all(g < 0)
 
 
+def _tg_columns(surface, t, u):
+    """Per-point columns of a surface id or descriptor at the points (t, u)."""
+    return sf._sample_columns(sf._descriptor(surface), np.array(t, float), np.array(u, float))
+
+
 class TestGaussCurvature:
     @pytest.mark.parametrize("sid", sf.SURFACE_IDS)
     def test_constant_curvature(self, sid, summary_cache, surface_error):
@@ -162,8 +167,8 @@ class TestGaussCurvature:
 
     def test_degenerate_rejection(self):
         # the V1 spheres close up at t = pi/2 where the u-circle shrinks away
-        with pytest.raises(ValueError):
-            sf.totally_geodesic_check(1, math.pi / 2, 0.3)
+        cols = _tg_columns(1, [math.pi / 2], [0.3])
+        assert not cols["nondegenerate"][0] and math.isnan(cols["tg_residual"][0])
         k = sf.gauss_curvature_batch(1, [math.pi / 2], [0.3])
         assert math.isnan(k[0])
 
@@ -179,7 +184,7 @@ class TestTotallyGeodesic:
     def test_single_point(self):
         # numeric surface curvature and ambient holomorphic curvature both 4
         assert sf.gauss_curvature_batch(1, [math.pi / 4], [0.0])[0] == pytest.approx(4.0, abs=1e-6)
-        assert sf.totally_geodesic_check(1, math.pi / 4, 0.0) < 1e-6
+        assert _tg_columns(1, [math.pi / 4], [0.0])["tg_residual"][0] < 1e-6
 
     @pytest.mark.parametrize("sid", sf.SURFACE_IDS)
     def test_amplitudes_constant(self, sid, surface_error):
@@ -195,8 +200,8 @@ class TestControlSurface:
 
     def test_totally_geodesic_residual_large(self):
         ctrl = sf.control_surface()
-        for t, u in ((0.5, 0.3), (0.9, 2.0)):
-            assert sf.totally_geodesic_check(ctrl, t, u) > constants.CONTROL_RESIDUAL_MIN
+        tg = _tg_columns(ctrl, [0.5, 0.9], [0.3, 2.0])["tg_residual"]
+        assert np.all(tg > constants.CONTROL_RESIDUAL_MIN)
 
     def test_exponential_is_its_own_closed_form(self):
         ctrl = sf.control_surface()

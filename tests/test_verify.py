@@ -3,7 +3,9 @@ seed can move, and one injected fault per basis check.
 
 Every check except the three ``expm`` contracts is a finite basis check, so
 each of those is shown here to fail when one entry of the table it reads is
-perturbed (a +-1e-6 change, a scaling by 1 + 1e-6, or a NaN).
+perturbed (a +-1e-6 change, a scaling by 1 + 1e-6, or a NaN).  The
+``--self-test`` floor check fails when the corrupted route agrees or
+returns NaN.
 """
 
 import dataclasses
@@ -11,9 +13,9 @@ import dataclasses
 import numpy as np
 import pytest
 
+from nkflag import constants, verify
 from nkflag import lie_structure as ls
 from nkflag import nk_geometry as nk
-from nkflag import verify
 from nkflag.lie_structure import PSEUDO, RIEMANNIAN, SIGNATURES, signature_label
 
 # report names of one signature in emission order; the split form has no
@@ -117,6 +119,33 @@ def _fault_constant_type(mp):
     mp.setattr(nk, "g_tensor", lambda x, y, eps: (1.0 + 1e-6) * g_tensor(x, y, eps))
 
 
+def _fault_structure_antisymmetry(mp):
+    # [m1, m2] gains an m3 component that [m2, m1] does not lose
+    _patch_structure_constants(mp, index=(ls.M1, ls.M2, ls.M3), add=1e-6)
+
+
+def _fault_first_bianchi(mp):
+    # R(x, y)z gains 1e-6 x1 y2 z3 m1, whose cyclic sum is 1e-6 on (m1, m2, m3)
+    curvature = verify.curvature_tensorial
+
+    def faulty(x, y, z, eps):
+        bump = 1e-6 * x[..., 0] * y[..., 1] * z[..., 2]
+        return curvature(x, y, z, eps) + bump[..., None] * np.eye(6)[0]
+
+    mp.setattr(verify, "curvature_tensorial", faulty)
+
+
+def _fault_expm_scale(mp):
+    # every exponential grows by 1 + 1e-6: det and the metric drift off
+    expm = verify.expm
+    mp.setattr(verify, "expm", lambda a: (1.0 + 1e-6) * expm(a))
+
+
+def _fault_uncorrupted_self_test(mp):
+    # the corrupted basis never reaches the bracket route, so it agrees
+    mp.setattr(nk, "tables_from", lambda sc, eps: nk._tables(eps))
+
+
 def _fault_nan_isotropy_constant(mp):
     # [h2, m2] gains a NaN m3 component
     _patch_structure_constants(mp, index=(ls.H2, ls.M2, ls.M3), add=np.nan)
@@ -132,21 +161,50 @@ _FAULTS = {
     "g_vanishing_on_diagonal": _fault_nabla_diagonal,
     "acs_metric_compatibility": _fault_metric_family,
     "constant_type_identity": _fault_constant_type,
+    "structure_antisymmetry": _fault_structure_antisymmetry,
+    "curvature_first_bianchi": _fault_first_bianchi,
+    "expm_group_membership": _fault_expm_scale,
+    "self_test_corruption_detected": _fault_uncorrupted_self_test,
 }
 
 _CASES = [(name, eps) for name in _FAULTS for eps in SIGNATURES
           if eps == RIEMANNIAN or name != "killing_form_proportionality"]
 
 
+def test_every_fault_names_an_emitted_report():
+    emitted = {r.name.split("[")[0] for eps in SIGNATURES
+               for r in verify.run_verification(eps, self_test=True)}
+    assert set(_FAULTS) <= emitted
+
+
 @pytest.mark.parametrize("name, eps", _CASES)
 def test_injected_fault_fails_the_check(name, eps, monkeypatch):
-    clean = {r.name: r for r in verify.run_verification(eps)}
+    clean = {r.name: r for r in verify.run_verification(eps, self_test=True)}
     key = f"{name}[{signature_label(eps)}]"
     assert clean[key].passed
     _FAULTS[name](monkeypatch)
-    faulty = {r.name: r for r in verify.run_verification(eps)}[key]
+    faulty = {r.name: r for r in verify.run_verification(eps, self_test=True)}[key]
     assert not faulty.passed
     assert faulty.max_abs_error >= 1e-7, faulty
+
+
+@pytest.mark.parametrize("eps", SIGNATURES)
+def test_self_test_is_a_floor_check(eps):
+    report = verify.run_verification(eps, self_test=True)[-1]
+    assert report.name == f"self_test_corruption_detected[{signature_label(eps)}]"
+    assert report.tolerance == 1.0 and report.samples == 216
+    assert report.max_abs_error == constants.CONTROL_RESIDUAL_MIN / verify.corruption_self_test(eps)
+
+
+@pytest.mark.parametrize("eps", SIGNATURES)
+def test_nan_corrupted_route_fails_the_self_test(eps, monkeypatch):
+    # a NaN in the corrupted bracket route must not read as "detected"
+    # [m1, m2] of the corrupted tables gains a NaN m3 component
+    tables_from = nk.tables_from
+    monkeypatch.setattr(nk, "tables_from", lambda sc, eps: tables_from(
+        _edited(sc, index=(ls.M1, ls.M2, ls.M3), add=np.nan), eps))
+    report = verify.run_verification(eps, self_test=True)[-1]
+    assert np.isnan(report.max_abs_error) and not report.passed
 
 
 @pytest.mark.parametrize("name", ("metric_ad_invariance", "ad_preserves_distributions"))
