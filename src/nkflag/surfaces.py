@@ -475,71 +475,55 @@ _D2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
 _OFFSETS = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
 
 
-def _metric_jets(desc: SurfaceDescriptor, t, u):
-    """Metric and its first/second parameter derivatives at each point.
+def _stencil(c: np.ndarray, w) -> np.ndarray:
+    """sum_k c[k] * w[k] over the five stencil slots, in a fixed order and
+    elementwise over the points, so no point's value depends on its batch."""
+    return sum(c[k] * w[k] for k in range(5))
 
-    Returns (g, dg, ddg) with shapes (n, 2, 2), (n, 2, 2, 2), (n, 2, 2, 2, 2);
-    trailing axes are derivative directions (0 = t, 1 = u).
-    """
+
+def _metric_jets(desc: SurfaceDescriptor, t, u) -> dict[str, np.ndarray]:
+    """The jets of the induced metric E dt^2 + 2F dt du + G du^2 that the
+    Brioschi formula reads, as 1-D arrays over the points: ``E``, ``F``,
+    ``G``, their six first derivatives (``E_t``, ``E_u``, ...) and
+    ``E_uu``, ``F_tu``, ``G_tt``."""
     h = constants.CURV_STEP
     t = np.atleast_1d(np.asarray(t, dtype=float))
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    n = t.shape[0]
-    ts = t[:, None, None] + h * _OFFSETS[None, :, None]
-    us = u[:, None, None] + h * _OFFSETS[None, None, :]
-    ts, us = np.broadcast_arrays(ts, us)
-    e, f, g = induced_metric(desc, ts, us)
-    comp = np.stack([e, f, g], axis=-1)          # (n, 5, 5, 3)
-
-    def jets(w):                                  # w: (n, 5, 5)
-        val = w[:, 2, 2]
-        d_t = w[:, :, 2] @ _D1 / h
-        d_u = w[:, 2, :] @ _D1 / h
-        d_tt = w[:, :, 2] @ _D2 / (h * h)
-        d_uu = w[:, 2, :] @ _D2 / (h * h)
-        d_tu = np.einsum("i,nij,j->n", _D1, w, _D1) / (h * h)
-        return val, (d_t, d_u), (d_tt, d_tu, d_uu)
-
-    gmat = np.empty((n, 2, 2))
-    dg = np.empty((n, 2, 2, 2))
-    ddg = np.empty((n, 2, 2, 2, 2))
-    for comp_idx, (i, j) in zip(range(3), ((0, 0), (0, 1), (1, 1))):
-        val, (d_t, d_u), (d_tt, d_tu, d_uu) = jets(comp[..., comp_idx])
-        gmat[:, i, j] = gmat[:, j, i] = val
-        dg[:, i, j, 0] = dg[:, j, i, 0] = d_t
-        dg[:, i, j, 1] = dg[:, j, i, 1] = d_u
-        for (k, l), second in (((0, 0), d_tt), ((0, 1), d_tu), ((1, 0), d_tu), ((1, 1), d_uu)):
-            ddg[:, i, j, k, l] = ddg[:, j, i, k, l] = second
-    return gmat, dg, ddg
+    ts = t[None, None, :] + h * _OFFSETS[:, None, None]
+    us = u[None, None, :] + h * _OFFSETS[None, :, None]
+    e, f, g = induced_metric(desc, *np.broadcast_arrays(ts, us))   # each (5, 5, n)
+    return {
+        "E": e[2, 2], "F": f[2, 2], "G": g[2, 2],
+        "E_t": _stencil(_D1, e[:, 2]) / h, "E_u": _stencil(_D1, e[2]) / h,
+        "F_t": _stencil(_D1, f[:, 2]) / h, "F_u": _stencil(_D1, f[2]) / h,
+        "G_t": _stencil(_D1, g[:, 2]) / h, "G_u": _stencil(_D1, g[2]) / h,
+        "E_uu": _stencil(_D2, e[2]) / (h * h),
+        "F_tu": _stencil(_D1, _stencil(_D1, f)) / (h * h),
+        "G_tt": _stencil(_D2, g[:, 2]) / (h * h),
+    }
 
 
-def _curvature_from_jets(g: np.ndarray, dg: np.ndarray, ddg: np.ndarray) -> np.ndarray:
-    """Gauss curvature of a two-parameter metric from its jets.
+def _curvature_from_jets(j: dict[str, np.ndarray]) -> np.ndarray:
+    """Gauss curvature of E dt^2 + 2F dt du + G du^2 from its jets by the
+    Brioschi formula, K = (det M1 - det M2) / (EG - F^2)^2 with
 
-    Christoffel symbols from the first jets, their derivatives from the
-    second jets, then the (1212) curvature component divided by the metric
-    determinant; valid for either definiteness (determinant sign corrects
-    the orientation of negative-definite metrics automatically).
+        M1 = [[-E_uu/2 + F_tu - G_tt/2, E_t/2, F_t - E_u/2],
+              [F_u - G_t/2,             E,     F          ],
+              [G_u/2,                   F,     G          ]],
+        M2 = [[0,     E_u/2, G_t/2],
+              [E_u/2, E,     F    ],
+              [G_t/2, F,     G    ]].
+
+    It is R_1212 / det g written out, so it holds for either definiteness.
     """
-    det = g[:, 0, 0] * g[:, 1, 1] - g[:, 0, 1] ** 2
-    ginv = np.empty_like(g)
-    ginv[:, 0, 0] = g[:, 1, 1] / det
-    ginv[:, 1, 1] = g[:, 0, 0] / det
-    ginv[:, 0, 1] = ginv[:, 1, 0] = -g[:, 0, 1] / det
-    dginv = -np.einsum("nab,nbck,ncd->nadk", ginv, dg, ginv)
-
-    term = np.einsum("njli->nijl", dg) + np.einsum("nilj->nijl", dg) - dg
-    dterm = np.einsum("njlik->nijlk", ddg) + np.einsum("niljk->nijlk", ddg) - ddg
-    gamma = 0.5 * np.einsum("nal,nijl->naij", ginv, term)
-    dgamma = 0.5 * (np.einsum("nalk,nijl->naijk", dginv, term)
-                    + np.einsum("nal,nijlk->naijk", ginv, dterm))
-
-    # a-component of R(d_t, d_u) d_u
-    riem_up = (dgamma[:, :, 1, 1, 0] - dgamma[:, :, 0, 1, 1]
-               + np.einsum("nae,ne->na", gamma[:, :, 0, :], gamma[:, :, 1, 1])
-               - np.einsum("nae,ne->na", gamma[:, :, 1, :], gamma[:, :, 0, 1]))
-    r_1212 = np.einsum("na,na->n", g[:, 0, :], riem_up)
-    return r_1212 / det
+    e, f, g = j["E"], j["F"], j["G"]
+    p, q = 0.5 * j["E_u"], 0.5 * j["G_t"]
+    a = -0.5 * j["E_uu"] + j["F_tu"] - 0.5 * j["G_tt"]
+    b, c, d, k = 0.5 * j["E_t"], j["F_t"] - p, j["F_u"] - q, 0.5 * j["G_u"]
+    det = e * g - f * f
+    det_m1 = a * det - b * (d * g - f * k) + c * (d * f - e * k)
+    det_m2 = -p * (p * g - f * q) + q * (p * f - e * q)
+    return (det_m1 - det_m2) / (det * det)
 
 
 def gauss_curvature_batch(sid, t, u) -> np.ndarray:
@@ -547,12 +531,12 @@ def gauss_curvature_batch(sid, t, u) -> np.ndarray:
     degenerate points, where the induced metric determinant falls below the
     documented floor, come back NaN."""
     desc = _descriptor(sid)
-    g, dg, ddg = _metric_jets(desc, t, u)
-    det = g[:, 0, 0] * g[:, 1, 1] - g[:, 0, 1] ** 2
+    jets = _metric_jets(desc, t, u)
+    det = jets["E"] * jets["G"] - jets["F"] ** 2
     good = np.abs(det) > constants.DEGENERATE_METRIC_MIN
-    out = np.full(g.shape[0], np.nan)
+    out = np.full(det.shape, np.nan)
     if good.any():
-        out[good] = _curvature_from_jets(g[good], dg[good], ddg[good])
+        out[good] = _curvature_from_jets({name: v[good] for name, v in jets.items()})
     return out
 
 

@@ -105,6 +105,31 @@ class TestCoefficients:
     def test_project_h_of_tangent_vanishes(self):
         assert np.max(np.abs(ls.coefficients(ls.basis(+1)[ls.M5], +1)[:2])) == 0.0
 
+    @pytest.mark.parametrize("eps", ls.SIGNATURES)
+    @pytest.mark.parametrize("shape", [(), (7,), (4, 5, 5)])
+    def test_matches_einsum_definition(self, rng, eps, shape):
+        x = rng.normal(size=shape + (3, 3)) + 1j * rng.normal(size=shape + (3, 3))
+        want = np.einsum("ijk,...kj->...i", ls._dual(eps), x).real
+        got = ls.coefficients(x, eps)
+        assert got.shape == shape + (8,)
+        assert np.max(np.abs(got - want)) <= 1e-15
+
+    @pytest.mark.parametrize("eps", ls.SIGNATURES)
+    def test_non_contiguous_view(self, rng, eps):
+        x = rng.normal(size=(6, 3, 3)) + 1j * rng.normal(size=(6, 3, 3))
+        view = np.swapaxes(x, -1, -2)[::2]
+        assert not view.flags.c_contiguous
+        want = np.einsum("ijk,...kj->...i", ls._dual(eps), view).real
+        assert np.max(np.abs(ls.coefficients(view, eps) - want)) <= 1e-15
+
+    @pytest.mark.parametrize("eps", ls.SIGNATURES)
+    def test_nan_in_any_entry_reaches_every_coordinate(self, eps):
+        for j, k in itertools.product(range(3), range(3)):
+            for bad in (complex(np.nan, 0.0), complex(0.0, np.nan)):
+                x = ls.basis(eps)[ls.M1].copy()
+                x[j, k] = bad
+                assert np.all(np.isnan(ls.coefficients(x, eps))), (j, k, bad)
+
 
 class TestAdH:
     @pytest.mark.parametrize("eps", ls.SIGNATURES)

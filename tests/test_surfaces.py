@@ -175,6 +175,67 @@ class TestGaussCurvature:
     def test_single_point_value(self):
         assert sf.gauss_curvature_batch(2, [0.9], [1.0])[0] == pytest.approx(1.0, abs=1e-6)
 
+    @pytest.mark.parametrize("surface", [2, 5, sf.control_surface()], ids=["2", "5", "control"])
+    def test_point_value_does_not_depend_on_batch(self, surface):
+        desc = sf._descriptor(surface)
+        t, u = sf.default_grid(desc, 11)
+        whole = sf._sample_columns(desc, t, u)
+        for i in range(0, t.size, 10):
+            one = sf._sample_columns(desc, t[i:i + 1], u[i:i + 1])
+            for name in ("E", "F", "G", "K", "tg_residual", "ac_residual"):
+                np.testing.assert_array_equal(one[name], whole[name][i:i + 1], err_msg=name)
+
+
+_T = np.linspace(0.3, 1.2, 7)
+_ZERO = np.zeros_like(_T)
+
+
+def _warped_jets(eps, f, df, ddf):
+    """Exact jets of dt^2 + eps f(t)^2 du^2, whose curvature is -f''/f."""
+    fv, dfv, ddfv = f(_T), df(_T), ddf(_T)
+    return {"E": np.ones_like(_T), "F": _ZERO, "G": eps * fv * fv,
+            "E_t": _ZERO, "E_u": _ZERO, "F_t": _ZERO, "F_u": _ZERO,
+            "G_t": 2.0 * eps * fv * dfv, "G_u": _ZERO,
+            "E_uu": _ZERO, "F_tu": _ZERO, "G_tt": 2.0 * eps * (dfv * dfv + fv * ddfv)}
+
+
+def _sheared_sphere_jets(alpha, beta):
+    """Exact jets of the unit sphere ds^2 + sin(s)^2 dv^2 in the linear
+    coordinates (s, v) = (t + alpha u, u + beta t): E, F, G all depend on
+    s, so every jet the formula reads is nonzero unless alpha or beta is 0."""
+    s = _T + alpha * 0.4
+    sv, d1, d2 = np.sin(s) ** 2, np.sin(2.0 * s), 2.0 * np.cos(2.0 * s)
+    return {"E": 1.0 + beta ** 2 * sv, "F": alpha + beta * sv, "G": alpha ** 2 + sv,
+            "E_t": beta ** 2 * d1, "E_u": alpha * beta ** 2 * d1,
+            "F_t": beta * d1, "F_u": alpha * beta * d1,
+            "G_t": d1, "G_u": alpha * d1,
+            "E_uu": alpha ** 2 * beta ** 2 * d2, "F_tu": alpha * beta * d2, "G_tt": d2}
+
+
+class TestBrioschi:
+    @pytest.mark.parametrize("eps", (+1, -1))
+    @pytest.mark.parametrize("f, df, ddf", [
+        (lambda t: np.sin(2 * t) / 2, lambda t: np.cos(2 * t), lambda t: -2 * np.sin(2 * t)),
+        (np.sinh, np.cosh, np.sinh),
+        (lambda t: 1 + t ** 3, lambda t: 3 * t ** 2, lambda t: 6 * t),
+    ], ids=["sphere", "hyperbolic", "cubic"])
+    def test_warped_product(self, eps, f, df, ddf):
+        k = sf._curvature_from_jets(_warped_jets(eps, f, df, ddf))
+        np.testing.assert_allclose(k, -ddf(_T) / f(_T), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("alpha, beta", [(0.0, 1.0), (0.4, 0.7)])
+    def test_sheared_round_sphere(self, alpha, beta):
+        jets = _sheared_sphere_jets(alpha, beta)
+        assert np.all(jets["F"] != 0.0)
+        np.testing.assert_allclose(sf._curvature_from_jets(jets), 1.0, rtol=0, atol=1e-12)
+
+    def test_nan_jet_gives_nan(self):
+        clean = _sheared_sphere_jets(0.4, 0.7)
+        for name in clean:
+            jets = dict(clean, **{name: np.where(_T == _T[3], np.nan, clean[name])})
+            k = sf._curvature_from_jets(jets)
+            assert np.isnan(k[3]) and not np.isnan(np.delete(k, 3)).any(), name
+
 
 class TestTotallyGeodesic:
     @pytest.mark.parametrize("sid", sf.SURFACE_IDS)
