@@ -146,11 +146,6 @@ def _dual(eps: int) -> np.ndarray:
     return _frozen(_dual_of(basis(eps), eps))
 
 
-#: rows per product in :func:`coefficients`: 1024 x 18 x 8 is under OpenBLAS's
-#: threading threshold; a threaded product left a worker spinning (+60 ms CPU per `surface`)
-_GEMM_ROWS = 1024
-
-
 def coefficients(x: np.ndarray, eps: int) -> np.ndarray:
     """Coordinates of an algebra element (batched over leading axes): the
     (3, 3) complex matrices, viewed as 18 floats, times a real (18, 8) form of
@@ -159,11 +154,11 @@ def coefficients(x: np.ndarray, eps: int) -> np.ndarray:
     real_dual = np.empty((18, 8))
     real_dual[0::2], real_dual[1::2] = d.real, -d.imag
     x = np.ascontiguousarray(x, dtype=np.complex128)
-    flat = x.view(np.float64).reshape(-1, 18)
-    out = np.empty((flat.shape[0], 8))
-    for lo in range(0, flat.shape[0], _GEMM_ROWS):
-        np.matmul(flat[lo:lo + _GEMM_ROWS], real_dual, out=out[lo:lo + _GEMM_ROWS])
-    return out.reshape(x.shape[:-2] + (8,))
+    rows = x.size // 9
+    flat = x.view(np.float64).reshape(rows, 18)
+    if rows == 1:   # numpy sends one row to gemv, which rounds unlike a row of gemm
+        flat = np.vstack([flat, flat])
+    return (flat @ real_dual)[:rows].reshape(x.shape[:-2] + (8,))
 
 
 def from_coefficients(c, eps: int) -> np.ndarray:

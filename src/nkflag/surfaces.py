@@ -483,12 +483,10 @@ def _stencil(c: np.ndarray, w) -> np.ndarray:
 
 def _metric_jets(desc: SurfaceDescriptor, t, u) -> dict[str, np.ndarray]:
     """The jets of the induced metric E dt^2 + 2F dt du + G du^2 that the
-    Brioschi formula reads, as 1-D arrays over the points: ``E``, ``F``,
+    Brioschi formula reads at the 1-D point arrays (t, u): ``E``, ``F``,
     ``G``, their six first derivatives (``E_t``, ``E_u``, ...) and
     ``E_uu``, ``F_tu``, ``G_tt``."""
     h = constants.CURV_STEP
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    u = np.atleast_1d(np.asarray(u, dtype=float))
     ts = t[None, None, :] + h * _OFFSETS[:, None, None]
     us = u[None, None, :] + h * _OFFSETS[None, :, None]
     e, f, g = induced_metric(desc, *np.broadcast_arrays(ts, us))   # each (5, 5, n)
@@ -526,11 +524,24 @@ def _curvature_from_jets(j: dict[str, np.ndarray]) -> np.ndarray:
     return (det_m1 - det_m2) / (det * det)
 
 
+#: grid points per block of :func:`gauss_curvature_batch`: 6,400 stencil
+#: frames, so its memory does not grow with the number of points
+_BLOCK_POINTS = 256
+
+
 def gauss_curvature_batch(sid, t, u) -> np.ndarray:
-    """Numeric Gauss curvature of the induced metric at each point (t, u);
-    degenerate points, where the induced metric determinant falls below the
-    documented floor, come back NaN."""
+    """Numeric Gauss curvature of the induced metric at each point (t, u),
+    evaluated in blocks of ``_BLOCK_POINTS`` points; degenerate points, where
+    the induced metric determinant falls below the documented floor, come
+    back NaN.  No value depends on the block size."""
     desc = _descriptor(sid)
+    t, u = (np.atleast_1d(v) for v in _broadcast(t, u))
+    b = _BLOCK_POINTS
+    return np.concatenate([_curvature_block(desc, t[lo:lo + b], u[lo:lo + b])
+                           for lo in range(0, t.size, b)])
+
+
+def _curvature_block(desc: SurfaceDescriptor, t, u) -> np.ndarray:
     jets = _metric_jets(desc, t, u)
     det = jets["E"] * jets["G"] - jets["F"] ** 2
     good = np.abs(det) > constants.DEGENERATE_METRIC_MIN

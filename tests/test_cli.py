@@ -203,13 +203,54 @@ class TestBadInput:
         assert cli.main(["verify", "--signature", "pseudo", "--seed", "3"]) == 0
 
 
-def test_cli_import_leaves_scipy_out():
+def _child_env(**extra) -> dict:
+    """This environment without OPENBLAS_NUM_THREADS, with this ``src`` on
+    the import path, plus ``extra``."""
     src = pathlib.Path(cli.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(src))
-    code = "import sys, nkflag.cli; print('scipy' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=60).stdout
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    return {**env, "PYTHONPATH": str(src), **extra}
+
+
+def _child_stdout(*args, **extra_env) -> str:
+    return subprocess.run([sys.executable, *args], env=_child_env(**extra_env),
+                          capture_output=True, text=True, check=True, timeout=120).stdout
+
+
+def test_cli_import_leaves_scipy_out():
+    out = _child_stdout("-c", "import sys, nkflag.cli; print('scipy' in sys.modules)")
     assert out.strip() == "False"
+
+
+@pytest.mark.parametrize("preset, want", [({}, "1"), ({"OPENBLAS_NUM_THREADS": "2"}, "2")],
+                         ids=["unset", "user-value"])
+def test_import_pins_openblas_threads(preset, want):
+    # a fresh interpreter: this one imported numpy before nkflag
+    code = ("import os, nkflag, numpy; print(os.environ['OPENBLAS_NUM_THREADS'],"
+            " len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else 1)")
+    value, threads = _child_stdout("-c", code, **preset).split()
+    assert value == want
+    if not preset:
+        assert threads == "1"   # OpenBLAS started no worker thread
+
+
+def _surface_peak_rss(grid: int) -> int:
+    """Peak RSS of ``surface --id 5 --grid <grid>`` from ``os.wait4``.  A
+    small intermediate interpreter starts it: a child spawned straight from
+    this process would report this process's own high-water mark."""
+    code = ("import os, subprocess, sys; p = subprocess.Popen(sys.argv[1:], "
+            "stdout=subprocess.DEVNULL); _, status, usage = os.wait4(p.pid, 0); "
+            "p.returncode = os.waitstatus_to_exitcode(status); "
+            "print(p.returncode, usage.ru_maxrss)")
+    rc, peak = _child_stdout("-c", code, sys.executable, "-m", "nkflag.cli", "surface",
+                             "--id", "5", "--grid", str(grid)).split()
+    assert rc == "0"
+    return int(peak)
+
+
+def test_surface_memory_is_bounded():
+    # the curvature stencils run in fixed-size point blocks, so 15x the points
+    # may not cost 15x the memory (5.6x without the blocks, 2.2x with them)
+    assert _surface_peak_rss(161) <= 2.5 * _surface_peak_rss(41)
 
 
 class TestReportFiles:

@@ -123,6 +123,15 @@ class TestCoefficients:
         assert np.max(np.abs(ls.coefficients(view, eps) - want)) <= 1e-15
 
     @pytest.mark.parametrize("eps", ls.SIGNATURES)
+    def test_row_value_does_not_depend_on_batch(self, rng, eps):
+        # one matrix, short stacks and a long one round every row alike
+        x = rng.normal(size=(3000, 3, 3)) + 1j * rng.normal(size=(3000, 3, 3))
+        whole = ls.coefficients(x, eps)
+        for lo, hi in [(0, 1), (5, 6), (7, 9), (100, 357), (2999, 3000)]:
+            np.testing.assert_array_equal(ls.coefficients(x[lo:hi], eps), whole[lo:hi])
+        np.testing.assert_array_equal(ls.coefficients(x[17], eps), whole[17])
+
+    @pytest.mark.parametrize("eps", ls.SIGNATURES)
     def test_nan_in_any_entry_reaches_every_coordinate(self, eps):
         for j, k in itertools.product(range(3), range(3)):
             for bad in (complex(np.nan, 0.0), complex(0.0, np.nan)):

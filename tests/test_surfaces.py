@@ -158,6 +158,13 @@ def _tg_columns(surface, t, u):
     return sf._sample_columns(sf._descriptor(surface), np.array(t, float), np.array(u, float))
 
 
+def _flat_columns(columns):
+    """_sample_columns with the frame pair split into two array columns."""
+    flat = {name: v for name, v in columns.items() if name != "frames"}
+    flat["omega_t_matrix"], flat["omega_u_matrix"] = columns["frames"]
+    return flat
+
+
 class TestGaussCurvature:
     @pytest.mark.parametrize("sid", sf.SURFACE_IDS)
     def test_constant_curvature(self, sid, summary_cache, surface_error):
@@ -176,14 +183,24 @@ class TestGaussCurvature:
         assert sf.gauss_curvature_batch(2, [0.9], [1.0])[0] == pytest.approx(1.0, abs=1e-6)
 
     @pytest.mark.parametrize("surface", [2, 5, sf.control_surface()], ids=["2", "5", "control"])
-    def test_point_value_does_not_depend_on_batch(self, surface):
+    def test_point_value_does_not_depend_on_batch(self, surface, monkeypatch):
+        # grid 41 spans several point blocks and ends in a ragged one
         desc = sf._descriptor(surface)
-        t, u = sf.default_grid(desc, 11)
-        whole = sf._sample_columns(desc, t, u)
-        for i in range(0, t.size, 10):
-            one = sf._sample_columns(desc, t[i:i + 1], u[i:i + 1])
-            for name in ("E", "F", "G", "K", "tg_residual", "ac_residual"):
-                np.testing.assert_array_equal(one[name], whole[name][i:i + 1], err_msg=name)
+        t, u = sf.default_grid(desc, 41)
+        b = sf._BLOCK_POINTS
+        assert t.size > b and t.size % b
+        whole = _flat_columns(sf._sample_columns(desc, t, u))
+        assert whole.keys() == {*sf.CSV_COLUMNS[1:], "omega_t_matrix", "omega_u_matrix",
+                                "omega_t", "unit_frame", "nondegenerate"}
+        edges = [i for lo in range(b, t.size, b) for i in (lo - 1, lo)]
+        for i in sorted({*range(0, t.size, 10), *edges, t.size - 1}):
+            one = _flat_columns(sf._sample_columns(desc, t[i:i + 1], u[i:i + 1]))
+            for name, column in whole.items():
+                np.testing.assert_array_equal(one[name], column[i:i + 1], err_msg=name)
+        monkeypatch.setattr(sf, "_BLOCK_POINTS", t.size)
+        unblocked = _flat_columns(sf._sample_columns(desc, t, u))
+        for name, column in whole.items():
+            np.testing.assert_array_equal(unblocked[name], column, err_msg=name)
 
 
 _T = np.linspace(0.3, 1.2, 7)
