@@ -1,15 +1,18 @@
 """The six explicit totally geodesic immersions, plus a negative control.
 
-Each surface is a two-parameter exponential in the ambient group whose
-projection to the quotient realizes one classification family.  For every
-surface the closed-form matrix is cross-checked against the matrix
-exponential of its generator, the analytic left-translated frame derivatives
-are cross-checked against central differences of the closed form, and the
-induced metric feeds a stencil-based Gauss curvature that is compared with
-the ambient holomorphic sectional curvature at the base point (homogeneity
-moves the tangent plane there).  The control surface exponentiates a plane
-that violates the tangency equations; its residuals must stay away from
-zero.
+Each surface is the orbit exp(V).o of a plane V = span(A, B) in the
+tangent part of the algebra, and its projection to the quotient realizes
+one classification family.  A descriptor holds the plane; the generator and
+the analytic left-translated frame derivatives are derived from it, the
+frames by one formula that reads the bracket H = [A, B] and holds while
+the plane is a Lie triple (checked on every run).  For every surface the
+closed-form matrix is cross-checked against the matrix exponential of its
+generator, the analytic frames are cross-checked against central
+differences of the closed form, and the induced metric feeds a
+stencil-based Gauss curvature that is compared with the ambient holomorphic
+sectional curvature at the base point (homogeneity moves the tangent plane
+there).  The control surface exponentiates a plane that violates the
+tangency equations; its residuals must stay away from zero.
 """
 
 import dataclasses
@@ -26,7 +29,9 @@ from .lie_structure import (
     RIEMANNIAN,
     basis,
     coefficients,
+    from_coefficients,
     group_defect,
+    structure_constants,
     tangent_matrix,
 )
 from .matrix_core import expm, max_abs
@@ -38,7 +43,6 @@ __all__ = [
     "SURFACE_IDS",
     "get_surface",
     "control_surface",
-    "frame_matrices",
     "almost_complex_check",
     "induced_metric",
     "gauss_curvature_batch",
@@ -70,7 +74,11 @@ def _alloc(t):
 
 @dataclasses.dataclass(frozen=True)
 class SurfaceDescriptor:
-    """Everything needed to evaluate and verify one example immersion."""
+    """Everything needed to evaluate and verify one example immersion.
+
+    ``plane`` is the pair of matrices (A, B).  A ``rotor`` plane is swept as
+    exp(t (cos u A + sin u B)); otherwise A and B commute and the surface is
+    exp(t A + u B) (the flat torus)."""
 
     sid: int
     eps: int
@@ -78,33 +86,29 @@ class SurfaceDescriptor:
     trig: bool
     expected_K: float
     expected_amplitudes: tuple[float, float, float]
-    generator: Callable
+    plane: tuple[np.ndarray, np.ndarray]
+    rotor: bool
     closed_form: Callable
-    omega_t_analytic: Optional[Callable]
-    omega_u_analytic: Optional[Callable]
     expected_metric: Optional[Callable]
+    has_analytic_frames: bool = True
 
     @property
     def t_range(self) -> tuple[float, float]:
         return constants.TRIG_T_RANGE if self.trig else constants.HYPERBOLIC_T_RANGE
 
-    @property
-    def has_analytic_frames(self) -> bool:
-        return self.omega_t_analytic is not None
-
-
-# ---------------------------------------------------------------------------
-# closed forms and analytic frame derivatives
-# ---------------------------------------------------------------------------
-
-def _rotor_generator(mats_cos, mats_sin):
-    """Generator t * (cos(u) A + sin(u) B) for one-parameter rotor families."""
-    def gen(t, u):
+    def generator(self, t, u) -> np.ndarray:
+        """The algebra element whose exponential is the immersion at (t, u)."""
+        a, b = self.plane
         t, u = _broadcast(t, u)
-        return t[..., None, None] * (
-            np.cos(u)[..., None, None] * mats_cos + np.sin(u)[..., None, None] * mats_sin)
-    return gen
+        if self.rotor:
+            return t[..., None, None] * (
+                np.cos(u)[..., None, None] * a + np.sin(u)[..., None, None] * b)
+        return t[..., None, None] * a + u[..., None, None] * b
 
+
+# ---------------------------------------------------------------------------
+# closed forms
+# ---------------------------------------------------------------------------
 
 def _cf_block_sphere(t, u):
     # upper-left 2x2 rotation block with phase u; fixes the third axis
@@ -117,18 +121,6 @@ def _cf_block_sphere(t, u):
     out[..., 1, 0] = st * ph
     out[..., 1, 1] = ct
     out[..., 2, 2] = 1.0
-    return out
-
-
-def _omega_u_block_sphere(t, u):
-    t, u = _broadcast(t, u)
-    out = _alloc(t)
-    st, sc = np.sin(t), np.sin(t) * np.cos(t)
-    ph = np.exp(1j * u)
-    out[..., 0, 0] = 1j * st * st
-    out[..., 0, 1] = 1j * sc / ph
-    out[..., 1, 0] = 1j * sc * ph
-    out[..., 1, 1] = -1j * st * st
     return out
 
 
@@ -147,20 +139,6 @@ def _cf_two_distribution_sphere(t, u):
     out[..., 2, 0] = half * ph ** 2
     out[..., 2, 1] = st * ph / _SQ2
     out[..., 2, 2] = np.cos(t / 2.0) ** 2
-    return out
-
-
-def _omega_u_two_distribution_sphere(t, u):
-    t, u = _broadcast(t, u)
-    out = _alloc(t)
-    ct, st = np.cos(t), np.sin(t)
-    ph = np.exp(1j * u)
-    out[..., 0, 0] = -1j * (ct - 1.0)
-    out[..., 0, 1] = 1j * st / (ph * _SQ2)
-    out[..., 1, 0] = 1j * st * ph / _SQ2
-    out[..., 1, 2] = 1j * st / (ph * _SQ2)
-    out[..., 2, 1] = 1j * st * ph / _SQ2
-    out[..., 2, 2] = 1j * (ct - 1.0)
     return out
 
 
@@ -201,18 +179,6 @@ def _cf_hyperbolic_disc(t, u):
     return out
 
 
-def _omega_u_hyperbolic_disc(t, u):
-    t, u = _broadcast(t, u)
-    out = _alloc(t)
-    sh, sc = np.sinh(t), np.sinh(t) * np.cosh(t)
-    ph = np.exp(1j * u)
-    out[..., 1, 1] = -1j * sh * sh
-    out[..., 1, 2] = -1j * sc / ph
-    out[..., 2, 1] = 1j * sc * ph
-    out[..., 2, 2] = 1j * sh * sh
-    return out
-
-
 def _cf_two_distribution_hyperbolic(t, u):
     t, u = _broadcast(t, u)
     out = _alloc(t)
@@ -231,130 +197,75 @@ def _cf_two_distribution_hyperbolic(t, u):
     return out
 
 
-def _omega_u_two_distribution_hyperbolic(t, u):
-    t, u = _broadcast(t, u)
-    out = _alloc(t)
-    ch, sh = np.cosh(t), np.sinh(t)
-    ph = np.exp(1j * u)
-    out[..., 0, 0] = 1j * (ch - 1.0)
-    out[..., 0, 2] = 1j * sh * ph / _SQ2
-    out[..., 1, 1] = -1j * (ch - 1.0)
-    out[..., 1, 2] = -1j * sh / (ph * _SQ2)
-    out[..., 2, 0] = -1j * sh / (ph * _SQ2)
-    out[..., 2, 1] = 1j * sh * ph / _SQ2
-    return out
-
-
 def _build_surfaces() -> dict[int, SurfaceDescriptor]:
     br = basis(RIEMANNIAN)
     bp = basis(PSEUDO)
-
-    def rotor_omega_t(mats_cos, mats_sin):
-        def om(t, u):
-            t, u = _broadcast(t, u)
-            return (np.cos(u)[..., None, None] * mats_cos
-                    + np.sin(u)[..., None, None] * mats_sin)
-        return om
-
     surfaces = {}
 
     # 1: plane in V1, compact form
-    a, b = br[M1], br[M4]
     surfaces[1] = SurfaceDescriptor(
         sid=1, eps=RIEMANNIAN, trig=True,
         label="V1 plane, round sphere of curvature 4",
         expected_K=4.0, expected_amplitudes=(1.0, 0.0, 0.0),
-        generator=_rotor_generator(a, b),
+        plane=(br[M1], br[M4]), rotor=True,
         closed_form=_cf_block_sphere,
-        omega_t_analytic=rotor_omega_t(a, b),
-        omega_u_analytic=_omega_u_block_sphere,
         expected_metric=lambda t: (np.ones_like(t), np.zeros_like(t),
                                    (np.sin(2.0 * t) / 2.0) ** 2),
     )
 
     # 2: plane across V1 and V2, compact form
-    a = (br[M1] + br[M2]) / _SQ2
-    b = (br[M4] + br[M5]) / _SQ2
     surfaces[2] = SurfaceDescriptor(
         sid=2, eps=RIEMANNIAN, trig=True,
         label="V1+V2 plane, round sphere of curvature 1",
         expected_K=1.0, expected_amplitudes=(1.0 / _SQ2, 1.0 / _SQ2, 0.0),
-        generator=_rotor_generator(a, b),
+        plane=((br[M1] + br[M2]) / _SQ2, (br[M4] + br[M5]) / _SQ2), rotor=True,
         closed_form=_cf_two_distribution_sphere,
-        omega_t_analytic=rotor_omega_t(a, b),
-        omega_u_analytic=_omega_u_two_distribution_sphere,
         expected_metric=lambda t: (np.ones_like(t), np.zeros_like(t), np.sin(t) ** 2),
     )
 
     # 3: plane across all three distributions, compact form; the two
     # generator directions commute, so both frame derivatives are constant
-    t1 = (br[M1] + br[M2] + br[M3]) / _SQ3
-    t2 = (br[M4] + br[M5] - br[M6]) / _SQ3
-
-    def gen3(t, u):
-        t, u = _broadcast(t, u)
-        return t[..., None, None] * t1 + u[..., None, None] * t2
-
-    def om3_t(t, u):
-        t, u = _broadcast(t, u)
-        return np.broadcast_to(t1, t.shape + (3, 3)).copy()
-
-    def om3_u(t, u):
-        t, u = _broadcast(t, u)
-        return np.broadcast_to(t2, t.shape + (3, 3)).copy()
-
     surfaces[3] = SurfaceDescriptor(
         sid=3, eps=RIEMANNIAN, trig=True,
         label="V1+V2+V3 plane, flat torus",
         expected_K=0.0,
         expected_amplitudes=(1.0 / _SQ3, 1.0 / _SQ3, 1.0 / _SQ3),
-        generator=gen3,
+        plane=((br[M1] + br[M2] + br[M3]) / _SQ3, (br[M4] + br[M5] - br[M6]) / _SQ3),
+        rotor=False,
         closed_form=_cf_flat_torus,
-        omega_t_analytic=om3_t,
-        omega_u_analytic=om3_u,
         expected_metric=lambda t: (np.ones_like(t), np.zeros_like(t), np.ones_like(t)),
     )
 
     # 4: plane in V1, split form (same matrices, metric still positive there)
-    a, b = bp[M1], bp[M4]
     surfaces[4] = SurfaceDescriptor(
         sid=4, eps=PSEUDO, trig=True,
         label="V1 plane (split form), round sphere of curvature 4",
         expected_K=4.0, expected_amplitudes=(1.0, 0.0, 0.0),
-        generator=_rotor_generator(a, b),
+        plane=(bp[M1], bp[M4]), rotor=True,
         closed_form=_cf_block_sphere,
-        omega_t_analytic=rotor_omega_t(a, b),
-        omega_u_analytic=_omega_u_block_sphere,
         expected_metric=lambda t: (np.ones_like(t), np.zeros_like(t),
                                    (np.sin(2.0 * t) / 2.0) ** 2),
     )
 
     # 5: plane in V2, split form; negative-definite induced metric
-    a, b = bp[M2], bp[M5]
     surfaces[5] = SurfaceDescriptor(
         sid=5, eps=PSEUDO, trig=False,
         label="V2 plane, anti-isometric hyperbolic plane (K = 4)",
         expected_K=4.0, expected_amplitudes=(0.0, 1.0, 0.0),
-        generator=_rotor_generator(a, b),
+        plane=(bp[M2], bp[M5]), rotor=True,
         closed_form=_cf_hyperbolic_disc,
-        omega_t_analytic=rotor_omega_t(a, b),
-        omega_u_analytic=_omega_u_hyperbolic_disc,
         expected_metric=lambda t: (-np.ones_like(t), np.zeros_like(t),
                                    -((np.sinh(2.0 * t) / 2.0) ** 2)),
     )
 
     # 6: plane across V2 and V3, split form
-    a = (bp[M2] + bp[M3]) / _SQ2
-    b = (bp[M5] - bp[M6]) / _SQ2
     surfaces[6] = SurfaceDescriptor(
         sid=6, eps=PSEUDO, trig=False,
         label="V2+V3 plane, anti-isometric hyperbolic plane (K = 1)",
         expected_K=1.0,
         expected_amplitudes=(0.0, 1.0 / _SQ2, 1.0 / _SQ2),
-        generator=_rotor_generator(a, b),
+        plane=((bp[M2] + bp[M3]) / _SQ2, (bp[M5] - bp[M6]) / _SQ2), rotor=True,
         closed_form=_cf_two_distribution_hyperbolic,
-        omega_t_analytic=rotor_omega_t(a, b),
-        omega_u_analytic=_omega_u_two_distribution_hyperbolic,
         expected_metric=lambda t: (-np.ones_like(t), np.zeros_like(t), -np.sinh(t) ** 2),
     )
     return surfaces
@@ -379,24 +290,17 @@ def control_surface() -> SurfaceDescriptor:
     x0 = np.zeros(6)
     x0[0], x0[1] = math.cos(mix), math.sin(mix)
     jx0 = apply_acs("J", x0)
-    a = tangent_matrix(x0, RIEMANNIAN)
-    b = tangent_matrix(jx0, RIEMANNIAN)
-    gen = _rotor_generator(a, b)
-
-    def cf(t, u):
-        return expm(gen(t, u))
-
     amps = (math.cos(mix), math.sin(mix), 0.0)
-    return SurfaceDescriptor(
+    ctrl = SurfaceDescriptor(
         sid=0, eps=RIEMANNIAN, trig=True,
         label=f"control plane, amplitudes ({amps[0]:.3f}, {amps[1]:.3f}, 0)",
         expected_K=math.nan, expected_amplitudes=amps,
-        generator=gen,
-        closed_form=cf,
-        omega_t_analytic=None,
-        omega_u_analytic=None,
+        plane=(tangent_matrix(x0, RIEMANNIAN), tangent_matrix(jx0, RIEMANNIAN)), rotor=True,
+        closed_form=lambda t, u: expm(ctrl.generator(t, u)),
         expected_metric=None,
+        has_analytic_frames=False,
     )
+    return ctrl
 
 
 def _descriptor(sid) -> SurfaceDescriptor:
@@ -414,20 +318,53 @@ def _fd_frames(desc: SurfaceDescriptor, t, u) -> tuple[np.ndarray, np.ndarray]:
     return finv @ dft, finv @ dfu
 
 
-def frame_matrices(sid, t, u) -> tuple[np.ndarray, np.ndarray]:
-    """(omega_t, omega_u) as matrices: the analytic closed forms where the
-    surface has them, central differences otherwise (the control plane)."""
-    desc = _descriptor(sid)
-    if desc.has_analytic_frames:
-        return desc.omega_t_analytic(t, u), desc.omega_u_analytic(t, u)
-    return _fd_frames(desc, t, u)
+def _lie_triple(desc: SurfaceDescriptor):
+    """(a, b, h, mu, residual) of the plane: the coordinates a, b of A, B and
+    h of H = [A, B], the factor mu read from [H, A] = mu B, and how far the
+    plane is from the Lie triple that the frame formula of :func:`_frames`
+    assumes.  For a rotor plane the residual is the largest coordinate of
+    [H, A] - mu B, [H, B] + mu A and the m-part of H; for commuting A, B it
+    is the largest coordinate of H (and mu is 0)."""
+    a, b = coefficients(np.stack(desc.plane), desc.eps)
+    c = structure_constants(desc.eps)
+    h = np.einsum("i,j,ijk->k", a, b, c)
+    if not desc.rotor:
+        return a, b, h, 0.0, max_abs(h)
+    ha, hb = np.einsum("i,j,ijk->k", h, a, c), np.einsum("i,j,ijk->k", h, b, c)
+    mu = float(ha @ b / (b @ b))
+    return a, b, h, mu, max_abs(np.concatenate([ha - mu * b, hb + mu * a, h[2:]]))
+
+
+def _frames(desc: SurfaceDescriptor, t, u) -> tuple[np.ndarray, np.ndarray]:
+    """(omega_t, omega_u), the left-translated frame derivatives, as (..., 8)
+    coordinate rows.  The control plane has no analytic frames and goes
+    through central differences.  Every other surface derives them from its
+    plane: commuting A, B give the constant frames (a, b), and a rotor plane,
+    with H = [A, B], [H, A] = mu B and [H, B] = -mu A, gives
+
+        omega_t = cos u a + sin u b,
+        omega_u = s(t) (cos u b - sin u a) - c(t) h,
+
+    with s = sin(r t) / r and c = (1 - cos(r t)) / mu for r = sqrt|mu|, and
+    sinh, cosh in place of sin, cos when mu < 0 (ad of t omega_t squares to
+    -mu t^2 on span(cos u B - sin u A, H))."""
+    if not desc.has_analytic_frames:
+        return tuple(coefficients(w, desc.eps) for w in _fd_frames(desc, t, u))
+    a, b, h, mu, _ = _lie_triple(desc)
+    t, u = _broadcast(t, u)
+    if not desc.rotor:
+        return (np.broadcast_to(a, t.shape + (8,)).copy(),
+                np.broadcast_to(b, t.shape + (8,)).copy())
+    r = math.sqrt(abs(mu))
+    sin, cos = (np.sin, np.cos) if mu > 0 else (np.sinh, np.cosh)
+    s, c = (sin(r * t) / r)[..., None], ((1.0 - cos(r * t)) / mu)[..., None]
+    cu, su = np.cos(u)[..., None], np.sin(u)[..., None]
+    return cu * a + su * b, s * (cu * b - su * a) - c * h
 
 
 def _frames_m(desc: SurfaceDescriptor, t, u):
     """Tangent parts of both frame vectors, batched: two (..., 6) arrays."""
-    om_t, om_u = frame_matrices(desc, t, u)
-    ct = coefficients(om_t, desc.eps)
-    cu = coefficients(om_u, desc.eps)
+    ct, cu = _frames(desc, t, u)
     return ct[..., 2:], cu[..., 2:]
 
 
@@ -592,14 +529,13 @@ def group_membership_defect(sid, n: int = constants.DEFAULT_GRID) -> float:
 def _sample_columns(desc: SurfaceDescriptor, t, u) -> dict[str, np.ndarray]:
     """Every per-point quantity of one surface at the 1-D point arrays
     (t, u), in one batched pass: the export columns (``CSV_COLUMNS`` minus
-    ``id``), the matrices ``frames`` (omega_t, omega_u) of
-    :func:`frame_matrices`, the t-frame coefficients ``omega_t``, the unit
-    horizontal frame ``unit_frame`` and the mask ``nondegenerate`` of points
-    whose induced metric has |det| above the degeneracy floor.  K and the totally
-    geodesic residual are NaN at the other points."""
-    frames = frame_matrices(desc, t, u)
-    omega_t = coefficients(frames[0], desc.eps)
-    mt, mu = omega_t[..., 2:], coefficients(frames[1], desc.eps)[..., 2:]
+    ``id``), the frame coordinate rows ``omega_t`` and ``omega_u`` of
+    :func:`_frames`, the unit horizontal frame ``unit_frame`` and the mask
+    ``nondegenerate`` of points whose induced metric has |det| above the
+    degeneracy floor.  K and the totally geodesic residual are NaN at the
+    other points."""
+    omega_t, omega_u = _frames(desc, t, u)
+    mt, mu = omega_t[..., 2:], omega_u[..., 2:]
     e, f, g = _metric_from_frames(mt, mu, desc.eps)
     ok = np.abs(e * g - f ** 2) > constants.DEGENERATE_METRIC_MIN
     k = gauss_curvature_batch(desc, t, u)
@@ -610,7 +546,7 @@ def _sample_columns(desc: SurfaceDescriptor, t, u) -> dict[str, np.ndarray]:
     return {
         "t": t, "u": u, "E": e, "F": f, "G": g,
         "K": k, "tg_residual": tg, "ac_residual": ac,
-        "frames": frames, "omega_t": omega_t, "unit_frame": unit_frame,
+        "omega_t": omega_t, "omega_u": omega_u, "unit_frame": unit_frame,
         "nondegenerate": ok,
     }
 
@@ -643,28 +579,31 @@ def surface_summary(sid, n: int = constants.DEFAULT_GRID,
 
     ``reports`` holds one :class:`CheckReport` per aggregate, named
     ``<check>[surface<id>]``; ``tol_fd`` bounds the two finite-difference
-    curvature checks.  ``frame_agreement`` compares the analytic frames with
-    central differences of the closed form under its own tolerance.
+    curvature checks.  ``frame_agreement`` compares the analytic frames,
+    rebuilt as matrices at the grid points, with central differences of the
+    closed form under its own tolerance.  ``orbit_lie_triple`` checks the
+    premise of the frame formula on the plane itself.
     ``rows`` holds the per-point export records.
     Aggregates reduce with ``np.max``, so a NaN reaches its report and
     fails it; K and the totally geodesic residual cover only the
-    metric-nondegenerate points.
+    metric-nondegenerate points.  The two expm-grid checks run first and
+    the frame matrices live only inside ``frame_agreement``, so no two
+    whole-grid stages hold their temporaries at once.
     """
     desc = _descriptor(sid)
+    expm_err, group_err = expm_defect(desc, n), group_membership_defect(desc, n)
     cols = _sample_columns(desc, *default_grid(desc, n))
     ok = cols["nondegenerate"]
     ks = cols["K"][ok]
     amps = distribution_amplitudes(cols["unit_frame"], desc.eps)
     expected = desc.expected_metric(cols["t"])
-    fd_frames = _fd_frames(desc, cols["t"], cols["u"])
 
     def check(name: str, err, tol: float, samples: int) -> CheckReport:
         return CheckReport(f"{name}[surface{desc.sid}]", float(err), tol, int(samples))
 
     reports = [
-        check("expm_defect", expm_defect(desc, n), constants.TOL_EXPM_CLOSED_FORM, n * n),
-        check("group_defect", group_membership_defect(desc, n),
-              constants.TOL_GROUP_MEMBERSHIP, n * n),
+        check("expm_defect", expm_err, constants.TOL_EXPM_CLOSED_FORM, n * n),
+        check("group_defect", group_err, constants.TOL_GROUP_MEMBERSHIP, n * n),
         check("horizontality", np.max(np.abs(cols["omega_t"][..., :2])),
               constants.TOL_HORIZONTAL, ok.size),
         check("metric_closed_form_error",
@@ -675,8 +614,11 @@ def surface_summary(sid, n: int = constants.DEFAULT_GRID,
         check("K_max_deviation", np.max(np.abs(ks - desc.expected_K)), tol_fd, ks.size),
         check("tg_residual_max", np.max(cols["tg_residual"][ok]), tol_fd, ks.size),
         check("ac_residual_max", np.max(cols["ac_residual"]), constants.TOL_AC_RESIDUAL, ok.size),
-        check("frame_agreement", max_abs(np.subtract(cols["frames"], fd_frames)),
+        check("frame_agreement",
+              np.max([max_abs(from_coefficients(cols[w], desc.eps) - fd) for w, fd in
+                      zip(("omega_t", "omega_u"), _fd_frames(desc, cols["t"], cols["u"]))]),
               constants.TOL_FRAME_AGREEMENT, ok.size),
+        check("orbit_lie_triple", _lie_triple(desc)[-1], constants.TOL_TABLE, 1),
     ]
     return {
         "id": desc.sid,

@@ -117,6 +117,7 @@ def test_criterion_6_surfaces(sid, surface_error):
         "horizontality": (surface_error(sid, 41, "horizontality"), 1e-12),
         "amplitudes": (surface_error(sid, 41, "amplitude_error"), 1e-9),
         "frames": (surface_error(sid, 41, "frame_agreement"), 1e-6),
+        "lie triple": (surface_error(sid, 41, "orbit_lie_triple"), 1e-13),
     }
     ok = all(err < tol for err, tol in checks.values())
     detail = ", ".join(f"{k} {err:.2e}" for k, (err, tol) in checks.items())
@@ -129,10 +130,12 @@ def test_criterion_7_negative_controls():
     minor = max(abs(r) for r in cl.minor_equations(a, b, c, RIEMANNIAN))
     tg = float(np.min(sf._sample_columns(ctrl, np.array([0.5, 0.9]),
                                          np.array([0.3, 2.0]))["tg_residual"]))
+    lie = sf._lie_triple(ctrl)[-1]
     corrupted = min(verify.corruption_self_test(eps) for eps in SIGNATURES)
-    ok = minor > 1e-2 and tg > 1e-2 and corrupted > 1e-2
+    ok = minor > 1e-2 and tg > 1e-2 and lie > 1e-2 and corrupted > 1e-2
     _line(7, "negative controls stay red",
           ok, f"minor residual {minor:.3e}, tg residual {tg:.3e}, "
+              f"Lie-triple residual {lie:.3e}, "
               f"sign-flip curvature mismatch {corrupted:.3e} (all must exceed 1e-2)")
 
 

@@ -117,7 +117,7 @@ def test_surface_json_export_is_a_report_file(capsys, tmp_path):
                      "--format", "json"]) == 0
     meta, reports = load_report_file(out)
     assert meta["surface"] == 5 and meta["grid"] == 11 and len(meta["rows"]) == 121
-    assert len(reports) == 9 and all(r.passed for r in reports)
+    assert len(reports) == 10 and all(r.passed for r in reports)
 
 
 def test_gate_judges_the_classify_check_table(gate, capsys, monkeypatch):

@@ -75,10 +75,10 @@ class TestFrames:
     def test_t_derivative_is_generator_direction(self):
         desc = sf.get_surface(1)
         for t, u in ((0.4, 0.9), (1.2, 3.3)):
-            omega_t, _ = sf.frame_matrices(desc, t, u)
+            omega_t, _ = sf._frames(desc, t, u)
             want = np.zeros(8)
             want[M1], want[M4] = math.cos(u), math.sin(u)
-            np.testing.assert_allclose(coefficients(omega_t, desc.eps), want, atol=1e-13)
+            np.testing.assert_allclose(omega_t, want, atol=1e-13)
 
     @pytest.mark.parametrize("sid", sf.SURFACE_IDS)
     def test_t_derivative_horizontal(self, sid, surface_error):
@@ -88,15 +88,32 @@ class TestFrames:
         # for the V1 sphere the isotropy component is
         # -(sin^2 t / 2) h1 + (sqrt(3) sin^2 t / 2) h2
         for t, u in ((0.5, 0.0), (1.1, 2.0)):
-            _, omega_u = sf.frame_matrices(1, t, u)
+            _, omega_u = sf._frames(sf.get_surface(1), t, u)
             s2 = math.sin(t) ** 2
-            np.testing.assert_allclose(coefficients(omega_u, RIEMANNIAN)[:2],
-                                       [-s2 / 2.0, SQ3 * s2 / 2.0], atol=1e-13)
+            np.testing.assert_allclose(omega_u[:2], [-s2 / 2.0, SQ3 * s2 / 2.0], atol=1e-13)
+
+    def test_hyperbolic_u_derivative(self):
+        # mu < 0 on the V2 plane of the split form: the sinh/cosh branch,
+        # against the closed-form matrix of omega_u
+        for t, u in ((0.3, 0.0), (1.1, 2.0), (1.9, 4.4)):
+            sh, sc, ph = math.sinh(t), math.sinh(t) * math.cosh(t), np.exp(1j * u)
+            want = np.array([
+                [0, 0, 0],
+                [0, -1j * sh * sh, -1j * sc / ph],
+                [0, 1j * sc * ph, 1j * sh * sh],
+            ])
+            _, omega_u = sf._frames(sf.get_surface(5), t, u)
+            np.testing.assert_allclose(omega_u, coefficients(want, PSEUDO), rtol=0, atol=1e-13)
 
     def test_flat_torus_frames_fully_horizontal(self):
-        omega_t, omega_u = sf.frame_matrices(3, 0.8, 1.9)
-        assert np.max(np.abs(coefficients(omega_u, RIEMANNIAN)[:2])) < 1e-14
-        assert np.max(np.abs(coefficients(omega_t, RIEMANNIAN)[:2])) < 1e-14
+        omega_t, omega_u = sf._frames(sf.get_surface(3), 0.8, 1.9)
+        assert np.max(np.abs(omega_u[:2])) < 1e-14
+        assert np.max(np.abs(omega_t[:2])) < 1e-14
+
+    def test_flat_torus_plane_must_commute(self):
+        # the constant frames need [A, B] = 0; the V1 plane's bracket is h1 - sqrt(3) h2
+        swapped = dataclasses.replace(sf.get_surface(3), plane=sf.get_surface(1).plane)
+        assert sf._lie_triple(swapped)[-1] == pytest.approx(SQ3, abs=1e-13)
 
 
 class TestAlmostComplex:
@@ -158,13 +175,6 @@ def _tg_columns(surface, t, u):
     return sf._sample_columns(sf._descriptor(surface), np.array(t, float), np.array(u, float))
 
 
-def _flat_columns(columns):
-    """_sample_columns with the frame pair split into two array columns."""
-    flat = {name: v for name, v in columns.items() if name != "frames"}
-    flat["omega_t_matrix"], flat["omega_u_matrix"] = columns["frames"]
-    return flat
-
-
 class TestGaussCurvature:
     @pytest.mark.parametrize("sid", sf.SURFACE_IDS)
     def test_constant_curvature(self, sid, summary_cache, surface_error):
@@ -189,16 +199,16 @@ class TestGaussCurvature:
         t, u = sf.default_grid(desc, 41)
         b = sf._BLOCK_POINTS
         assert t.size > b and t.size % b
-        whole = _flat_columns(sf._sample_columns(desc, t, u))
-        assert whole.keys() == {*sf.CSV_COLUMNS[1:], "omega_t_matrix", "omega_u_matrix",
-                                "omega_t", "unit_frame", "nondegenerate"}
+        whole = sf._sample_columns(desc, t, u)
+        assert whole.keys() == {*sf.CSV_COLUMNS[1:], "omega_t", "omega_u",
+                                "unit_frame", "nondegenerate"}
         edges = [i for lo in range(b, t.size, b) for i in (lo - 1, lo)]
         for i in sorted({*range(0, t.size, 10), *edges, t.size - 1}):
-            one = _flat_columns(sf._sample_columns(desc, t[i:i + 1], u[i:i + 1]))
+            one = sf._sample_columns(desc, t[i:i + 1], u[i:i + 1])
             for name, column in whole.items():
                 np.testing.assert_array_equal(one[name], column[i:i + 1], err_msg=name)
         monkeypatch.setattr(sf, "_BLOCK_POINTS", t.size)
-        unblocked = _flat_columns(sf._sample_columns(desc, t, u))
+        unblocked = sf._sample_columns(desc, t, u)
         for name, column in whole.items():
             np.testing.assert_array_equal(unblocked[name], column, err_msg=name)
 
@@ -293,8 +303,9 @@ class TestControlSurface:
         ctrl = sf.control_surface()
         assert not ctrl.has_analytic_frames
         for t, u in ((0.5, 0.3), (0.9, 2.0)):
-            omega_t, _ = sf.frame_matrices(ctrl, t, u)
-            assert max_abs(omega_t - ctrl.generator(1.0, u)) < constants.TOL_FRAME_AGREEMENT
+            omega_t, _ = sf._frames(ctrl, t, u)
+            assert max_abs(omega_t - coefficients(ctrl.generator(1.0, u), RIEMANNIAN)) \
+                < constants.TOL_FRAME_AGREEMENT
 
 
 class TestExport:
@@ -326,6 +337,7 @@ class TestExport:
             ("tg_residual_max[surface1]", constants.TOL_CURVATURE, checked),
             ("ac_residual_max[surface1]", constants.TOL_AC_RESIDUAL, GRID * GRID),
             ("frame_agreement[surface1]", constants.TOL_FRAME_AGREEMENT, GRID * GRID),
+            ("orbit_lie_triple[surface1]", constants.TOL_TABLE, 1),
         ]
         assert 0 < checked < GRID * GRID
 
@@ -361,18 +373,29 @@ def _shifted(fn, delta):
     return lambda *args: fn(*args) + delta
 
 
+def _frames_shifted(mp, d_t, d_u):
+    """Patch :func:`sf._frames` to add the coordinate rows d_t, d_u to
+    (omega_t, omega_u)."""
+    frames = sf._frames
+    mp.setattr(sf, "_frames", lambda *args: tuple(
+        w + dw for w, dw in zip(frames(*args), (d_t, d_u))))
+
+
+def _plane_shifted(d, d_a, d_b):
+    return dataclasses.replace(d, plane=(d.plane[0] + d_a, d.plane[1] + d_b))
+
+
 _H1, _M3 = basis(RIEMANNIAN)[H1], basis(RIEMANNIAN)[M3]
+_E = np.eye(8)   # coordinate rows of the basis
 
 #: one fault per ``surface`` report, injected into the layer the report reads
 #: and at least 10x its tolerance: report name -> (descriptor, monkeypatch)
 #: -> faulty descriptor of the compact surface 2
 _FAULTS = {
-    "expm_defect": lambda d, mp: dataclasses.replace(
-        d, generator=_shifted(d.generator, 1e-6 * _H1)),
+    "expm_defect": lambda d, mp: _plane_shifted(d, 1e-6 * _H1, 0.0),
     "group_defect": lambda d, mp: dataclasses.replace(
         d, closed_form=lambda t, u: (1.0 + 1e-6) * d.closed_form(t, u)),
-    "horizontality": lambda d, mp: dataclasses.replace(
-        d, omega_t_analytic=_shifted(d.omega_t_analytic, 1e-6 * _H1)),
+    "horizontality": lambda d, mp: _frames_shifted(mp, 1e-6 * _E[H1], 0.0) or d,
     "metric_closed_form_error": lambda d, mp: dataclasses.replace(
         d, expected_metric=lambda t: (d.expected_metric(t)[0] + 1e-6, *d.expected_metric(t)[1:])),
     "amplitude_error": lambda d, mp: dataclasses.replace(
@@ -381,11 +404,11 @@ _FAULTS = {
     "tg_residual_max": lambda d, mp: mp.setattr(
         sf, "holomorphic_K", _shifted(sf.holomorphic_K, 1e-3)) or d,
     # V3 lies outside the V1 + V2 plane of surface 2, so J(omega_t) misses it
-    "ac_residual_max": lambda d, mp: dataclasses.replace(
-        d, omega_u_analytic=_shifted(d.omega_u_analytic, 1e-6 * _M3)),
+    "ac_residual_max": lambda d, mp: _frames_shifted(mp, 0.0, 1e-6 * _E[M3]) or d,
     # only the difference frames see the vertical part of omega_u
-    "frame_agreement": lambda d, mp: dataclasses.replace(
-        d, omega_u_analytic=_shifted(d.omega_u_analytic, 1e-5 * _H1)),
+    "frame_agreement": lambda d, mp: _frames_shifted(mp, 0.0, 1e-5 * _E[H1]) or d,
+    # B leaves V1 + V2, so [[A, B], B] is no longer a multiple of A
+    "orbit_lie_triple": lambda d, mp: _plane_shifted(d, 0.0, 1e-6 * _M3),
 }
 
 
