@@ -21,7 +21,7 @@ from . import __version__, constants, report, verify
 from .classification import classification_reports, solve_families
 from .lie_structure import PSEUDO, RIEMANNIAN, signature_label
 from .report import CheckReport
-from .surfaces import SURFACE_IDS, surface_summary, write_csv
+from .surfaces import SURFACE_IDS, rows_from_columns, surface_summary, write_csv
 
 _SIGNATURE_CHOICES = {"riemannian": (RIEMANNIAN,), "pseudo": (PSEUDO,),
                       "both": (RIEMANNIAN, PSEUDO)}
@@ -30,7 +30,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
-#: largest accepted --grid; memory grows by about 1.2 KB per grid point
+#: largest accepted --grid; memory grows by about 1.0 KB per grid point
 _MAX_GRID = 201
 
 
@@ -151,7 +151,7 @@ def _cmd_surface(args, parser: argparse.ArgumentParser) -> int:
     if args.id not in SURFACE_IDS:
         parser.error(f"--id must be one of {SURFACE_IDS}, got {args.id}")
     summary = surface_summary(args.id, args.grid, tol_fd=args.tol_fd)
-    reports, rows = summary["reports"], summary["rows"]
+    reports, columns = summary["reports"], summary["columns"]
     print(f"surface {args.id}: {summary['label']}")
     print(f"  signature            {signature_label(summary['signature'])}")
     print(f"  samples              {summary['samples']} ({summary['degenerate_points']} degenerate skipped)")
@@ -159,8 +159,9 @@ def _cmd_surface(args, parser: argparse.ArgumentParser) -> int:
 
     def write(path):
         if args.format == "csv":
-            return write_csv(path, rows)
-        report.write_report_file(path, reports, surface=args.id, grid=args.grid, rows=rows)
+            return write_csv(path, args.id, columns)
+        report.write_report_file(path, reports, surface=args.id, grid=args.grid,
+                                 rows=rows_from_columns(args.id, columns))
 
     return _finish(reports, args.out, f"{args.format} samples", write)
 

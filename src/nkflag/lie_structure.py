@@ -36,7 +36,6 @@ __all__ = [
     "gram_diagonal",
     "coefficients",
     "from_coefficients",
-    "tangent_matrix",
     "ad_H",
     "structure_constants",
     "structure_constants_of",
@@ -164,12 +163,6 @@ def coefficients(x: np.ndarray, eps: int) -> np.ndarray:
 def from_coefficients(c, eps: int) -> np.ndarray:
     """Inverse of :func:`coefficients` (batched over leading axes)."""
     return np.einsum("...i,ijk->...jk", np.asarray(c, dtype=float), basis(eps))
-
-
-def tangent_matrix(v, eps: int) -> np.ndarray:
-    """Matrix realization of a six-coordinate tangent vector."""
-    v = np.asarray(v, dtype=float)
-    return np.einsum("...i,ijk->...jk", v, basis(eps)[M_SLICE])
 
 
 def ad_H(s: float, t: float, x: np.ndarray) -> np.ndarray:

@@ -32,7 +32,6 @@ from .lie_structure import (
     from_coefficients,
     group_defect,
     structure_constants,
-    tangent_matrix,
 )
 from .matrix_core import expm, max_abs
 from .nk_geometry import apply_acs, distribution_amplitudes, metric_m
@@ -49,6 +48,7 @@ __all__ = [
     "default_grid",
     "expm_grid",
     "sample_rows",
+    "rows_from_columns",
     "surface_summary",
     "write_csv",
     "CSV_COLUMNS",
@@ -287,15 +287,15 @@ def control_surface() -> SurfaceDescriptor:
     closed form; the matrix exponential is the definition, frames go through
     differences."""
     mix = 0.6
-    x0 = np.zeros(6)
-    x0[0], x0[1] = math.cos(mix), math.sin(mix)
-    jx0 = apply_acs("J", x0)
+    x0 = np.zeros(8)
+    x0[M1], x0[M2] = math.cos(mix), math.sin(mix)
+    jx0 = np.r_[0.0, 0.0, apply_acs("J", x0[2:])]   # J acts on the tangent slots
     amps = (math.cos(mix), math.sin(mix), 0.0)
     ctrl = SurfaceDescriptor(
         sid=0, eps=RIEMANNIAN, trig=True,
         label=f"control plane, amplitudes ({amps[0]:.3f}, {amps[1]:.3f}, 0)",
         expected_K=math.nan, expected_amplitudes=amps,
-        plane=(tangent_matrix(x0, RIEMANNIAN), tangent_matrix(jx0, RIEMANNIAN)), rotor=True,
+        plane=(from_coefficients(x0, RIEMANNIAN), from_coefficients(jx0, RIEMANNIAN)), rotor=True,
         closed_form=lambda t, u: expm(ctrl.generator(t, u)),
         expected_metric=None,
         has_analytic_frames=False,
@@ -337,8 +337,8 @@ def _lie_triple(desc: SurfaceDescriptor):
 
 def _frames(desc: SurfaceDescriptor, t, u) -> tuple[np.ndarray, np.ndarray]:
     """(omega_t, omega_u), the left-translated frame derivatives, as (..., 8)
-    coordinate rows.  The control plane has no analytic frames and goes
-    through central differences.  Every other surface derives them from its
+    coordinate rows; t and u broadcast.  The control plane goes through
+    central differences.  Every other surface derives them from its
     plane: commuting A, B give the constant frames (a, b), and a rotor plane,
     with H = [A, B], [H, A] = mu B and [H, B] = -mu A, gives
 
@@ -351,10 +351,10 @@ def _frames(desc: SurfaceDescriptor, t, u) -> tuple[np.ndarray, np.ndarray]:
     if not desc.has_analytic_frames:
         return tuple(coefficients(w, desc.eps) for w in _fd_frames(desc, t, u))
     a, b, h, mu, _ = _lie_triple(desc)
-    t, u = _broadcast(t, u)
+    t, u = np.asarray(t, dtype=float), np.asarray(u, dtype=float)
     if not desc.rotor:
-        return (np.broadcast_to(a, t.shape + (8,)).copy(),
-                np.broadcast_to(b, t.shape + (8,)).copy())
+        shape = np.broadcast_shapes(t.shape, u.shape) + (8,)
+        return np.broadcast_to(a, shape).copy(), np.broadcast_to(b, shape).copy()
     r = math.sqrt(abs(mu))
     sin, cos = (np.sin, np.cos) if mu > 0 else (np.sinh, np.cosh)
     s, c = (sin(r * t) / r)[..., None], ((1.0 - cos(r * t)) / mu)[..., None]
@@ -424,9 +424,9 @@ def _metric_jets(desc: SurfaceDescriptor, t, u) -> dict[str, np.ndarray]:
     ``G``, their six first derivatives (``E_t``, ``E_u``, ...) and
     ``E_uu``, ``F_tu``, ``G_tt``."""
     h = constants.CURV_STEP
-    ts = t[None, None, :] + h * _OFFSETS[:, None, None]
-    us = u[None, None, :] + h * _OFFSETS[None, :, None]
-    e, f, g = induced_metric(desc, *np.broadcast_arrays(ts, us))   # each (5, 5, n)
+    ts = t[None, None, :] + h * _OFFSETS[:, None, None]   # (5, 1, n)
+    us = u[None, None, :] + h * _OFFSETS[None, :, None]   # (1, 5, n)
+    e, f, g = np.broadcast_arrays(*induced_metric(desc, ts, us))   # each (5, 5, n)
     return {
         "E": e[2, 2], "F": f[2, 2], "G": g[2, 2],
         "E_t": _stencil(_D1, e[:, 2]) / h, "E_u": _stencil(_D1, e[2]) / h,
@@ -461,9 +461,10 @@ def _curvature_from_jets(j: dict[str, np.ndarray]) -> np.ndarray:
     return (det_m1 - det_m2) / (det * det)
 
 
-#: grid points per block of :func:`gauss_curvature_batch`: 6,400 stencil
-#: frames, so its memory does not grow with the number of points
-_BLOCK_POINTS = 256
+#: grid points per block of :func:`gauss_curvature_batch` (6,400 stencil
+#: frames) and of the two expm-grid checks (grid 41 is one block), so their
+#: memory does not grow with the number of points
+_BLOCK_POINTS, _EXPM_BLOCK_POINTS = 256, 2048
 
 
 def gauss_curvature_batch(sid, t, u) -> np.ndarray:
@@ -473,9 +474,12 @@ def gauss_curvature_batch(sid, t, u) -> np.ndarray:
     back NaN.  No value depends on the block size."""
     desc = _descriptor(sid)
     t, u = (np.atleast_1d(v) for v in _broadcast(t, u))
-    b = _BLOCK_POINTS
-    return np.concatenate([_curvature_block(desc, t[lo:lo + b], u[lo:lo + b])
-                           for lo in range(0, t.size, b)])
+    return np.concatenate([_curvature_block(desc, *tu) for tu in _blocks(t, u, _BLOCK_POINTS)])
+
+
+def _blocks(t: np.ndarray, u: np.ndarray, size: int):
+    """The 1-D point arrays (t, u) in consecutive blocks of ``size`` points."""
+    return ((t[lo:lo + size], u[lo:lo + size]) for lo in range(0, t.size, size))
 
 
 def _curvature_block(desc: SurfaceDescriptor, t, u) -> np.ndarray:
@@ -514,16 +518,17 @@ def expm_grid(sid, n: int = constants.DEFAULT_GRID) -> tuple[np.ndarray, np.ndar
 
 def expm_defect(sid, n: int = constants.DEFAULT_GRID) -> float:
     """Worst difference between the closed form and the exponential of the
-    generator over the cross-check grid."""
+    generator over the cross-check grid.  Each block's defect is a maximum
+    over matrices exponentiated one by one, so the block size moves no value."""
     desc = _descriptor(sid)
-    t, u = expm_grid(desc, n)
-    return max_abs(expm(desc.generator(t, u)) - desc.closed_form(t, u))
+    return float(np.max([max_abs(expm(desc.generator(t, u)) - desc.closed_form(t, u))
+                         for t, u in _blocks(*expm_grid(desc, n), _EXPM_BLOCK_POINTS)]))
 
 
 def group_membership_defect(sid, n: int = constants.DEFAULT_GRID) -> float:
     desc = _descriptor(sid)
-    t, u = expm_grid(desc, n)
-    return group_defect(desc.closed_form(t, u), desc.eps)
+    return float(np.max([group_defect(desc.closed_form(t, u), desc.eps)
+                         for t, u in _blocks(*expm_grid(desc, n), _EXPM_BLOCK_POINTS)]))
 
 
 def _sample_columns(desc: SurfaceDescriptor, t, u) -> dict[str, np.ndarray]:
@@ -551,9 +556,10 @@ def _sample_columns(desc: SurfaceDescriptor, t, u) -> dict[str, np.ndarray]:
     }
 
 
-def _rows(desc: SurfaceDescriptor, columns: dict[str, np.ndarray]) -> list[dict]:
+def rows_from_columns(sid: int, columns: dict[str, np.ndarray]) -> list[dict]:
+    """One record per point, keyed by ``CSV_COLUMNS``, from sample columns."""
     names = CSV_COLUMNS[1:]
-    return [{"id": desc.sid, **dict(zip(names, values))}
+    return [{"id": sid, **dict(zip(names, values))}
             for values in zip(*(columns[name].tolist() for name in names))]
 
 
@@ -561,16 +567,15 @@ def sample_rows(sid, n: int = constants.DEFAULT_GRID) -> list[dict]:
     """Per-grid-point records for export; K and the totally geodesic residual
     are NaN at metric-degenerate points."""
     desc = _descriptor(sid)
-    return _rows(desc, _sample_columns(desc, *default_grid(desc, n)))
+    return rows_from_columns(desc.sid, _sample_columns(desc, *default_grid(desc, n)))
 
 
-def write_csv(path, rows: list[dict]) -> None:
-    import csv
-
+def write_csv(path, sid: int, columns: dict[str, np.ndarray]) -> None:
+    """The bytes ``csv.DictWriter`` writes for ``rows_from_columns(sid, columns)``."""
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
-        writer.writeheader()
-        writer.writerows(rows)
+        fh.write(",".join(CSV_COLUMNS) + "\r\n")
+        fh.writelines(f"{sid},{','.join(r)}\r\n" for r in zip(
+            *(map(repr, columns[name].tolist()) for name in CSV_COLUMNS[1:])))
 
 
 def surface_summary(sid, n: int = constants.DEFAULT_GRID,
@@ -583,7 +588,8 @@ def surface_summary(sid, n: int = constants.DEFAULT_GRID,
     rebuilt as matrices at the grid points, with central differences of the
     closed form under its own tolerance.  ``orbit_lie_triple`` checks the
     premise of the frame formula on the plane itself.
-    ``rows`` holds the per-point export records.
+    ``columns`` holds the per-point sample columns, the export's among them.
+    Without a closed-form metric (the control plane) the metric row is NaN.
     Aggregates reduce with ``np.max``, so a NaN reaches its report and
     fails it; K and the totally geodesic residual cover only the
     metric-nondegenerate points.  The two expm-grid checks run first and
@@ -596,7 +602,7 @@ def surface_summary(sid, n: int = constants.DEFAULT_GRID,
     ok = cols["nondegenerate"]
     ks = cols["K"][ok]
     amps = distribution_amplitudes(cols["unit_frame"], desc.eps)
-    expected = desc.expected_metric(cols["t"])
+    expected = desc.expected_metric(cols["t"]) if desc.expected_metric else (math.nan,) * 3
 
     def check(name: str, err, tol: float, samples: int) -> CheckReport:
         return CheckReport(f"{name}[surface{desc.sid}]", float(err), tol, int(samples))
@@ -629,5 +635,5 @@ def surface_summary(sid, n: int = constants.DEFAULT_GRID,
         "K_expected": desc.expected_K,
         "K_mean": float(np.mean(ks)),
         "reports": reports,
-        "rows": _rows(desc, cols),
+        "columns": cols,
     }

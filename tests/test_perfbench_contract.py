@@ -22,7 +22,7 @@ import sys
 import pytest
 
 import nkflag
-from nkflag import classification, cli, kernels, lie_structure
+from nkflag import classification, cli, kernels, lie_structure, surfaces
 from nkflag.report import load_report_file
 
 _PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
@@ -49,6 +49,9 @@ def test_traced_functions_resolve(layers):
     missing = [f"{module}.{name}" for module, name in layers.TRACED
                if not callable(getattr(importlib.import_module(f"nkflag.{module}"), name, None))]
     assert missing == []
+    # the tracer rebinds every nkflag name bound to the original function, so
+    # the names cli calls the surface stages by must be the module's own
+    assert cli.surface_summary is surfaces.surface_summary and cli.write_csv is surfaces.write_csv
 
 
 def test_cold_tables_are_cached(layers):
@@ -111,13 +114,22 @@ def test_gate_rejects_failing_surface_rows(gate, capsys):
                                    "K_max_deviation[surface1], tg_residual_max[surface1]")
 
 
-def test_surface_json_export_is_a_report_file(capsys, tmp_path):
+def test_surface_json_export_is_a_report_file(gate, capsys, tmp_path):
     out = tmp_path / "surface5.json"
     assert cli.main(["surface", "--id", "5", "--grid", "11", "--out", str(out),
                      "--format", "json"]) == 0
     meta, reports = load_report_file(out)
     assert meta["surface"] == 5 and meta["grid"] == 11 and len(meta["rows"]) == 121
     assert len(reports) == 10 and all(r.passed for r in reports)
+    assert gate.check_surface_export(5, "json", 121)(0, capsys.readouterr().out, str(out)) is None
+
+
+def test_gate_accepts_the_csv_export(gate, capsys, tmp_path):
+    # surface 1 at grid 11 has NaN rows, where its u-circle collapses
+    out = tmp_path / "surface1.csv"
+    rc = cli.main(["surface", "--id", "1", "--grid", "11", "--out", str(out)])
+    assert b",nan," in out.read_bytes()
+    assert gate.check_surface_export(1, "csv", 121)(rc, capsys.readouterr().out, str(out)) is None
 
 
 def test_gate_judges_the_classify_check_table(gate, capsys, monkeypatch):

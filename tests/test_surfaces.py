@@ -5,8 +5,9 @@ forms, curvature, residuals) run on a 21-point grid here; the acceptance
 module repeats them on the full default grids.
 """
 
+import csv
 import dataclasses
-import json
+import io
 import math
 
 import numpy as np
@@ -104,6 +105,20 @@ class TestFrames:
             ])
             _, omega_u = sf._frames(sf.get_surface(5), t, u)
             np.testing.assert_allclose(omega_u, coefficients(want, PSEUDO), rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("desc", [sf.get_surface(2), sf.get_surface(3), sf.control_surface()],
+                             ids=["rotor", "flat_torus", "control"])
+    def test_stencil_offsets_need_no_broadcast(self, desc):
+        # the metric jets pass the t-offsets as (5, 1, n) and the u-offsets as
+        # (1, 5, n); the frames must equal the broadcast evaluation bit for bit
+        t, u = sf.default_grid(desc, 3)
+        ts = t[None, None, :] + constants.CURV_STEP * sf._OFFSETS[:, None, None]
+        us = u[None, None, :] + constants.CURV_STEP * sf._OFFSETS[None, :, None]
+        full = sf._frames(desc, *np.broadcast_arrays(ts, us))
+        got = sf._frames(desc, ts, us)
+        assert got[1].shape == full[1].shape == (5, 5, 9, 8)
+        for w, want in zip(got, full):
+            assert np.array_equal(np.broadcast_to(w, want.shape), want)
 
     def test_flat_torus_frames_fully_horizontal(self):
         omega_t, omega_u = sf._frames(sf.get_surface(3), 0.8, 1.9)
@@ -297,6 +312,14 @@ class TestControlSurface:
         from nkflag.matrix_core import expm
         assert max_abs(got - expm(ctrl.generator(0.7, 0.4))) < 1e-14
 
+    def test_summary_fails_the_plane(self):
+        # no closed-form metric: that row reads NaN instead of raising
+        by_name = {r.name: r for r in sf.surface_summary(sf.control_surface(), 11)["reports"]}
+        lie = by_name["orbit_lie_triple[surface0]"]
+        assert not lie.passed and lie.max_abs_error == pytest.approx(0.836, abs=1e-3)
+        metric = by_name["metric_closed_form_error[surface0]"]
+        assert not metric.passed and math.isnan(metric.max_abs_error)
+
     def test_no_analytic_frames(self):
         # the frames come from central differences; exp(t X(u)) has
         # omega_t = X(u), the generator at t = 1
@@ -309,20 +332,29 @@ class TestControlSurface:
 
 
 class TestExport:
-    def test_rows_and_csv(self, tmp_path):
+    def test_rows_and_csv(self, tmp_path, summary_cache):
         rows = sf.sample_rows(2, 11)
         assert len(rows) == 121
         assert list(rows[0].keys()) == list(sf.CSV_COLUMNS)
         path = tmp_path / "samples.csv"
-        sf.write_csv(path, rows)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == ",".join(sf.CSV_COLUMNS)
-        assert len(lines) == 122
+        sf.write_csv(path, 2, summary_cache(2, 11)["columns"])
+        lines = path.read_bytes().split(b"\r\n")
+        assert lines[0] == ",".join(sf.CSV_COLUMNS).encode()
+        assert len(lines) == 123 and lines[-1] == b""
 
     @pytest.mark.parametrize("sid", sf.SURFACE_IDS)
-    def test_summary_rows_are_the_sample_rows(self, sid):
-        # NaN-aware exact comparison: JSON writes every float in full
-        assert json.dumps(sf.surface_summary(sid, 11)["rows"]) == json.dumps(sf.sample_rows(sid, 11))
+    def test_summary_rows_are_the_sample_rows(self, sid, summary_cache, tmp_path):
+        # the CSV written from the summary's columns is, byte for byte, what
+        # csv.DictWriter writes for the sample rows: every float as repr, nan
+        # included (the V1 spheres' collapsed u-circle), and \r\n line ends
+        want = io.StringIO(newline="")
+        writer = csv.DictWriter(want, fieldnames=sf.CSV_COLUMNS)
+        writer.writeheader()
+        writer.writerows(sf.sample_rows(sid, 11))
+        path = tmp_path / "samples.csv"
+        sf.write_csv(path, sid, summary_cache(sid, 11)["columns"])
+        assert path.read_bytes() == want.getvalue().encode()
+        assert ("nan" in want.getvalue()) == (sid in (1, 4))
 
     def test_summary_reports(self, summary_cache):
         s = summary_cache(1, GRID)
