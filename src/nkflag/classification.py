@@ -25,102 +25,23 @@ import numpy as np
 from . import constants, kernels
 from .kernels import minor_equations
 from .lie_structure import RIEMANNIAN, check_signature, signature_label
-from .nk_geometry import (
-    acs_matrix,
-    apply_acs,
-    curvature_tensorial,
-    distribution_amplitudes,
-    g_tensor,
-    metric_m,
-)
+from .nk_geometry import apply_acs, curvature_tensorial, metric_m
 from .report import CheckReport, floor_check
 
 __all__ = [
-    "TangentDecomposition",
     "SolutionFamily",
-    "ji_on_JX",
     "r_xjx_closed",
     "minor_equations",
-    "rank_condition_matrix",
-    "rank_condition_minors",
     "tangency_coefficient",
     "holomorphic_K",
     "solve_families",
     "grid_oracle",
     "classification_reports",
     "canonical_amplitudes",
-    "phase_align",
-    "rotate_frame",
-    "random_distribution_unit",
 ]
 
 _SQ2 = math.sqrt(2.0)
 _SQ3 = math.sqrt(3.0)
-
-
-# ---------------------------------------------------------------------------
-# tangent-plane decompositions
-# ---------------------------------------------------------------------------
-
-def random_distribution_unit(rng: np.random.Generator, distribution: int) -> np.ndarray:
-    """Random unit vector inside one distribution (0, 1 or 2); its squared
-    norm is +1 on V1 and the signature sign on V2, V3."""
-    phi = rng.uniform(0.0, 2.0 * math.pi)
-    v = np.zeros(6)
-    v[distribution] = math.cos(phi)
-    v[distribution + 3] = math.sin(phi)
-    return v
-
-
-@dataclasses.dataclass(frozen=True)
-class TangentDecomposition:
-    """X = a Y + b Z + c W with unit Y, Z, W in V1, V2, V3."""
-
-    a: float
-    b: float
-    c: float
-    y: np.ndarray
-    z: np.ndarray
-    w: np.ndarray
-    eps: int
-
-    def __post_init__(self):
-        check_signature(self.eps)
-        for name in ("y", "z", "w"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        expected = (1.0, float(self.eps), float(self.eps))
-        for name, vec, slot, want in (("y", self.y, 0, expected[0]),
-                                      ("z", self.z, 1, expected[1]),
-                                      ("w", self.w, 2, expected[2])):
-            vec = np.asarray(vec, dtype=float)
-            amps = distribution_amplitudes(vec, self.eps)
-            others = [amps[d] for d in range(3) if d != slot]
-            if not all(x <= 1e-12 for x in others):
-                raise ValueError(f"{name} is not contained in distribution V{slot + 1}")
-            if not abs(metric_m(vec, vec, self.eps) - want) <= 1e-12:
-                raise ValueError(f"{name} must have squared norm {want}")
-
-    def assemble(self) -> np.ndarray:
-        return self.a * self.y + self.b * self.z + self.c * self.w
-
-    @classmethod
-    def random(cls, rng: np.random.Generator, a: float, b: float, c: float,
-               eps: int) -> "TangentDecomposition":
-        return cls(a, b, c,
-                   random_distribution_unit(rng, 0),
-                   random_distribution_unit(rng, 1),
-                   random_distribution_unit(rng, 2), eps)
-
-
-def ji_on_JX(dec: TangentDecomposition) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The three vectors J_i J X, which only flip distribution amplitudes:
-    (-a, b, c), (a, b, -c) and (a, -b, c) against the (Y, Z, W) frame."""
-    a, b, c = dec.a, dec.b, dec.c
-    return (
-        -a * dec.y + b * dec.z + c * dec.w,
-        a * dec.y + b * dec.z - c * dec.w,
-        a * dec.y - b * dec.z + c * dec.w,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -137,27 +58,6 @@ def r_xjx_closed(a: float, b: float, c: float, eps: int) -> tuple[float, float, 
     coef_z = 1.5 * (3.0 * e * b ** 3 - a * a * b - e * b * c * c)
     coef_w = 1.5 * (3.0 * e * c ** 3 - e * b * b * c - a * a * c)
     return coef_x, coef_y, coef_z, coef_w
-
-
-def rank_condition_matrix(a: float, b: float, c: float, eps: int) -> np.ndarray:
-    """2x3 matrix whose rank-one condition characterizes tangency of
-    R(X, JX)JX: top row the (Y, Z, W) curvature coefficients, bottom row
-    the amplitudes."""
-    _, cy, cz, cw = r_xjx_closed(a, b, c, eps)
-    return np.array([[cy, cz, cw], [a, b, c]])
-
-
-def rank_condition_minors(a: float, b: float, c: float, eps: int) -> tuple[float, float, float]:
-    """The three 2x2 minors of :func:`rank_condition_matrix` (columns 12, 13, 23).
-
-    They equal the residuals of :func:`minor_equations` up to the constant
-    factors (6, 6, -6*eps)."""
-    m = rank_condition_matrix(a, b, c, eps)
-
-    def minor(i, j):
-        return m[0, i] * m[1, j] - m[0, j] * m[1, i]
-
-    return minor(0, 1), minor(0, 2), minor(1, 2)
 
 
 def tangency_coefficient(a: float, b: float, c: float, eps: int) -> tuple[float, float]:
@@ -330,58 +230,3 @@ def classification_reports(eps: int, oracle: bool = True) -> list[CheckReport]:
                                        found.points))
     return reports
 
-
-# ---------------------------------------------------------------------------
-# phase normalization of the fully generic frame
-# ---------------------------------------------------------------------------
-
-def rotate_frame(y, z, w, phi: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Simultaneous rotation of a (Y, Z, W) frame inside its holomorphic planes."""
-    j = acs_matrix("J")
-    cp, sp = math.cos(phi), math.sin(phi)
-    rot = lambda v: cp * np.asarray(v, float) + sp * (np.asarray(v, float) @ j.T)
-    return rot(y), rot(z), rot(w)
-
-
-def phase_align(y, z, w, eps: int = RIEMANNIAN) -> tuple[float, float]:
-    """Phase data of a unit frame (Y in V1, Z in V2, W in V3).
-
-    Returns (theta, phi): theta locates G(Y, Z) inside the (W, JW) plane,
-    and rotating the frame by phi makes G(Y, Z) land exactly on JW.  The
-    rotation angle is found numerically from the evaluated tensor (coarse
-    sweep plus golden-section refinement) rather than trusting any hand
-    sign bookkeeping.
-    """
-    y = np.asarray(y, float)
-    z = np.asarray(z, float)
-    w = np.asarray(w, float)
-    g = g_tensor(y, z, eps)
-    jw = apply_acs("J", w)
-    gw = metric_m(w, w, eps)
-    theta = math.atan2(metric_m(g, jw, eps) / gw, metric_m(g, w, eps) / gw)
-
-    def misalignment(phi: float) -> float:
-        ry, rz, rw = rotate_frame(y, z, w, phi)
-        return float(np.linalg.norm(g_tensor(ry, rz, eps) - apply_acs("J", rw)))
-
-    grid = np.linspace(-math.pi, math.pi, 721)
-    phi = float(grid[int(np.argmin([misalignment(p) for p in grid]))])
-    lo, hi = phi - 0.01, phi + 0.01
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = hi - invphi * (hi - lo)
-    d = lo + invphi * (hi - lo)
-    fc, fd = misalignment(c), misalignment(d)
-    for _ in range(80):
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - invphi * (hi - lo)
-            fc = misalignment(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + invphi * (hi - lo)
-            fd = misalignment(d)
-    phi = 0.5 * (lo + hi)
-    if misalignment(phi) > constants.TOL_EXACT:
-        raise RuntimeError(
-            f"frame rotation failed to align the structure tensor: residual {misalignment(phi):.2e}")
-    return theta, phi

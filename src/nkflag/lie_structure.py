@@ -32,11 +32,9 @@ __all__ = [
     "signature_label",
     "basis",
     "metric",
-    "killing_form",
     "gram_diagonal",
     "coefficients",
     "from_coefficients",
-    "ad_H",
     "structure_constants",
     "structure_constants_of",
     "group_defect",
@@ -104,11 +102,6 @@ def metric(x: np.ndarray, y: np.ndarray, eps: int) -> float:
     return float(0.5 * np.trace(xh @ y).real)
 
 
-def killing_form(x: np.ndarray, y: np.ndarray) -> float:
-    """Trace form Re tr(x^H y) on the compact algebra; equals twice the metric."""
-    return float(np.trace(adjoint(x) @ y).real)
-
-
 @functools.lru_cache(maxsize=None)
 def _gram(eps: int) -> np.ndarray:
     b = basis(eps)
@@ -163,20 +156,6 @@ def coefficients(x: np.ndarray, eps: int) -> np.ndarray:
 def from_coefficients(c, eps: int) -> np.ndarray:
     """Inverse of :func:`coefficients` (batched over leading axes)."""
     return np.einsum("...i,ijk->...jk", np.asarray(c, dtype=float), basis(eps))
-
-
-def ad_H(s: float, t: float, x: np.ndarray) -> np.ndarray:
-    """Conjugation by the isotropy torus element parametrized by (s, t).
-
-    The element is the same diagonal unitary in both forms, so no signature
-    argument is needed; it preserves each distribution V1, V2, V3.
-    """
-    phases = np.exp(1j * np.array([
-        (_SQ3 * s - 3.0 * t) / 3.0,
-        -2.0 * s / _SQ3,
-        (_SQ3 * s + 3.0 * t) / 3.0,
-    ]))
-    return (phases[:, None] * x) * np.conj(phases)[None, :]
 
 
 def structure_constants_of(b: np.ndarray, eps: int) -> np.ndarray:

@@ -47,6 +47,8 @@ __all__ = [
     "gauss_curvature_batch",
     "default_grid",
     "expm_grid",
+    "expm_defect",
+    "group_membership_defect",
     "sample_rows",
     "rows_from_columns",
     "surface_summary",
@@ -462,8 +464,8 @@ def _curvature_from_jets(j: dict[str, np.ndarray]) -> np.ndarray:
 
 
 #: grid points per block of :func:`gauss_curvature_batch` (6,400 stencil
-#: frames) and of the two expm-grid checks (grid 41 is one block), so their
-#: memory does not grow with the number of points
+#: frames) and of the two expm-grid checks and ``frame_agreement`` (grid 41
+#: is one block), so their memory does not grow with the number of points
 _BLOCK_POINTS, _EXPM_BLOCK_POINTS = 256, 2048
 
 
@@ -474,12 +476,13 @@ def gauss_curvature_batch(sid, t, u) -> np.ndarray:
     back NaN.  No value depends on the block size."""
     desc = _descriptor(sid)
     t, u = (np.atleast_1d(v) for v in _broadcast(t, u))
-    return np.concatenate([_curvature_block(desc, *tu) for tu in _blocks(t, u, _BLOCK_POINTS)])
+    return np.concatenate([_curvature_block(desc, t[b], u[b])
+                           for b in _blocks(t.size, _BLOCK_POINTS)])
 
 
-def _blocks(t: np.ndarray, u: np.ndarray, size: int):
-    """The 1-D point arrays (t, u) in consecutive blocks of ``size`` points."""
-    return ((t[lo:lo + size], u[lo:lo + size]) for lo in range(0, t.size, size))
+def _blocks(n: int, size: int):
+    """Consecutive slices of ``size`` points that cover ``n`` points."""
+    return (slice(lo, lo + size) for lo in range(0, n, size))
 
 
 def _curvature_block(desc: SurfaceDescriptor, t, u) -> np.ndarray:
@@ -521,14 +524,26 @@ def expm_defect(sid, n: int = constants.DEFAULT_GRID) -> float:
     generator over the cross-check grid.  Each block's defect is a maximum
     over matrices exponentiated one by one, so the block size moves no value."""
     desc = _descriptor(sid)
-    return float(np.max([max_abs(expm(desc.generator(t, u)) - desc.closed_form(t, u))
-                         for t, u in _blocks(*expm_grid(desc, n), _EXPM_BLOCK_POINTS)]))
+    t, u = expm_grid(desc, n)
+    return float(np.max([max_abs(expm(desc.generator(t[b], u[b])) - desc.closed_form(t[b], u[b]))
+                         for b in _blocks(t.size, _EXPM_BLOCK_POINTS)]))
 
 
 def group_membership_defect(sid, n: int = constants.DEFAULT_GRID) -> float:
     desc = _descriptor(sid)
-    return float(np.max([group_defect(desc.closed_form(t, u), desc.eps)
-                         for t, u in _blocks(*expm_grid(desc, n), _EXPM_BLOCK_POINTS)]))
+    t, u = expm_grid(desc, n)
+    return float(np.max([group_defect(desc.closed_form(t[b], u[b]), desc.eps)
+                         for b in _blocks(t.size, _EXPM_BLOCK_POINTS)]))
+
+
+def _frame_agreement(desc: SurfaceDescriptor, cols: dict[str, np.ndarray]) -> float:
+    """Worst difference between the analytic frames of the sample columns,
+    rebuilt as matrices, and central differences of the closed form, in
+    blocks of ``_EXPM_BLOCK_POINTS`` points (grid 41 is one block)."""
+    return float(np.max([
+        max_abs(from_coefficients(cols[w][b], desc.eps) - fd)
+        for b in _blocks(cols["t"].size, _EXPM_BLOCK_POINTS)
+        for w, fd in zip(("omega_t", "omega_u"), _fd_frames(desc, cols["t"][b], cols["u"][b]))]))
 
 
 def _sample_columns(desc: SurfaceDescriptor, t, u) -> dict[str, np.ndarray]:
@@ -592,9 +607,9 @@ def surface_summary(sid, n: int = constants.DEFAULT_GRID,
     Without a closed-form metric (the control plane) the metric row is NaN.
     Aggregates reduce with ``np.max``, so a NaN reaches its report and
     fails it; K and the totally geodesic residual cover only the
-    metric-nondegenerate points.  The two expm-grid checks run first and
-    the frame matrices live only inside ``frame_agreement``, so no two
-    whole-grid stages hold their temporaries at once.
+    metric-nondegenerate points.  The two expm-grid checks run first, and
+    they and ``frame_agreement`` work in point blocks, so only the
+    sample-column stage grows with the grid.
     """
     desc = _descriptor(sid)
     expm_err, group_err = expm_defect(desc, n), group_membership_defect(desc, n)
@@ -620,9 +635,7 @@ def surface_summary(sid, n: int = constants.DEFAULT_GRID,
         check("K_max_deviation", np.max(np.abs(ks - desc.expected_K)), tol_fd, ks.size),
         check("tg_residual_max", np.max(cols["tg_residual"][ok]), tol_fd, ks.size),
         check("ac_residual_max", np.max(cols["ac_residual"]), constants.TOL_AC_RESIDUAL, ok.size),
-        check("frame_agreement",
-              np.max([max_abs(from_coefficients(cols[w], desc.eps) - fd) for w, fd in
-                      zip(("omega_t", "omega_u"), _fd_frames(desc, cols["t"], cols["u"]))]),
+        check("frame_agreement", _frame_agreement(desc, cols),
               constants.TOL_FRAME_AGREEMENT, ok.size),
         check("orbit_lie_triple", _lie_triple(desc)[-1], constants.TOL_TABLE, 1),
     ]

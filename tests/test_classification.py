@@ -1,4 +1,6 @@
-"""Tests of the tangency analysis, solution families, and phase alignment."""
+"""Tests of the tangency analysis, solution families, and the paper's frame
+facts: J_i J X flips amplitudes, and a frame rotation by a closed-form
+angle aligns G(Y, Z) with JW."""
 
 import dataclasses
 import math
@@ -39,77 +41,66 @@ def _fake_oracle(monkeypatch, eps, **changes):
     monkeypatch.setattr(cl, "grid_oracle", lambda eps: dataclasses.replace(real, **changes))
 
 
-def random_decomposition(rng, eps, normalized=None):
-    """Random amplitudes (optionally rescaled to unit norm) with random
-    distribution phases."""
+def random_decomposition(rng, eps, normalized=False):
+    """((a, b, c), (Y, Z, W), X): random amplitudes, optionally rescaled to
+    unit |<X, X>|, random unit Y, Z, W in V1, V2, V3 (cos phi e_d +
+    sin phi e_{d+3}), and X = aY + bZ + cW."""
     while True:
         a, b, c = rng.uniform(0.1, 1.0, 3)
         norm = a * a + eps * (b * b + c * c)
-        if normalized is None:
+        if not normalized or abs(norm) > 0.2:
             break
-        if abs(norm) > 0.2:
-            s = 1.0 / math.sqrt(abs(norm))
-            a, b, c = a * s, b * s, c * s
-            break
-    return cl.TangentDecomposition.random(rng, a, b, c, eps)
+    if normalized:
+        a, b, c = np.array([a, b, c]) / math.sqrt(abs(norm))
+    phi = rng.uniform(0.0, 2.0 * math.pi, 3)[:, None]
+    y, z, w = np.cos(phi) * E6[:3] + np.sin(phi) * E6[3:]
+    return (a, b, c), (y, z, w), a * y + b * z + c * w
+
+
+def _j_i_j(x):
+    """The three vectors J_i J X."""
+    jx = nk.apply_acs("J", x)
+    return [nk.apply_acs(kind, jx) for kind in ("J1", "J2", "J3")]
 
 
 class TestDecomposition:
-    def test_validation_accepts_proper_frames(self, rng):
-        for eps in SIGNATURES:
-            dec = cl.TangentDecomposition.random(rng, 0.3, 0.4, 0.5, eps)
-            x = dec.assemble()
-            want = 0.09 + eps * (0.16 + 0.25)
-            assert nk.metric_m(x, x, eps) == pytest.approx(want, abs=1e-12)
-
-    def test_validation_rejects_wrong_distribution(self):
-        with pytest.raises(ValueError):
-            cl.TangentDecomposition(1.0, 0.0, 0.0, E6[1], E6[1], E6[2], RIEMANNIAN)
-
-    def test_validation_rejects_non_unit(self):
-        with pytest.raises(ValueError):
-            cl.TangentDecomposition(1.0, 0.0, 0.0, 2.0 * E6[0], E6[1], E6[2], RIEMANNIAN)
-
     def test_split_norm_convention(self, rng):
-        dec = cl.TangentDecomposition.random(rng, 0.0, 1.0, 0.0, PSEUDO)
-        assert nk.metric_m(dec.z, dec.z, PSEUDO) == pytest.approx(-1.0, abs=1e-13)
-
-    def test_validation_rejects_nan_vector(self):
-        with pytest.raises(ValueError):
-            cl.TangentDecomposition(1.0, 0.0, 0.0, np.full(6, np.nan), E6[1], E6[2], RIEMANNIAN)
+        _, (_, z, w), _ = random_decomposition(rng, PSEUDO)
+        assert nk.metric_m(z, z, PSEUDO) == pytest.approx(-1.0, abs=1e-13)
+        assert nk.metric_m(w, w, PSEUDO) == pytest.approx(-1.0, abs=1e-13)
 
 
 class TestJiOnJX:
-    def test_single_distribution(self, rng):
-        dec = cl.TangentDecomposition.random(rng, 1.0, 0.0, 0.0, RIEMANNIAN)
-        j1jx, j2jx, j3jx = cl.ji_on_JX(dec)
-        assert np.max(np.abs(j1jx + dec.y)) < 1e-14
-        assert np.max(np.abs(j2jx - dec.y)) < 1e-14
-        assert np.max(np.abs(j3jx - dec.y)) < 1e-14
+    """J_i J X only flips amplitudes: (-a, b, c), (a, b, -c) and (a, -b, c)
+    against the (Y, Z, W) frame."""
 
-    def test_zero_amplitudes(self, rng):
-        dec = cl.TangentDecomposition.random(rng, 0.0, 0.0, 0.0, RIEMANNIAN)
-        for v in cl.ji_on_JX(dec):
+    def test_single_distribution(self, rng):
+        _, (y, _, _), _ = random_decomposition(rng, RIEMANNIAN)
+        j1jx, j2jx, j3jx = _j_i_j(y)
+        assert np.max(np.abs(j1jx + y)) < 1e-14
+        assert np.max(np.abs(j2jx - y)) < 1e-14
+        assert np.max(np.abs(j3jx - y)) < 1e-14
+
+    def test_zero_amplitudes(self):
+        for v in _j_i_j(np.zeros(6)):
             assert np.max(np.abs(v)) == 0.0
 
     @pytest.mark.parametrize("eps", SIGNATURES)
     def test_matches_table_composition(self, eps, rng):
         for _ in range(25):
-            dec = random_decomposition(rng, eps)
-            x = dec.assemble()
-            jx = nk.apply_acs("J", x)
-            for vec, kind in zip(cl.ji_on_JX(dec), ("J1", "J2", "J3")):
-                assert np.max(np.abs(vec - nk.apply_acs(kind, jx))) < 1e-13
+            (a, b, c), (y, z, w), x = random_decomposition(rng, eps)
+            flipped = (-a * y + b * z + c * w, a * y + b * z - c * w, a * y - b * z + c * w)
+            for vec, want in zip(_j_i_j(x), flipped):
+                assert np.max(np.abs(vec - want)) < 1e-13
 
     @pytest.mark.parametrize("eps", SIGNATURES)
     def test_norm_identities(self, eps, rng):
         # <X, X> and the three <X, J_i J X> reduce to signed amplitude sums
         for _ in range(25):
-            dec = random_decomposition(rng, eps)
-            x = dec.assemble()
-            a2, b2, c2 = dec.a ** 2, dec.b ** 2, dec.c ** 2
+            (a, b, c), _, x = random_decomposition(rng, eps)
+            a2, b2, c2 = a ** 2, b ** 2, c ** 2
             assert nk.metric_m(x, x, eps) == pytest.approx(a2 + eps * (b2 + c2), abs=1e-12)
-            j1jx, j2jx, j3jx = cl.ji_on_JX(dec)
+            j1jx, j2jx, j3jx = _j_i_j(x)
             assert nk.metric_m(x, j1jx, eps) == pytest.approx(-a2 + eps * (b2 + c2), abs=1e-12)
             assert nk.metric_m(x, j2jx, eps) == pytest.approx(a2 + eps * (b2 - c2), abs=1e-12)
             assert nk.metric_m(x, j3jx, eps) == pytest.approx(a2 + eps * (-b2 + c2), abs=1e-12)
@@ -144,12 +135,11 @@ class TestClosedFormCurvature:
         # the closed form must hold for any frame realization, not just the
         # coordinate one: the dual route of this module
         for _ in range(25):
-            dec = random_decomposition(rng, eps)
-            x = dec.assemble()
+            (a, b, c), (y, z, w), x = random_decomposition(rng, eps)
             jx = nk.apply_acs("J", x)
             direct = nk.curvature_tensorial(x, jx, jx, eps)
-            cx, cy, cz, cw = cl.r_xjx_closed(dec.a, dec.b, dec.c, eps)
-            combo = cx * x + cy * dec.y + cz * dec.z + cw * dec.w
+            cx, cy, cz, cw = cl.r_xjx_closed(a, b, c, eps)
+            combo = cx * x + cy * y + cz * z + cw * w
             assert np.max(np.abs(direct - combo)) < 1e-12
 
 
@@ -165,17 +155,15 @@ class TestMinorEquations:
 
     @pytest.mark.parametrize("eps", SIGNATURES)
     def test_proportional_to_direct_minors(self, eps, rng):
-        # minors of the rank matrix are (6, 6, -6 eps) times the residuals
+        # the 2x2 minors (columns 12, 13, 23) of [[c_Y, c_Z, c_W], [a, b, c]]
+        # are (6, 6, -6 eps) times the residuals
         for _ in range(50):
             a, b, c = rng.uniform(-1.2, 1.2, 3)
             r1, r2, r3 = cl.minor_equations(a, b, c, eps)
-            m12, m13, m23 = cl.rank_condition_minors(a, b, c, eps)
-            assert m12 == pytest.approx(6.0 * r1, abs=1e-12)
-            assert m13 == pytest.approx(6.0 * r2, abs=1e-12)
-            assert m23 == pytest.approx(-6.0 * eps * r3, abs=1e-12)
-
-    def test_rank_matrix_shape(self):
-        assert cl.rank_condition_matrix(0.2, 0.3, 0.4, RIEMANNIAN).shape == (2, 3)
+            _, cy, cz, cw = cl.r_xjx_closed(a, b, c, eps)
+            assert cy * b - cz * a == pytest.approx(6.0 * r1, abs=1e-12)
+            assert cy * c - cw * a == pytest.approx(6.0 * r2, abs=1e-12)
+            assert cz * c - cw * b == pytest.approx(-6.0 * eps * r3, abs=1e-12)
 
 
 class TestHolomorphicK:
@@ -188,8 +176,7 @@ class TestHolomorphicK:
     def test_rotation_invariance(self, rng):
         for eps in SIGNATURES:
             for _ in range(20):
-                dec = random_decomposition(rng, eps, normalized=True)
-                x = dec.assemble()
+                _, _, x = random_decomposition(rng, eps, normalized=True)
                 k0 = cl.holomorphic_K(x, eps)
                 phi = rng.uniform(0, 2 * math.pi)
                 xr = math.cos(phi) * x + math.sin(phi) * nk.apply_acs("J", x)
@@ -220,11 +207,10 @@ class TestHolomorphicK:
     def test_matches_closed_form_prediction(self, eps, rng):
         # <R(X,JX)JX, X> assembled from the amplitude polynomials
         for _ in range(20):
-            dec = random_decomposition(rng, eps, normalized=True)
-            x = dec.assemble()
-            cx, cy, cz, cw = cl.r_xjx_closed(dec.a, dec.b, dec.c, eps)
+            (a, b, c), _, x = random_decomposition(rng, eps, normalized=True)
+            cx, cy, cz, cw = cl.r_xjx_closed(a, b, c, eps)
             norm = nk.metric_m(x, x, eps)
-            inner = cx * norm + cy * dec.a + eps * (cz * dec.b + cw * dec.c)
+            inner = cx * norm + cy * a + eps * (cz * b + cw * c)
             assert cl.holomorphic_K(x, eps) == pytest.approx(inner / norm ** 2, abs=1e-11)
 
 
@@ -291,50 +277,51 @@ class TestSolveFamilies:
         assert cl.canonical_amplitudes(0.3, 0.1, 0.9, PSEUDO) == pytest.approx((0.3, 0.9, 0.1))
 
 
+def _phase(y, z, w, eps=RIEMANNIAN):
+    """theta with G(Y, Z) = cos(theta) W + sin(theta) JW."""
+    g, jw = nk.g_tensor(y, z, eps), nk.apply_acs("J", w)
+    ww = nk.metric_m(w, w, eps)
+    return math.atan2(nk.metric_m(g, jw, eps) / ww, nk.metric_m(g, w, eps) / ww)
+
+
+def _misalignment(y, z, w, phi, eps=RIEMANNIAN):
+    """|G(Y', Z') - JW'| for the frame rotated by phi in its holomorphic planes."""
+    ry, rz, rw = (math.cos(phi) * v + math.sin(phi) * nk.apply_acs("J", v) for v in (y, z, w))
+    return np.max(np.abs(nk.g_tensor(ry, rz, eps) - nk.apply_acs("J", rw)))
+
+
 class TestPhaseAlign:
+    """G(JX, Y) = -J G(X, Y), so rotating the frame by phi moves G(Y, Z) by
+    -2 phi while JW moves by phi: phi = (theta - pi/2)/3 aligns G(Y, Z)
+    with JW."""
+
     def test_coordinate_frame_angle(self):
         # G(m1, m2) = m6 = -J m3, so the (W, JW) phase is -pi/2
-        theta, phi = cl.phase_align(E6[0], E6[1], E6[2])
+        theta = _phase(E6[0], E6[1], E6[2])
         assert theta == pytest.approx(-math.pi / 2, abs=1e-13)
-        ry, rz, rw = cl.rotate_frame(E6[0], E6[1], E6[2], phi)
-        resid = nk.g_tensor(ry, rz, RIEMANNIAN) - nk.apply_acs("J", rw)
-        assert np.max(np.abs(resid)) < 1e-12
+        assert _misalignment(E6[0], E6[1], E6[2], (theta - math.pi / 2) / 3) < 1e-12
 
     def test_already_aligned_frame(self):
         # with W = -m3 the tensor value m6 equals JW, so no rotation is needed
-        theta, phi = cl.phase_align(E6[0], E6[1], -E6[2])
-        assert theta == pytest.approx(math.pi / 2, abs=1e-13)
-        assert phi == pytest.approx(0.0, abs=1e-13)
+        assert _phase(E6[0], E6[1], -E6[2]) == pytest.approx(math.pi / 2, abs=1e-13)
+        assert _misalignment(E6[0], E6[1], -E6[2], 0.0) == 0.0
 
     def test_reconstruction_from_theta(self):
-        theta, _ = cl.phase_align(E6[0], E6[1], E6[2])
+        theta = _phase(E6[0], E6[1], E6[2])
         g = nk.g_tensor(E6[0], E6[1], RIEMANNIAN)
         jw = nk.apply_acs("J", E6[2])
         recon = math.cos(theta) * E6[2] + math.sin(theta) * jw
         assert np.max(np.abs(recon - g)) < 1e-13
 
     def test_random_frames_align(self, rng):
-        for _ in range(10):
-            y = cl.random_distribution_unit(rng, 0)
-            z = cl.random_distribution_unit(rng, 1)
-            w = cl.random_distribution_unit(rng, 2)
-            theta, phi = cl.phase_align(y, z, w)
-            g = nk.g_tensor(y, z, RIEMANNIAN)
-            jw = nk.apply_acs("J", w)
-            recon = math.cos(theta) * w + math.sin(theta) * jw
-            assert np.max(np.abs(recon - g)) < 1e-12
-            ry, rz, rw = cl.rotate_frame(y, z, w, phi)
-            resid = nk.g_tensor(ry, rz, RIEMANNIAN) - nk.apply_acs("J", rw)
-            assert np.max(np.abs(resid)) < 1e-12
-
-    def test_zero_rotation_is_identity(self, rng):
-        y = cl.random_distribution_unit(rng, 0)
-        z = cl.random_distribution_unit(rng, 1)
-        w = cl.random_distribution_unit(rng, 2)
-        ry, rz, rw = cl.rotate_frame(y, z, w, 0.0)
-        assert np.max(np.abs(ry - y)) == 0.0
-        assert np.max(np.abs(rz - z)) == 0.0
-        assert np.max(np.abs(rw - w)) == 0.0
+        for eps in SIGNATURES:
+            for _ in range(10):
+                _, (y, z, w), _ = random_decomposition(rng, eps)
+                theta = _phase(y, z, w, eps)
+                g = nk.g_tensor(y, z, eps)
+                recon = math.cos(theta) * w + math.sin(theta) * nk.apply_acs("J", w)
+                assert np.max(np.abs(recon - g)) < 1e-12
+                assert _misalignment(y, z, w, (theta - math.pi / 2) / 3, eps) < 1e-12
 
 
 class TestOracleVerdicts:

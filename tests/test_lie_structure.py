@@ -1,4 +1,4 @@
-"""Algebra-level tests: bases, metrics, projections, isotropy action."""
+"""Algebra-level tests: bases, metrics, projections, structure constants."""
 
 import itertools
 import math
@@ -67,22 +67,6 @@ class TestMetric:
             assert ls.metric(2.0 * x, y, eps) == pytest.approx(2 * ls.metric(x, y, eps), abs=1e-13)
 
 
-class TestKillingForm:
-    def test_proportional_to_metric(self, rng):
-        for _ in range(50):
-            x, y = ls.from_coefficients(rng.uniform(-1, 1, (2, 8)), +1)
-            assert ls.killing_form(x, y) == pytest.approx(2.0 * ls.metric(x, y, +1), abs=1e-13)
-
-    def test_values(self):
-        b = ls.basis(+1)
-        assert ls.killing_form(b[ls.M1], b[ls.M1]) == pytest.approx(2.0, abs=1e-15)
-        assert ls.killing_form(b[ls.H1], b[ls.H2]) == pytest.approx(0.0, abs=1e-15)
-
-    def test_symmetric(self, rng):
-        x, y = ls.from_coefficients(rng.uniform(-1, 1, (2, 8)), +1)
-        assert ls.killing_form(x, y) == pytest.approx(ls.killing_form(y, x), abs=1e-13)
-
-
 class TestCoefficients:
     def test_roundtrip(self, rng):
         for eps in ls.SIGNATURES:
@@ -138,43 +122,6 @@ class TestCoefficients:
                 x = ls.basis(eps)[ls.M1].copy()
                 x[j, k] = bad
                 assert np.all(np.isnan(ls.coefficients(x, eps))), (j, k, bad)
-
-
-class TestAdH:
-    @pytest.mark.parametrize("eps", ls.SIGNATURES)
-    def test_first_distribution_rotation(self, eps, rng):
-        b = ls.basis(eps)
-        for _ in range(10):
-            s, t = rng.uniform(-3, 3, 2)
-            ang = SQ3 * s - t
-            got = ls.ad_H(s, t, b[ls.M1])
-            want = math.cos(ang) * b[ls.M1] - math.sin(ang) * b[ls.M4]
-            assert max_abs(got - want) < 1e-13
-            got4 = ls.ad_H(s, t, b[ls.M4])
-            want4 = math.sin(ang) * b[ls.M1] + math.cos(ang) * b[ls.M4]
-            assert max_abs(got4 - want4) < 1e-13
-
-    def test_identity_parameters(self, rng):
-        x = ls.from_coefficients(rng.uniform(-1, 1, 8), +1)
-        assert max_abs(ls.ad_H(0.0, 0.0, x) - x) == 0.0
-
-    def test_preserves_distributions(self, rng):
-        for eps in ls.SIGNATURES:
-            b = ls.basis(eps)
-            for slot, partner in ((ls.M1, ls.M4), (ls.M2, ls.M5), (ls.M3, ls.M6)):
-                s, t = rng.uniform(-3, 3, 2)
-                img = ls.coefficients(ls.ad_H(s, t, b[slot]), eps)
-                outside = np.delete(img, [slot, partner])
-                assert np.max(np.abs(outside)) < 1e-13
-
-    def test_metric_invariance(self, rng):
-        for eps in ls.SIGNATURES:
-            for _ in range(25):
-                s, t = rng.uniform(-3, 3, 2)
-                x, y = ls.from_coefficients(rng.uniform(-1, 1, (2, 8)), eps)
-                before = ls.metric(x, y, eps)
-                after = ls.metric(ls.ad_H(s, t, x), ls.ad_H(s, t, y), eps)
-                assert after == pytest.approx(before, abs=1e-12)
 
 
 class TestStructure:

@@ -6,16 +6,20 @@ builds of lru-cached tables; ``perfbench/run.py`` imports
 ``perfbench/run.py --trace 1``, so the names are pinned here, and one traced
 ``classify`` run checks the oracle spans and counters end to end.
 ``perfbench/gate.py`` parses the printed check tables, so the gate is run
-here on real ``verify``, ``surface`` and ``classify`` output.
+here on real ``verify``, ``surface`` and ``classify`` output.  The
+benchmark times imports as setup, so the imports ``nkflag.cli`` makes are
+pinned too, and every module's ``__all__`` must match its public functions.
 """
 
 import dataclasses
 import importlib
 import importlib.util
+import inspect
 import json
 import math
 import os
 import pathlib
+import pkgutil
 import subprocess
 import sys
 
@@ -61,6 +65,33 @@ def test_cold_tables_are_cached(layers):
 
 def test_active_backend_exists():
     assert callable(kernels.active_backend)
+
+
+def test_cli_import_loads_numpy_random():
+    # verify imports default_rng at module level, so the benchmark charges
+    # numpy.random to setup_s and not to the run_s of the first verify run
+    src = pathlib.Path(nkflag.__file__).resolve().parents[1]
+    code = "import sys, nkflag.cli; print('numpy.random' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+                         capture_output=True, text=True, check=True, timeout=120).stdout
+    assert out.split() == ["True"]
+
+
+def test_all_matches_public_functions():
+    # every name in a module's __all__ resolves, and every public function
+    # the module defines (lru-cached ones included) is listed
+    names = [m.name for m in pkgutil.iter_modules(nkflag.__path__)]
+    modules = [nkflag, *(importlib.import_module(f"nkflag.{name}") for name in names)]
+    problems = []
+    for module in (m for m in modules if hasattr(m, "__all__")):
+        problems += [f"{module.__name__}.{name} is listed but missing"
+                     for name in module.__all__ if not hasattr(module, name)]
+        problems += [f"{module.__name__}.{name} is not listed"
+                     for name, obj in vars(module).items()
+                     if not name.startswith("_") and name not in module.__all__
+                     and inspect.isfunction(inspect.unwrap(obj))
+                     and obj.__module__ == module.__name__]
+    assert problems == []
 
 
 def test_traced_classify_records_the_oracle_layers():

@@ -120,6 +120,15 @@ class TestFrames:
         for w, want in zip(got, full):
             assert np.array_equal(np.broadcast_to(w, want.shape), want)
 
+    def test_difference_frames_run_in_point_blocks(self, monkeypatch):
+        # grid 161 is 25,921 points; frame_agreement hands the central
+        # differences one block of points at a time
+        sizes, real = [], sf._fd_frames
+        monkeypatch.setattr(sf, "_fd_frames",
+                            lambda desc, t, u: sizes.append(np.size(t)) or real(desc, t, u))
+        sf.surface_summary(3, 161)
+        assert len(sizes) == 13 and max(sizes) <= sf._EXPM_BLOCK_POINTS
+
     def test_flat_torus_frames_fully_horizontal(self):
         omega_t, omega_u = sf._frames(sf.get_surface(3), 0.8, 1.9)
         assert np.max(np.abs(omega_u[:2])) < 1e-14
