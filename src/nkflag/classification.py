@@ -167,21 +167,21 @@ def _amplitude_order(item) -> tuple[float, ...]:
 
 
 def grid_oracle(eps: int) -> OracleResult:
-    """Independent enumeration: interval branch-and-bound over the amplitude
-    sphere, greedy clustering of the leaf boxes, then shrinking-box
-    refinement of each cluster."""
+    """Independent enumeration: interval branch-and-bound over the b >= c
+    half of the amplitude sphere, greedy clustering of the leaf boxes, then
+    one batched shrinking-box refinement of every cluster's best hit."""
     check_signature(eps)
     scan = kernels.scan_chart(kernels.CHART_SPHERE, eps)
-    candidates: list[tuple[tuple[float, float, float], float]] = []
     # take the best remaining hit, drop every hit within 0.05 of it
     abc = scan.hits[:, 2:5]
     alive = np.ones(len(abc), dtype=bool)
+    seeds: list[int] = []
     while alive.any():
-        idx = int(np.argmin(np.where(alive, scan.hit_residuals, np.inf)))
-        alive &= np.linalg.norm(abc - abc[idx], axis=1) >= 0.05
-        a, b, c, res = kernels.refine_candidate(
-            scan.chart, eps, scan.hits[idx, 0], scan.hits[idx, 1])
-        candidates.append((canonical_amplitudes(a, b, c, eps), res))
+        seeds.append(int(np.argmin(np.where(alive, scan.hit_residuals, np.inf))))
+        alive &= np.linalg.norm(abc - abc[seeds[-1]], axis=1) >= 0.05
+    refined = kernels.refine_candidate(scan.chart, eps, scan.hits[seeds, 0], scan.hits[seeds, 1])
+    candidates = [(canonical_amplitudes(a, b, c, eps), res)
+                  for a, b, c, res in zip(*(x.tolist() for x in refined))]
     # merge candidates that refined to the same canonical point
     merged: list[tuple[tuple[float, float, float], float]] = []
     for amps, res in sorted(candidates, key=_amplitude_order):
@@ -207,9 +207,21 @@ def _hausdorff(found, expected) -> float:
     return float(np.max([*np.min(d, axis=0, initial=np.inf), *np.min(d, axis=1, initial=np.inf)]))
 
 
+def _mirror_defect(eps: int) -> float:
+    """Largest |minor_equations(a, c, b) - (r2, r1, -r3)(a, b, c)| over the
+    integer nodes {0..4}^3.  Each residual has degree <= 3 in each variable,
+    so a difference vanishing on these nodes vanishes identically; every
+    float operation on them is exact, so the identity holds iff this is 0.0."""
+    a, b, c = np.meshgrid(*[np.arange(5.0)] * 3, indexing="ij")
+    r1, r2, r3 = kernels.minor_equations(a, b, c, eps)
+    m1, m2, m3 = kernels.minor_equations(a, c, b, eps)
+    return float(np.max(np.abs([m1 - r2, m2 - r1, m3 + r3])))
+
+
 def classification_reports(eps: int, oracle: bool = True) -> list[CheckReport]:
     """One signature's verdicts: the case analysis' families are tangent
-    and, with the oracle, match the oracle's families; the oracle's bound
+    and, with the oracle, the residuals are b <-> c symmetric (so the half
+    chart suffices), the families match the oracle's, and the oracle's bound
     on the all-nonzero region is at most ``NONZERO_EMPTY_BOUND`` where the
     case analysis has a family there and at least that floor where not."""
     fams, label = solve_families(eps), signature_label(eps)
@@ -217,6 +229,8 @@ def classification_reports(eps: int, oracle: bool = True) -> list[CheckReport]:
     reports = [CheckReport(f"case_analysis_tangency[{label}]", float(deviation),
                            constants.TOL_EXACT, len(fams))]
     if oracle:
+        reports.append(CheckReport(f"oracle_mirror_symmetry[{label}]", _mirror_defect(eps),
+                                   constants.TOL_INTEGER_IDENTITY, 5 ** 3))
         found = grid_oracle(eps)
         reports.append(CheckReport(f"oracle_family_match[{label}]",
                                    _hausdorff(found.families, [f.amplitudes for f in fams]),

@@ -30,7 +30,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
-#: largest accepted --grid; memory grows by about 0.9 KB per grid point
+#: largest accepted --grid; memory grows by about 0.4 KB per grid point
 _MAX_GRID = 201
 
 

@@ -26,6 +26,9 @@ TOL_ALPHA = 1e-9
 #: coefficient extraction round trip
 TOL_ROUNDTRIP = 1e-14
 
+#: polynomial identities on small integer nodes, where every float op is exact
+TOL_INTEGER_IDENTITY = 0.0
+
 # --- finite-difference tier ----------------------------------------------
 
 #: step for first-order central differences (frame cross-checks)

@@ -13,12 +13,14 @@ there, not a sample.
 Chart
 -----
 One chart serves both signatures: the unit sphere of amplitudes,
-a = cos p, b = sin p cos q, c = sin p sin q with p, q in [0, pi/2].  The
-three residuals are homogeneous of degree 4 in (a, b, c), so their zeros
-form a cone, and every ray of the positive octant meets the sphere once,
-null rays of the split form included.  The positive octant suffices: each
-residual is odd or even under each sign flip of a, b, c, so the zero set
-is sign-symmetric, and representatives are canonicalized afterwards anyway.
+a = cos p, b = sin p cos q, c = sin p sin q with p in [0, pi/2] and
+q in [0, pi/4].  The three residuals are homogeneous of degree 4 in
+(a, b, c), so their zeros form a cone, and every ray of the positive octant
+meets the sphere once, null rays of the split form included.  The octant
+suffices: each residual is odd or even under each sign flip of a, b, c.
+Its half b >= c (q <= pi/4) suffices too: swapping b and c permutes the
+residuals up to sign (``oracle_mirror_symmetry`` proves it), so the zero
+set and the residual bound are symmetric under q -> pi/2 - q.
 
 cos and sin are monotone on [0, pi/2], so their range over a box is
 spanned by their values at the box ends.
@@ -34,8 +36,8 @@ from .lie_structure import check_signature
 
 CHART_SPHERE = 0
 
-#: outward widening of each chart-function value: 4 ulps of 1 cover libm
-#: error and the gap between float and true pi/2 (cos of the float is 6e-17)
+#: outward widening of each chart-function value: 4 ulps of 1 cover libm error
+#: and the float-vs-true gaps at pi/2 (6e-17 in cos) and pi/4 (3e-17 below it)
 _WIDEN = 4 * np.spacing(1.0)
 
 
@@ -59,7 +61,7 @@ def chart_point(chart: int, p, q):
 def chart_domain(chart: int) -> tuple[float, float]:
     """(p_max, q_max) of the chart; both parameters start at 0."""
     _check_chart(chart)
-    return math.pi / 2.0, math.pi / 2.0
+    return math.pi / 2.0, math.pi / 4.0
 
 
 def minor_equations(a, b, c, eps: int):
@@ -144,8 +146,9 @@ class ScanResult:
 
 
 def scan_chart(chart: int, eps: int) -> ScanResult:
-    """Interval branch-and-bound over the square chart down to boxes of
-    width <= ``GRID_ORACLE_STEP``, bisecting both axes at every level.
+    """Interval branch-and-bound over the chart down to square leaf boxes of
+    width <= ``GRID_ORACLE_STEP``: each axis is bisected in as many of the
+    last levels as it needs, so q, half as wide as p, sits out the first.
 
     A box is dropped when its residual lower bound exceeds
     ``ORACLE_HIT_THRESHOLD``; a box that may meet the region
@@ -158,7 +161,8 @@ def scan_chart(chart: int, eps: int) -> ScanResult:
     check_signature(eps)
     margin = constants.NONZERO_MARGIN
     lo, hi = np.zeros((1, 2)), np.array([chart_domain(chart)])
-    levels = math.ceil(math.log2(np.max(hi) / constants.GRID_ORACLE_STEP))
+    splits = [math.ceil(math.log2(w / constants.GRID_ORACLE_STEP)) for w in hi[0]]
+    levels = max(splits)
     points = 0
     bounds, centres = [np.array([np.inf])], [np.full((1, 2), np.nan)]
     for level in range(levels + 1):
@@ -172,7 +176,7 @@ def scan_chart(chart: int, eps: int) -> ScanResult:
         centres.append(0.5 * (lo[final] + hi[final]))
         lo, hi = lo[~drop], hi[~drop]
         if level < levels:
-            for axis in (0, 1):
+            for axis in [ax for ax in (0, 1) if level >= levels - splits[ax]]:
                 # both children take the same float midpoint: no gap between them
                 mid, k = 0.5 * (lo[:, axis] + hi[:, axis]), len(lo)
                 lo, hi = np.concatenate([lo, lo]), np.concatenate([hi, hi])
@@ -195,24 +199,26 @@ def scan_chart(chart: int, eps: int) -> ScanResult:
 _STENCIL = np.linspace(-1.0, 1.0, 5)
 
 
-def refine_candidate(chart: int, eps: int, p0: float,
-                     q0: float) -> tuple[float, float, float, float]:
-    """Shrinking-box bisection on the residual around a scan hit.
+def refine_candidate(chart: int, eps: int, p0, q0):
+    """Shrinking-box bisection on the residual around scan hits.
 
     The first box has half width 5 * ``GRID_ORACLE_STEP``.  Each of 50
     rounds samples a 5x5 sub-grid of the current box, recenters on the
-    argmin and halves the box; the residual grows linearly away from the
-    simple zeros, so the amplitudes converge well below 1e-10.
+    first argmin and halves the box; the residual grows linearly away from
+    the simple zeros, so the amplitudes converge well below 1e-10.  Scalar
+    seeds give (a, b, c, residual) as floats, 1-D seed arrays four arrays:
+    the arithmetic is elementwise, so each seed refines bitwise as if alone.
     """
     p_max, q_max = chart_domain(chart)
-    p, q = p0, q0
-    w = 5.0 * constants.GRID_ORACLE_STEP
+    p, q = (np.array(x, dtype=float, ndmin=1) for x in (p0, q0))
+    rows, w = np.arange(p.size), 5.0 * constants.GRID_ORACLE_STEP
     for _ in range(50):
-        ps = np.minimum(np.maximum(p + w * _STENCIL, 0.0), p_max)
-        qs = np.minimum(np.maximum(q + w * _STENCIL, 0.0), q_max)
-        r = residual_linf(*chart_point(chart, ps[:, None], qs[None, :]), eps)
-        i, j = divmod(int(np.argmin(r)), _STENCIL.size)
-        p, q = float(ps[i]), float(qs[j])
+        ps = np.minimum(np.maximum(p[:, None] + w * _STENCIL, 0.0), p_max)
+        qs = np.minimum(np.maximum(q[:, None] + w * _STENCIL, 0.0), q_max)
+        r = residual_linf(*chart_point(chart, ps[:, :, None], qs[:, None, :]), eps)
+        i, j = np.divmod(np.argmin(r.reshape(p.size, _STENCIL.size ** 2), axis=1), _STENCIL.size)
+        p, q = ps[rows, i], qs[rows, j]
         w *= 0.5
-    a, b, c = (float(x) for x in chart_point(chart, p, q))
-    return a, b, c, float(residual_linf(a, b, c, eps))
+    a, b, c = chart_point(chart, p, q)
+    out = a, b, c, residual_linf(a, b, c, eps)
+    return tuple(float(x[0]) for x in out) if np.ndim(p0) == 0 else out

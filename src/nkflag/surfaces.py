@@ -464,8 +464,9 @@ def _curvature_from_jets(j: dict[str, np.ndarray]) -> np.ndarray:
 
 
 #: grid points per block of :func:`gauss_curvature_batch` (6,400 stencil
-#: frames) and of the two expm-grid checks and ``frame_agreement`` (grid 41
-#: is one block), so their memory does not grow with the number of points
+#: frames) and of the two expm-grid checks, ``frame_agreement`` and the
+#: holomorphic curvatures of ``_sample_columns`` (grid 41 is one block), so
+#: their memory does not grow with the number of points
 _BLOCK_POINTS, _EXPM_BLOCK_POINTS = 256, 2048
 
 
@@ -561,7 +562,10 @@ def _sample_columns(desc: SurfaceDescriptor, t, u) -> dict[str, np.ndarray]:
     k = gauss_curvature_batch(desc, t, u)
     unit_frame = mt / np.sqrt(np.abs(e))[:, None]
     tg = np.full_like(k, np.nan)
-    tg[ok] = np.abs(k[ok] - holomorphic_K(unit_frame[ok], desc.eps))
+    good = np.flatnonzero(ok)
+    for block in _blocks(good.size, _EXPM_BLOCK_POINTS):
+        i = good[block]
+        tg[i] = np.abs(k[i] - holomorphic_K(unit_frame[i], desc.eps))
     ac, _ = _almost_complex_fit(mt, mu)
     return {
         "t": t, "u": u, "E": e, "F": f, "G": g,

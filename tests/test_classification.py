@@ -338,6 +338,7 @@ class TestOracleVerdicts:
         reports = cl.classification_reports(eps)
         label = signature_label(eps)
         assert [r.name for r in reports] == [f"case_analysis_tangency[{label}]",
+                                             f"oracle_mirror_symmetry[{label}]",
                                              f"oracle_family_match[{label}]",
                                              f"{_INTERIOR[eps]}[{label}]"]
         assert all(r.passed for r in reports)
@@ -407,10 +408,24 @@ def _perturb_curvature_coefficient(monkeypatch):
     monkeypatch.setattr(cl, "r_xjx_closed", faulty)
 
 
+def _break_mirror_symmetry(monkeypatch):
+    # r1 gains 1e-6 a b c^2, which no longer maps to r2 under b <-> c; it
+    # vanishes on every split family (a b c = 0), and the interval bound
+    # does not read minor_equations, so only the mirror row can notice
+    real = kernels.minor_equations
+
+    def faulty(a, b, c, eps):
+        r1, r2, r3 = real(a, b, c, eps)
+        return r1 + 1e-6 * a * b * c * c, r2, r3
+
+    monkeypatch.setattr(kernels, "minor_equations", faulty)
+
+
 #: one fault per ``classify`` report, injected into the layer the report
 #: reads: check name -> (signature, fault(monkeypatch))
 _FAULTS = {
     "case_analysis_tangency": (RIEMANNIAN, _perturb_curvature_coefficient),
+    "oracle_mirror_symmetry": (PSEUDO, _break_mirror_symmetry),
     "oracle_family_match": (PSEUDO, _shift_one_family),
     "oracle_interior_occupied": (RIEMANNIAN, lambda mp: _fake_oracle(mp, RIEMANNIAN, interior_min=1.0)),
     "oracle_interior_empty": (PSEUDO, lambda mp: _fake_oracle(mp, PSEUDO, interior_min=1e-3)),

@@ -82,7 +82,7 @@ class TestClassifyCommand:
         rows = [line for line in capsys.readouterr().out.splitlines() if "plane" in line]
         assert len(rows) == 6
 
-    @pytest.mark.parametrize("argv, checks", [([], 6), (["--no-oracle"], 2)])
+    @pytest.mark.parametrize("argv, checks", [([], 8), (["--no-oracle"], 2)])
     def test_check_table_follows_the_families(self, capsys, argv, checks):
         assert cli.main(["classify", *argv]) == 0
         lines = capsys.readouterr().out.splitlines()
@@ -248,9 +248,10 @@ def _surface_peak_rss(grid: int) -> int:
 
 
 def test_surface_memory_is_bounded():
-    # the curvature stencils run in fixed-size point blocks, so 15x the points
-    # may not cost 15x the memory (5.6x without the blocks, 2.2x with them)
-    assert _surface_peak_rss(161) <= 2.5 * _surface_peak_rss(41)
+    # the curvature stencils and the holomorphic curvatures run in fixed-size
+    # point blocks, so 15x the points may not cost 15x the memory (5.6x
+    # without any blocks, 1.53x with the stencil blocks alone, 1.25x with both)
+    assert _surface_peak_rss(161) <= 1.5 * _surface_peak_rss(41)
 
 
 class TestReportFiles:

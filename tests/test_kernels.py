@@ -1,5 +1,6 @@
 """Chart geometry, interval enclosures and branch-and-bound of the oracle kernels."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -50,11 +51,31 @@ def _leaf_size(chart):
                  for w in kernels.chart_domain(chart))
 
 
-def _dense_grid(chart, spacing=2e-3):
-    p_max, q_max = kernels.chart_domain(chart)
+def _dense_grid(chart, spacing=2e-3, q_max=None):
+    """Grid over the chart, or over q in [0, q_max] when given."""
+    p_max, q_chart = kernels.chart_domain(chart)
+    q_max = q_max or q_chart
     p, q = np.meshgrid(np.append(np.arange(0.0, p_max, spacing), p_max),
                        np.append(np.arange(0.0, q_max, spacing), q_max), indexing="ij")
     return p.ravel(), q.ravel(), kernels.chart_point(chart, p.ravel(), q.ravel())
+
+
+def _in_leaves(scan, p, q):
+    """Which points (p, q) lie in a leaf box of the scan; a point on a box
+    edge belongs to the boxes on both sides."""
+    wp, wq = _leaf_size(scan.chart)
+    p_max, q_max = kernels.chart_domain(scan.chart)
+    shape = (round(p_max / wp), round(q_max / wq))
+    occupied = np.zeros(shape, dtype=bool)
+    occupied[(scan.hits[:, 0] / wp).astype(int), (scan.hits[:, 1] / wq).astype(int)] = True
+    cells = [(np.clip(np.floor(x / w + s), 0, m - 1).astype(int))
+             for x, w, m in ((p, wp, shape[0]), (q, wq, shape[1])) for s in (-1e-9, 1e-9)]
+    inside = (q >= -1e-12) & (q <= q_max * (1 + 1e-12))
+    covered = np.zeros(p.size, dtype=bool)
+    for ip in cells[:2]:
+        for iq in cells[2:]:
+            covered |= occupied[ip, iq]
+    return covered & inside
 
 
 class TestBranchAndBound:
@@ -80,21 +101,22 @@ class TestBranchAndBound:
         scan = kernels.scan_chart(chart, eps)
         wp, wq = _leaf_size(chart)
         assert wp <= constants.GRID_ORACLE_STEP and wq <= constants.GRID_ORACLE_STEP
-        p_max, q_max = kernels.chart_domain(chart)
-        shape = (round(p_max / wp), round(q_max / wq))
-        occupied = np.zeros(shape, dtype=bool)
-        occupied[(scan.hits[:, 0] / wp).astype(int), (scan.hits[:, 1] / wq).astype(int)] = True
         p, q, abc = _dense_grid(chart)
         low = kernels.residual_linf(*abc, eps) < constants.ORACLE_HIT_THRESHOLD
+        assert low.any()
+        covered = _in_leaves(scan, p[low], q[low])
+        assert covered.all(), f"{np.count_nonzero(~covered)} sub-threshold points outside the leaves"
+
+    @pytest.mark.parametrize("eps", SIGNATURES)
+    def test_leaves_and_their_mirrors_cover_the_quarter(self, eps):
+        # the scan runs on q <= pi/4 only; q -> pi/2 - q (b <-> c) covers the rest
+        scan = kernels.scan_chart(kernels.CHART_SPHERE, eps)
+        assert kernels.chart_domain(kernels.CHART_SPHERE)[1] == math.pi / 4
+        p, q, abc = _dense_grid(kernels.CHART_SPHERE, q_max=math.pi / 2)
+        low = kernels.residual_linf(*abc, eps) < constants.ORACLE_HIT_THRESHOLD
         p, q = p[low], q[low]
-        assert p.size > 0
-        # a point on a box edge belongs to the boxes on both sides
-        cells = [(np.clip(np.floor(x / w + s), 0, m - 1).astype(int))
-                 for x, w, m in ((p, wp, shape[0]), (q, wq, shape[1])) for s in (-1e-9, 1e-9)]
-        covered = np.zeros(p.size, dtype=bool)
-        for ip in cells[:2]:
-            for iq in cells[2:]:
-                covered |= occupied[ip, iq]
+        assert np.count_nonzero(q > 0.8) > 100  # points beyond the scanned half
+        covered = _in_leaves(scan, p, q) | _in_leaves(scan, p, math.pi / 2 - q)
         assert covered.all(), f"{np.count_nonzero(~covered)} sub-threshold points outside the leaves"
 
     def test_split_interior_bound_is_certified_and_not_above_samples(self):
@@ -178,3 +200,23 @@ class TestRefine:
         want = 1.0 / math.sqrt(3.0)
         assert max(abs(a - want), abs(b - want), abs(c - want)) < 1e-10
         assert res < 1e-12
+
+    @pytest.mark.parametrize("eps", SIGNATURES)
+    def test_array_seeds_refine_bitwise_as_scalar_seeds(self, eps, rng):
+        scan = kernels.scan_chart(kernels.CHART_SPHERE, eps)
+        p_max, q_max = kernels.chart_domain(kernels.CHART_SPHERE)
+        pick = rng.choice(len(scan.hits), 20, replace=False)
+        p0 = np.concatenate([scan.hits[pick, 0], rng.uniform(0.0, p_max, 20), [0.0, p_max]])
+        q0 = np.concatenate([scan.hits[pick, 1], rng.uniform(0.0, q_max, 20), [q_max, q_max]])
+        batch = kernels.refine_candidate(kernels.CHART_SPHERE, eps, p0, q0)
+        assert [x.shape for x in batch] == [p0.shape] * 4
+        for k, (p, q) in enumerate(zip(p0.tolist(), q0.tolist())):
+            one = kernels.refine_candidate(kernels.CHART_SPHERE, eps, p, q)
+            assert all(type(x) is float for x in one)
+            assert one == tuple(x[k] for x in batch)
+
+    def test_a_scan_without_hits_gives_no_family(self, monkeypatch):
+        real = kernels.scan_chart
+        monkeypatch.setattr(kernels, "scan_chart", lambda chart, eps: dataclasses.replace(
+            real(chart, eps), hits=np.zeros((0, 5)), hit_residuals=np.zeros(0)))
+        assert cl.grid_oracle(1).families == ()

@@ -112,7 +112,8 @@ def test_traced_classify_records_the_oracle_layers():
     record = json.loads(out.strip().splitlines()[-1])
     assert record["rc"] == 0
     assert {"kernels.scan_chart.sphere", "kernels.refine_candidate"} <= set(record["spans"])
-    assert record["counters"]["kernels.scan_chart.points"] > 0
+    # both signatures scan the b >= c half only: 27,326 boxes, 54,650 on the quarter
+    assert 0 < record["counters"]["kernels.scan_chart.points"] <= 27_400
     assert record["counters"]["kernels.scan_chart.hits"] > 0
 
 
@@ -169,7 +170,7 @@ def test_gate_judges_the_classify_check_table(gate, capsys, monkeypatch):
     assert gate.check_classify(0, out, None) is None
     lines = out.splitlines()
     table = lines[lines.index(next(line for line in lines if line.startswith("check "))):]
-    assert len(table) == 2 + 6 + 2 and table[-1] == "6 checks, 0 failed"
+    assert len(table) == 2 + 8 + 2 and table[-1] == "8 checks, 0 failed"
     # family rows are indented; a check row read as one would corrupt the K list
     assert [line for line in table if gate._FAMILY_ROW.match(line)] == []
 

@@ -129,6 +129,20 @@ class TestFrames:
         sf.surface_summary(3, 161)
         assert len(sizes) == 13 and max(sizes) <= sf._EXPM_BLOCK_POINTS
 
+    @pytest.mark.parametrize("sid, grid", [(5, 41), (5, 201), (1, 201)])
+    def test_holomorphic_curvatures_run_in_point_blocks(self, sid, grid, monkeypatch):
+        # surface 1 has degenerate points, which the blocks skip
+        desc, sizes, real = sf.get_surface(sid), [], sf.holomorphic_K
+        t, u = sf.default_grid(desc, grid)
+        monkeypatch.setattr(sf, "holomorphic_K",
+                            lambda x, eps: sizes.append(len(x)) or real(x, eps))
+        blocked = sf._sample_columns(desc, t, u)
+        assert max(sizes) <= sf._EXPM_BLOCK_POINTS
+        assert sum(sizes) == np.count_nonzero(blocked["nondegenerate"])
+        monkeypatch.setattr(sf, "_EXPM_BLOCK_POINTS", t.size)
+        whole = sf._sample_columns(desc, t, u)["tg_residual"]
+        np.testing.assert_array_equal(blocked["tg_residual"], whole)
+
     def test_flat_torus_frames_fully_horizontal(self):
         omega_t, omega_u = sf._frames(sf.get_surface(3), 0.8, 1.9)
         assert np.max(np.abs(omega_u[:2])) < 1e-14
