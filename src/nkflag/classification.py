@@ -7,13 +7,13 @@ rank-one condition on a 2x3 matrix of cubic polynomials in (a, b, c); its
 three independent minors are the residuals used everywhere below.
 
 Solutions are enumerated twice: by closed-form case analysis, and by an
-interval branch-and-bound over the unit sphere of amplitudes, which meets
-every ray of the residuals' zero cone, with local refinement of the
-surviving boxes (the oracle, see :mod:`nkflag.kernels`).  The oracle
-also gives a certified lower bound on the residual over the region where
-all amplitudes are nonzero.  :func:`classification_reports` judges the
-two routes against each other as :class:`~nkflag.report.CheckReport` rows;
-a NaN anywhere in a comparison fails its row.
+interval branch-and-bound over the simplex a + b + c = 1, which meets every
+ray of the residuals' zero cone, with local refinement of the surviving
+boxes (the oracle, see :mod:`nkflag.kernels`).  The oracle also gives a
+certified lower bound on the residual over the region where all amplitudes
+are nonzero.  :func:`classification_reports` judges the two routes against
+each other as :class:`~nkflag.report.CheckReport` rows; a NaN anywhere in a
+comparison fails its row.
 """
 
 import dataclasses
@@ -63,13 +63,11 @@ def r_xjx_closed(a: float, b: float, c: float, eps: int) -> tuple[float, float, 
 def tangency_coefficient(a: float, b: float, c: float, eps: int) -> tuple[float, float]:
     """(lambda, deviation): the multiple of X that R(X, JX)JX equals, and the
     largest coefficient leftover if it is not actually proportional to X."""
-    cx, cy, cz, cw = r_xjx_closed(a, b, c, eps)
+    cx, *comps = r_xjx_closed(a, b, c, eps)
     amps = (a, b, c)
-    comps = (cy, cz, cw)
     k = max(range(3), key=lambda i: abs(amps[i]))
     lam = cx + comps[k] / amps[k]
-    dev = float(np.max([abs(comps[i] - (lam - cx) * amps[i]) for i in range(3)]))
-    return lam, dev
+    return lam, float(np.max([abs(comps[i] - (lam - cx) * amps[i]) for i in range(3)]))
 
 
 def holomorphic_K(x, eps: int) -> float | np.ndarray:
@@ -111,18 +109,16 @@ def canonical_amplitudes(a: float, b: float, c: float, eps: int) -> tuple[float,
     a, b, c = abs(a), abs(b), abs(c)
     if eps == RIEMANNIAN:
         return tuple(sorted((a, b, c), reverse=True))
-    hi, lo = max(b, c), min(b, c)
-    return (a, hi, lo)
+    return (a, max(b, c), min(b, c))
 
 
 def _family(a: float, b: float, c: float, eps: int, description: str) -> SolutionFamily:
     norm = a * a + eps * (b * b + c * c)
-    norm_sign = 1 if norm > 0 else -1
     lam, _ = tangency_coefficient(a, b, c, eps)
     return SolutionFamily(
         amplitudes=canonical_amplitudes(a, b, c, eps),
         K=lam / norm,
-        norm_sign=norm_sign,
+        norm_sign=1 if norm > 0 else -1,
         description=description,
         eps=eps,
     )
@@ -168,10 +164,10 @@ def _amplitude_order(item) -> tuple[float, ...]:
 
 def grid_oracle(eps: int) -> OracleResult:
     """Independent enumeration: interval branch-and-bound over the b >= c
-    half of the amplitude sphere, greedy clustering of the leaf boxes, then
-    one batched shrinking-box refinement of every cluster's best hit."""
+    half of the simplex a + b + c = 1, greedy clustering of the leaf boxes,
+    then one batched shrinking-box refinement of every cluster's best hit."""
     check_signature(eps)
-    scan = kernels.scan_chart(kernels.CHART_SPHERE, eps)
+    scan = kernels.scan_chart(kernels.CHART_SIMPLEX, eps)
     # take the best remaining hit, drop every hit within 0.05 of it
     abc = scan.hits[:, 2:5]
     alive = np.ones(len(abc), dtype=bool)
@@ -184,12 +180,11 @@ def grid_oracle(eps: int) -> OracleResult:
                   for a, b, c, res in zip(*(x.tolist() for x in refined))]
     # merge candidates that refined to the same canonical point
     merged: list[tuple[tuple[float, float, float], float]] = []
-    for amps, res in sorted(candidates, key=_amplitude_order):
+    for amps, res in sorted(candidates, key=_amplitude_order, reverse=True):
         if merged and np.linalg.norm(np.subtract(amps, merged[-1][0])) < 1e-6:
             merged[-1] = (merged[-1][0], min(merged[-1][1], res))
-            continue
-        merged.append((amps, res))
-    merged.sort(key=_amplitude_order, reverse=True)
+        else:
+            merged.append((amps, res))
     return OracleResult(
         eps=eps,
         families=tuple(amps for amps, _ in merged),

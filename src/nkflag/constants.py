@@ -66,8 +66,7 @@ DEGENERATE_METRIC_MIN = 1e-6
 
 # --- classification grid oracle -------------------------------------------
 
-#: leaf box width of the oracle's branch-and-bound over the amplitude sphere
-#: (both signatures; the sphere meets every ray of the residuals' zero cone)
+#: leaf box width of the oracle's branch-and-bound over the simplex a + b + c = 1
 GRID_ORACLE_STEP = 1e-3
 
 #: refined oracle candidates must match the case analysis this closely

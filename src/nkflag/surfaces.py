@@ -65,9 +65,7 @@ CSV_COLUMNS = ("id", "t", "u", "E", "F", "G", "K", "tg_residual", "ac_residual")
 
 
 def _broadcast(t, u):
-    t = np.asarray(t, dtype=float)
-    u = np.asarray(u, dtype=float)
-    return np.broadcast_arrays(t, u)
+    return np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(u, dtype=float))
 
 
 def _alloc(t):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,10 +14,15 @@ from nkflag.lie_structure import PSEUDO, SIGNATURES
 
 class TestCharts:
     def test_norm_constraints(self, rng):
-        for _ in range(50):
-            p, q = rng.uniform(0.0, 1.5, 2)
-            a, b, c = kernels.chart_point(kernels.CHART_SPHERE, p, q)
-            assert a * a + b * b + c * c == pytest.approx(1.0, abs=1e-13)
+        # unit vectors on the ray of (1 - b - c, b, c)
+        b, c = rng.uniform(0.0, 1.0, (2, 200))
+        keep = b + c <= 1.0
+        b, c = b[keep], c[keep]
+        a_u, b_u, c_u = kernels.chart_point(kernels.CHART_SIMPLEX, b, c)
+        np.testing.assert_allclose(a_u ** 2 + b_u ** 2 + c_u ** 2, 1.0, atol=1e-15)
+        np.testing.assert_allclose(a_u + b_u + c_u, np.reciprocal(
+            np.sqrt((1.0 - b - c) ** 2 + b ** 2 + c ** 2)), rtol=1e-14)
+        np.testing.assert_allclose(b_u * (1.0 - b - c), a_u * b, atol=1e-15)
 
     def test_unknown_chart_rejected(self):
         with pytest.raises(ValueError):
@@ -41,7 +47,11 @@ class TestCharts:
             assert np.all(np.abs(r_scaled - lam ** 4 * r) <= tol)
 
 
-_CHARTS = [(kernels.CHART_SPHERE, eps) for eps in SIGNATURES]
+_CHARTS = [(kernels.CHART_SIMPLEX, eps) for eps in SIGNATURES]
+
+#: the case analysis' families at their rational chart points (b, c)
+_CASE_POINTS = {1: [(0, 0), (Fraction(1, 2), 0), (Fraction(1, 3), Fraction(1, 3))],
+                PSEUDO: [(0, 0), (1, 0), (Fraction(1, 2), Fraction(1, 2))]}
 
 
 def _leaf_size(chart):
@@ -51,98 +61,175 @@ def _leaf_size(chart):
                  for w in kernels.chart_domain(chart))
 
 
-def _dense_grid(chart, spacing=2e-3, q_max=None):
-    """Grid over the chart, or over q in [0, q_max] when given."""
-    p_max, q_chart = kernels.chart_domain(chart)
-    q_max = q_max or q_chart
-    p, q = np.meshgrid(np.append(np.arange(0.0, p_max, spacing), p_max),
-                       np.append(np.arange(0.0, q_max, spacing), q_max), indexing="ij")
-    return p.ravel(), q.ravel(), kernels.chart_point(chart, p.ravel(), q.ravel())
+def _dense_grid(chart, spacing=1e-3, half=True):
+    """Grid over the triangle b + c <= 1, or over its half c <= b."""
+    b, c = np.meshgrid(np.linspace(0.0, 1.0, round(1.0 / spacing) + 1),
+                       np.linspace(0.0, 1.0, round(1.0 / spacing) + 1), indexing="ij")
+    keep = (b + c <= 1.0) & ((c <= b) | (not half))
+    return b[keep], c[keep], kernels.chart_point(chart, b[keep], c[keep])
 
 
-def _in_leaves(scan, p, q):
-    """Which points (p, q) lie in a leaf box of the scan; a point on a box
+def _in_leaves(scan, b, c):
+    """Which points (b, c) lie in a leaf box of the scan; a point on a box
     edge belongs to the boxes on both sides."""
-    wp, wq = _leaf_size(scan.chart)
-    p_max, q_max = kernels.chart_domain(scan.chart)
-    shape = (round(p_max / wp), round(q_max / wq))
+    wb, wc = _leaf_size(scan.chart)
+    b_max, c_max = kernels.chart_domain(scan.chart)
+    shape = (round(b_max / wb), round(c_max / wc))
     occupied = np.zeros(shape, dtype=bool)
-    occupied[(scan.hits[:, 0] / wp).astype(int), (scan.hits[:, 1] / wq).astype(int)] = True
+    occupied[(scan.hits[:, 0] / wb).astype(int), (scan.hits[:, 1] / wc).astype(int)] = True
     cells = [(np.clip(np.floor(x / w + s), 0, m - 1).astype(int))
-             for x, w, m in ((p, wp, shape[0]), (q, wq, shape[1])) for s in (-1e-9, 1e-9)]
-    inside = (q >= -1e-12) & (q <= q_max * (1 + 1e-12))
-    covered = np.zeros(p.size, dtype=bool)
-    for ip in cells[:2]:
-        for iq in cells[2:]:
-            covered |= occupied[ip, iq]
+             for x, w, m in ((b, wb, shape[0]), (c, wc, shape[1])) for s in (-1e-9, 1e-9)]
+    inside = (c >= 0.0) & (c <= c_max)
+    covered = np.zeros(b.size, dtype=bool)
+    for ib in cells[:2]:
+        for ic in cells[2:]:
+            covered |= occupied[ib, ic]
     return covered & inside
+
+
+def _uncovered_case_points(scan, eps):
+    """The case analysis' chart points outside every leaf box, compared
+    exactly against the float box ends."""
+    half = [Fraction(w) / 2 for w in _leaf_size(scan.chart)]
+    boxes = [[(Fraction(x) - h, Fraction(x) + h) for x, h in zip(centre, half)]
+             for centre in scan.hits[:, :2].tolist()]
+    return [pt for pt in _CASE_POINTS[eps]
+            if not any(all(lo <= x <= hi for x, (lo, hi) in zip(pt, box)) for box in boxes)]
+
+
+def _float_box(x):
+    """The tightest float interval around the rational x."""
+    f = float(x)
+    if Fraction(f) == x:
+        return f, f
+    return (f, math.nextafter(f, math.inf)) if Fraction(f) < x else (math.nextafter(f, -math.inf), f)
+
+
+def _exact_normalized_residual(b, c, eps):
+    """residual_linf at the unit vector of (1 - b - c, b, c), in rationals."""
+    b, c = Fraction(b), Fraction(c)
+    a = 1 - b - c
+    return max(map(abs, kernels.minor_equations(a, b, c, eps))) / (a * a + b * b + c * c) ** 2
 
 
 class TestBranchAndBound:
     @pytest.mark.parametrize("chart,eps", _CHARTS)
     def test_enclosure_is_sound(self, chart, eps, rng):
-        p_max, q_max = kernels.chart_domain(chart)
-        n = 400
-        wp = np.minimum(10.0 ** rng.uniform(-4, 0, n), p_max)
-        wq = np.minimum(10.0 ** rng.uniform(-4, 0, n), q_max)
-        p_lo, q_lo = rng.uniform(0, 1, n) * (p_max - wp), rng.uniform(0, 1, n) * (q_max - wq)
-        lower, a_hi, b_hi, c_hi = kernels.box_enclosure(chart, eps, p_lo, p_lo + wp, q_lo, q_lo + wq)
-        # random interior points plus the four corners of every box
-        tp = np.concatenate([rng.uniform(0, 1, (n, 30)), [[0, 0, 1, 1]] * n], axis=1)
-        tq = np.concatenate([rng.uniform(0, 1, (n, 30)), [[0, 1, 0, 1]] * n], axis=1)
-        a, b, c = kernels.chart_point(chart, p_lo[:, None] + tp * wp[:, None],
-                                      q_lo[:, None] + tq * wq[:, None])
-        assert np.all(lower[:, None] <= kernels.residual_linf(a, b, c, eps))
-        assert np.all(a <= a_hi[:, None]) and np.all(b <= b_hi[:, None]) and np.all(c <= c_hi[:, None])
+        b_max, c_max = kernels.chart_domain(chart)
+        n = 600
+        wb = np.minimum(10.0 ** rng.uniform(-4, 0, n), b_max)
+        wc = np.minimum(10.0 ** rng.uniform(-4, 0, n), c_max)
+        b_lo, c_lo = rng.uniform(0, 1, n) * (b_max - wb), rng.uniform(0, 1, n) * (c_max - wc)
+        on_chart = b_lo + c_lo <= 1.0
+        assert np.count_nonzero(on_chart & (b_lo + wb + c_lo + wc > 1.0)) > 50  # straddle a = 0
+        b_lo, c_lo, wb, wc = b_lo[on_chart], c_lo[on_chart], wb[on_chart], wc[on_chart]
+        lower, a_hi, b_hi, c_hi = kernels.box_enclosure(chart, eps, b_lo, b_lo + wb, c_lo, c_lo + wc)
+        # random interior points plus the four corners of every box, where a >= 0
+        tb = np.concatenate([rng.uniform(0, 1, (b_lo.size, 30)), [[0, 0, 1, 1]] * b_lo.size], axis=1)
+        tc = np.concatenate([rng.uniform(0, 1, (b_lo.size, 30)), [[0, 1, 0, 1]] * b_lo.size], axis=1)
+        b, c = b_lo[:, None] + tb * wb[:, None], c_lo[:, None] + tc * wc[:, None]
+        a, bu, cu = kernels.chart_point(chart, b, c)
+        on = b + c <= 1.0
+        assert np.all((lower[:, None] <= kernels.residual_linf(a, bu, cu, eps))[on])
+        for x, hi in ((a, a_hi), (bu, b_hi), (cu, c_hi)):
+            assert np.all((x <= hi[:, None])[on])
         assert np.any(lower > constants.ORACLE_HIT_THRESHOLD)  # the bound is not vacuous
+
+    @pytest.mark.parametrize("chart,eps", _CHARTS)
+    def test_degenerate_boxes_are_bounded_by_the_exact_residual(self, chart, eps, rng):
+        b, c = rng.uniform(0.0, 1.0, (2, 400))
+        keep = (c <= b) & (b + c <= 1.0)
+        b, c = b[keep][:200], c[keep][:200]
+        lower, a_hi, b_hi, c_hi = kernels.box_enclosure(chart, eps, b, b, c, c)
+        for k in range(b.size):
+            exact = _exact_normalized_residual(b[k], c[k], eps)
+            assert Fraction(lower[k]) <= exact
+            a = 1 - Fraction(b[k]) - Fraction(c[k])
+            n2 = a * a + Fraction(b[k]) ** 2 + Fraction(c[k]) ** 2
+            for x, hi in ((a, a_hi[k]), (Fraction(b[k]), b_hi[k]), (Fraction(c[k]), c_hi[k])):
+                assert x * x <= Fraction(hi) ** 2 * n2
+        assert np.any(lower > constants.ORACLE_HIT_THRESHOLD)
+
+    @pytest.mark.parametrize("chart,eps", _CHARTS)
+    def test_tight_boxes_around_the_case_points_bound_zero(self, chart, eps):
+        for b, c in _CASE_POINTS[eps]:
+            (b_lo, b_hi), (c_lo, c_hi) = _float_box(b), _float_box(c)
+            assert _exact_normalized_residual(b, c, eps) == 0
+            assert kernels.box_enclosure(chart, eps, b_lo, b_hi, c_lo, c_hi)[0] == 0.0
+
+    @pytest.mark.parametrize("chart,eps", _CHARTS)
+    @pytest.mark.parametrize("end", range(4))
+    def test_a_nan_box_end_gives_a_nan_bound(self, chart, eps, end):
+        ends = [np.array([0.2, 0.3]), np.array([0.25, 0.35]), np.array([0.1, 0.2]),
+                np.array([0.15, 0.25])]
+        ends[end][1] = np.nan
+        lower = kernels.box_enclosure(chart, eps, *ends)[0]
+        assert not math.isnan(lower[0]) and math.isnan(lower[1])
 
     @pytest.mark.parametrize("chart,eps", _CHARTS)
     def test_leaves_cover_every_sub_threshold_point(self, chart, eps):
         scan = kernels.scan_chart(chart, eps)
-        wp, wq = _leaf_size(chart)
-        assert wp <= constants.GRID_ORACLE_STEP and wq <= constants.GRID_ORACLE_STEP
-        p, q, abc = _dense_grid(chart)
+        wb, wc = _leaf_size(chart)
+        assert wb <= constants.GRID_ORACLE_STEP and wc <= constants.GRID_ORACLE_STEP
+        b, c, abc = _dense_grid(chart)
         low = kernels.residual_linf(*abc, eps) < constants.ORACLE_HIT_THRESHOLD
         assert low.any()
-        covered = _in_leaves(scan, p[low], q[low])
+        covered = _in_leaves(scan, b[low], c[low])
         assert covered.all(), f"{np.count_nonzero(~covered)} sub-threshold points outside the leaves"
 
     @pytest.mark.parametrize("eps", SIGNATURES)
-    def test_leaves_and_their_mirrors_cover_the_quarter(self, eps):
-        # the scan runs on q <= pi/4 only; q -> pi/2 - q (b <-> c) covers the rest
-        scan = kernels.scan_chart(kernels.CHART_SPHERE, eps)
-        assert kernels.chart_domain(kernels.CHART_SPHERE)[1] == math.pi / 4
-        p, q, abc = _dense_grid(kernels.CHART_SPHERE, q_max=math.pi / 2)
+    def test_leaves_and_their_mirrors_cover_the_triangle(self, eps):
+        # the scan runs on c <= b only; (b, c) -> (c, b) covers the rest
+        scan = kernels.scan_chart(kernels.CHART_SIMPLEX, eps)
+        assert kernels.chart_domain(kernels.CHART_SIMPLEX) == (1.0, 0.5)
+        b, c, abc = _dense_grid(kernels.CHART_SIMPLEX, half=False)
         low = kernels.residual_linf(*abc, eps) < constants.ORACLE_HIT_THRESHOLD
-        p, q = p[low], q[low]
-        assert np.count_nonzero(q > 0.8) > 100  # points beyond the scanned half
-        covered = _in_leaves(scan, p, q) | _in_leaves(scan, p, math.pi / 2 - q)
+        b, c = b[low], c[low]
+        assert np.count_nonzero(c > b) > 50  # points beyond the scanned half
+        covered = _in_leaves(scan, b, c) | _in_leaves(scan, c, b)
         assert covered.all(), f"{np.count_nonzero(~covered)} sub-threshold points outside the leaves"
 
+    @pytest.mark.parametrize("chart,eps", _CHARTS)
+    def test_every_case_analysis_point_lies_in_a_leaf(self, chart, eps):
+        assert _uncovered_case_points(kernels.scan_chart(chart, eps), eps) == []
+
+    @pytest.mark.parametrize("chart,eps", _CHARTS)
+    def test_a_raised_bound_at_a_case_point_uncovers_it(self, chart, eps, monkeypatch):
+        real = kernels.box_enclosure
+        b0, c0 = (float(x) for x in _CASE_POINTS[eps][-1])
+
+        def raised(chart, eps, b_lo, b_hi, c_lo, c_hi):
+            lower, *rest = real(chart, eps, b_lo, b_hi, c_lo, c_hi)
+            leaf = b_hi - b_lo <= constants.GRID_ORACLE_STEP
+            inside = leaf & (b_lo <= b0) & (b0 <= b_hi) & (c_lo <= c0) & (c0 <= c_hi)
+            return (np.where(inside, 1.0, lower), *rest)
+
+        monkeypatch.setattr(kernels, "box_enclosure", raised)
+        assert _uncovered_case_points(kernels.scan_chart(chart, eps), eps) == [_CASE_POINTS[eps][-1]]
+
     def test_split_interior_bound_is_certified_and_not_above_samples(self):
-        scan = kernels.scan_chart(kernels.CHART_SPHERE, PSEUDO)
-        p, q, (a, b, c) = _dense_grid(kernels.CHART_SPHERE)
-        interior = (a >= constants.NONZERO_MARGIN) & (b >= constants.NONZERO_MARGIN) \
-            & (c >= constants.NONZERO_MARGIN)
+        scan = kernels.scan_chart(kernels.CHART_SIMPLEX, PSEUDO)
+        _, _, (a, b, c) = _dense_grid(kernels.CHART_SIMPLEX)
+        interior = np.minimum(a, np.minimum(b, c)) >= constants.NONZERO_MARGIN
         sampled = kernels.residual_linf(a, b, c, PSEUDO)[interior].min()
         assert constants.NONZERO_EMPTY_BOUND < scan.interior_min <= sampled
 
     def test_compact_interior_bound_admits_the_flat_family(self):
-        assert kernels.scan_chart(kernels.CHART_SPHERE, 1).interior_min == 0.0
+        assert kernels.scan_chart(kernels.CHART_SIMPLEX, 1).interior_min == 0.0
 
     def test_nan_bound_keeps_its_box_and_poisons_the_interior_bound(self, monkeypatch):
         real = kernels.box_enclosure
-        p0, q0 = 1.0, 0.05  # residual ~0.19 there, far above the hit threshold
+        b0, c0 = 0.3, 0.1  # residual ~0.23 there, far above the hit threshold
 
-        def poisoned(chart, eps, p_lo, p_hi, q_lo, q_hi):
-            lower, *rest = real(chart, eps, p_lo, p_hi, q_lo, q_hi)
-            inside = (p_lo <= p0) & (p0 <= p_hi) & (q_lo <= q0) & (q0 <= q_hi)
+        def poisoned(chart, eps, b_lo, b_hi, c_lo, c_hi):
+            lower, *rest = real(chart, eps, b_lo, b_hi, c_lo, c_hi)
+            inside = (b_lo <= b0) & (b0 <= b_hi) & (c_lo <= c0) & (c0 <= c_hi)
             return (np.where(inside, np.nan, lower), *rest)
 
         monkeypatch.setattr(kernels, "box_enclosure", poisoned)
-        scan = kernels.scan_chart(kernels.CHART_SPHERE, 1)
-        wp, wq = _leaf_size(kernels.CHART_SPHERE)
-        near = (np.abs(scan.hits[:, 0] - p0) <= wp / 2) & (np.abs(scan.hits[:, 1] - q0) <= wq / 2)
+        scan = kernels.scan_chart(kernels.CHART_SIMPLEX, 1)
+        wb, wc = _leaf_size(kernels.CHART_SIMPLEX)
+        near = (np.abs(scan.hits[:, 0] - b0) <= wb / 2) & (np.abs(scan.hits[:, 1] - c0) <= wc / 2)
         assert near.any()
         assert math.isnan(scan.interior_min)
         report = cl.classification_reports(1)[-1]
@@ -150,16 +237,16 @@ class TestBranchAndBound:
         assert math.isnan(report.max_abs_error) and not report.passed
 
     def test_a_zero_on_the_null_cone_fails_the_split_classification(self, monkeypatch):
-        # (p, q) = (pi/4, 0.05) on the sphere is a null direction: a^2 = b^2 + c^2
+        # (1 - b - c)^2 = b^2 + c^2 at b = (1 - 2c) / (2 - 2c): a null direction
         real = kernels.box_enclosure
-        p0, q0 = math.pi / 4, 0.05
-        a, b, c = kernels.chart_point(kernels.CHART_SPHERE, p0, q0)
+        c0 = 0.05
+        b0 = (1.0 - 2.0 * c0) / (2.0 - 2.0 * c0)
+        a, b, c = kernels.chart_point(kernels.CHART_SIMPLEX, b0, c0)
         assert a * a - b * b - c * c == pytest.approx(0.0, abs=1e-15)
 
-        def zero_there(chart, eps, p_lo, p_hi, q_lo, q_hi):
-            lower, *rest = real(chart, eps, p_lo, p_hi, q_lo, q_hi)
-            inside = (chart == kernels.CHART_SPHERE) & (p_lo <= p0) & (p0 <= p_hi) \
-                & (q_lo <= q0) & (q0 <= q_hi)
+        def zero_there(chart, eps, b_lo, b_hi, c_lo, c_hi):
+            lower, *rest = real(chart, eps, b_lo, b_hi, c_lo, c_hi)
+            inside = (b_lo <= b0) & (b0 <= b_hi) & (c_lo <= c0) & (c0 <= c_hi)
             return (np.where(inside, 0.0, lower), *rest)
 
         monkeypatch.setattr(kernels, "box_enclosure", zero_there)
@@ -176,42 +263,39 @@ class TestBranchAndBound:
         real = kernels.box_enclosure
         monkeypatch.setattr(kernels, "box_enclosure", lambda *args: calls.append(args) or real(*args))
         with pytest.raises(ValueError):
-            kernels.scan_chart(kernels.CHART_SPHERE, 0)
+            kernels.scan_chart(kernels.CHART_SIMPLEX, 0)
         assert calls == []
 
     @pytest.mark.parametrize("eps", [0, 0.5, 2])
     def test_enclosure_rejects_a_bad_signature(self, eps):
         with pytest.raises(ValueError):
-            kernels.box_enclosure(kernels.CHART_SPHERE, eps, 0.0, 0.1, 0.0, 0.1)
+            kernels.box_enclosure(kernels.CHART_SIMPLEX, eps, 0.0, 0.1, 0.0, 0.1)
 
 
 class TestRefine:
     def test_converges_to_single_distribution_solution(self):
-        a, b, c, res = kernels.refine_candidate(
-            kernels.CHART_SPHERE, 1, p0=4e-3, q0=0.3)
+        a, b, c, res = kernels.refine_candidate(kernels.CHART_SIMPLEX, 1, b0=4e-3, c0=1e-3)
         assert abs(a - 1.0) < 1e-11 and abs(b) < 1e-11 and abs(c) < 1e-11
         assert res < 1e-12
 
     def test_converges_to_flat_family(self):
-        p0 = math.acos(1.0 / math.sqrt(3.0)) + 3e-3
-        q0 = math.pi / 4 - 2e-3
-        a, b, c, res = kernels.refine_candidate(
-            kernels.CHART_SPHERE, 1, p0=p0, q0=q0)
+        a, b, c, res = kernels.refine_candidate(kernels.CHART_SIMPLEX, 1, b0=1 / 3 + 3e-3,
+                                                c0=1 / 3 - 2e-3)
         want = 1.0 / math.sqrt(3.0)
         assert max(abs(a - want), abs(b - want), abs(c - want)) < 1e-10
         assert res < 1e-12
 
     @pytest.mark.parametrize("eps", SIGNATURES)
     def test_array_seeds_refine_bitwise_as_scalar_seeds(self, eps, rng):
-        scan = kernels.scan_chart(kernels.CHART_SPHERE, eps)
-        p_max, q_max = kernels.chart_domain(kernels.CHART_SPHERE)
+        scan = kernels.scan_chart(kernels.CHART_SIMPLEX, eps)
+        b_max, c_max = kernels.chart_domain(kernels.CHART_SIMPLEX)
         pick = rng.choice(len(scan.hits), 20, replace=False)
-        p0 = np.concatenate([scan.hits[pick, 0], rng.uniform(0.0, p_max, 20), [0.0, p_max]])
-        q0 = np.concatenate([scan.hits[pick, 1], rng.uniform(0.0, q_max, 20), [q_max, q_max]])
-        batch = kernels.refine_candidate(kernels.CHART_SPHERE, eps, p0, q0)
-        assert [x.shape for x in batch] == [p0.shape] * 4
-        for k, (p, q) in enumerate(zip(p0.tolist(), q0.tolist())):
-            one = kernels.refine_candidate(kernels.CHART_SPHERE, eps, p, q)
+        b0 = np.concatenate([scan.hits[pick, 0], rng.uniform(0.0, b_max, 20), [0.0, b_max]])
+        c0 = np.concatenate([scan.hits[pick, 1], rng.uniform(0.0, c_max, 20), [c_max, c_max]])
+        batch = kernels.refine_candidate(kernels.CHART_SIMPLEX, eps, b0, c0)
+        assert [x.shape for x in batch] == [b0.shape] * 4
+        for k, (b, c) in enumerate(zip(b0.tolist(), c0.tolist())):
+            one = kernels.refine_candidate(kernels.CHART_SIMPLEX, eps, b, c)
             assert all(type(x) is float for x in one)
             assert one == tuple(x[k] for x in batch)
 

@@ -112,8 +112,8 @@ def test_traced_classify_records_the_oracle_layers():
     record = json.loads(out.strip().splitlines()[-1])
     assert record["rc"] == 0
     assert {"kernels.scan_chart.sphere", "kernels.refine_candidate"} <= set(record["spans"])
-    # both signatures scan the b >= c half only: 27,326 boxes, 54,650 on the quarter
-    assert 0 < record["counters"]["kernels.scan_chart.points"] <= 27_400
+    # both signatures scan the b >= c half of the simplex: 1,194 boxes
+    assert 0 < record["counters"]["kernels.scan_chart.points"] <= 1_250
     assert record["counters"]["kernels.scan_chart.hits"] > 0
 
 
