@@ -40,9 +40,6 @@ __all__ = [
     "canonical_amplitudes",
 ]
 
-_SQ2 = math.sqrt(2.0)
-_SQ3 = math.sqrt(3.0)
-
 
 # ---------------------------------------------------------------------------
 # the rank-one condition
@@ -94,13 +91,20 @@ def holomorphic_K(x, eps: int) -> float | np.ndarray:
 
 @dataclasses.dataclass(frozen=True)
 class SolutionFamily:
-    """One congruence class of totally geodesic almost complex surfaces."""
+    """One congruence class of totally geodesic almost complex surfaces,
+    given by the integer direction of its amplitudes."""
 
-    amplitudes: tuple[float, float, float]
+    direction: tuple[int, int, int]
     K: float
     norm_sign: int
     description: str
     eps: int
+
+    @property
+    def amplitudes(self) -> tuple[float, float, float]:
+        """The unit amplitudes direction / |direction|."""
+        size = math.sqrt(sum(d * d for d in self.direction))
+        return tuple(d / size for d in self.direction)
 
 
 def canonical_amplitudes(a: float, b: float, c: float, eps: int) -> tuple[float, float, float]:
@@ -112,16 +116,14 @@ def canonical_amplitudes(a: float, b: float, c: float, eps: int) -> tuple[float,
     return (a, max(b, c), min(b, c))
 
 
-def _family(a: float, b: float, c: float, eps: int, description: str) -> SolutionFamily:
+def _family(direction: tuple[int, int, int], eps: int, description: str) -> SolutionFamily:
+    """The family of a canonical integer direction; lambda and the norm both
+    scale by |direction|^2, so K = lambda / norm is exact at the integers."""
+    a, b, c = direction
     norm = a * a + eps * (b * b + c * c)
     lam, _ = tangency_coefficient(a, b, c, eps)
-    return SolutionFamily(
-        amplitudes=canonical_amplitudes(a, b, c, eps),
-        K=lam / norm,
-        norm_sign=1 if norm > 0 else -1,
-        description=description,
-        eps=eps,
-    )
+    return SolutionFamily(direction, K=lam / norm, norm_sign=1 if norm > 0 else -1,
+                          description=description, eps=eps)
 
 
 @functools.lru_cache(maxsize=None)
@@ -132,15 +134,15 @@ def solve_families(eps: int) -> tuple[SolutionFamily, ...]:
     cross-checks them against the oracle."""
     if eps == RIEMANNIAN:
         fams = (
-            _family(1.0, 0.0, 0.0, eps, "plane inside one distribution; round sphere of radius 1/2"),
-            _family(1.0 / _SQ2, 1.0 / _SQ2, 0.0, eps, "plane across two distributions; round sphere of radius 1"),
-            _family(1.0 / _SQ3, 1.0 / _SQ3, 1.0 / _SQ3, eps, "plane across all three distributions; flat torus"),
+            _family((1, 0, 0), eps, "plane inside one distribution; round sphere of radius 1/2"),
+            _family((1, 1, 0), eps, "plane across two distributions; round sphere of radius 1"),
+            _family((1, 1, 1), eps, "plane across all three distributions; flat torus"),
         )
     else:
         fams = (
-            _family(1.0, 0.0, 0.0, eps, "plane inside the definite distribution; round sphere of radius 1/2"),
-            _family(0.0, 1.0, 0.0, eps, "plane inside one negative distribution; anti-isometric to the hyperbolic plane of curvature -4"),
-            _family(0.0, 1.0 / _SQ2, 1.0 / _SQ2, eps, "plane across both negative distributions; anti-isometric to the hyperbolic plane of curvature -1"),
+            _family((1, 0, 0), eps, "plane inside the definite distribution; round sphere of radius 1/2"),
+            _family((0, 1, 0), eps, "plane inside one negative distribution; anti-isometric to the hyperbolic plane of curvature -4"),
+            _family((0, 1, 1), eps, "plane across both negative distributions; anti-isometric to the hyperbolic plane of curvature -1"),
         )
     return tuple(sorted(fams, key=lambda f: f.amplitudes, reverse=True))
 

@@ -126,18 +126,23 @@ def nabla(x, y, eps: int) -> np.ndarray:
     return np.einsum("...i,...j,ijk->...k", np.asarray(x, float), np.asarray(y, float), _tables(eps).nabla)
 
 
+def _nabla_acs(kind: str, x, y, eps: int) -> np.ndarray:
+    """Covariant derivative of one almost complex structure, (nabla_X K) Y,
+    fed through the connection recipe."""
+    k = acs_matrix(kind)
+    return nabla(x, np.asarray(y, float) @ k.T, eps) - nabla(x, y, eps) @ k.T
+
+
 def g_tensor(x, y, eps: int) -> np.ndarray:
-    """Structure tensor: derivative of J fed through the connection recipe."""
-    j = acs_matrix("J")
-    return nabla(x, np.asarray(y, float) @ j.T, eps) - nabla(x, y, eps) @ j.T
+    """Structure tensor: the covariant derivative of J."""
+    return _nabla_acs("J", x, y, eps)
 
 
 def nabla_ji(i: int, x, y, eps: int) -> np.ndarray:
     """Covariant derivative of the i-th auxiliary complex structure (i in 1..3)."""
     if i not in (1, 2, 3):
         raise ValueError(f"auxiliary structure index must be 1, 2 or 3, got {i!r}")
-    ji = acs_matrix(f"J{i}")
-    return nabla(x, np.asarray(y, float) @ ji.T, eps) - nabla(x, y, eps) @ ji.T
+    return _nabla_acs(f"J{i}", x, y, eps)
 
 
 def _bracket_mm(x, y, t: _Tables) -> np.ndarray:

@@ -1,8 +1,9 @@
 """The six explicit totally geodesic immersions, plus a negative control.
 
-Each surface is the orbit exp(V).o of a plane V = span(A, B) in the
-tangent part of the algebra, and its projection to the quotient realizes
-one classification family.  A descriptor holds the plane; the generator and
+Surface i is the orbit exp(V).o of the plane V = span(A, B) = span(X, JX)
+of the i-th family of :func:`~nkflag.classification.solve_families`, X its
+amplitudes on (m1, m2, m3); the expected curvature, amplitudes and
+space-form metric are that family's too.  The generator and
 the analytic left-translated frame derivatives are derived from it, the
 frames by one formula that reads the bracket H = [A, B] and holds while
 the plane is a Lie triple (checked on every run).  For every surface the
@@ -22,12 +23,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import constants
-from .classification import holomorphic_K
+from .classification import holomorphic_K, solve_families
 from .lie_structure import (
-    M1, M2, M3, M4, M5, M6,
     PSEUDO,
     RIEMANNIAN,
-    basis,
     coefficients,
     from_coefficients,
     group_defect,
@@ -197,78 +196,46 @@ def _cf_two_distribution_hyperbolic(t, u):
     return out
 
 
+def _plane(amplitudes, eps: int) -> tuple[np.ndarray, np.ndarray]:
+    """(X, JX) as matrices, with X the amplitudes on (m1, m2, m3)."""
+    x = np.r_[amplitudes, 0.0, 0.0, 0.0]
+    return tuple(from_coefficients(np.r_[0.0, 0.0, v], eps) for v in (x, apply_acs("J", x)))
+
+
+def _space_form_metric(sign: int, k: float, rotor: bool) -> Callable:
+    """sign * (1, 0, S(t)^2), the space form of curvature k in geodesic polar
+    coordinates: S(t) = sin(sqrt(k) t) / sqrt(k), sinh when sign < 0, and
+    S = 1 in the Cartesian coordinates of a plane swept without a rotor."""
+    r, sin = math.sqrt(k), np.sin if sign > 0 else np.sinh
+
+    def metric(t):
+        s = sin(r * t) / r if rotor else np.ones_like(t)
+        return sign * np.ones_like(t), np.zeros_like(t), sign * s ** 2
+    return metric
+
+
+#: closed form, rotor flag and label of each surface, in the order of the
+#: compact and then the split families of :func:`solve_families`
+_SURFACE_TABLE = (
+    (_cf_block_sphere, True, "V1 plane, round sphere of curvature 4"),
+    (_cf_two_distribution_sphere, True, "V1+V2 plane, round sphere of curvature 1"),
+    # the two generator directions commute, so both frame derivatives are constant
+    (_cf_flat_torus, False, "V1+V2+V3 plane, flat torus"),
+    (_cf_block_sphere, True, "V1 plane (split form), round sphere of curvature 4"),
+    (_cf_hyperbolic_disc, True, "V2 plane, anti-isometric hyperbolic plane (K = 4)"),
+    (_cf_two_distribution_hyperbolic, True, "V2+V3 plane, anti-isometric hyperbolic plane (K = 1)"),
+)
+
+
 def _build_surfaces() -> dict[int, SurfaceDescriptor]:
-    br = basis(RIEMANNIAN)
-    bp = basis(PSEUDO)
-    surfaces = {}
-
-    # 1: plane in V1, compact form
-    surfaces[1] = SurfaceDescriptor(
-        sid=1, eps=RIEMANNIAN, trig=True,
-        label="V1 plane, round sphere of curvature 4",
-        expected_K=4.0, expected_amplitudes=(1.0, 0.0, 0.0),
-        plane=(br[M1], br[M4]), rotor=True,
-        closed_form=_cf_block_sphere,
-        expected_metric=lambda t: (np.ones_like(t), np.zeros_like(t),
-                                   (np.sin(2.0 * t) / 2.0) ** 2),
-    )
-
-    # 2: plane across V1 and V2, compact form
-    surfaces[2] = SurfaceDescriptor(
-        sid=2, eps=RIEMANNIAN, trig=True,
-        label="V1+V2 plane, round sphere of curvature 1",
-        expected_K=1.0, expected_amplitudes=(1.0 / _SQ2, 1.0 / _SQ2, 0.0),
-        plane=((br[M1] + br[M2]) / _SQ2, (br[M4] + br[M5]) / _SQ2), rotor=True,
-        closed_form=_cf_two_distribution_sphere,
-        expected_metric=lambda t: (np.ones_like(t), np.zeros_like(t), np.sin(t) ** 2),
-    )
-
-    # 3: plane across all three distributions, compact form; the two
-    # generator directions commute, so both frame derivatives are constant
-    surfaces[3] = SurfaceDescriptor(
-        sid=3, eps=RIEMANNIAN, trig=True,
-        label="V1+V2+V3 plane, flat torus",
-        expected_K=0.0,
-        expected_amplitudes=(1.0 / _SQ3, 1.0 / _SQ3, 1.0 / _SQ3),
-        plane=((br[M1] + br[M2] + br[M3]) / _SQ3, (br[M4] + br[M5] - br[M6]) / _SQ3),
-        rotor=False,
-        closed_form=_cf_flat_torus,
-        expected_metric=lambda t: (np.ones_like(t), np.zeros_like(t), np.ones_like(t)),
-    )
-
-    # 4: plane in V1, split form (same matrices, metric still positive there)
-    surfaces[4] = SurfaceDescriptor(
-        sid=4, eps=PSEUDO, trig=True,
-        label="V1 plane (split form), round sphere of curvature 4",
-        expected_K=4.0, expected_amplitudes=(1.0, 0.0, 0.0),
-        plane=(bp[M1], bp[M4]), rotor=True,
-        closed_form=_cf_block_sphere,
-        expected_metric=lambda t: (np.ones_like(t), np.zeros_like(t),
-                                   (np.sin(2.0 * t) / 2.0) ** 2),
-    )
-
-    # 5: plane in V2, split form; negative-definite induced metric
-    surfaces[5] = SurfaceDescriptor(
-        sid=5, eps=PSEUDO, trig=False,
-        label="V2 plane, anti-isometric hyperbolic plane (K = 4)",
-        expected_K=4.0, expected_amplitudes=(0.0, 1.0, 0.0),
-        plane=(bp[M2], bp[M5]), rotor=True,
-        closed_form=_cf_hyperbolic_disc,
-        expected_metric=lambda t: (-np.ones_like(t), np.zeros_like(t),
-                                   -((np.sinh(2.0 * t) / 2.0) ** 2)),
-    )
-
-    # 6: plane across V2 and V3, split form
-    surfaces[6] = SurfaceDescriptor(
-        sid=6, eps=PSEUDO, trig=False,
-        label="V2+V3 plane, anti-isometric hyperbolic plane (K = 1)",
-        expected_K=1.0,
-        expected_amplitudes=(0.0, 1.0 / _SQ2, 1.0 / _SQ2),
-        plane=((bp[M2] + bp[M3]) / _SQ2, (bp[M5] - bp[M6]) / _SQ2), rotor=True,
-        closed_form=_cf_two_distribution_hyperbolic,
-        expected_metric=lambda t: (-np.ones_like(t), np.zeros_like(t), -np.sinh(t) ** 2),
-    )
-    return surfaces
+    """Surface i is the orbit of the plane (X, JX) of family i."""
+    families = (*solve_families(RIEMANNIAN), *solve_families(PSEUDO))
+    return {sid: SurfaceDescriptor(
+        sid=sid, eps=fam.eps, label=label, trig=fam.norm_sign > 0,
+        expected_K=fam.K, expected_amplitudes=fam.amplitudes,
+        plane=_plane(fam.amplitudes, fam.eps), rotor=rotor, closed_form=closed_form,
+        expected_metric=_space_form_metric(fam.norm_sign, fam.K, rotor),
+    ) for sid, fam, (closed_form, rotor, label) in zip(SURFACE_IDS, families, _SURFACE_TABLE)}
 
 
 _SURFACES = _build_surfaces()
@@ -287,15 +254,12 @@ def control_surface() -> SurfaceDescriptor:
     closed form; the matrix exponential is the definition, frames go through
     differences."""
     mix = 0.6
-    x0 = np.zeros(8)
-    x0[M1], x0[M2] = math.cos(mix), math.sin(mix)
-    jx0 = np.r_[0.0, 0.0, apply_acs("J", x0[2:])]   # J acts on the tangent slots
     amps = (math.cos(mix), math.sin(mix), 0.0)
     ctrl = SurfaceDescriptor(
         sid=0, eps=RIEMANNIAN, trig=True,
         label=f"control plane, amplitudes ({amps[0]:.3f}, {amps[1]:.3f}, 0)",
         expected_K=math.nan, expected_amplitudes=amps,
-        plane=(from_coefficients(x0, RIEMANNIAN), from_coefficients(jx0, RIEMANNIAN)), rotor=True,
+        plane=_plane(amps, RIEMANNIAN), rotor=True,
         closed_form=lambda t, u: expm(ctrl.generator(t, u)),
         expected_metric=None,
         has_analytic_frames=False,
@@ -475,8 +439,8 @@ def gauss_curvature_batch(sid, t, u) -> np.ndarray:
     back NaN.  No value depends on the block size."""
     desc = _descriptor(sid)
     t, u = (np.atleast_1d(v) for v in _broadcast(t, u))
-    return np.concatenate([_curvature_block(desc, t[b], u[b])
-                           for b in _blocks(t.size, _BLOCK_POINTS)])
+    return np.concatenate([np.empty(0), *(_curvature_block(desc, t[b], u[b])
+                                          for b in _blocks(t.size, _BLOCK_POINTS))])
 
 
 def _blocks(n: int, size: int):

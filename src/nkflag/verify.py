@@ -63,22 +63,13 @@ _CONNECTION_TABLE_COMPACT = {
     (4, 6): (2, -0.5), (5, 4): (3, +0.5), (6, 5): (1, -0.5),
 }
 
-# pairs joining the two negative distributions; the split form flips exactly
-# these signs (derived from the matrix brackets, frozen here as a regression
-# guard)
-_SPLIT_FLIPPED_PAIRS = frozenset({
-    (2, 3), (3, 2), (2, 6), (6, 2), (3, 5), (5, 3), (5, 6), (6, 5),
-})
-
 
 def expected_connection_table(eps: int) -> dict:
-    if eps == RIEMANNIAN:
-        return dict(_CONNECTION_TABLE_COMPACT)
-    table = {}
-    for pair, (slot, coef) in _CONNECTION_TABLE_COMPACT.items():
-        flip = -1.0 if pair in _SPLIT_FLIPPED_PAIRS else 1.0
-        table[pair] = (slot, coef * flip)
-    return table
+    """The tabulated coefficients; the split form flips the sign of exactly
+    the pairs joining the two negative distributions V2 and V3."""
+    dist, flip = nk_geometry.DISTRIBUTION_OF_SLOT, 1.0 if eps == RIEMANNIAN else -1.0
+    return {(p, q): (slot, flip * coef if {dist[p - 1], dist[q - 1]} == {1, 2} else coef)
+            for (p, q), (slot, coef) in _CONNECTION_TABLE_COMPACT.items()}
 
 
 def connection_table(eps: int) -> tuple[float, float]:

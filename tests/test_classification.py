@@ -238,6 +238,11 @@ class TestSolveFamilies:
             assert fam.K == pytest.approx(k, abs=1e-11)
             assert fam.norm_sign == sign
 
+    def test_curvatures_are_exact(self):
+        # read at the integer directions, so no rounding is left over
+        assert [f.K for f in cl.solve_families(RIEMANNIAN)] == [4.0, 1.0, 0.0]
+        assert [f.K for f in cl.solve_families(PSEUDO)] == [4.0, 4.0, 1.0]
+
     @pytest.mark.parametrize("eps", SIGNATURES)
     def test_oracle_recovers_families(self, eps):
         oracle = cl.grid_oracle(eps)

@@ -49,9 +49,11 @@ class TestCharts:
 
 _CHARTS = [(kernels.CHART_SIMPLEX, eps) for eps in SIGNATURES]
 
-#: the case analysis' families at their rational chart points (b, c)
-_CASE_POINTS = {1: [(0, 0), (Fraction(1, 2), 0), (Fraction(1, 3), Fraction(1, 3))],
-                PSEUDO: [(0, 0), (1, 0), (Fraction(1, 2), Fraction(1, 2))]}
+#: the case analysis' families at their rational chart points (b, c): each
+#: integer direction (a, b, c) meets the simplex at (b, c) / (a + b + c)
+_CASE_POINTS = {eps: [(Fraction(b, a + b + c), Fraction(c, a + b + c))
+                      for a, b, c in (f.direction for f in cl.solve_families(eps))]
+                for eps in SIGNATURES}
 
 
 def _leaf_size(chart):

@@ -15,9 +15,10 @@ import pytest
 
 from nkflag import constants
 from nkflag import surfaces as sf
-from nkflag.classification import minor_equations
+from nkflag.classification import minor_equations, solve_families
 from nkflag.lie_structure import H1, M1, M3, M4, PSEUDO, RIEMANNIAN, basis, coefficients
 from nkflag.matrix_core import max_abs
+from nkflag.nk_geometry import acs_matrix
 
 SQ3 = math.sqrt(3.0)
 GRID = 21
@@ -36,6 +37,55 @@ class TestDescriptors:
 
     def test_expected_curvatures(self):
         assert [sf.get_surface(i).expected_K for i in sf.SURFACE_IDS] == [4, 1, 0, 4, 4, 1]
+
+
+#: the induced metric of each surface as formerly typed by hand, the
+#: reference for the space-form formula
+_HAND_METRICS = {
+    1: lambda t: (np.ones_like(t), np.zeros_like(t), (np.sin(2.0 * t) / 2.0) ** 2),
+    2: lambda t: (np.ones_like(t), np.zeros_like(t), np.sin(t) ** 2),
+    3: lambda t: (np.ones_like(t), np.zeros_like(t), np.ones_like(t)),
+    4: lambda t: (np.ones_like(t), np.zeros_like(t), (np.sin(2.0 * t) / 2.0) ** 2),
+    5: lambda t: (-np.ones_like(t), np.zeros_like(t), -((np.sinh(2.0 * t) / 2.0) ** 2)),
+    6: lambda t: (-np.ones_like(t), np.zeros_like(t), -np.sinh(t) ** 2),
+}
+
+
+def _family_of(sid):
+    return (*solve_families(RIEMANNIAN), *solve_families(PSEUDO))[sid - 1]
+
+
+class TestFamilyTable:
+    @pytest.mark.parametrize("sid", sf.SURFACE_IDS)
+    def test_plane_is_x_and_jx_of_its_family(self, sid):
+        fam, desc = _family_of(sid), sf.get_surface(sid)
+        b, j = basis(fam.eps), acs_matrix("J")
+        x = sum(a * b[M1 + d] for d, a in enumerate(fam.amplitudes))
+        jx = sum(j[d + 3, d] * a * b[M4 + d] for d, a in enumerate(fam.amplitudes))
+        np.testing.assert_array_equal(desc.plane[0], x)
+        np.testing.assert_array_equal(desc.plane[1], jx)
+
+    @pytest.mark.parametrize("sid", sf.SURFACE_IDS)
+    def test_expectations_are_its_familys(self, sid):
+        fam, desc = _family_of(sid), sf.get_surface(sid)
+        assert desc.eps == fam.eps and desc.trig == (fam.norm_sign > 0)
+        assert desc.expected_K == fam.K
+        assert desc.expected_amplitudes == fam.amplitudes
+
+    @pytest.mark.parametrize("sid", sf.SURFACE_IDS)
+    def test_space_form_metric_is_the_hand_formula(self, sid):
+        t = np.array([0.0, 0.3, 0.9, 1.7, 2.0, 2.9])
+        for got, want in zip(sf.get_surface(sid).expected_metric(t), _HAND_METRICS[sid](t)):
+            np.testing.assert_array_equal(got, want)
+
+    def test_a_fault_in_a_familys_K_fails_K_max_deviation(self, summary_cache, monkeypatch):
+        name = "K_max_deviation[surface2]"
+        assert {r.name: r for r in summary_cache(2, 11)["reports"]}[name].passed
+        real = sf.solve_families
+        monkeypatch.setattr(sf, "solve_families", lambda eps: tuple(
+            dataclasses.replace(f, K=f.K + 1e-3) for f in real(eps)))
+        faulty = sf._build_surfaces()[2]
+        assert not {r.name: r for r in sf.surface_summary(faulty, 11)["reports"]}[name].passed
 
 
 class TestClosedForms:
@@ -226,6 +276,10 @@ class TestGaussCurvature:
         assert not cols["nondegenerate"][0] and math.isnan(cols["tg_residual"][0])
         k = sf.gauss_curvature_batch(1, [math.pi / 2], [0.3])
         assert math.isnan(k[0])
+
+    def test_empty_batch(self):
+        k = sf.gauss_curvature_batch(1, [], [])
+        assert k.shape == (0,) and k.dtype == np.float64
 
     def test_single_point_value(self):
         assert sf.gauss_curvature_batch(2, [0.9], [1.0])[0] == pytest.approx(1.0, abs=1e-6)
