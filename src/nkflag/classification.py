@@ -8,12 +8,12 @@ three independent minors are the residuals used everywhere below.
 
 Solutions are enumerated twice: by closed-form case analysis, and by an
 interval branch-and-bound over the simplex a + b + c = 1, which meets every
-ray of the residuals' zero cone, with local refinement of the surviving
-boxes (the oracle, see :mod:`nkflag.kernels`).  The oracle also gives a
-certified lower bound on the residual over the region where all amplitudes
-are nonzero.  :func:`classification_reports` judges the two routes against
-each other as :class:`~nkflag.report.CheckReport` rows; a NaN anywhere in a
-comparison fails its row.
+ray of the residuals' zero cone, with trust-region Gauss-Newton refinement
+of the surviving boxes (the oracle, see :mod:`nkflag.kernels`).  The oracle
+also gives a certified lower bound on the residual over the region where
+all amplitudes are nonzero.  :func:`classification_reports` judges the two
+routes against each other as :class:`~nkflag.report.CheckReport` rows; a
+NaN anywhere in a comparison fails its row.
 """
 
 import dataclasses
@@ -167,7 +167,8 @@ def _amplitude_order(item) -> tuple[float, ...]:
 def grid_oracle(eps: int) -> OracleResult:
     """Independent enumeration: interval branch-and-bound over the b >= c
     half of the simplex a + b + c = 1, greedy clustering of the leaf boxes,
-    then one batched shrinking-box refinement of every cluster's best hit."""
+    then one batched trust-region Gauss-Newton refinement of every
+    cluster's best hit."""
     check_signature(eps)
     scan = kernels.scan_chart(kernels.CHART_SIMPLEX, eps)
     # take the best remaining hit, drop every hit within 0.05 of it

@@ -1,4 +1,4 @@
-"""Classification oracle kernels: interval branch-and-bound over the chart.
+"""Classification oracle kernels: interval branch-and-bound, then Newton refinement.
 
 The oracle covers the chart with (b, c) boxes.  Every box gets a rigorous
 interval enclosure of the amplitudes (a, b, c) and from it a lower bound on
@@ -8,7 +8,8 @@ Analysis*, SIAM 2009).  A box whose bound clears the hit threshold holds no
 solution and is dropped; the rest are bisected down to the oracle step.
 The surviving leaf boxes are the hits, and the smallest bound over the
 boxes that meet the all-nonzero region is a proven lower bound on the
-residual there, not a sample.
+residual there, not a sample.  Each cluster's best hit is then refined with
+the residuals' exact Jacobian inside a trust region around it.
 
 Chart
 -----
@@ -194,29 +195,38 @@ def scan_chart(chart: int, eps: int) -> ScanResult:
     )
 
 
-_STENCIL = np.linspace(-1.0, 1.0, 5)
+def _jacobian(a, b, c, eps: int):
+    """((dr1/db, dr1/dc), (dr2/db, dr2/dc), (dr3/db, dr3/dc)) of
+    :func:`minor_equations` along the simplex, where a = 1 - b - c."""
+    r1_a, r2_a = b * (3.0 * a * a - eps * b * b), c * (3.0 * a * a - eps * c * c)
+    return ((a * (a * a - 3.0 * eps * b * b) - r1_a, -r1_a),
+            (-r2_a, a * (a * a - 3.0 * eps * c * c) - r2_a),
+            (c * (c * c - 3.0 * b * b), b * (3.0 * c * c - b * b)))
 
 
 def refine_candidate(chart: int, eps: int, b0, c0):
-    """Shrinking-box bisection on the residual around scan hits.
-
-    The first box has half width 5 * ``GRID_ORACLE_STEP``.  Each of 50
-    rounds samples a 5x5 sub-grid of the current box, recenters on the
-    first argmin and halves the box; the residual grows linearly away from
-    the simple zeros, so the amplitudes converge well below 1e-10.  Scalar
-    seeds give unit (a, b, c) and the residual as floats, 1-D seed arrays
-    four arrays, each seed bitwise as if alone: the arithmetic is elementwise.
-    """
-    b_max, c_max = chart_domain(chart)
-    u, v = (np.array(x, dtype=float, ndmin=1) for x in (b0, c0))
-    rows, w = np.arange(u.size), 5.0 * constants.GRID_ORACLE_STEP
-    for _ in range(50):
-        us = np.minimum(np.maximum(u[:, None] + w * _STENCIL, 0.0), b_max)
-        vs = np.minimum(np.maximum(v[:, None] + w * _STENCIL, 0.0), c_max)
-        r = residual_linf(*chart_point(chart, us[:, :, None], vs[:, None, :]), eps)
-        i, j = np.divmod(np.argmin(r.reshape(u.size, _STENCIL.size ** 2), axis=1), _STENCIL.size)
-        u, v = us[rows, i], vs[rows, j]
-        w *= 0.5
-    a, b, c = chart_point(chart, u, v)
+    """Gauss-Newton in (b, c) on the three residuals from scan hits: Cramer's
+    rule on the 2x2 normal equations, a step that is not finite skipped, and
+    each point clamped to its trust region, the seed's box of half width
+    10 * ``GRID_ORACLE_STEP`` within the chart.  It stops when no point moved,
+    or after 8 steps; a step reads only (b, c), so a point that did not move
+    is fixed and stopping early changes no bit.  Unit (a, b, c) and residual
+    are floats for scalar seeds, arrays for 1-D seeds, bitwise as if alone."""
+    bc, w = np.array([b0, c0], dtype=float).reshape(2, -1), 10.0 * constants.GRID_ORACLE_STEP
+    lo, hi = np.maximum(bc - w, 0.0), np.minimum(bc + w, np.reshape(chart_domain(chart), (2, 1)))
+    for _ in range(8):
+        a = 1.0 - bc[0] - bc[1]
+        # one row (dr/db, dr/dc, r) per residual; J^T J = [[p, q], [q, t]], J^T r = (gb, gc)
+        rows = [(*j, r) for j, r in zip(_jacobian(a, *bc, eps), minor_equations(a, *bc, eps))]
+        p, q, t, gb, gc = (sum(x[m] * x[n] for x in rows)
+                           for m, n in ((0, 0), (0, 1), (1, 1), (0, 2), (1, 2)))
+        with np.errstate(all="ignore"):  # a singular system gives a non-finite step
+            det = p * t - q * q
+            step = np.array([(q * gc - t * gb) / det, (q * gb - p * gc) / det])
+        new = np.where(np.isfinite(step).all(axis=0), np.minimum(np.maximum(bc + step, lo), hi), bc)
+        if np.array_equal(new, bc):
+            break
+        bc = new
+    a, b, c = chart_point(chart, *bc)
     out = a, b, c, residual_linf(a, b, c, eps)
     return tuple(float(x[0]) for x in out) if np.ndim(b0) == 0 else out

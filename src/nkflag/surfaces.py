@@ -17,6 +17,7 @@ tangency equations; its residuals must stay away from zero.
 """
 
 import dataclasses
+import functools
 import math
 from typing import Callable, Optional
 
@@ -103,6 +104,11 @@ class SurfaceDescriptor:
             return t[..., None, None] * (
                 np.cos(u)[..., None, None] * a + np.sin(u)[..., None, None] * b)
         return t[..., None, None] * a + u[..., None, None] * b
+
+    @functools.cached_property
+    def lie_triple(self):
+        """:func:`_lie_triple` of the plane, computed once per descriptor."""
+        return _lie_triple(self)
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +320,7 @@ def _frames(desc: SurfaceDescriptor, t, u) -> tuple[np.ndarray, np.ndarray]:
     -mu t^2 on span(cos u B - sin u A, H))."""
     if not desc.has_analytic_frames:
         return tuple(coefficients(w, desc.eps) for w in _fd_frames(desc, t, u))
-    a, b, h, mu, _ = _lie_triple(desc)
+    a, b, h, mu, _ = desc.lie_triple
     t, u = np.asarray(t, dtype=float), np.asarray(u, dtype=float)
     if not desc.rotor:
         shape = np.broadcast_shapes(t.shape, u.shape) + (8,)
@@ -485,18 +491,19 @@ def expm_grid(sid, n: int = constants.DEFAULT_GRID) -> tuple[np.ndarray, np.ndar
 def expm_defect(sid, n: int = constants.DEFAULT_GRID) -> float:
     """Worst difference between the closed form and the exponential of the
     generator over the cross-check grid.  Each block's defect is a maximum
-    over matrices exponentiated one by one, so the block size moves no value."""
+    over matrices exponentiated one by one, so the block size moves no value.
+    An empty grid gives 0.0, as ``max_abs`` of an empty array does."""
     desc = _descriptor(sid)
     t, u = expm_grid(desc, n)
     return float(np.max([max_abs(expm(desc.generator(t[b], u[b])) - desc.closed_form(t[b], u[b]))
-                         for b in _blocks(t.size, _EXPM_BLOCK_POINTS)]))
+                         for b in _blocks(t.size, _EXPM_BLOCK_POINTS)], initial=0.0))
 
 
 def group_membership_defect(sid, n: int = constants.DEFAULT_GRID) -> float:
     desc = _descriptor(sid)
     t, u = expm_grid(desc, n)
     return float(np.max([group_defect(desc.closed_form(t[b], u[b]), desc.eps)
-                         for b in _blocks(t.size, _EXPM_BLOCK_POINTS)]))
+                         for b in _blocks(t.size, _EXPM_BLOCK_POINTS)], initial=0.0))
 
 
 def _frame_agreement(desc: SurfaceDescriptor, cols: dict[str, np.ndarray]) -> float:
@@ -506,7 +513,8 @@ def _frame_agreement(desc: SurfaceDescriptor, cols: dict[str, np.ndarray]) -> fl
     return float(np.max([
         max_abs(from_coefficients(cols[w][b], desc.eps) - fd)
         for b in _blocks(cols["t"].size, _EXPM_BLOCK_POINTS)
-        for w, fd in zip(("omega_t", "omega_u"), _fd_frames(desc, cols["t"][b], cols["u"][b]))]))
+        for w, fd in zip(("omega_t", "omega_u"), _fd_frames(desc, cols["t"][b], cols["u"][b]))],
+        initial=0.0))
 
 
 def _sample_columns(desc: SurfaceDescriptor, t, u) -> dict[str, np.ndarray]:
@@ -603,7 +611,7 @@ def surface_summary(sid, n: int = constants.DEFAULT_GRID,
         check("ac_residual_max", np.max(cols["ac_residual"]), constants.TOL_AC_RESIDUAL, ok.size),
         check("frame_agreement", _frame_agreement(desc, cols),
               constants.TOL_FRAME_AGREEMENT, ok.size),
-        check("orbit_lie_triple", _lie_triple(desc)[-1], constants.TOL_TABLE, 1),
+        check("orbit_lie_triple", desc.lie_triple[-1], constants.TOL_TABLE, 1),
     ]
     return {
         "id": desc.sid,

@@ -306,3 +306,59 @@ class TestRefine:
         monkeypatch.setattr(kernels, "scan_chart", lambda chart, eps: dataclasses.replace(
             real(chart, eps), hits=np.zeros((0, 5)), hit_residuals=np.zeros(0)))
         assert cl.grid_oracle(1).families == ()
+
+
+def _simplex_residuals(b, c, eps):
+    return kernels.minor_equations(1 - b - c, b, c, eps)
+
+
+class TestJacobian:
+    @pytest.mark.parametrize("eps", SIGNATURES)
+    def test_exact_at_dyadic_nodes(self, eps):
+        # along the simplex each residual is a quartic in (b, c), so the
+        # Richardson combination (4 D(h) - D(2h)) / 3 of rational central
+        # differences is its derivative; every float op at k/8 is exact
+        h, worst = Fraction(1, 8), Fraction(0)
+        for i in range(9):
+            for k in range(9 - i):
+                b, c = Fraction(i, 8), Fraction(k, 8)
+                jac = kernels._jacobian(float(1 - b - c), float(b), float(c), eps)
+                for axis, (db, dc) in enumerate([(1, 0), (0, 1)]):
+                    def central(s):
+                        up = _simplex_residuals(b + s * db, c + s * dc, eps)
+                        down = _simplex_residuals(b - s * db, c - s * dc, eps)
+                        return [(x - y) / (2 * s) for x, y in zip(up, down)]
+                    exact = [(4 * x - y) / 3 for x, y in zip(central(h), central(2 * h))]
+                    worst = max(worst, *(abs(Fraction(row[axis]) - e) for row, e in zip(jac, exact)))
+        assert float(worst) <= constants.TOL_INTEGER_IDENTITY
+
+
+class TestNewton:
+    @pytest.mark.parametrize("eps", SIGNATURES)
+    def test_converges_from_a_step_off_every_family(self, eps):
+        # a leaf centre lies within one step of the zero in each coordinate
+        step = constants.GRID_ORACLE_STEP
+        for fam, (b, c) in zip(cl.solve_families(eps), _CASE_POINTS[eps]):
+            for db in (-step, step):
+                for dc in (-step, step):
+                    *amps, res = kernels.refine_candidate(kernels.CHART_SIMPLEX, eps,
+                                                          float(b) + db, float(c) + dc)
+                    assert max(abs(x - y) for x, y in zip(amps, fam.amplitudes)) <= 1e-10
+                    assert res <= 1e-12
+
+    @pytest.mark.parametrize("eps", SIGNATURES)
+    def test_stopping_early_gives_the_capped_result(self, eps, monkeypatch):
+        step = constants.GRID_ORACLE_STEP
+        b0 = np.array([float(b) + step for b, _ in _CASE_POINTS[eps]] + [0.3, 0.7])
+        c0 = np.array([float(c) - step for _, c in _CASE_POINTS[eps]] + [0.1, 0.2])
+        steps, real = [], kernels._jacobian
+        monkeypatch.setattr(kernels, "_jacobian", lambda *args: steps.append(1) or real(*args))
+        early, stopped_after = kernels.refine_candidate(kernels.CHART_SIMPLEX, eps, b0, c0), len(steps)
+        monkeypatch.setattr(np, "array_equal", lambda *args, **kwargs: False)
+        capped = kernels.refine_candidate(kernels.CHART_SIMPLEX, eps, b0, c0)
+        assert len(steps) - stopped_after == 8
+        assert [x.tolist() for x in early] == [x.tolist() for x in capped]
+        # the compact flat family's point alternates between two floats, so
+        # only the split batch stops before the cap
+        if eps == PSEUDO:
+            assert stopped_after < 8

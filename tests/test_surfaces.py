@@ -118,6 +118,34 @@ class TestClosedForms:
         assert surface_error(sid, GRID, "group_defect") < constants.TOL_GROUP_MEMBERSHIP
 
 
+class TestGridReductions:
+    def test_an_empty_grid_gives_zero(self):
+        desc = sf.get_surface(2)
+        empty = {"t": np.zeros(0), "u": np.zeros(0),
+                 "omega_t": np.zeros((0, 8)), "omega_u": np.zeros((0, 8))}
+        assert sf.expm_defect(desc, 0) == 0.0
+        assert sf.group_membership_defect(desc, 0) == 0.0
+        assert sf._frame_agreement(desc, empty) == 0.0
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in det")
+    def test_a_nan_in_the_last_block_reaches_the_defect(self):
+        # grid 46 is 2,116 points in two blocks; the NaNs sit on the last
+        # grid row, which lies in the second block
+        real = sf.get_surface(2)
+
+        def closed_form(t, u):
+            out = real.closed_form(t, u)
+            out[np.asarray(t) == constants.EXPM_T_MAX_TRIG] = np.nan
+            return out
+
+        desc = dataclasses.replace(real, closed_form=closed_form)
+        assert math.isnan(sf.expm_defect(desc, 46))
+        assert math.isnan(sf.group_membership_defect(desc, 46))
+        cols = sf._sample_columns(real, *sf.default_grid(real, 46))
+        cols["omega_u"][-1, 0] = np.nan
+        assert math.isnan(sf._frame_agreement(real, cols))
+
+
 class TestFrames:
     @pytest.mark.parametrize("sid", sf.SURFACE_IDS)
     def test_analytic_vs_finite_difference(self, sid, surface_error):
@@ -197,6 +225,14 @@ class TestFrames:
         omega_t, omega_u = sf._frames(sf.get_surface(3), 0.8, 1.9)
         assert np.max(np.abs(omega_u[:2])) < 1e-14
         assert np.max(np.abs(omega_t[:2])) < 1e-14
+
+    def test_lie_triple_is_read_once_per_descriptor(self, monkeypatch):
+        calls, real = [], sf._lie_triple
+        monkeypatch.setattr(sf, "_lie_triple", lambda desc: calls.append(desc.sid) or real(desc))
+        desc = dataclasses.replace(sf.get_surface(2))
+        sf.surface_summary(desc, 11)
+        sf.surface_summary(desc, 11)
+        assert calls == [2]
 
     def test_flat_torus_plane_must_commute(self):
         # the constant frames need [A, B] = 0; the V1 plane's bracket is h1 - sqrt(3) h2
