@@ -21,7 +21,7 @@ from . import __version__, constants, report, verify
 from .classification import classification_reports, solve_families
 from .lie_structure import PSEUDO, RIEMANNIAN, signature_label
 from .report import CheckReport
-from .surfaces import SURFACE_IDS, rows_from_columns, surface_summary, write_csv
+from .surfaces import SURFACE_IDS, surface_summary, write_csv, write_json
 
 _SIGNATURE_CHOICES = {"riemannian": (RIEMANNIAN,), "pseudo": (PSEUDO,),
                       "both": (RIEMANNIAN, PSEUDO)}
@@ -160,8 +160,7 @@ def _cmd_surface(args, parser: argparse.ArgumentParser) -> int:
     def write(path):
         if args.format == "csv":
             return write_csv(path, args.id, columns)
-        report.write_report_file(path, reports, surface=args.id, grid=args.grid,
-                                 rows=rows_from_columns(args.id, columns))
+        write_json(path, args.id, args.grid, reports, columns)
 
     return _finish(reports, args.out, f"{args.format} samples", write)
 

@@ -209,12 +209,15 @@ def refine_candidate(chart: int, eps: int, b0, c0):
     rule on the 2x2 normal equations, a step that is not finite skipped, and
     each point clamped to its trust region, the seed's box of half width
     10 * ``GRID_ORACLE_STEP`` within the chart.  It stops when no point moved,
-    or after 8 steps; a step reads only (b, c), so a point that did not move
-    is fixed and stopping early changes no bit.  Unit (a, b, c) and residual
-    are floats for scalar seeds, arrays for 1-D seeds, bitwise as if alone."""
+    when every point is back where it was two steps before, or after 8 steps.
+    A step reads only (b, c), so from there on every point stays put or
+    alternates between two values, and taking the iterate of step 8's parity
+    changes no bit.  Unit (a, b, c) and residual are floats for scalar seeds,
+    arrays for 1-D seeds, bitwise as if alone."""
     bc, w = np.array([b0, c0], dtype=float).reshape(2, -1), 10.0 * constants.GRID_ORACLE_STEP
     lo, hi = np.maximum(bc - w, 0.0), np.minimum(bc + w, np.reshape(chart_domain(chart), (2, 1)))
-    for _ in range(8):
+    before = np.full_like(bc, np.nan)  # the iterate two steps back; NaN equals nothing
+    for k in range(1, 9):
         a = 1.0 - bc[0] - bc[1]
         # one row (dr/db, dr/dc, r) per residual; J^T J = [[p, q], [q, t]], J^T r = (gb, gc)
         rows = [(*j, r) for j, r in zip(_jacobian(a, *bc, eps), minor_equations(a, *bc, eps))]
@@ -226,7 +229,10 @@ def refine_candidate(chart: int, eps: int, b0, c0):
         new = np.where(np.isfinite(step).all(axis=0), np.minimum(np.maximum(bc + step, lo), hi), bc)
         if np.array_equal(new, bc):
             break
-        bc = new
+        if np.array_equal(new, before):
+            bc = new if k % 2 == 0 else bc
+            break
+        before, bc = bc, new
     a, b, c = chart_point(chart, *bc)
     out = a, b, c, residual_linf(a, b, c, eps)
     return tuple(float(x[0]) for x in out) if np.ndim(b0) == 0 else out

@@ -18,6 +18,7 @@ tangency equations; its residuals must stay away from zero.
 
 import dataclasses
 import functools
+import json
 import math
 from typing import Callable, Optional
 
@@ -35,7 +36,7 @@ from .lie_structure import (
 )
 from .matrix_core import expm, max_abs
 from .nk_geometry import apply_acs, distribution_amplitudes, metric_m
-from .report import CheckReport
+from .report import SCHEMA_VERSION, CheckReport, report_to_dict
 
 __all__ = [
     "SurfaceDescriptor",
@@ -50,9 +51,9 @@ __all__ = [
     "expm_defect",
     "group_membership_defect",
     "sample_rows",
-    "rows_from_columns",
     "surface_summary",
     "write_csv",
+    "write_json",
     "CSV_COLUMNS",
 ]
 
@@ -545,26 +546,62 @@ def _sample_columns(desc: SurfaceDescriptor, t, u) -> dict[str, np.ndarray]:
     }
 
 
-def rows_from_columns(sid: int, columns: dict[str, np.ndarray]) -> list[dict]:
-    """One record per point, keyed by ``CSV_COLUMNS``, from sample columns."""
-    names = CSV_COLUMNS[1:]
-    return [{"id": sid, **dict(zip(names, values))}
+def sample_rows(sid, n: int = constants.DEFAULT_GRID) -> list[dict]:
+    """Per-grid-point records for export, keyed by ``CSV_COLUMNS``; K and the
+    totally geodesic residual are NaN at metric-degenerate points."""
+    desc = _descriptor(sid)
+    columns, names = _sample_columns(desc, *default_grid(desc, n)), CSV_COLUMNS[1:]
+    return [{"id": desc.sid, **dict(zip(names, values))}
             for values in zip(*(columns[name].tolist() for name in names))]
 
 
-def sample_rows(sid, n: int = constants.DEFAULT_GRID) -> list[dict]:
-    """Per-grid-point records for export; K and the totally geodesic residual
-    are NaN at metric-degenerate points."""
-    desc = _descriptor(sid)
-    return rows_from_columns(desc.sid, _sample_columns(desc, *default_grid(desc, n)))
+#: per export format: the spelling of each non-finite float whose ``repr`` it
+#: does not use, and one point's row, ``%s`` standing for each column after ``id``
+_FORMATS = {
+    "csv": ({}, "{sid}," + ",".join(["%s"] * (len(CSV_COLUMNS) - 1)) + "\r\n"),
+    "json": ({"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"},
+             '{{"id": {sid}, ' + ", ".join(f'"{name}": %s' for name in CSV_COLUMNS[1:]) + "}}"),
+}
+
+
+def _column_text(values: np.ndarray, fmt: str) -> list[str]:
+    """The text of each value of a float column in export format ``fmt``,
+    each distinct value formatted once.  Values are keyed by their bits:
+    compared as floats, -0.0 would share the text of 0.0."""
+    spelling = _FORMATS[fmt][0]
+    keys, index = np.unique(np.asarray(values, dtype=float).view(np.int64),
+                            return_inverse=True)
+    text = [spelling.get(s, s) for s in map(repr, keys.view(float).tolist())]
+    return [text[i] for i in index.tolist()]
+
+
+def _rows(sid: int, columns: dict[str, np.ndarray], fmt: str):
+    """One row of export format ``fmt`` per point, filled from the column text."""
+    row = _FORMATS[fmt][1].format(sid=sid)
+    return (row % values for values in zip(
+        *(_column_text(columns[name], fmt) for name in CSV_COLUMNS[1:])))
 
 
 def write_csv(path, sid: int, columns: dict[str, np.ndarray]) -> None:
-    """The bytes ``csv.DictWriter`` writes for ``rows_from_columns(sid, columns)``."""
+    """The bytes ``csv.DictWriter`` writes for the records of
+    :func:`sample_rows`, here from the sample columns: every float as
+    ``repr`` and ``\\r\\n`` line ends."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\r\n")
-        fh.writelines(f"{sid},{','.join(r)}\r\n" for r in zip(
-            *(map(repr, columns[name].tolist()) for name in CSV_COLUMNS[1:])))
+        fh.writelines(_rows(sid, columns, "csv"))
+
+
+def write_json(path, sid: int, grid: int, reports: list[CheckReport],
+               columns: dict[str, np.ndarray]) -> None:
+    """The bytes ``report.write_report_file(path, reports, surface=sid,
+    grid=grid, rows=records)`` writes for the records of :func:`sample_rows`,
+    here from the sample columns: ``json.dumps`` spells every float as
+    ``repr``, or NaN, Infinity and -Infinity."""
+    head = json.dumps({"schema_version": SCHEMA_VERSION, "surface": sid, "grid": grid})
+    tail = json.dumps([report_to_dict(r) for r in reports])
+    with open(path, "w") as fh:
+        fh.write(f'{head[:-1]}, "rows": [{", ".join(_rows(sid, columns, "json"))}], '
+                 f'"reports": {tail}}}\n')
 
 
 def surface_summary(sid, n: int = constants.DEFAULT_GRID,

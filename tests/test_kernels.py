@@ -358,7 +358,27 @@ class TestNewton:
         capped = kernels.refine_candidate(kernels.CHART_SIMPLEX, eps, b0, c0)
         assert len(steps) - stopped_after == 8
         assert [x.tolist() for x in early] == [x.tolist() for x in capped]
-        # the compact flat family's point alternates between two floats, so
-        # only the split batch stops before the cap
-        if eps == PSEUDO:
-            assert stopped_after < 8
+        # the compact batch stops on a 2-cycle, the split batch on a fixed point
+        assert stopped_after < 8
+
+    @pytest.mark.parametrize("eps", SIGNATURES)
+    def test_the_oracle_seeds_stop_before_the_cap_with_its_result(self, eps, monkeypatch):
+        # the compact flat family's point alternates between the two floats
+        # next to 1/3, so that batch stops on the 2-cycle and not at the cap
+        real, seeds = kernels.refine_candidate, []
+        monkeypatch.setattr(kernels, "refine_candidate",
+                            lambda chart, e, b, c: seeds.append((b, c)) or real(chart, e, b, c))
+        cl.grid_oracle(eps)
+        monkeypatch.undo()
+        (b0, c0), = seeds
+        steps, jac = [], kernels._jacobian
+        monkeypatch.setattr(kernels, "_jacobian", lambda *args: steps.append(1) or jac(*args))
+        early, stopped_after = kernels.refine_candidate(kernels.CHART_SIMPLEX, eps, b0, c0), len(steps)
+        for k, (b, c) in enumerate(zip(b0.tolist(), c0.tolist())):
+            assert kernels.refine_candidate(kernels.CHART_SIMPLEX, eps, b, c) == tuple(x[k] for x in early)
+        # the reference runs every one of the 8 steps
+        monkeypatch.setattr(np, "array_equal", lambda *args, **kwargs: False)
+        before = len(steps)
+        capped = kernels.refine_candidate(kernels.CHART_SIMPLEX, eps, b0, c0)
+        assert len(steps) - before == 8 and stopped_after < 8
+        assert [x.tobytes() for x in early] == [x.tobytes() for x in capped]

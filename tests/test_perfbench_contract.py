@@ -56,6 +56,7 @@ def test_traced_functions_resolve(layers):
     # the tracer rebinds every nkflag name bound to the original function, so
     # the names cli calls the surface stages by must be the module's own
     assert cli.surface_summary is surfaces.surface_summary and cli.write_csv is surfaces.write_csv
+    assert cli.write_json is surfaces.write_json
 
 
 def test_cold_tables_are_cached(layers):

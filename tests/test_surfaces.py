@@ -8,6 +8,7 @@ module repeats them on the full default grids.
 import csv
 import dataclasses
 import io
+import json
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from nkflag.classification import minor_equations, solve_families
 from nkflag.lie_structure import H1, M1, M3, M4, PSEUDO, RIEMANNIAN, basis, coefficients
 from nkflag.matrix_core import max_abs
 from nkflag.nk_geometry import acs_matrix
+from nkflag.report import write_report_file
 
 SQ3 = math.sqrt(3.0)
 GRID = 21
@@ -468,6 +470,44 @@ class TestExport:
         sf.write_csv(path, sid, summary_cache(sid, 11)["columns"])
         assert path.read_bytes() == want.getvalue().encode()
         assert ("nan" in want.getvalue()) == (sid in (1, 4))
+
+    @pytest.mark.parametrize("sid", [*sf.SURFACE_IDS, "control"])
+    def test_json_is_the_report_file_of_the_sample_rows(self, sid, summary_cache, tmp_path):
+        if sid == "control":
+            desc = sf.control_surface()
+            summary, rows = sf.surface_summary(desc, 11), sf.sample_rows(desc, 11)
+            sid = desc.sid
+        else:
+            summary, rows = summary_cache(sid, 11), sf.sample_rows(sid, 11)
+        want, got = tmp_path / "want.json", tmp_path / "got.json"
+        write_report_file(want, summary["reports"], surface=sid, grid=11, rows=rows)
+        sf.write_json(got, sid, 11, summary["reports"], summary["columns"])
+        assert got.read_bytes() == want.read_bytes()
+
+    def test_export_spells_every_float_as_the_standard_writers(self, tmp_path):
+        # one text per bit pattern: -0.0 keeps its sign, both NaNs and both
+        # infinities take each format's spelling, neighbours one ulp apart
+        # stay apart
+        one_ulp = np.nextafter(0.1, 1.0)
+        values = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, 1e16,
+                           0.1, one_ulp, 0.0, np.nan])
+        assert np.signbit(values[[1, 3]]).all() and np.isnan(values[[2, 3]]).all()
+        columns = {name: np.roll(values, k) for k, name in enumerate(sf.CSV_COLUMNS[1:])}
+        names = sf.CSV_COLUMNS[1:]
+        rows = [{"id": 7, **dict(zip(names, vs))}
+                for vs in zip(*(columns[name].tolist() for name in names))]
+        want = io.StringIO(newline="")
+        writer = csv.DictWriter(want, fieldnames=sf.CSV_COLUMNS)
+        writer.writeheader()
+        writer.writerows(rows)
+        sf.write_csv(tmp_path / "x.csv", 7, columns)
+        assert (tmp_path / "x.csv").read_bytes() == want.getvalue().encode()
+        assert "-0.0" in want.getvalue() and "5e-324" in want.getvalue()
+        sf.write_json(tmp_path / "x.json", 7, 3, [], columns)
+        write_report_file(tmp_path / "want.json", [], surface=7, grid=3, rows=rows)
+        got = (tmp_path / "x.json").read_text()
+        assert got == (tmp_path / "want.json").read_text()
+        assert f'"rows": {json.dumps(rows)}, ' in got and "-Infinity" in got
 
     def test_summary_reports(self, summary_cache):
         s = summary_cache(1, GRID)
