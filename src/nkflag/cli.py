@@ -14,6 +14,7 @@ Human-readable output is a plain aligned table; machine output is JSON/CSV.
 """
 
 import argparse
+import gc
 import os
 import sys
 
@@ -22,6 +23,9 @@ from .classification import classification_reports, solve_families
 from .lie_structure import PSEUDO, RIEMANNIAN, signature_label
 from .report import CheckReport
 from .surfaces import SURFACE_IDS, surface_summary, write_csv, write_json
+
+# the import heap lives until exit: no later collection, the one at shutdown included, walks it
+gc.freeze()
 
 _SIGNATURE_CHOICES = {"riemannian": (RIEMANNIAN,), "pseudo": (PSEUDO,),
                       "both": (RIEMANNIAN, PSEUDO)}

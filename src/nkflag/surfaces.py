@@ -556,30 +556,34 @@ def sample_rows(sid, n: int = constants.DEFAULT_GRID) -> list[dict]:
 
 
 #: per export format: the spelling of each non-finite float whose ``repr`` it
-#: does not use, and one point's row, ``%s`` standing for each column after ``id``
+#: does not use, the text before each value (``{name}`` its column), the text
+#: between two cells, and a row's head (before ``t``, ``{sid}`` the id) and tail
 _FORMATS = {
-    "csv": ({}, "{sid}," + ",".join(["%s"] * (len(CSV_COLUMNS) - 1)) + "\r\n"),
-    "json": ({"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"},
-             '{{"id": {sid}, ' + ", ".join(f'"{name}": %s' for name in CSV_COLUMNS[1:]) + "}}"),
+    "csv": ({}, "", ",", "{sid},", "\r\n"),
+    "json": ({"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}, '"{name}": ', ", ",
+             '{{"id": {sid}, ', "}"),
 }
 
 
-def _column_text(values: np.ndarray, fmt: str) -> list[str]:
-    """The text of each value of a float column in export format ``fmt``,
-    each distinct value formatted once.  Values are keyed by their bits:
-    compared as floats, -0.0 would share the text of 0.0."""
+def _column_text(values: np.ndarray, fmt: str, key: str) -> list[str]:
+    """The cell text of each value of a float column in export format
+    ``fmt``, ``key`` before each value, each distinct value formatted once.
+    Values are keyed by their bits: compared as floats, -0.0 would share the
+    text of 0.0."""
     spelling = _FORMATS[fmt][0]
     keys, index = np.unique(np.asarray(values, dtype=float).view(np.int64),
                             return_inverse=True)
-    text = [spelling.get(s, s) for s in map(repr, keys.view(float).tolist())]
+    text = [key + spelling.get(s, s) for s in map(repr, keys.view(float).tolist())]
     return [text[i] for i in index.tolist()]
 
 
 def _rows(sid: int, columns: dict[str, np.ndarray], fmt: str):
-    """One row of export format ``fmt`` per point, filled from the column text."""
-    row = _FORMATS[fmt][1].format(sid=sid)
-    return (row % values for values in zip(
-        *(_column_text(columns[name], fmt) for name in CSV_COLUMNS[1:])))
+    """One row of export format ``fmt`` per point: a fixed head, the cells
+    joined, a fixed tail."""
+    _, key, sep, head, tail = _FORMATS[fmt]
+    head, join = head.format(sid=sid), sep.join
+    return (f"{head}{join(cells)}{tail}" for cells in zip(
+        *(_column_text(columns[name], fmt, key.format(name=name)) for name in CSV_COLUMNS[1:])))
 
 
 def write_csv(path, sid: int, columns: dict[str, np.ndarray]) -> None:

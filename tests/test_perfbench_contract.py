@@ -7,8 +7,10 @@ builds of lru-cached tables; ``perfbench/run.py`` imports
 ``classify`` run checks the oracle spans and counters end to end.
 ``perfbench/gate.py`` parses the printed check tables, so the gate is run
 here on real ``verify``, ``surface`` and ``classify`` output.  The
-benchmark times imports as setup, so the imports ``nkflag.cli`` makes are
-pinned too, and every module's ``__all__`` must match its public functions.
+benchmark times imports as setup, so the fixed cost of a process is pinned
+too: ``nkflag.cli`` freezes its import heap and no command loads
+``numpy.random``.  Every module's ``__all__`` must match its public
+functions.
 """
 
 import dataclasses
@@ -68,14 +70,27 @@ def test_active_backend_exists():
     assert callable(kernels.active_backend)
 
 
-def test_cli_import_loads_numpy_random():
-    # verify imports default_rng at module level, so the benchmark charges
-    # numpy.random to setup_s and not to the run_s of the first verify run
+def test_cli_freezes_its_imports_and_never_loads_numpy_random():
+    # every process used to pay for numpy.random (about 6 MB and 13 ms),
+    # and for a full walk of the import heap at exit
     src = pathlib.Path(nkflag.__file__).resolve().parents[1]
-    code = "import sys, nkflag.cli; print('numpy.random' in sys.modules)"
+    code = (
+        "import contextlib, gc, io, json, sys\n"
+        "import nkflag.cli\n"
+        "frozen = gc.get_freeze_count()\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    rcs = [nkflag.cli.main(argv) for argv in (\n"
+        "        ['verify', '--signature', 'both', '--self-test'], ['classify'],\n"
+        "        ['surface', '--id', '1', '--grid', '9'])]\n"
+        "print(json.dumps({'frozen': frozen, 'rcs': rcs,\n"
+        "                  'loaded': [m for m in sys.modules if m.startswith('numpy.random')]}))\n"
+    )
     out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
                          capture_output=True, text=True, check=True, timeout=120).stdout
-    assert out.split() == ["True"]
+    record = json.loads(out)
+    assert record["frozen"] > 0
+    assert record["rcs"] == [0, 0, 0]
+    assert record["loaded"] == []
 
 
 def test_all_matches_public_functions():

@@ -4,15 +4,23 @@ seed can move, and one injected fault per basis check.
 Every check except the three ``expm`` contracts is a finite basis check, so
 each of those is shown here to fail when one entry of the table it reads is
 perturbed (a +-1e-6 change, a scaling by 1 + 1e-6, or a NaN).  The
-``--self-test`` floor check fails when the corrupted route agrees or
-returns NaN.
+``expm`` contracts fail when every exponential is scaled by 1 + 1e-6, and
+when one draw of the samples they read is NaN.  The ``--self-test`` floor
+check fails when the corrupted route agrees or returns NaN.
 """
 
 import dataclasses
+import itertools
+import os
+import pathlib
+import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import nkflag
 from nkflag import constants, verify
 from nkflag import lie_structure as ls
 from nkflag import nk_geometry as nk
@@ -62,6 +70,24 @@ def test_only_the_expm_contracts_depend_on_the_seed(eps):
         {n: v for n, v in second.items() if n not in _SAMPLED}
     # the seed still drives the expm samples
     assert any(first[n][0] != second[n][0] for n in _SAMPLED)
+
+
+@pytest.mark.parametrize("eps", SIGNATURES)
+def test_one_seed_gives_one_report_and_leaves_the_global_random_state(eps):
+    state = random.getstate()
+    first = verify.run_verification(eps, seed=5)
+    assert verify.run_verification(eps, seed=5) == first
+    assert random.getstate() == state
+
+
+def test_seeded_report_files_match_across_processes(tmp_path):
+    src = pathlib.Path(nkflag.__file__).resolve().parents[1]
+    paths = [tmp_path / f"report{k}.json" for k in range(2)]
+    for path in paths:
+        subprocess.run([sys.executable, "-m", "nkflag.cli", "verify", "--seed", "5", "--out", str(path)],
+                       env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+                       check=True, timeout=120)
+    assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 # --- fault injection --------------------------------------------------------
@@ -141,6 +167,19 @@ def _fault_expm_scale(mp):
     mp.setattr(verify, "expm", lambda a: (1.0 + 1e-6) * expm(a))
 
 
+def _fault_nan_draw(mp, calls):
+    # the first draw of each listed sampler call is NaN
+    uniform, count = verify._uniform, itertools.count()
+
+    def faulty(rng, lo, hi, shape):
+        out = uniform(rng, lo, hi, shape)
+        if next(count) in calls:
+            out.flat[0] = np.nan
+        return out
+
+    mp.setattr(verify, "_uniform", faulty)
+
+
 def _fault_uncorrupted_self_test(mp):
     # the corrupted basis never reaches the bracket route, so it agrees
     mp.setattr(nk, "tables_from", lambda sc, eps: nk._tables(eps))
@@ -163,7 +202,9 @@ _FAULTS = {
     "constant_type_identity": _fault_constant_type,
     "structure_antisymmetry": _fault_structure_antisymmetry,
     "curvature_first_bianchi": _fault_first_bianchi,
+    "expm_inverse_defect": _fault_expm_scale,
     "expm_group_membership": _fault_expm_scale,
+    "expm_commuting_product": _fault_expm_scale,
     "self_test_corruption_detected": _fault_uncorrupted_self_test,
 }
 
@@ -205,6 +246,21 @@ def test_nan_corrupted_route_fails_the_self_test(eps, monkeypatch):
         _edited(sc, index=(ls.M1, ls.M2, ls.M3), add=np.nan), eps))
     report = verify.run_verification(eps, self_test=True)[-1]
     assert np.isnan(report.max_abs_error) and not report.passed
+
+
+# sampler calls in order: the (64, 8) coefficients and (64,) target norms of
+# the inverse and group samples, then the commuting pairs' (2, 32, 2) and (32, 8)
+@pytest.mark.parametrize("calls, poisoned", [
+    ((0,), _SAMPLED[:2]), ((1,), _SAMPLED[:2]), ((2,), _SAMPLED[2:]), ((3,), _SAMPLED[2:]),
+    ((0, 1, 2, 3), _SAMPLED),
+])
+@pytest.mark.parametrize("eps", SIGNATURES)
+@pytest.mark.filterwarnings("ignore:invalid value encountered in det")
+def test_nan_draw_fails_the_expm_contracts_that_read_it(eps, calls, poisoned, monkeypatch):
+    _fault_nan_draw(monkeypatch, calls)
+    reports = {r.name.split("[")[0]: r for r in verify.run_verification(eps)}
+    assert [n for n in _SAMPLED if np.isnan(reports[n].max_abs_error)] == list(poisoned)
+    assert [n for n in _SAMPLED if not reports[n].passed] == list(poisoned)
 
 
 @pytest.mark.parametrize("name", ("metric_ad_invariance", "ad_preserves_distributions"))
