@@ -93,23 +93,23 @@ def basis(eps: int) -> np.ndarray:
     return _frozen(np.array([h1, h2, m1, m2, m3, m4, m5, m6], dtype=np.complex128))
 
 
+def _twisted_adjoint(x: np.ndarray, eps: int) -> np.ndarray:
+    """The adjoint for the signature's form: x^H, or I- x^H I- in the split form."""
+    xh = adjoint(x)
+    return IMINUS @ xh @ IMINUS if eps == PSEUDO else xh
+
+
 def metric(x: np.ndarray, y: np.ndarray, eps: int) -> float:
     """Bi-invariant trace-form metric; signature-twisted for the split form."""
     check_signature(eps)
-    xh = adjoint(x)
-    if eps == PSEUDO:
-        xh = IMINUS @ xh @ IMINUS
-    return float(0.5 * np.trace(xh @ y).real)
+    return float(0.5 * np.trace(_twisted_adjoint(x, eps) @ y).real)
 
 
 @functools.lru_cache(maxsize=None)
 def _gram(eps: int) -> np.ndarray:
+    """metric(b_i, b_j) on the 64 basis pairs, as one contraction."""
     b = basis(eps)
-    g = np.empty((8, 8))
-    for i in range(8):
-        for j in range(8):
-            g[i, j] = metric(b[i], b[j], eps)
-    return _frozen(g)
+    return _frozen(0.5 * np.einsum("iab,jba->ij", _twisted_adjoint(b, eps), b).real)
 
 
 @functools.lru_cache(maxsize=None)
@@ -117,7 +117,7 @@ def gram_diagonal(eps: int) -> np.ndarray:
     """Diagonal of the basis Gram matrix (the basis is orthogonal in both forms)."""
     g = _gram(eps)
     off = g - np.diag(np.diag(g))
-    if np.max(np.abs(off)) > 1e-14:
+    if not np.max(np.abs(off)) <= 1e-14:
         raise RuntimeError("basis Gram matrix is not diagonal")
     return _frozen(np.diag(g).copy())
 
@@ -125,9 +125,7 @@ def gram_diagonal(eps: int) -> np.ndarray:
 def _dual_of(b: np.ndarray, eps: int) -> np.ndarray:
     """Extraction tensor of an orthogonal basis b: the twisted adjoint of each
     b_i divided by 2 metric(b_i, b_i)."""
-    bh = adjoint(b)
-    if eps == PSEUDO:
-        bh = IMINUS @ bh @ IMINUS
+    bh = _twisted_adjoint(b, eps)
     norms = 0.5 * np.einsum("ijk,ikj->i", bh, b).real
     return 0.5 * bh / norms[:, None, None]
 
@@ -182,7 +180,8 @@ def structure_constants(eps: int) -> np.ndarray:
 def group_defect(g: np.ndarray, eps: int) -> float:
     """How far g (one matrix or a stack) is from the structure group: max of
     the metric-preservation and unit-determinant defects over the stack."""
-    m = np.eye(3, dtype=np.complex128) if eps == RIEMANNIAN else IMINUS
-    pres = np.max(np.abs(adjoint(g) @ m @ g - m))
+    # the form is diagonal, so applying it to g scales the rows of g
+    form = np.array([1.0, 1.0, 1.0 if eps == RIEMANNIAN else -1.0])
+    pres = np.max(np.abs(adjoint(g) @ (form[:, None] * g) - np.diag(form)))
     det = np.max(np.abs(np.linalg.det(g) - 1.0))
     return float(np.max([pres, det]))

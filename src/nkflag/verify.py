@@ -222,14 +222,15 @@ def run_verification(eps: int, seed: int = constants.DEFAULT_SEED,
     # --- curvature: both routes and the tensor properties on every basis triple ---
     add("curvature_lie_vs_tensorial", curvature_cross_check(eps), tol_exact, 216)
 
-    x, y, z = _basis_triples()
-    rxyz = curvature_tensorial(x, y, z, eps)
+    # rxyz[i, j, k] = R(e_i, e_j) e_k; R at permuted arguments is the same
+    # array with its first three axes permuted, e.g. R(y, z)x is (2, 0, 1)
+    rxyz = curvature_tensorial(*_basis_triples(), eps)
     # lowered[i, j, k, l] = <R(e_i, e_j) e_k, e_l>
     lowered = nk_geometry.metric_m(rxyz[..., None, :], e6, eps)
     add("curvature_skew_first_pair",
-        np.max(np.abs(rxyz + curvature_tensorial(y, x, z, eps))), constants.TOL_PROPERTY, 216)
+        np.max(np.abs(rxyz + rxyz.transpose(1, 0, 2, 3))), constants.TOL_PROPERTY, 216)
     add("curvature_first_bianchi",
-        np.max(np.abs(rxyz + curvature_tensorial(y, z, x, eps) + curvature_tensorial(z, x, y, eps))),
+        np.max(np.abs(rxyz + rxyz.transpose(2, 0, 1, 3) + rxyz.transpose(1, 2, 0, 3))),
         constants.TOL_PROPERTY, 216)
     add("curvature_pair_symmetry",
         np.max(np.abs(lowered - lowered.transpose(2, 3, 0, 1))), constants.TOL_PROPERTY, 1296)

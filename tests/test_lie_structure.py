@@ -55,6 +55,20 @@ class TestMetric:
         bp = ls.basis(-1)
         assert ls.metric(bp[ls.M2], bp[ls.M2], -1) == pytest.approx(-1.0, abs=1e-15)
 
+    @pytest.mark.parametrize("eps", ls.SIGNATURES)
+    def test_gram_is_the_pairwise_metric(self, eps):
+        b = ls.basis(eps)
+        want = np.array([[ls.metric(bi, bj, eps) for bj in b] for bi in b])
+        assert ls._gram(eps).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bad", (1e-6, -1e-6, np.nan))
+    def test_gram_diagonal_rejects_an_off_diagonal_entry(self, bad, monkeypatch):
+        g = ls._gram(ls.PSEUDO).copy()
+        g[ls.M1, ls.M2] = bad
+        monkeypatch.setattr(ls, "_gram", lambda eps: g)
+        with pytest.raises(RuntimeError, match="not diagonal"):
+            ls.gram_diagonal.__wrapped__(ls.PSEUDO)
+
     def test_h_orthogonal_to_m(self):
         for eps in ls.SIGNATURES:
             b = ls.basis(eps)
@@ -165,3 +179,14 @@ class TestGroupDefect:
 
     def test_detects_outsiders(self):
         assert ls.group_defect(2.0 * np.eye(3, dtype=complex), +1) > 1.0
+
+    @pytest.mark.parametrize("eps", ls.SIGNATURES)
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in det")
+    def test_matches_the_stacked_product(self, rng, eps):
+        m = np.eye(3, dtype=complex) if eps == ls.RIEMANNIAN else ls.IMINUS
+        g = rng.normal(size=(50, 3, 3)) + 1j * rng.normal(size=(50, 3, 3))
+        want = max(np.max(np.abs(ls.adjoint(g) @ m @ g - m)),
+                   np.max(np.abs(np.linalg.det(g) - 1.0)))
+        assert ls.group_defect(g, eps) == want
+        g[7, 1, 2] = np.nan
+        assert np.isnan(ls.group_defect(g, eps))

@@ -7,6 +7,7 @@ form genuinely flips the eight table entries joining its two negative
 distributions, so the two tables are frozen separately.
 """
 
+import functools
 import itertools
 
 import numpy as np
@@ -82,6 +83,8 @@ class TestMetricFamily:
             nk.metric_family((1, 0, 1), E6[M1], E6[M1], RIEMANNIAN)
         with pytest.raises(ValueError):
             nk.metric_family((1, -2, 1), E6[M1], E6[M1], RIEMANNIAN)
+        with pytest.raises(ValueError):
+            nk.metric_family((1, np.nan, 1), E6[M1], E6[M1], RIEMANNIAN)
 
 
 # the 24 tabulated connection coefficients of the compact form
@@ -136,6 +139,38 @@ class TestConnection:
     def test_specific_values(self):
         assert np.max(np.abs(nk.nabla(E6[M1], E6[M2], RIEMANNIAN) - 0.5 * E6[M3])) == 0.0
         assert np.max(np.abs(nk.nabla(E6[M6], E6[M5], RIEMANNIAN) + 0.5 * E6[M1])) == 0.0
+
+
+def _three_operand(x, y, table):
+    """The reference definition of ``nk._contract``."""
+    return np.einsum("...i,...j,ijk->...k", x, y, table)
+
+
+class TestContract:
+    @pytest.mark.parametrize("eps", SIGNATURES)
+    def test_every_contraction_of_verify_matches_the_reference(self, eps, monkeypatch):
+        # the connection table on basis pairs, and the nested brackets of both
+        # curvature routes on basis triples, the corrupted self-test included
+        contract, same = nk._contract, []
+
+        def checked(x, y, table):
+            out = contract(x, y, table)
+            same.append(out.tobytes() == _three_operand(x, y, table).tobytes())
+            return out
+
+        monkeypatch.setattr(nk, "_contract", checked)
+        verify.run_verification(eps, self_test=True)
+        assert len(same) > 0 and all(same)
+
+    @pytest.mark.parametrize("eps", SIGNATURES)
+    @pytest.mark.parametrize("field", ("nabla", "bracket_mm", "bracket_hm"))
+    def test_random_vectors_agree_to_1e_15_relative(self, eps, field, rng):
+        table = getattr(nk._tables(eps), field)
+        x = rng.uniform(-1.0, 1.0, (200, table.shape[0]))
+        y = rng.uniform(-1.0, 1.0, (200, table.shape[1]))
+        want = _three_operand(x, y, table)
+        scale = _three_operand(np.abs(x), np.abs(y), np.abs(table))
+        assert np.all(np.abs(nk._contract(x, y, table) - want) <= 1e-15 * scale)
 
 
 class TestStructureTensor:
@@ -319,7 +354,49 @@ class TestFaultInjection:
         assert verify.corruption_self_test(eps, flip_slot) > constants.CONTROL_RESIDUAL_MIN
 
 
+def _bump_g(mp):
+    # G(x, y) gains 1e-6 x1 y2 m1: bilinear, but neither J- nor Ji-compatible
+    g_tensor = nk.g_tensor
+    mp.setattr(nk, "g_tensor", lambda x, y, eps: g_tensor(x, y, eps)
+               + 1e-6 * (x[..., M1] * y[..., M2])[..., None] * E6[M1])
+
+
+def _flip_g_m1_m2(mp):
+    # G(m1, m2) changes sign, every other basis value is kept
+    g_tensor = nk.g_tensor
+    mp.setattr(nk, "g_tensor", lambda x, y, eps: g_tensor(x, y, eps)
+               - 2.0 * (x[..., M1] * y[..., M2])[..., None] * g_tensor(E6[M1], E6[M2], eps))
+
+
+def _bump_nabla_ji(i, mp):
+    # the i-th covariant derivative alone gains 1e-6 x1 y2 m1
+    nabla_ji = nk.nabla_ji
+    mp.setattr(nk, "nabla_ji", lambda k, x, y, eps: nabla_ji(k, x, y, eps)
+               + (1e-6 * (k == i)) * (x[..., M1] * y[..., M2])[..., None] * E6[M1])
+
+
+# one injected fault per identity row that reads a G tensor shared with other rows
+_IDENTITY_FAULTS = {
+    "g_anticommutes_with_j": _flip_g_m1_m2,
+    **{f"g_compatibility_J{i}": _bump_g for i in (1, 2, 3)},
+    "g_sum_identity": _bump_g,
+    **{f"nabla_J{i}_identity": functools.partial(_bump_nabla_ji, i) for i in (1, 2, 3)},
+}
+
+
 class TestIdentitySuite:
+    @pytest.mark.parametrize("eps", SIGNATURES)
+    @pytest.mark.parametrize("name", _IDENTITY_FAULTS)
+    def test_injected_fault_fails_the_identity(self, eps, name, monkeypatch):
+        assert {r.name: r for r in nk.identity_suite(eps)}[name].passed
+        _IDENTITY_FAULTS[name](monkeypatch)
+        reports = {r.name: r for r in nk.identity_suite(eps)}
+        assert not reports[name].passed
+        assert reports[name].max_abs_error >= 1e-7, reports[name]
+        if name.startswith("nabla_J"):
+            # each nabla row reads its own derivative
+            assert [n for n, r in reports.items() if not r.passed] == [name]
+
     @pytest.mark.parametrize("eps", SIGNATURES)
     def test_all_pass(self, eps):
         reports = nk.identity_suite(eps)

@@ -4,7 +4,8 @@
 builds of lru-cached tables; ``perfbench/run.py`` imports
 ``kernels.active_backend``.  A rename or a dropped cache would silently break
 ``perfbench/run.py --trace 1``, so the names are pinned here, and one traced
-``classify`` run checks the oracle spans and counters end to end.
+``classify`` run checks the oracle spans and counters end to end.  One traced
+``verify`` run pins how often each basis tensor is evaluated.
 ``perfbench/gate.py`` parses the printed check tables, so the gate is run
 here on real ``verify``, ``surface`` and ``classify`` output.  The
 benchmark times imports as setup, so the fixed cost of a process is pinned
@@ -131,6 +132,32 @@ def test_traced_classify_records_the_oracle_layers():
     # both signatures scan the b >= c half of the simplex: 1,194 boxes
     assert 0 < record["counters"]["kernels.scan_chart.points"] <= 1_250
     assert record["counters"]["kernels.scan_chart.hits"] > 0
+
+
+def test_traced_verify_evaluates_each_basis_tensor_once():
+    # per signature: the cross-check, the symmetry rows and the self-test each
+    # evaluate the tensorial curvature once; the identity suite builds G at
+    # eight argument twists and verify at two
+    src = pathlib.Path(nkflag.__file__).resolve().parents[1]
+    code = (
+        "import collections, json\n"
+        "import nkflag.cli\n"
+        "from layers import Tracer\n"
+        "tracer = Tracer()\n"
+        "tracer.install()\n"
+        "rc = tracer.run_main(nkflag.cli.main, ['verify', '--signature', 'both', '--self-test'])\n"
+        "print(json.dumps({'rc': rc, 'calls': collections.Counter(s[0] for s in tracer.spans)}))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(_PERFBENCH)]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120).stdout
+    record = json.loads(out.strip().splitlines()[-1])
+    calls = record["calls"]
+    assert record["rc"] == 0
+    assert {"verify.curvature_cross_check", "verify.corruption_self_test",
+            "nk_geometry.identity_suite"} <= set(calls)
+    assert calls["nk_geometry.curvature_tensorial"] == 6
+    assert calls["nk_geometry.g_tensor"] == 20
 
 
 def test_gate_parses_every_verify_table_row(gate, capsys):

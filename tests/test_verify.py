@@ -161,6 +161,17 @@ def _fault_first_bianchi(mp):
     mp.setattr(verify, "curvature_tensorial", faulty)
 
 
+def _fault_skew_first_pair(mp):
+    # R(x, y)z gains 1e-6 (x1 y2 + x2 y1) z3 m1, symmetric in x and y
+    curvature = verify.curvature_tensorial
+
+    def faulty(x, y, z, eps):
+        bump = 1e-6 * (x[..., 0] * y[..., 1] + x[..., 1] * y[..., 0]) * z[..., 2]
+        return curvature(x, y, z, eps) + bump[..., None] * np.eye(6)[0]
+
+    mp.setattr(verify, "curvature_tensorial", faulty)
+
+
 def _fault_expm_scale(mp):
     # every exponential grows by 1 + 1e-6: det and the metric drift off
     expm = verify.expm
@@ -201,6 +212,7 @@ _FAULTS = {
     "acs_metric_compatibility": _fault_metric_family,
     "constant_type_identity": _fault_constant_type,
     "structure_antisymmetry": _fault_structure_antisymmetry,
+    "curvature_skew_first_pair": _fault_skew_first_pair,
     "curvature_first_bianchi": _fault_first_bianchi,
     "expm_inverse_defect": _fault_expm_scale,
     "expm_group_membership": _fault_expm_scale,
