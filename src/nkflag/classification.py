@@ -23,7 +23,6 @@ import math
 import numpy as np
 
 from . import constants, kernels
-from .kernels import minor_equations
 from .lie_structure import RIEMANNIAN, check_signature, signature_label
 from .nk_geometry import apply_acs, curvature_tensorial, metric_m
 from .report import CheckReport, floor_check
@@ -31,7 +30,6 @@ from .report import CheckReport, floor_check
 __all__ = [
     "SolutionFamily",
     "r_xjx_closed",
-    "minor_equations",
     "tangency_coefficient",
     "holomorphic_K",
     "solve_families",
@@ -149,7 +147,6 @@ def solve_families(eps: int) -> tuple[SolutionFamily, ...]:
 
 @dataclasses.dataclass(frozen=True)
 class OracleResult:
-    eps: int
     families: tuple[tuple[float, float, float], ...]
     residuals: tuple[float, ...]
     interior_min: float
@@ -178,7 +175,7 @@ def grid_oracle(eps: int) -> OracleResult:
     while alive.any():
         seeds.append(int(np.argmin(np.where(alive, scan.hit_residuals, np.inf))))
         alive &= np.linalg.norm(abc - abc[seeds[-1]], axis=1) >= 0.05
-    refined = kernels.refine_candidate(scan.chart, eps, scan.hits[seeds, 0], scan.hits[seeds, 1])
+    refined = kernels.refine_candidate(eps, scan.hits[seeds, 0], scan.hits[seeds, 1])
     candidates = [(canonical_amplitudes(a, b, c, eps), res)
                   for a, b, c, res in zip(*(x.tolist() for x in refined))]
     # merge candidates that refined to the same canonical point
@@ -189,7 +186,6 @@ def grid_oracle(eps: int) -> OracleResult:
         else:
             merged.append((amps, res))
     return OracleResult(
-        eps=eps,
         families=tuple(amps for amps, _ in merged),
         residuals=tuple(res for _, res in merged),
         interior_min=scan.interior_min,

@@ -2,29 +2,27 @@
 
 Tolerances come in two tiers.  Exact-structure checks (pure linear algebra
 on the cached tables, no discretization anywhere in the pipeline) are held
-near machine precision.  Finite-difference pipelines are held at the floor
-set by their step size.  Keeping the ladder in one place makes it obvious
-which kind of error a failing check is reporting.
+near machine precision by three constants: ``TOL_EXACT`` for generic
+exact checks, those whose arithmetic rounds among them (the orthonormal
+h2, ``expm``, the two curvature routes); ``TOL_TABLE`` for exact tables
+and the identities read off them, which read 0.0 or one rounding; and
+``TOL_INTEGER_IDENTITY`` for polynomial identities on integer nodes,
+where no operation rounds.  Finite-difference pipelines are held at the
+floor set by their step size.  Keeping the ladder in one place makes it
+obvious which kind of error a failing check is reporting.
 """
 
 import math
 
 # --- exact-structure tier -------------------------------------------------
 
-#: generic exact checks (identities evaluated on the basis)
+#: generic exact checks (identities evaluated on the basis); the default of
+#: ``verify --tol-exact``
 TOL_EXACT = 1e-12
 
-#: basis-table coefficients (+-1/2 entries), Jacobi sums, pinned tensor values
-TOL_TABLE = 1e-13
-
-#: curvature/metric property checks (Bianchi, pair symmetry, ...)
-TOL_PROPERTY = 1e-11
-
-#: constant-type identity (quartic expressions, looser)
-TOL_ALPHA = 1e-9
-
-#: coefficient extraction round trip
-TOL_ROUNDTRIP = 1e-14
+#: exact tables (+-1/2 coefficients, brackets, pinned tensor values) and the
+#: identities read off them: Jacobi, round trip, curvature symmetries, ...
+TOL_TABLE = 1e-14
 
 #: polynomial identities on small integer nodes, where every float op is exact
 TOL_INTEGER_IDENTITY = 0.0

@@ -36,29 +36,20 @@ from .lie_structure import check_signature
 
 CHART_SIMPLEX = 0
 
+#: (b_max, c_max) of the chart; both coordinates start at 0
+CHART_DOMAIN = (1.0, 0.5)
+
 
 def active_backend() -> str:
     """Name of the array backend; the oracle is numpy code only."""
     return "numpy"
 
 
-def _check_chart(chart: int) -> None:
-    if chart != CHART_SIMPLEX:
-        raise ValueError(f"unknown chart {chart!r}")
-
-
-def chart_point(chart: int, b, c):
+def chart_point(b, c):
     """Unit amplitudes x / |x| of x = (1 - b - c, b, c), scalar or array."""
-    _check_chart(chart)
     a = 1.0 - b - c
     norm = np.sqrt(a * a + b * b + c * c)
     return a / norm, b / norm, c / norm
-
-
-def chart_domain(chart: int) -> tuple[float, float]:
-    """(b_max, c_max) of the chart; both coordinates start at 0."""
-    _check_chart(chart)
-    return 1.0, 0.5
 
 
 def minor_equations(a, b, c, eps: int):
@@ -104,14 +95,13 @@ def _mul(m, d):
                     np.maximum(m[0] * d[1], m[1] * d[1]))
 
 
-def box_enclosure(chart: int, eps: int, b_lo, b_hi, c_lo, c_hi):
+def box_enclosure(eps: int, b_lo, b_hi, c_lo, c_hi):
     """(lower, a_hi, b_hi, c_hi) for each box [b_lo, b_hi] x [c_lo, c_hi]:
     over the box's points with a = 1 - b - c >= 0, the rounding-safe
     lower(|r|) / upper(|x|^2)^2 <= :func:`residual_linf` of the unit
     amplitudes, and upper bounds on those amplitudes.  A NaN anywhere in
     the arithmetic comes out as a NaN ``lower``."""
     check_signature(eps)
-    _check_chart(chart)
     b, c = (b_lo, b_hi), (c_lo, c_hi)
     a_lo, a_hi = _sub((1.0, 1.0), _add(b, c))
     a = np.maximum(a_lo, 0.0), a_hi
@@ -133,7 +123,6 @@ def box_enclosure(chart: int, eps: int, b_lo, b_hi, c_lo, c_hi):
 
 @dataclass(frozen=True)
 class ScanResult:
-    chart: int
     eps: int
     hits: np.ndarray          # (n_hits, 5): chart b, c, then unit a, b, c at each leaf box centre
     hit_residuals: np.ndarray  # residual_linf at each leaf box centre
@@ -156,8 +145,11 @@ def scan_chart(chart: int, eps: int) -> ScanResult:
     NaN bound counts as meeting it and wins the minimum (inf if none does).
     """
     check_signature(eps)
+    # only the simplex exists, but perfbench/layers.py names this span by the chart id
+    if chart != CHART_SIMPLEX:
+        raise ValueError(f"unknown chart {chart!r}")
     margin = constants.NONZERO_MARGIN
-    lo, hi = np.zeros((1, 2)), np.array([chart_domain(chart)])
+    lo, hi = np.zeros((1, 2)), np.array([CHART_DOMAIN])
     splits = [math.ceil(math.log2(w / constants.GRID_ORACLE_STEP)) for w in hi[0]]
     levels = max(splits)
     points = 0
@@ -165,7 +157,7 @@ def scan_chart(chart: int, eps: int) -> ScanResult:
     for level in range(levels + 1):
         keep = (lo[:, 1] <= hi[:, 0]) & (lo[:, 0] + lo[:, 1] <= 1.0)  # exact: dyadic ends
         lo, hi = lo[keep], hi[keep]
-        lower, a_hi, b_hi, c_hi = box_enclosure(chart, eps, lo[:, 0], hi[:, 0], lo[:, 1], hi[:, 1])
+        lower, a_hi, b_hi, c_hi = box_enclosure(eps, lo[:, 0], hi[:, 0], lo[:, 1], hi[:, 1])
         points += lower.size
         meets = ((a_hi >= margin) & (b_hi >= margin) & (c_hi >= margin)) | np.isnan(lower)
         drop = (lower > constants.ORACLE_HIT_THRESHOLD) & (
@@ -183,14 +175,13 @@ def scan_chart(chart: int, eps: int) -> ScanResult:
     bounds, centres = np.concatenate(bounds), np.concatenate(centres)
     k = int(np.argmin(bounds))  # the first NaN, if there is one
     mid = 0.5 * (lo + hi)
-    a, b, c = chart_point(chart, mid[:, 0], mid[:, 1])
+    a, b, c = chart_point(mid[:, 0], mid[:, 1])
     return ScanResult(
-        chart=chart,
         eps=eps,
         hits=np.column_stack([mid, a, b, c]),
         hit_residuals=residual_linf(a, b, c, eps),
         interior_min=float(bounds[k]),
-        interior_argmin=tuple(float(x) for x in chart_point(chart, *centres[k])),
+        interior_argmin=tuple(float(x) for x in chart_point(*centres[k])),
         points=points,
     )
 
@@ -204,7 +195,7 @@ def _jacobian(a, b, c, eps: int):
             (c * (c * c - 3.0 * b * b), b * (3.0 * c * c - b * b)))
 
 
-def refine_candidate(chart: int, eps: int, b0, c0):
+def refine_candidate(eps: int, b0, c0):
     """Gauss-Newton in (b, c) on the three residuals from scan hits: Cramer's
     rule on the 2x2 normal equations, a step that is not finite skipped, and
     each point clamped to its trust region, the seed's box of half width
@@ -215,7 +206,7 @@ def refine_candidate(chart: int, eps: int, b0, c0):
     changes no bit.  Unit (a, b, c) and residual are floats for scalar seeds,
     arrays for 1-D seeds, bitwise as if alone."""
     bc, w = np.array([b0, c0], dtype=float).reshape(2, -1), 10.0 * constants.GRID_ORACLE_STEP
-    lo, hi = np.maximum(bc - w, 0.0), np.minimum(bc + w, np.reshape(chart_domain(chart), (2, 1)))
+    lo, hi = np.maximum(bc - w, 0.0), np.minimum(bc + w, np.reshape(CHART_DOMAIN, (2, 1)))
     before = np.full_like(bc, np.nan)  # the iterate two steps back; NaN equals nothing
     for k in range(1, 9):
         a = 1.0 - bc[0] - bc[1]
@@ -233,6 +224,6 @@ def refine_candidate(chart: int, eps: int, b0, c0):
             bc = new if k % 2 == 0 else bc
             break
         before, bc = bc, new
-    a, b, c = chart_point(chart, *bc)
+    a, b, c = chart_point(*bc)
     out = a, b, c, residual_linf(a, b, c, eps)
     return tuple(float(x[0]) for x in out) if np.ndim(b0) == 0 else out

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from nkflag import classification as cl
+from nkflag import kernels
 from nkflag import nk_geometry as nk
 from nkflag import surfaces as sf
 from nkflag import verify
@@ -127,7 +128,7 @@ def test_criterion_6_surfaces(sid, surface_error):
 def test_criterion_7_negative_controls():
     ctrl = sf.control_surface()
     a, b, c = ctrl.expected_amplitudes
-    minor = max(abs(r) for r in cl.minor_equations(a, b, c, RIEMANNIAN))
+    minor = max(abs(r) for r in kernels.minor_equations(a, b, c, RIEMANNIAN))
     tg = float(np.min(sf._sample_columns(ctrl, np.array([0.5, 0.9]),
                                          np.array([0.3, 2.0]))["tg_residual"]))
     lie = sf._lie_triple(ctrl)[-1]

@@ -145,13 +145,13 @@ class TestClosedFormCurvature:
 
 class TestMinorEquations:
     def test_two_distribution_solution_compact_only(self):
-        assert cl.minor_equations(1 / SQ2, 1 / SQ2, 0.0, RIEMANNIAN) == pytest.approx((0, 0, 0), abs=1e-15)
-        res = cl.minor_equations(1 / SQ2, 1 / SQ2, 0.0, PSEUDO)
+        assert kernels.minor_equations(1 / SQ2, 1 / SQ2, 0.0, RIEMANNIAN) == pytest.approx((0, 0, 0), abs=1e-15)
+        res = kernels.minor_equations(1 / SQ2, 1 / SQ2, 0.0, PSEUDO)
         assert abs(res[0]) > 0.1 and res[1] == 0.0 and res[2] == 0.0
 
     def test_single_distribution_always_solves(self):
         for eps in SIGNATURES:
-            assert cl.minor_equations(1.0, 0.0, 0.0, eps) == pytest.approx((0, 0, 0), abs=1e-15)
+            assert kernels.minor_equations(1.0, 0.0, 0.0, eps) == pytest.approx((0, 0, 0), abs=1e-15)
 
     @pytest.mark.parametrize("eps", SIGNATURES)
     def test_proportional_to_direct_minors(self, eps, rng):
@@ -159,7 +159,7 @@ class TestMinorEquations:
         # are (6, 6, -6 eps) times the residuals
         for _ in range(50):
             a, b, c = rng.uniform(-1.2, 1.2, 3)
-            r1, r2, r3 = cl.minor_equations(a, b, c, eps)
+            r1, r2, r3 = kernels.minor_equations(a, b, c, eps)
             _, cy, cz, cw = cl.r_xjx_closed(a, b, c, eps)
             assert cy * b - cz * a == pytest.approx(6.0 * r1, abs=1e-12)
             assert cy * c - cw * a == pytest.approx(6.0 * r2, abs=1e-12)

@@ -1,6 +1,7 @@
 """Chart geometry, interval enclosures and branch-and-bound of the oracle kernels."""
 
 import dataclasses
+import inspect
 import math
 from fractions import Fraction
 
@@ -18,15 +19,22 @@ class TestCharts:
         b, c = rng.uniform(0.0, 1.0, (2, 200))
         keep = b + c <= 1.0
         b, c = b[keep], c[keep]
-        a_u, b_u, c_u = kernels.chart_point(kernels.CHART_SIMPLEX, b, c)
+        a_u, b_u, c_u = kernels.chart_point(b, c)
         np.testing.assert_allclose(a_u ** 2 + b_u ** 2 + c_u ** 2, 1.0, atol=1e-15)
         np.testing.assert_allclose(a_u + b_u + c_u, np.reciprocal(
             np.sqrt((1.0 - b - c) ** 2 + b ** 2 + c ** 2)), rtol=1e-14)
         np.testing.assert_allclose(b_u * (1.0 - b - c), a_u * b, atol=1e-15)
 
     def test_unknown_chart_rejected(self):
-        with pytest.raises(ValueError):
-            kernels.chart_point(7, 0.1, 0.2)
+        for eps in SIGNATURES:
+            with pytest.raises(ValueError, match="unknown chart 7"):
+                kernels.scan_chart(7, eps)
+
+    def test_only_scan_chart_takes_a_chart(self):
+        takes = [name for name, fn in vars(kernels).items()
+                 if inspect.isfunction(fn) and fn.__module__ == kernels.__name__
+                 and "chart" in inspect.signature(fn).parameters]
+        assert takes == ["scan_chart"]
 
     @pytest.mark.parametrize("eps", [0, 2, 1.5])
     def test_bad_signature_rejected(self, eps):
@@ -47,7 +55,8 @@ class TestCharts:
             assert np.all(np.abs(r_scaled - lam ** 4 * r) <= tol)
 
 
-_CHARTS = [(kernels.CHART_SIMPLEX, eps) for eps in SIGNATURES]
+#: the signatures, with ids naming the chart their boxes lie on as well
+_ON_CHART = [pytest.param(eps, id=f"{kernels.CHART_SIMPLEX}-{eps}") for eps in SIGNATURES]
 
 #: the case analysis' families at their rational chart points (b, c): each
 #: integer direction (a, b, c) meets the simplex at (b, c) / (a + b + c)
@@ -56,26 +65,24 @@ _CASE_POINTS = {eps: [(Fraction(b, a + b + c), Fraction(c, a + b + c))
                 for eps in SIGNATURES}
 
 
-def _leaf_size(chart):
-    """Leaf box widths: each chart axis halved until it is at most the step."""
-    step = constants.GRID_ORACLE_STEP
-    return tuple(w / 2 ** math.ceil(math.log2(w / step))
-                 for w in kernels.chart_domain(chart))
+#: leaf box widths: each chart axis halved until it is at most the step
+_LEAF_SIZE = tuple(w / 2 ** math.ceil(math.log2(w / constants.GRID_ORACLE_STEP))
+                   for w in kernels.CHART_DOMAIN)
 
 
-def _dense_grid(chart, spacing=1e-3, half=True):
+def _dense_grid(spacing=1e-3, half=True):
     """Grid over the triangle b + c <= 1, or over its half c <= b."""
     b, c = np.meshgrid(np.linspace(0.0, 1.0, round(1.0 / spacing) + 1),
                        np.linspace(0.0, 1.0, round(1.0 / spacing) + 1), indexing="ij")
     keep = (b + c <= 1.0) & ((c <= b) | (not half))
-    return b[keep], c[keep], kernels.chart_point(chart, b[keep], c[keep])
+    return b[keep], c[keep], kernels.chart_point(b[keep], c[keep])
 
 
 def _in_leaves(scan, b, c):
     """Which points (b, c) lie in a leaf box of the scan; a point on a box
     edge belongs to the boxes on both sides."""
-    wb, wc = _leaf_size(scan.chart)
-    b_max, c_max = kernels.chart_domain(scan.chart)
+    wb, wc = _LEAF_SIZE
+    b_max, c_max = kernels.CHART_DOMAIN
     shape = (round(b_max / wb), round(c_max / wc))
     occupied = np.zeros(shape, dtype=bool)
     occupied[(scan.hits[:, 0] / wb).astype(int), (scan.hits[:, 1] / wc).astype(int)] = True
@@ -92,7 +99,7 @@ def _in_leaves(scan, b, c):
 def _uncovered_case_points(scan, eps):
     """The case analysis' chart points outside every leaf box, compared
     exactly against the float box ends."""
-    half = [Fraction(w) / 2 for w in _leaf_size(scan.chart)]
+    half = [Fraction(w) / 2 for w in _LEAF_SIZE]
     boxes = [[(Fraction(x) - h, Fraction(x) + h) for x, h in zip(centre, half)]
              for centre in scan.hits[:, :2].tolist()]
     return [pt for pt in _CASE_POINTS[eps]
@@ -115,9 +122,9 @@ def _exact_normalized_residual(b, c, eps):
 
 
 class TestBranchAndBound:
-    @pytest.mark.parametrize("chart,eps", _CHARTS)
-    def test_enclosure_is_sound(self, chart, eps, rng):
-        b_max, c_max = kernels.chart_domain(chart)
+    @pytest.mark.parametrize("eps", _ON_CHART)
+    def test_enclosure_is_sound(self, eps, rng):
+        b_max, c_max = kernels.CHART_DOMAIN
         n = 600
         wb = np.minimum(10.0 ** rng.uniform(-4, 0, n), b_max)
         wc = np.minimum(10.0 ** rng.uniform(-4, 0, n), c_max)
@@ -125,24 +132,24 @@ class TestBranchAndBound:
         on_chart = b_lo + c_lo <= 1.0
         assert np.count_nonzero(on_chart & (b_lo + wb + c_lo + wc > 1.0)) > 50  # straddle a = 0
         b_lo, c_lo, wb, wc = b_lo[on_chart], c_lo[on_chart], wb[on_chart], wc[on_chart]
-        lower, a_hi, b_hi, c_hi = kernels.box_enclosure(chart, eps, b_lo, b_lo + wb, c_lo, c_lo + wc)
+        lower, a_hi, b_hi, c_hi = kernels.box_enclosure(eps, b_lo, b_lo + wb, c_lo, c_lo + wc)
         # random interior points plus the four corners of every box, where a >= 0
         tb = np.concatenate([rng.uniform(0, 1, (b_lo.size, 30)), [[0, 0, 1, 1]] * b_lo.size], axis=1)
         tc = np.concatenate([rng.uniform(0, 1, (b_lo.size, 30)), [[0, 1, 0, 1]] * b_lo.size], axis=1)
         b, c = b_lo[:, None] + tb * wb[:, None], c_lo[:, None] + tc * wc[:, None]
-        a, bu, cu = kernels.chart_point(chart, b, c)
+        a, bu, cu = kernels.chart_point(b, c)
         on = b + c <= 1.0
         assert np.all((lower[:, None] <= kernels.residual_linf(a, bu, cu, eps))[on])
         for x, hi in ((a, a_hi), (bu, b_hi), (cu, c_hi)):
             assert np.all((x <= hi[:, None])[on])
         assert np.any(lower > constants.ORACLE_HIT_THRESHOLD)  # the bound is not vacuous
 
-    @pytest.mark.parametrize("chart,eps", _CHARTS)
-    def test_degenerate_boxes_are_bounded_by_the_exact_residual(self, chart, eps, rng):
+    @pytest.mark.parametrize("eps", _ON_CHART)
+    def test_degenerate_boxes_are_bounded_by_the_exact_residual(self, eps, rng):
         b, c = rng.uniform(0.0, 1.0, (2, 400))
         keep = (c <= b) & (b + c <= 1.0)
         b, c = b[keep][:200], c[keep][:200]
-        lower, a_hi, b_hi, c_hi = kernels.box_enclosure(chart, eps, b, b, c, c)
+        lower, a_hi, b_hi, c_hi = kernels.box_enclosure(eps, b, b, c, c)
         for k in range(b.size):
             exact = _exact_normalized_residual(b[k], c[k], eps)
             assert Fraction(lower[k]) <= exact
@@ -152,28 +159,28 @@ class TestBranchAndBound:
                 assert x * x <= Fraction(hi) ** 2 * n2
         assert np.any(lower > constants.ORACLE_HIT_THRESHOLD)
 
-    @pytest.mark.parametrize("chart,eps", _CHARTS)
-    def test_tight_boxes_around_the_case_points_bound_zero(self, chart, eps):
+    @pytest.mark.parametrize("eps", _ON_CHART)
+    def test_tight_boxes_around_the_case_points_bound_zero(self, eps):
         for b, c in _CASE_POINTS[eps]:
             (b_lo, b_hi), (c_lo, c_hi) = _float_box(b), _float_box(c)
             assert _exact_normalized_residual(b, c, eps) == 0
-            assert kernels.box_enclosure(chart, eps, b_lo, b_hi, c_lo, c_hi)[0] == 0.0
+            assert kernels.box_enclosure(eps, b_lo, b_hi, c_lo, c_hi)[0] == 0.0
 
-    @pytest.mark.parametrize("chart,eps", _CHARTS)
+    @pytest.mark.parametrize("eps", _ON_CHART)
     @pytest.mark.parametrize("end", range(4))
-    def test_a_nan_box_end_gives_a_nan_bound(self, chart, eps, end):
+    def test_a_nan_box_end_gives_a_nan_bound(self, eps, end):
         ends = [np.array([0.2, 0.3]), np.array([0.25, 0.35]), np.array([0.1, 0.2]),
                 np.array([0.15, 0.25])]
         ends[end][1] = np.nan
-        lower = kernels.box_enclosure(chart, eps, *ends)[0]
+        lower = kernels.box_enclosure(eps, *ends)[0]
         assert not math.isnan(lower[0]) and math.isnan(lower[1])
 
-    @pytest.mark.parametrize("chart,eps", _CHARTS)
-    def test_leaves_cover_every_sub_threshold_point(self, chart, eps):
-        scan = kernels.scan_chart(chart, eps)
-        wb, wc = _leaf_size(chart)
+    @pytest.mark.parametrize("eps", _ON_CHART)
+    def test_leaves_cover_every_sub_threshold_point(self, eps):
+        scan = kernels.scan_chart(kernels.CHART_SIMPLEX, eps)
+        wb, wc = _LEAF_SIZE
         assert wb <= constants.GRID_ORACLE_STEP and wc <= constants.GRID_ORACLE_STEP
-        b, c, abc = _dense_grid(chart)
+        b, c, abc = _dense_grid()
         low = kernels.residual_linf(*abc, eps) < constants.ORACLE_HIT_THRESHOLD
         assert low.any()
         covered = _in_leaves(scan, b[low], c[low])
@@ -183,35 +190,36 @@ class TestBranchAndBound:
     def test_leaves_and_their_mirrors_cover_the_triangle(self, eps):
         # the scan runs on c <= b only; (b, c) -> (c, b) covers the rest
         scan = kernels.scan_chart(kernels.CHART_SIMPLEX, eps)
-        assert kernels.chart_domain(kernels.CHART_SIMPLEX) == (1.0, 0.5)
-        b, c, abc = _dense_grid(kernels.CHART_SIMPLEX, half=False)
+        assert kernels.CHART_DOMAIN == (1.0, 0.5)
+        b, c, abc = _dense_grid(half=False)
         low = kernels.residual_linf(*abc, eps) < constants.ORACLE_HIT_THRESHOLD
         b, c = b[low], c[low]
         assert np.count_nonzero(c > b) > 50  # points beyond the scanned half
         covered = _in_leaves(scan, b, c) | _in_leaves(scan, c, b)
         assert covered.all(), f"{np.count_nonzero(~covered)} sub-threshold points outside the leaves"
 
-    @pytest.mark.parametrize("chart,eps", _CHARTS)
-    def test_every_case_analysis_point_lies_in_a_leaf(self, chart, eps):
-        assert _uncovered_case_points(kernels.scan_chart(chart, eps), eps) == []
+    @pytest.mark.parametrize("eps", _ON_CHART)
+    def test_every_case_analysis_point_lies_in_a_leaf(self, eps):
+        assert _uncovered_case_points(kernels.scan_chart(kernels.CHART_SIMPLEX, eps), eps) == []
 
-    @pytest.mark.parametrize("chart,eps", _CHARTS)
-    def test_a_raised_bound_at_a_case_point_uncovers_it(self, chart, eps, monkeypatch):
+    @pytest.mark.parametrize("eps", _ON_CHART)
+    def test_a_raised_bound_at_a_case_point_uncovers_it(self, eps, monkeypatch):
         real = kernels.box_enclosure
         b0, c0 = (float(x) for x in _CASE_POINTS[eps][-1])
 
-        def raised(chart, eps, b_lo, b_hi, c_lo, c_hi):
-            lower, *rest = real(chart, eps, b_lo, b_hi, c_lo, c_hi)
+        def raised(eps, b_lo, b_hi, c_lo, c_hi):
+            lower, *rest = real(eps, b_lo, b_hi, c_lo, c_hi)
             leaf = b_hi - b_lo <= constants.GRID_ORACLE_STEP
             inside = leaf & (b_lo <= b0) & (b0 <= b_hi) & (c_lo <= c0) & (c0 <= c_hi)
             return (np.where(inside, 1.0, lower), *rest)
 
         monkeypatch.setattr(kernels, "box_enclosure", raised)
-        assert _uncovered_case_points(kernels.scan_chart(chart, eps), eps) == [_CASE_POINTS[eps][-1]]
+        scan = kernels.scan_chart(kernels.CHART_SIMPLEX, eps)
+        assert _uncovered_case_points(scan, eps) == [_CASE_POINTS[eps][-1]]
 
     def test_split_interior_bound_is_certified_and_not_above_samples(self):
         scan = kernels.scan_chart(kernels.CHART_SIMPLEX, PSEUDO)
-        _, _, (a, b, c) = _dense_grid(kernels.CHART_SIMPLEX)
+        _, _, (a, b, c) = _dense_grid()
         interior = np.minimum(a, np.minimum(b, c)) >= constants.NONZERO_MARGIN
         sampled = kernels.residual_linf(a, b, c, PSEUDO)[interior].min()
         assert constants.NONZERO_EMPTY_BOUND < scan.interior_min <= sampled
@@ -223,14 +231,14 @@ class TestBranchAndBound:
         real = kernels.box_enclosure
         b0, c0 = 0.3, 0.1  # residual ~0.23 there, far above the hit threshold
 
-        def poisoned(chart, eps, b_lo, b_hi, c_lo, c_hi):
-            lower, *rest = real(chart, eps, b_lo, b_hi, c_lo, c_hi)
+        def poisoned(eps, b_lo, b_hi, c_lo, c_hi):
+            lower, *rest = real(eps, b_lo, b_hi, c_lo, c_hi)
             inside = (b_lo <= b0) & (b0 <= b_hi) & (c_lo <= c0) & (c0 <= c_hi)
             return (np.where(inside, np.nan, lower), *rest)
 
         monkeypatch.setattr(kernels, "box_enclosure", poisoned)
         scan = kernels.scan_chart(kernels.CHART_SIMPLEX, 1)
-        wb, wc = _leaf_size(kernels.CHART_SIMPLEX)
+        wb, wc = _LEAF_SIZE
         near = (np.abs(scan.hits[:, 0] - b0) <= wb / 2) & (np.abs(scan.hits[:, 1] - c0) <= wc / 2)
         assert near.any()
         assert math.isnan(scan.interior_min)
@@ -243,11 +251,11 @@ class TestBranchAndBound:
         real = kernels.box_enclosure
         c0 = 0.05
         b0 = (1.0 - 2.0 * c0) / (2.0 - 2.0 * c0)
-        a, b, c = kernels.chart_point(kernels.CHART_SIMPLEX, b0, c0)
+        a, b, c = kernels.chart_point(b0, c0)
         assert a * a - b * b - c * c == pytest.approx(0.0, abs=1e-15)
 
-        def zero_there(chart, eps, b_lo, b_hi, c_lo, c_hi):
-            lower, *rest = real(chart, eps, b_lo, b_hi, c_lo, c_hi)
+        def zero_there(eps, b_lo, b_hi, c_lo, c_hi):
+            lower, *rest = real(eps, b_lo, b_hi, c_lo, c_hi)
             inside = (b_lo <= b0) & (b0 <= b_hi) & (c_lo <= c0) & (c0 <= c_hi)
             return (np.where(inside, 0.0, lower), *rest)
 
@@ -271,17 +279,17 @@ class TestBranchAndBound:
     @pytest.mark.parametrize("eps", [0, 0.5, 2])
     def test_enclosure_rejects_a_bad_signature(self, eps):
         with pytest.raises(ValueError):
-            kernels.box_enclosure(kernels.CHART_SIMPLEX, eps, 0.0, 0.1, 0.0, 0.1)
+            kernels.box_enclosure(eps, 0.0, 0.1, 0.0, 0.1)
 
 
 class TestRefine:
     def test_converges_to_single_distribution_solution(self):
-        a, b, c, res = kernels.refine_candidate(kernels.CHART_SIMPLEX, 1, b0=4e-3, c0=1e-3)
+        a, b, c, res = kernels.refine_candidate(1, b0=4e-3, c0=1e-3)
         assert abs(a - 1.0) < 1e-11 and abs(b) < 1e-11 and abs(c) < 1e-11
         assert res < 1e-12
 
     def test_converges_to_flat_family(self):
-        a, b, c, res = kernels.refine_candidate(kernels.CHART_SIMPLEX, 1, b0=1 / 3 + 3e-3,
+        a, b, c, res = kernels.refine_candidate(1, b0=1 / 3 + 3e-3,
                                                 c0=1 / 3 - 2e-3)
         want = 1.0 / math.sqrt(3.0)
         assert max(abs(a - want), abs(b - want), abs(c - want)) < 1e-10
@@ -290,14 +298,14 @@ class TestRefine:
     @pytest.mark.parametrize("eps", SIGNATURES)
     def test_array_seeds_refine_bitwise_as_scalar_seeds(self, eps, rng):
         scan = kernels.scan_chart(kernels.CHART_SIMPLEX, eps)
-        b_max, c_max = kernels.chart_domain(kernels.CHART_SIMPLEX)
+        b_max, c_max = kernels.CHART_DOMAIN
         pick = rng.choice(len(scan.hits), 20, replace=False)
         b0 = np.concatenate([scan.hits[pick, 0], rng.uniform(0.0, b_max, 20), [0.0, b_max]])
         c0 = np.concatenate([scan.hits[pick, 1], rng.uniform(0.0, c_max, 20), [c_max, c_max]])
-        batch = kernels.refine_candidate(kernels.CHART_SIMPLEX, eps, b0, c0)
+        batch = kernels.refine_candidate(eps, b0, c0)
         assert [x.shape for x in batch] == [b0.shape] * 4
         for k, (b, c) in enumerate(zip(b0.tolist(), c0.tolist())):
-            one = kernels.refine_candidate(kernels.CHART_SIMPLEX, eps, b, c)
+            one = kernels.refine_candidate(eps, b, c)
             assert all(type(x) is float for x in one)
             assert one == tuple(x[k] for x in batch)
 
@@ -341,7 +349,7 @@ class TestNewton:
         for fam, (b, c) in zip(cl.solve_families(eps), _CASE_POINTS[eps]):
             for db in (-step, step):
                 for dc in (-step, step):
-                    *amps, res = kernels.refine_candidate(kernels.CHART_SIMPLEX, eps,
+                    *amps, res = kernels.refine_candidate(eps,
                                                           float(b) + db, float(c) + dc)
                     assert max(abs(x - y) for x, y in zip(amps, fam.amplitudes)) <= 1e-10
                     assert res <= 1e-12
@@ -353,9 +361,9 @@ class TestNewton:
         c0 = np.array([float(c) - step for _, c in _CASE_POINTS[eps]] + [0.1, 0.2])
         steps, real = [], kernels._jacobian
         monkeypatch.setattr(kernels, "_jacobian", lambda *args: steps.append(1) or real(*args))
-        early, stopped_after = kernels.refine_candidate(kernels.CHART_SIMPLEX, eps, b0, c0), len(steps)
+        early, stopped_after = kernels.refine_candidate(eps, b0, c0), len(steps)
         monkeypatch.setattr(np, "array_equal", lambda *args, **kwargs: False)
-        capped = kernels.refine_candidate(kernels.CHART_SIMPLEX, eps, b0, c0)
+        capped = kernels.refine_candidate(eps, b0, c0)
         assert len(steps) - stopped_after == 8
         assert [x.tolist() for x in early] == [x.tolist() for x in capped]
         # the compact batch stops on a 2-cycle, the split batch on a fixed point
@@ -367,18 +375,18 @@ class TestNewton:
         # next to 1/3, so that batch stops on the 2-cycle and not at the cap
         real, seeds = kernels.refine_candidate, []
         monkeypatch.setattr(kernels, "refine_candidate",
-                            lambda chart, e, b, c: seeds.append((b, c)) or real(chart, e, b, c))
+                            lambda e, b, c: seeds.append((b, c)) or real(e, b, c))
         cl.grid_oracle(eps)
         monkeypatch.undo()
         (b0, c0), = seeds
         steps, jac = [], kernels._jacobian
         monkeypatch.setattr(kernels, "_jacobian", lambda *args: steps.append(1) or jac(*args))
-        early, stopped_after = kernels.refine_candidate(kernels.CHART_SIMPLEX, eps, b0, c0), len(steps)
+        early, stopped_after = kernels.refine_candidate(eps, b0, c0), len(steps)
         for k, (b, c) in enumerate(zip(b0.tolist(), c0.tolist())):
-            assert kernels.refine_candidate(kernels.CHART_SIMPLEX, eps, b, c) == tuple(x[k] for x in early)
+            assert kernels.refine_candidate(eps, b, c) == tuple(x[k] for x in early)
         # the reference runs every one of the 8 steps
         monkeypatch.setattr(np, "array_equal", lambda *args, **kwargs: False)
         before = len(steps)
-        capped = kernels.refine_candidate(kernels.CHART_SIMPLEX, eps, b0, c0)
+        capped = kernels.refine_candidate(eps, b0, c0)
         assert len(steps) - before == 8 and stopped_after < 8
         assert [x.tobytes() for x in early] == [x.tobytes() for x in capped]

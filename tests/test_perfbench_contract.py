@@ -137,7 +137,7 @@ def test_traced_classify_records_the_oracle_layers():
 def test_traced_verify_evaluates_each_basis_tensor_once():
     # per signature: the cross-check, the symmetry rows and the self-test each
     # evaluate the tensorial curvature once; the identity suite builds G at
-    # eight argument twists and verify at two
+    # eight argument twists and verify at one
     src = pathlib.Path(nkflag.__file__).resolve().parents[1]
     code = (
         "import collections, json\n"
@@ -157,7 +157,7 @@ def test_traced_verify_evaluates_each_basis_tensor_once():
     assert {"verify.curvature_cross_check", "verify.corruption_self_test",
             "nk_geometry.identity_suite"} <= set(calls)
     assert calls["nk_geometry.curvature_tensorial"] == 6
-    assert calls["nk_geometry.g_tensor"] == 20
+    assert calls["nk_geometry.g_tensor"] == 18
 
 
 def test_gate_parses_every_verify_table_row(gate, capsys):

@@ -16,7 +16,8 @@ import pytest
 
 from nkflag import constants
 from nkflag import surfaces as sf
-from nkflag.classification import minor_equations, solve_families
+from nkflag.classification import solve_families
+from nkflag.kernels import minor_equations
 from nkflag.lie_structure import H1, M1, M3, M4, PSEUDO, RIEMANNIAN, basis, coefficients
 from nkflag.matrix_core import max_abs
 from nkflag.nk_geometry import acs_matrix

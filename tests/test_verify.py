@@ -25,6 +25,7 @@ from nkflag import constants, verify
 from nkflag import lie_structure as ls
 from nkflag import nk_geometry as nk
 from nkflag.lie_structure import PSEUDO, RIEMANNIAN, SIGNATURES, signature_label
+from nkflag.surfaces import SURFACE_IDS
 
 # report names of one signature in emission order; the split form has no
 # Killing-form check
@@ -46,6 +47,16 @@ _NAMES = (
 )
 
 _SAMPLED = ("expm_inverse_defect", "expm_group_membership", "expm_commuting_product")
+
+# the rows of one signature judged against TOL_TABLE: exact tables and the
+# identities read off them
+_TABLE_ROWS = (
+    "basis_traceless", "basis_antihermitian", "coefficient_roundtrip",
+    "structure_antisymmetry", "jacobi_identity", "reductive_bracket",
+    "connection_table", "connection_off_table", "g_m1_m2_is_m6", "constant_type_identity",
+    "curvature_skew_first_pair", "curvature_first_bianchi",
+    "curvature_pair_symmetry", "curvature_metric_compatibility",
+)
 
 
 @pytest.mark.parametrize("eps", SIGNATURES)
@@ -78,6 +89,18 @@ def test_one_seed_gives_one_report_and_leaves_the_global_random_state(eps):
     first = verify.run_verification(eps, seed=5)
     assert verify.run_verification(eps, seed=5) == first
     assert random.getstate() == state
+
+
+def test_exact_tables_share_one_tolerance(summary_cache):
+    # the round-trip, property and constant-type tolerances were folded into TOL_TABLE
+    assert not {"TOL_ROUNDTRIP", "TOL_PROPERTY", "TOL_ALPHA"} & set(vars(constants))
+    assert constants.TOL_TABLE == 1e-14
+    reports = [r for eps in SIGNATURES for r in verify.run_verification(eps)]
+    reports += [r for sid in SURFACE_IDS for r in summary_cache(sid, 21)["reports"]
+                if r.name.startswith("orbit_lie_triple[")]
+    table = [r for r in reports if r.tolerance == constants.TOL_TABLE]
+    assert {r.name.split("[")[0] for r in table} == {*_TABLE_ROWS, "orbit_lie_triple"}
+    assert len(table) == 34 and all(r.passed for r in table)
 
 
 def test_seeded_report_files_match_across_processes(tmp_path):
