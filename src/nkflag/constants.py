@@ -1,23 +1,26 @@
 """Project-wide numerical policy.
 
-Tolerances come in two tiers.  Exact-structure checks (pure linear algebra
-on the cached tables, no discretization anywhere in the pipeline) are held
-near machine precision by three constants: ``TOL_EXACT`` for generic
-exact checks, those whose arithmetic rounds among them (the orthonormal
-h2, ``expm``, the two curvature routes); ``TOL_TABLE`` for exact tables
-and the identities read off them, which read 0.0 or one rounding; and
-``TOL_INTEGER_IDENTITY`` for polynomial identities on integer nodes,
-where no operation rounds.  Finite-difference pipelines are held at the
-floor set by their step size.  Keeping the ladder in one place makes it
-obvious which kind of error a failing check is reporting.
+Each check takes its tolerance from its source of error, in two tiers.
+Exact checks take no finite difference anywhere in the pipeline, so their
+only error is rounding, and they are held near machine precision by three
+constants: ``TOL_EXACT`` for the checks whose arithmetic rounds (the
+orthonormal h2, ``expm``, the two curvature routes, the six analytic
+surface rows); ``TOL_TABLE`` for exact tables and the identities read off
+them, which read 0.0 or one rounding; and ``TOL_INTEGER_IDENTITY`` for
+polynomial identities on integer nodes, where no operation rounds.  The
+finite-difference tier holds only finite differences, each at the floor
+set by its step size: ``TOL_FRAME_AGREEMENT`` for the difference frames
+and ``TOL_CURVATURE`` for the Gauss curvature and the totally geodesic
+residual.  Keeping the ladder in one place makes it obvious which kind of
+error a failing check is reporting.
 """
 
 import math
 
 # --- exact-structure tier -------------------------------------------------
 
-#: generic exact checks (identities evaluated on the basis); the default of
-#: ``verify --tol-exact``
+#: generic exact checks (identities evaluated on the basis, analytic surface
+#: quantities on their grids); the default of ``verify --tol-exact``
 TOL_EXACT = 1e-12
 
 #: exact tables (+-1/2 coefficients, brackets, pinned tensor values) and the
@@ -40,24 +43,6 @@ CURV_STEP = 1e-3
 
 #: numeric Gauss curvature vs expected constant
 TOL_CURVATURE = 1e-4
-
-#: induced metric samples vs closed forms
-TOL_METRIC_CLOSED_FORM = 1e-10
-
-#: matrix exponential vs closed-form immersion on the sample grid
-TOL_EXPM_CLOSED_FORM = 1e-10
-
-#: group-membership defect of sampled immersion points
-TOL_GROUP_MEMBERSHIP = 1e-10
-
-#: h-part of the left-translated t-derivative (must be horizontal)
-TOL_HORIZONTAL = 1e-12
-
-#: drift of the distribution amplitudes over a sample grid
-TOL_AMPLITUDE_CONST = 1e-9
-
-#: almost-complex alignment residual of the horizontal frame
-TOL_AC_RESIDUAL = 1e-9
 
 #: induced metric is treated as degenerate below this |det| scale
 DEGENERATE_METRIC_MIN = 1e-6

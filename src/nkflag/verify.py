@@ -215,7 +215,7 @@ def run_verification(eps: int, seed: int = constants.DEFAULT_SEED,
     # --- identity suite ---
     reports.extend(
         CheckReport(f"{r.name}[{label}]", r.max_abs_error, r.tolerance, r.samples)
-        for r in nk_geometry.identity_suite(eps)
+        for r in nk_geometry.identity_suite(eps, tol_exact)
     )
 
     # --- curvature: both routes and the tensor properties on every basis triple ---

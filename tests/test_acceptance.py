@@ -1,8 +1,10 @@
 """Acceptance gate: every exit criterion at its stated tolerance.
 
 Each test prints one pass/fail line; run with ``pytest -s`` (or ``-v``) to
-see them.  Tolerances are pinned here and in :mod:`nkflag.constants`, not
-calibrated after the fact.
+see them.  Every tolerance is a literal pinned here, independently of
+:mod:`nkflag.constants`, and not calibrated after the fact.  Each command
+row a criterion restates must report that same literal as its tolerance, so
+loosening a constant fails the gate too.
 """
 
 import itertools
@@ -30,24 +32,51 @@ def _line(num: int, name: str, ok: bool, detail: str):
     assert ok, f"criterion {num}: {detail}"
 
 
-def test_criterion_1_curvature_equivalence():
+def _check_pins(reports, pins: dict[str, float]):
+    """Every row ``<check>[...]`` of ``reports`` named in ``pins`` reports
+    the gate's literal as its tolerance, and each named check is emitted."""
+    got = {(r.name.split("[")[0], r.tolerance) for r in reports
+           if r.name.split("[")[0] in pins}
+    assert got == set(pins.items()), f"reported tolerances {sorted(got)}, gate {pins}"
+
+
+@pytest.fixture(scope="module")
+def verify_reports():
+    return [r for eps in SIGNATURES for r in verify.run_verification(eps)]
+
+
+#: the ten ``surface`` rows and the gate's tolerance for each: rounding only
+#: for the analytic rows, the step-size floor for the three difference rows
+_SURFACE_PINS = {
+    "expm_defect": 1e-12, "group_defect": 1e-12, "horizontality": 1e-12,
+    "metric_closed_form_error": 1e-12, "amplitude_error": 1e-12, "ac_residual_max": 1e-12,
+    "K_max_deviation": 1e-4, "tg_residual_max": 1e-4, "frame_agreement": 1e-6,
+    "orbit_lie_triple": 1e-14,
+}
+
+
+def test_criterion_1_curvature_equivalence(verify_reports):
+    _check_pins(verify_reports, {"curvature_lie_vs_tensorial": 1e-12})
     worst = max(verify.curvature_cross_check(eps) for eps in SIGNATURES)
     _line(1, "curvature routes agree on 216 basis triples, both signatures",
           worst < 1e-12, f"max error {worst:.3e} (tol 1e-12)")
 
 
-def test_criterion_2_connection_table():
+def test_criterion_2_connection_table(verify_reports):
+    _check_pins(verify_reports, {"connection_table": 1e-14, "connection_off_table": 1e-14})
     worst_table = worst_off = 0.0
     for eps in SIGNATURES:
         table_err, off_err = verify.connection_table(eps)
         worst_table = max(worst_table, table_err)
         worst_off = max(worst_off, off_err)
     _line(2, "connection table: 24 half-integer entries, rest vanish",
-          worst_table < 1e-13 and worst_off < 1e-13,
-          f"table error {worst_table:.3e}, off-table {worst_off:.3e} (tol 1e-13)")
+          worst_table < 1e-14 and worst_off < 1e-14,
+          f"table error {worst_table:.3e}, off-table {worst_off:.3e} (tol 1e-14)")
 
 
-def test_criterion_3_nearly_kahler_certification():
+def test_criterion_3_nearly_kahler_certification(verify_reports):
+    _check_pins(verify_reports, {"g_skew_on_basis": 1e-12, "g_vanishing_diagonal_random": 1e-12,
+                                 "g_m1_m2_is_m6": 1e-14})
     rng = np.random.default_rng(SEED)
     worst_skew = worst_diag = worst_pin = 0.0
     for eps in SIGNATURES:
@@ -59,7 +88,7 @@ def test_criterion_3_nearly_kahler_certification():
         worst_diag = max(worst_diag, float(np.max(np.abs(nk.g_tensor(x, x, eps)))))
         pin = np.max(np.abs(nk.g_tensor(E6[0], E6[1], eps) - E6[5]))
         worst_pin = max(worst_pin, float(pin))
-    ok = worst_skew < 1e-12 and worst_diag < 1e-12 and worst_pin < 1e-13
+    ok = worst_skew < 1e-12 and worst_diag < 1e-12 and worst_pin < 1e-14
     _line(3, "structure tensor skew, diagonal-free, pinned value",
           ok, f"skew {worst_skew:.3e}, diagonal {worst_diag:.3e}, pinned {worst_pin:.3e}")
 
@@ -67,14 +96,16 @@ def test_criterion_3_nearly_kahler_certification():
 def test_criterion_4_identity_suite():
     worst_exact = worst_alpha = 0.0
     for eps in SIGNATURES:
-        for r in nk.identity_suite(eps):
+        reports = nk.identity_suite(eps)
+        _check_pins(reports, {r.name: 1e-12 for r in reports} | {"constant_type_identity": 1e-14})
+        for r in reports:
             if r.name == "constant_type_identity":
                 worst_alpha = max(worst_alpha, r.max_abs_error)
             else:
                 worst_exact = max(worst_exact, r.max_abs_error)
-    ok = worst_exact < 1e-12 and worst_alpha < 1e-9
+    ok = worst_exact < 1e-12 and worst_alpha < 1e-14
     _line(4, "identity suite incl. unit-constant identity",
-          ok, f"identities {worst_exact:.3e} (tol 1e-12), constant-type {worst_alpha:.3e} (tol 1e-9)")
+          ok, f"identities {worst_exact:.3e} (tol 1e-12), constant-type {worst_alpha:.3e} (tol 1e-14)")
 
 
 def test_criterion_5_classification():
@@ -109,19 +140,12 @@ def test_criterion_5_classification():
 
 
 @pytest.mark.parametrize("sid", sf.SURFACE_IDS)
-def test_criterion_6_surfaces(sid, surface_error):
-    checks = {
-        "expm": (surface_error(sid, 41, "expm_defect"), 1e-10),
-        "metric": (surface_error(sid, 41, "metric_closed_form_error"), 1e-10),
-        "K": (surface_error(sid, 41, "K_max_deviation"), 1e-4),
-        "tg": (surface_error(sid, 41, "tg_residual_max"), 1e-4),
-        "horizontality": (surface_error(sid, 41, "horizontality"), 1e-12),
-        "amplitudes": (surface_error(sid, 41, "amplitude_error"), 1e-9),
-        "frames": (surface_error(sid, 41, "frame_agreement"), 1e-6),
-        "lie triple": (surface_error(sid, 41, "orbit_lie_triple"), 1e-13),
-    }
-    ok = all(err < tol for err, tol in checks.values())
-    detail = ", ".join(f"{k} {err:.2e}" for k, (err, tol) in checks.items())
+def test_criterion_6_surfaces(sid, summary_cache):
+    reports = summary_cache(sid, 41)["reports"]
+    _check_pins(reports, _SURFACE_PINS)
+    errs = {r.name.split("[")[0]: r.max_abs_error for r in reports}
+    ok = all(errs[check] < tol for check, tol in _SURFACE_PINS.items())
+    detail = ", ".join(f"{check} {errs[check]:.2e}" for check in _SURFACE_PINS)
     _line(6, f"surface {sid} full pipeline on the default grid", ok, detail)
 
 

@@ -54,6 +54,19 @@ class TestVerifyCommand:
         # tiny but valid: the benchmark's negative control relies on exit 1 here
         assert cli.main(["verify", "--signature", "riemannian", "--tol-exact", "1e-300"]) == 1
 
+    def test_tol_exact_reaches_every_exact_row(self, capsys, tmp_path):
+        # the identity-suite rows included; every other row keeps its tolerance
+        argv = ["verify", "--signature", "both", "--self-test", "--out"]
+        cli.main([*argv, str(tmp_path / "default.json")])
+        cli.main([*argv, str(tmp_path / "tight.json"), "--tol-exact", "1e-13"])
+        default = load_report_file(tmp_path / "default.json")[1]
+        tight = load_report_file(tmp_path / "tight.json")[1]
+        moved = {r.name for r in default if r.tolerance == 1e-12}
+        assert len(moved) == 59
+        assert [r.name for r in tight] == [r.name for r in default]
+        assert {r.name for r in tight if r.tolerance == 1e-13} == moved
+        assert all(t.tolerance == d.tolerance for d, t in zip(default, tight) if d.name not in moved)
+
     def test_env_override(self, capsys, monkeypatch):
         monkeypatch.setenv("NKFLAG_TOL_EXACT", "1e-30")
         assert cli.main(["verify", "--signature", "riemannian"]) == 1

@@ -114,11 +114,11 @@ class TestClosedForms:
 
     @pytest.mark.parametrize("sid", sf.SURFACE_IDS)
     def test_matches_exponential(self, sid, surface_error):
-        assert surface_error(sid, GRID, "expm_defect") < constants.TOL_EXPM_CLOSED_FORM
+        assert surface_error(sid, GRID, "expm_defect") < constants.TOL_EXACT
 
     @pytest.mark.parametrize("sid", sf.SURFACE_IDS)
     def test_group_membership(self, sid, surface_error):
-        assert surface_error(sid, GRID, "group_defect") < constants.TOL_GROUP_MEMBERSHIP
+        assert surface_error(sid, GRID, "group_defect") < constants.TOL_EXACT
 
 
 class TestGridReductions:
@@ -164,7 +164,7 @@ class TestFrames:
 
     @pytest.mark.parametrize("sid", sf.SURFACE_IDS)
     def test_t_derivative_horizontal(self, sid, surface_error):
-        assert surface_error(sid, GRID, "horizontality") < constants.TOL_HORIZONTAL
+        assert surface_error(sid, GRID, "horizontality") < constants.TOL_EXACT
 
     def test_vertical_part_of_u_derivative(self):
         # for the V1 sphere the isotropy component is
@@ -256,7 +256,7 @@ class TestAlmostComplex:
         for t in (0.3, 0.8, 1.4):
             for u in (0.0, 2.5):
                 residual, f = sf.almost_complex_check(sid, t, u)
-                assert residual < constants.TOL_AC_RESIDUAL
+                assert residual < constants.TOL_EXACT
                 assert f == pytest.approx(factor(t), abs=1e-12)
 
     def test_degenerate_point_returns_zero(self):
@@ -274,7 +274,7 @@ class TestAlmostComplex:
 
     @pytest.mark.parametrize("sid", sf.SURFACE_IDS)
     def test_max_residual_over_grid(self, sid, surface_error):
-        assert surface_error(sid, GRID, "ac_residual_max") < constants.TOL_AC_RESIDUAL
+        assert surface_error(sid, GRID, "ac_residual_max") < constants.TOL_EXACT
 
 
 class TestInducedMetric:
@@ -289,7 +289,7 @@ class TestInducedMetric:
 
     @pytest.mark.parametrize("sid", sf.SURFACE_IDS)
     def test_matches_closed_form_over_grid(self, sid, surface_error):
-        assert surface_error(sid, GRID, "metric_closed_form_error") < constants.TOL_METRIC_CLOSED_FORM
+        assert surface_error(sid, GRID, "metric_closed_form_error") < constants.TOL_EXACT
 
     def test_negative_definite_sign(self):
         t, u = sf.default_grid(5, 11)
@@ -407,7 +407,7 @@ class TestTotallyGeodesic:
 
     @pytest.mark.parametrize("sid", sf.SURFACE_IDS)
     def test_amplitudes_constant(self, sid, surface_error):
-        assert surface_error(sid, GRID, "amplitude_error") < constants.TOL_AMPLITUDE_CONST
+        assert surface_error(sid, GRID, "amplitude_error") < constants.TOL_EXACT
 
 
 class TestControlSurface:
@@ -514,14 +514,14 @@ class TestExport:
         s = summary_cache(1, GRID)
         checked = GRID * GRID - s["degenerate_points"]
         assert [(r.name, r.tolerance, r.samples) for r in s["reports"]] == [
-            ("expm_defect[surface1]", constants.TOL_EXPM_CLOSED_FORM, GRID * GRID),
-            ("group_defect[surface1]", constants.TOL_GROUP_MEMBERSHIP, GRID * GRID),
-            ("horizontality[surface1]", constants.TOL_HORIZONTAL, GRID * GRID),
-            ("metric_closed_form_error[surface1]", constants.TOL_METRIC_CLOSED_FORM, GRID * GRID),
-            ("amplitude_error[surface1]", constants.TOL_AMPLITUDE_CONST, GRID * GRID),
+            ("expm_defect[surface1]", constants.TOL_EXACT, GRID * GRID),
+            ("group_defect[surface1]", constants.TOL_EXACT, GRID * GRID),
+            ("horizontality[surface1]", constants.TOL_EXACT, GRID * GRID),
+            ("metric_closed_form_error[surface1]", constants.TOL_EXACT, GRID * GRID),
+            ("amplitude_error[surface1]", constants.TOL_EXACT, GRID * GRID),
             ("K_max_deviation[surface1]", constants.TOL_CURVATURE, checked),
             ("tg_residual_max[surface1]", constants.TOL_CURVATURE, checked),
-            ("ac_residual_max[surface1]", constants.TOL_AC_RESIDUAL, GRID * GRID),
+            ("ac_residual_max[surface1]", constants.TOL_EXACT, GRID * GRID),
             ("frame_agreement[surface1]", constants.TOL_FRAME_AGREEMENT, GRID * GRID),
             ("orbit_lie_triple[surface1]", constants.TOL_TABLE, 1),
         ]
@@ -578,19 +578,19 @@ _E = np.eye(8)   # coordinate rows of the basis
 #: and at least 10x its tolerance: report name -> (descriptor, monkeypatch)
 #: -> faulty descriptor of the compact surface 2
 _FAULTS = {
-    "expm_defect": lambda d, mp: _plane_shifted(d, 1e-6 * _H1, 0.0),
+    "expm_defect": lambda d, mp: _plane_shifted(d, 1e-11 * _H1, 0.0),
     "group_defect": lambda d, mp: dataclasses.replace(
-        d, closed_form=lambda t, u: (1.0 + 1e-6) * d.closed_form(t, u)),
-    "horizontality": lambda d, mp: _frames_shifted(mp, 1e-6 * _E[H1], 0.0) or d,
+        d, closed_form=lambda t, u: (1.0 + 1e-11) * d.closed_form(t, u)),
+    "horizontality": lambda d, mp: _frames_shifted(mp, 1e-11 * _E[H1], 0.0) or d,
     "metric_closed_form_error": lambda d, mp: dataclasses.replace(
-        d, expected_metric=lambda t: (d.expected_metric(t)[0] + 1e-6, *d.expected_metric(t)[1:])),
+        d, expected_metric=lambda t: (d.expected_metric(t)[0] + 1e-11, *d.expected_metric(t)[1:])),
     "amplitude_error": lambda d, mp: dataclasses.replace(
-        d, expected_amplitudes=(d.expected_amplitudes[0] + 1e-6, *d.expected_amplitudes[1:])),
+        d, expected_amplitudes=(d.expected_amplitudes[0] + 1e-11, *d.expected_amplitudes[1:])),
     "K_max_deviation": lambda d, mp: dataclasses.replace(d, expected_K=d.expected_K + 1e-3),
     "tg_residual_max": lambda d, mp: mp.setattr(
         sf, "holomorphic_K", _shifted(sf.holomorphic_K, 1e-3)) or d,
     # V3 lies outside the V1 + V2 plane of surface 2, so J(omega_t) misses it
-    "ac_residual_max": lambda d, mp: _frames_shifted(mp, 0.0, 1e-6 * _E[M3]) or d,
+    "ac_residual_max": lambda d, mp: _frames_shifted(mp, 0.0, 1e-11 * _E[M3]) or d,
     # only the difference frames see the vertical part of omega_u
     "frame_agreement": lambda d, mp: _frames_shifted(mp, 0.0, 1e-5 * _E[H1]) or d,
     # B leaves V1 + V2, so [[A, B], B] is no longer a multiple of A

@@ -24,6 +24,7 @@ import nkflag
 from nkflag import constants, verify
 from nkflag import lie_structure as ls
 from nkflag import nk_geometry as nk
+from nkflag.classification import classification_reports
 from nkflag.lie_structure import PSEUDO, RIEMANNIAN, SIGNATURES, signature_label
 from nkflag.surfaces import SURFACE_IDS
 
@@ -92,8 +93,8 @@ def test_one_seed_gives_one_report_and_leaves_the_global_random_state(eps):
 
 
 def test_exact_tables_share_one_tolerance(summary_cache):
-    # the round-trip, property and constant-type tolerances were folded into TOL_TABLE
-    assert not {"TOL_ROUNDTRIP", "TOL_PROPERTY", "TOL_ALPHA"} & set(vars(constants))
+    # the round-trip, property and constant-type tolerances were folded into
+    # TOL_TABLE; the next test pins the names that remain
     assert constants.TOL_TABLE == 1e-14
     reports = [r for eps in SIGNATURES for r in verify.run_verification(eps)]
     reports += [r for sid in SURFACE_IDS for r in summary_cache(sid, 21)["reports"]
@@ -101,6 +102,20 @@ def test_exact_tables_share_one_tolerance(summary_cache):
     table = [r for r in reports if r.tolerance == constants.TOL_TABLE]
     assert {r.name.split("[")[0] for r in table} == {*_TABLE_ROWS, "orbit_lie_triple"}
     assert len(table) == 34 and all(r.passed for r in table)
+
+
+def test_every_tolerance_constant_judges_a_row(summary_cache):
+    # the rows of `verify --signature both --self-test`, `classify` and
+    # `surface --id 1..6`: no TOL_* constant outlives the rows it judged
+    names = {n for n in vars(constants) if n.startswith("TOL_")}
+    assert names == {"TOL_EXACT", "TOL_TABLE", "TOL_INTEGER_IDENTITY",
+                     "TOL_FRAME_AGREEMENT", "TOL_CURVATURE"}
+    reports = [r for eps in SIGNATURES for r in verify.run_verification(eps, self_test=True)]
+    reports += [r for eps in SIGNATURES for r in classification_reports(eps)]
+    reports += [r for sid in SURFACE_IDS
+                for r in summary_cache(sid, constants.DEFAULT_GRID)["reports"]]
+    tolerances = {r.tolerance for r in reports}
+    assert {n for n in names if getattr(constants, n) not in tolerances} == set()
 
 
 def test_seeded_report_files_match_across_processes(tmp_path):
