@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .matrix_core import adjoint, commutator
+from .matrix_core import _det, _entry_major, _mul, adjoint, commutator
 
 __all__ = [
     "RIEMANNIAN",
@@ -152,8 +152,12 @@ def coefficients(x: np.ndarray, eps: int) -> np.ndarray:
 
 
 def from_coefficients(c, eps: int) -> np.ndarray:
-    """Inverse of :func:`coefficients` (batched over leading axes)."""
-    return np.einsum("...i,ijk->...jk", np.asarray(c, dtype=float), basis(eps))
+    """Inverse of :func:`coefficients` (batched over leading axes): the
+    coefficients times the basis viewed as an (8, 18) array of floats, a
+    real einsum, viewed back as complex 3x3 matrices."""
+    c = np.asarray(c, dtype=float)
+    flat = np.einsum("...i,if->...f", c, basis(eps).view(np.float64).reshape(8, 18))
+    return flat.view(np.complex128).reshape(c.shape[:-1] + (3, 3))
 
 
 def structure_constants_of(b: np.ndarray, eps: int) -> np.ndarray:
@@ -182,6 +186,8 @@ def group_defect(g: np.ndarray, eps: int) -> float:
     the metric-preservation and unit-determinant defects over the stack."""
     # the form is diagonal, so applying it to g scales the rows of g
     form = np.array([1.0, 1.0, 1.0 if eps == RIEMANNIAN else -1.0])
-    pres = np.max(np.abs(adjoint(g) @ (form[:, None] * g) - np.diag(form)))
-    det = np.max(np.abs(np.linalg.det(g) - 1.0))
+    g = _entry_major(g)
+    gh = np.conj(np.swapaxes(g, 0, 1))
+    pres = np.max(np.abs(_mul(gh, form[:, None, None] * g) - np.diag(form)[:, :, None]))
+    det = np.max(np.abs(_det(g) - 1.0))
     return float(np.max([pres, det]))

@@ -34,7 +34,7 @@ from .lie_structure import (
     group_defect,
     structure_constants,
 )
-from .matrix_core import expm, max_abs
+from .matrix_core import _entry_major, _inv, _matrix_major, _mul, expm, max_abs
 from .nk_geometry import apply_acs, distribution_amplitudes, metric_m
 from .report import SCHEMA_VERSION, CheckReport, report_to_dict
 
@@ -280,13 +280,15 @@ def _descriptor(sid) -> SurfaceDescriptor:
 
 def _fd_frames(desc: SurfaceDescriptor, t, u) -> tuple[np.ndarray, np.ndarray]:
     """(omega_t, omega_u) from central differences of the closed form,
-    left-translated to the identity."""
+    left-translated to the identity.  The inverse and both products run in
+    matrix_core's entry-major kernels, so a singular closed form gives NaN
+    frames at its point, not an exception."""
     h = constants.FD_STEP
     t, u = _broadcast(t, u)
-    finv = np.linalg.inv(desc.closed_form(t, u))
+    finv = _inv(_entry_major(desc.closed_form(t, u)))
     dft = (desc.closed_form(t + h, u) - desc.closed_form(t - h, u)) / (2.0 * h)
     dfu = (desc.closed_form(t, u + h) - desc.closed_form(t, u - h)) / (2.0 * h)
-    return finv @ dft, finv @ dfu
+    return tuple(_matrix_major(_mul(finv, _entry_major(d)), t.shape) for d in (dft, dfu))
 
 
 def _lie_triple(desc: SurfaceDescriptor):

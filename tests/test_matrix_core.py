@@ -5,12 +5,16 @@ of the basis matrices (independently of the library code paths they check).
 """
 
 import math
+import time
 
 import numpy as np
 import pytest
 
 from nkflag import matrix_core as mc
 from nkflag import lie_structure as ls
+from nkflag import surfaces, verify
+
+EPS = np.finfo(float).eps
 
 
 def random_complex3(rng, n=1):
@@ -204,6 +208,13 @@ class TestBatchedExpm:
         assert np.array_equal(got[0], mc.expm(a[0]))
         assert np.all(np.isnan(got[1:]))
 
+    @pytest.mark.parametrize("shape", [(3, 3), (1, 3, 3), (4, 3, 3)])
+    def test_input_is_left_unchanged(self, rng, shape):
+        a = random_complex3(rng, 4)[:1 if len(shape) < 3 else shape[0]].reshape(shape) * 4.0
+        before = a.copy()
+        mc.expm(a)
+        assert np.array_equal(a, before)
+
     def test_huge_finite_norm_terminates(self):
         # about a thousand squarings at most; the result overflows
         with np.errstate(over="ignore", invalid="ignore"):
@@ -220,3 +231,148 @@ class TestBatchedExpm:
             for g, x in zip(got, a):
                 want = scipy_linalg.expm(x)
                 assert mc.max_abs(g - want) <= 1e-14 * mc.max_abs(want)
+
+
+def _kernel(name, *stacks):
+    """The entry-major kernel ``mc.<name>`` on ``(..., 3, 3)`` stacks, its
+    result back in the stacks' layout."""
+    shape = np.shape(stacks[0])[:-2]
+    out = getattr(mc, name)(*(mc._entry_major(s) for s in stacks))
+    return out.reshape(shape) if name == "_det" else mc._matrix_major(out, shape)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+#: each kernel with the stacks it takes
+_KERNELS = {"_mul": 2, "_adj": 1, "_det": 1, "_inv": 1}
+
+
+class TestEntryMajorKernels:
+    """Contract of the private ``(3, 3, n)`` kernels behind ``expm``, the
+    difference frames and ``group_defect``, against numpy's per-matrix
+    routines.  Error bounds are a few units of roundoff: of the product of
+    magnitudes for the product, of the product of row norms (Hadamard's
+    bound) for the determinant, and of the condition number for the
+    inverse."""
+
+    SHAPES = [(3, 3), (0, 3, 3), (2, 5, 3, 3)]
+
+    @staticmethod
+    def stack(rng, shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_product_matches_matmul(self, rng, shape):
+        a, b = self.stack(rng, shape), self.stack(rng, shape)
+        got = _kernel("_mul", a, b)
+        assert got.shape == shape
+        assert np.all(np.abs(got - a @ b) <= 8 * EPS * (np.abs(a) @ np.abs(b)))
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_determinant_matches_det(self, rng, shape):
+        a = self.stack(rng, shape)
+        got = _kernel("_det", a)
+        assert got.shape == shape[:-2]
+        rows = np.prod(np.linalg.norm(a, axis=-1), axis=-1)
+        assert np.all(np.abs(got - np.linalg.det(a)) <= 8 * EPS * rows)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_inverse_and_adjugate_match_inv(self, rng, shape):
+        a = self.stack(rng, shape)
+        want = np.linalg.inv(a)
+        bound = 8 * EPS * np.linalg.cond(a)[..., None, None] * np.abs(want).max(
+            axis=(-2, -1), keepdims=True, initial=0.0)
+        assert np.all(np.abs(_kernel("_inv", a) - want) <= bound)
+        det = np.linalg.det(a)[..., None, None]
+        assert np.all(np.abs(_kernel("_adj", a) - det * want) <= np.abs(det) * bound)
+
+    @pytest.mark.parametrize("name", sorted(_KERNELS))
+    def test_stack_is_bitwise_per_matrix(self, rng, name):
+        stacks = [self.stack(rng, (2, 5, 3, 3)) for _ in range(_KERNELS[name])]
+        got = _kernel(name, *stacks)
+        for i, j in np.ndindex(2, 5):
+            one = _kernel(name, *(s[i, j] for s in stacks))
+            assert np.array_equal(_bits(got[i, j]), _bits(one)), (i, j)
+
+    @pytest.mark.parametrize("name", [*sorted(_KERNELS), "expm"])
+    def test_a_large_stack_rounds_as_its_chunks(self, rng, name):
+        # 16,500 matrices put even a (n,) temporary above numpy's 256 KiB
+        # elision size, where ``x * temporary`` runs as ``temporary * x``
+        stacks = [self.stack(rng, (16500, 3, 3)) for _ in range(_KERNELS.get(name, 1))]
+        run = mc.expm if name == "expm" else lambda *s: _kernel(name, *s)
+        whole = run(*stacks)
+        chunks = np.concatenate([run(*(s[lo:lo + 500] for s in stacks))
+                                 for lo in range(0, 16500, 500)])
+        assert np.array_equal(_bits(whole), _bits(chunks))
+
+    @pytest.mark.parametrize("name", sorted(_KERNELS))
+    def test_a_nan_stays_in_its_own_matrix(self, rng, name):
+        stacks = [self.stack(rng, (2, 5, 3, 3)) for _ in range(_KERNELS[name])]
+        clean = _kernel(name, *stacks)
+        stacks[0][1, 2, 0, 0] = np.nan
+        got = _kernel(name, *stacks)
+        assert np.isnan(got[1, 2]).any()
+        others = np.ones((2, 5), dtype=bool)
+        others[1, 2] = False
+        assert np.array_equal(_bits(got[others]), _bits(clean[others]))
+
+    def test_a_singular_matrix_has_an_all_nan_inverse(self, rng):
+        a = self.stack(rng, (4, 3, 3))
+        a[2, 1] = 0.0
+        got = _kernel("_inv", a)
+        assert np.all(np.isnan(got[2]))
+        assert np.all(np.isfinite(np.delete(got, 2, axis=0)))
+
+
+class TestFromCoefficients:
+    @pytest.mark.parametrize("eps", ls.SIGNATURES)
+    def test_a_row_is_bitwise_its_row_of_a_stack(self, rng, eps):
+        c = rng.uniform(-1, 1, (300, 8))
+        c[::7] = -0.0   # signed zeros keep their bits too
+        whole = ls.from_coefficients(c, eps)
+        assert whole.shape == (300, 3, 3) and whole.dtype == np.complex128
+        for i in (0, 7, 123, 299):
+            assert np.array_equal(_bits(ls.from_coefficients(c[i], eps)), _bits(whole[i]))
+
+    @pytest.mark.parametrize("eps", ls.SIGNATURES)
+    def test_coefficients_returns_the_coefficients(self, rng, eps):
+        # tangent coefficients come back exactly; the isotropy pair passes
+        # through the 1/sqrt(3) of h2 and comes back to within roundoff
+        c = rng.uniform(-1, 1, (500, 8))
+        tangent = c.copy()
+        tangent[:, :2] = 0.0
+        assert np.array_equal(ls.coefficients(ls.from_coefficients(tangent, eps), eps), tangent)
+        assert np.max(np.abs(ls.coefficients(ls.from_coefficients(c, eps), eps) - c)) <= 4 * EPS
+
+
+class TestExpmStackWithAHugeMatrix:
+    def test_equals_per_matrix_calls_in_bounded_time(self, rng):
+        # one matrix needs about a thousand squarings; only it is squared
+        # that often, and the others keep their per-matrix values
+        a = random_complex3(rng, 1682) * rng.uniform(0.01, 3.0, size=(1682, 1, 1))
+        a[600] = np.diag([1e300, 0.0, 0.0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            start = time.perf_counter()
+            got = mc.expm(a)
+            elapsed = time.perf_counter() - start
+            want = np.array([mc.expm(x) for x in a])
+        assert np.array_equal(_bits(got), _bits(want))
+        assert not np.all(np.isfinite(got[600]))
+        assert elapsed < 5.0
+
+
+class TestOneCodePath:
+    def test_no_linalg_solver_on_the_surface_and_verify_paths(self, monkeypatch):
+        # every stacked inverse, solve and determinant of ``surface`` and
+        # ``verify`` runs in the entry-major kernels
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy.linalg solver called")
+
+        for name in ("solve", "inv", "det"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        for sid in surfaces.SURFACE_IDS:
+            assert all(r.passed for r in surfaces.surface_summary(sid)["reports"])
+        for eps in ls.SIGNATURES:
+            assert all(r.passed for r in verify.run_verification(eps, self_test=True))

@@ -130,7 +130,6 @@ class TestGridReductions:
         assert sf.group_membership_defect(desc, 0) == 0.0
         assert sf._frame_agreement(desc, empty) == 0.0
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in det")
     def test_a_nan_in_the_last_block_reaches_the_defect(self):
         # grid 46 is 2,116 points in two blocks; the NaNs sit on the last
         # grid row, which lies in the second block
@@ -147,6 +146,27 @@ class TestGridReductions:
         cols = sf._sample_columns(real, *sf.default_grid(real, 46))
         cols["omega_u"][-1, 0] = np.nan
         assert math.isnan(sf._frame_agreement(real, cols))
+
+    @pytest.mark.parametrize("sid", [2, 5])
+    def test_a_singular_closed_form_gives_a_nan_frame_agreement(self, sid):
+        # one grid point's closed form loses its last row: its difference
+        # frames are NaN, so the row reads NaN and fails instead of raising
+        real = sf.get_surface(sid)
+        t, u = sf.default_grid(real, GRID)
+        t0, u0 = t[200], u[200]
+
+        def closed_form(t, u):
+            out = real.closed_form(t, u)
+            out[(np.asarray(t) == t0) & (np.asarray(u) == u0), 2] = 0.0
+            return out
+
+        desc = dataclasses.replace(real, closed_form=closed_form)
+        fd = sf._fd_frames(desc, t, u)
+        assert all(np.all(np.isnan(w[200])) and np.isfinite(np.delete(w, 200, axis=0)).all()
+                   for w in fd)
+        by_name = {r.name: r for r in sf.surface_summary(desc, GRID)["reports"]}
+        row = by_name[f"frame_agreement[surface{sid}]"]
+        assert math.isnan(row.max_abs_error) and not row.passed
 
 
 class TestFrames:

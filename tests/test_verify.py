@@ -305,7 +305,6 @@ def test_nan_corrupted_route_fails_the_self_test(eps, monkeypatch):
     ((0, 1, 2, 3), _SAMPLED),
 ])
 @pytest.mark.parametrize("eps", SIGNATURES)
-@pytest.mark.filterwarnings("ignore:invalid value encountered in det")
 def test_nan_draw_fails_the_expm_contracts_that_read_it(eps, calls, poisoned, monkeypatch):
     _fault_nan_draw(monkeypatch, calls)
     reports = {r.name.split("[")[0]: r for r in verify.run_verification(eps)}
