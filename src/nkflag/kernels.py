@@ -123,7 +123,6 @@ def box_enclosure(eps: int, b_lo, b_hi, c_lo, c_hi):
 
 @dataclass(frozen=True)
 class ScanResult:
-    eps: int
     hits: np.ndarray          # (n_hits, 5): chart b, c, then unit a, b, c at each leaf box centre
     hit_residuals: np.ndarray  # residual_linf at each leaf box centre
     interior_min: float       # proven lower bound where min(a,b,c) >= margin * |x|
@@ -177,7 +176,6 @@ def scan_chart(chart: int, eps: int) -> ScanResult:
     mid = 0.5 * (lo + hi)
     a, b, c = chart_point(mid[:, 0], mid[:, 1])
     return ScanResult(
-        eps=eps,
         hits=np.column_stack([mid, a, b, c]),
         hit_residuals=residual_linf(a, b, c, eps),
         interior_min=float(bounds[k]),

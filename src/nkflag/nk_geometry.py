@@ -218,8 +218,8 @@ def identity_suite(eps: int, tol_exact: float = constants.TOL_EXACT) -> list[Che
     Each identity is multilinear in its vector arguments, so holding on every
     basis pair (or quadruple, for the quartic constant-type identity) proves
     it for all vectors; nothing is sampled.  Returns one report per identity
-    with the worst error observed.  ``tol_exact`` judges every identity but
-    the constant-type one, which is read off exact tables (``TOL_TABLE``).
+    with the worst error observed.  ``TOL_TABLE`` judges the pin G(m1, m2) = m6
+    and the constant-type identity, read off exact tables; ``tol_exact`` the rest.
     """
     check_signature(eps)
     e6 = np.eye(6)
@@ -232,6 +232,18 @@ def identity_suite(eps: int, tol_exact: float = constants.TOL_EXACT) -> list[Che
 
     j = acs_matrix("J")
     jmats = {k: acs_matrix(k) for k in ACS_KINDS}
+
+    # structure tensor on the basis pairs, each argument twist evaluated once;
+    # G(y, x) is the transpose of G(x, y).  A bilinear map vanishes on the
+    # diagonal exactly when its symmetric part vanishes on the basis
+    gxy = g_tensor(xs, ys, eps)
+    g_x_jy = g_tensor(xs, ys @ j.T, eps)
+    g_jix_y = {i: g_tensor(xs @ jmats[f"J{i}"].T, ys, eps) for i in (1, 2, 3)}
+    g_x_jiy = {i: g_tensor(xs, ys @ jmats[f"J{i}"].T, eps) for i in (1, 2, 3)}
+    g_skew = np.max(np.abs(gxy + np.swapaxes(gxy, 0, 1)))
+    add("g_m1_m2_is_m6", np.max(np.abs(gxy[0, 1] - e6[5])), constants.TOL_TABLE, 1)
+    add("g_skew_on_basis", g_skew, tol_exact)
+    add("g_vanishing_diagonal_random", g_skew, tol_exact)
 
     # algebraic relations between the four structures
     for kind in ACS_KINDS:
@@ -254,14 +266,6 @@ def identity_suite(eps: int, tol_exact: float = constants.TOL_EXACT) -> list[Che
     add("acs_metric_compatibility", np.max(compat), tol_exact,
         36 * len(_FAMILY_WEIGHTS))
 
-    # structure tensor on the basis pairs, each argument twist evaluated once;
-    # G(y, x) is the transpose of G(x, y).  A bilinear map vanishes on the
-    # diagonal exactly when its symmetric part vanishes on the basis
-    gxy = g_tensor(xs, ys, eps)
-    g_x_jy = g_tensor(xs, ys @ j.T, eps)
-    g_jix_y = {i: g_tensor(xs @ jmats[f"J{i}"].T, ys, eps) for i in (1, 2, 3)}
-    g_x_jiy = {i: g_tensor(xs, ys @ jmats[f"J{i}"].T, eps) for i in (1, 2, 3)}
-    g_skew = np.max(np.abs(gxy + np.swapaxes(gxy, 0, 1)))
     add("g_skew_symmetry", g_skew, tol_exact)
     add("g_vanishing_on_diagonal", g_skew, tol_exact)
     add("g_anticommutes_with_j", np.max(np.abs(g_x_jy + gxy @ j.T)), tol_exact)

@@ -154,12 +154,13 @@ def _cf_flat_torus(t, u):
     ct, st = np.cos(t), np.sin(t)
     w = np.exp(-2j * u / _SQ3)
     z = np.exp(1j * _SQ3 * u)
-    diag = w * (1.0 + 2.0 * z * ct) / 3.0
+    # no complex product has a temporary on its right (see matrix_core)
+    diag = (1.0 + 2.0 * z * ct) * w / 3.0
     out[..., 0, 0] = diag
     out[..., 1, 1] = diag
     out[..., 2, 2] = diag
-    c12 = w * (-1.0 + z * (ct - _SQ3 * st)) / 3.0
-    c21 = w * (-1.0 + z * (_SQ3 * st + ct)) / 3.0
+    c12 = (-1.0 + z * (ct - _SQ3 * st)) * w / 3.0
+    c21 = (-1.0 + z * (_SQ3 * st + ct)) * w / 3.0
     out[..., 0, 1] = c12
     out[..., 1, 2] = c12
     out[..., 2, 1] = c21

@@ -66,7 +66,7 @@ def test_criterion_2_connection_table(verify_reports):
     _check_pins(verify_reports, {"connection_table": 1e-14, "connection_off_table": 1e-14})
     worst_table = worst_off = 0.0
     for eps in SIGNATURES:
-        table_err, off_err = verify.connection_table(eps)
+        table_err, off_err, _diagonal_err = verify.connection_table(eps)
         worst_table = max(worst_table, table_err)
         worst_off = max(worst_off, off_err)
     _line(2, "connection table: 24 half-integer entries, rest vanish",
@@ -94,18 +94,20 @@ def test_criterion_3_nearly_kahler_certification(verify_reports):
 
 
 def test_criterion_4_identity_suite():
-    worst_exact = worst_alpha = 0.0
+    worst_exact = worst_table = 0.0
     for eps in SIGNATURES:
         reports = nk.identity_suite(eps)
-        _check_pins(reports, {r.name: 1e-12 for r in reports} | {"constant_type_identity": 1e-14})
+        table_rows = {"g_m1_m2_is_m6": 1e-14, "constant_type_identity": 1e-14}
+        _check_pins(reports, {r.name: 1e-12 for r in reports} | table_rows)
         for r in reports:
-            if r.name == "constant_type_identity":
-                worst_alpha = max(worst_alpha, r.max_abs_error)
+            if r.name in table_rows:
+                worst_table = max(worst_table, r.max_abs_error)
             else:
                 worst_exact = max(worst_exact, r.max_abs_error)
-    ok = worst_exact < 1e-12 and worst_alpha < 1e-14
-    _line(4, "identity suite incl. unit-constant identity",
-          ok, f"identities {worst_exact:.3e} (tol 1e-12), constant-type {worst_alpha:.3e} (tol 1e-14)")
+    ok = worst_exact < 1e-12 and worst_table < 1e-14
+    _line(4, "identity suite incl. pinned G value and unit-constant identity",
+          ok, f"identities {worst_exact:.3e} (tol 1e-12), "
+              f"pin and constant-type {worst_table:.3e} (tol 1e-14)")
 
 
 def test_criterion_5_classification():

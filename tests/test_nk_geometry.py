@@ -127,9 +127,10 @@ class TestConnection:
     def test_verify_module_agrees_with_frozen_table(self):
         for eps in SIGNATURES:
             assert expected_connection_table(eps) == _expected_table(eps)
-            table_err, off_err = connection_table(eps)
+            table_err, off_err, diagonal_err = connection_table(eps)
             assert table_err < 1e-13
             assert off_err < 1e-13
+            assert diagonal_err < 1e-13
 
     def test_vanishes_on_diagonal(self, rng):
         for eps in SIGNATURES:
@@ -312,8 +313,8 @@ class TestFaultInjection:
 
     def test_nan_connection_fails_table(self, monkeypatch):
         monkeypatch.setattr(nk, "nabla", lambda x, y, eps: _nan_like(x, y, np.zeros(6)))
-        table_err, off_err = connection_table(PSEUDO)
-        assert np.isnan(table_err) and np.isnan(off_err)
+        table_err, off_err, diagonal_err = connection_table(PSEUDO)
+        assert np.isnan(table_err) and np.isnan(off_err) and np.isnan(diagonal_err)
         reports = {r.name: r for r in verify.run_verification(PSEUDO)}
         assert not reports["connection_table[pseudo]"].passed
         assert not reports["connection_off_table[pseudo]"].passed
@@ -400,11 +401,12 @@ class TestIdentitySuite:
     @pytest.mark.parametrize("eps", SIGNATURES)
     def test_all_pass(self, eps):
         reports = nk.identity_suite(eps)
-        assert len(reports) == 20
+        assert len(reports) == 23
         failed = [r.name for r in reports if not r.passed]
         assert failed == []
         names = {r.name for r in reports}
         expected = {
+            "g_m1_m2_is_m6", "g_skew_on_basis", "g_vanishing_diagonal_random",
             "acs_sum_relation", "acs_triple_product", "acs_commutativity",
             "acs_metric_compatibility", "g_skew_symmetry", "g_vanishing_on_diagonal",
             "g_anticommutes_with_j", "g_output_orthogonality", "g_sum_identity",

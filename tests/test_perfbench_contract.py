@@ -137,7 +137,8 @@ def test_traced_classify_records_the_oracle_layers():
 def test_traced_verify_evaluates_each_basis_tensor_once():
     # per signature: the cross-check, the symmetry rows and the self-test each
     # evaluate the tensorial curvature once; the identity suite builds G at
-    # eight argument twists and verify at one
+    # eight argument twists and verify builds none; nabla runs twice per G,
+    # twice per nabla_J{1,2,3} and once for the connection table
     src = pathlib.Path(nkflag.__file__).resolve().parents[1]
     code = (
         "import collections, json\n"
@@ -157,7 +158,8 @@ def test_traced_verify_evaluates_each_basis_tensor_once():
     assert {"verify.curvature_cross_check", "verify.corruption_self_test",
             "nk_geometry.identity_suite"} <= set(calls)
     assert calls["nk_geometry.curvature_tensorial"] == 6
-    assert calls["nk_geometry.g_tensor"] == 18
+    assert calls["nk_geometry.g_tensor"] == 16
+    assert calls["nk_geometry.nabla"] == 46
 
 
 def test_gate_parses_every_verify_table_row(gate, capsys):

@@ -113,6 +113,16 @@ class TestClosedForms:
         assert max_abs(sf.get_surface(1).closed_form(math.pi / 2, 0.0) - expected) < 1e-15
 
     @pytest.mark.parametrize("sid", sf.SURFACE_IDS)
+    def test_point_value_does_not_depend_on_batch(self, sid):
+        # 40,401 points put every complex temporary above 256 KiB, where numpy
+        # computes `x * temporary` as `temporary * x` and rounds otherwise
+        t, u = sf.expm_grid(sid, 201)
+        closed_form = sf.get_surface(sid).closed_form
+        chunks = [closed_form(t[i:i + 1000], u[i:i + 1000]) for i in range(0, t.size, 1000)]
+        np.testing.assert_array_equal(closed_form(t, u).view(np.float64),
+                                      np.concatenate(chunks).view(np.float64))
+
+    @pytest.mark.parametrize("sid", sf.SURFACE_IDS)
     def test_matches_exponential(self, sid, surface_error):
         assert surface_error(sid, GRID, "expm_defect") < constants.TOL_EXACT
 

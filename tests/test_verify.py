@@ -3,7 +3,9 @@ seed can move, and one injected fault per basis check.
 
 Every check except the three ``expm`` contracts is a finite basis check, so
 each of those is shown here to fail when one entry of the table it reads is
-perturbed (a +-1e-6 change, a scaling by 1 + 1e-6, or a NaN).  The
+perturbed (a +-1e-6 change, a scaling by 1 + 1e-6, or a NaN); the rows
+that read brackets fail when [b_i, b_j] gains 1e-6 b_k and [b_j, b_i]
+loses it, an edit the antisymmetry row cannot see.  The
 ``expm`` contracts fail when every exponential is scaled by 1 + 1e-6, and
 when one draw of the samples they read is NaN.  The ``--self-test`` floor
 check fails when the corrupted route agrees or returns NaN.
@@ -141,6 +143,12 @@ def _patch_structure_constants(monkeypatch, **edit):
     monkeypatch.setattr(verify, "structure_constants", lambda eps: _edited(sc(eps), **edit))
 
 
+def _patch_bracket(monkeypatch, i: int, j: int, k: int):
+    """[b_i, b_j] gains 1e-6 b_k and [b_j, b_i] loses it: an antisymmetric
+    edit that only the rows reading the bracket itself can see."""
+    _patch_structure_constants(monkeypatch, index=([i, j], [j, i], [k, k]), add=np.array([1e-6, -1e-6]))
+
+
 def _patch_tables(monkeypatch, field: str, **edit):
     """Serve nk_geometry's base-point tables with one entry of ``field`` edited."""
     tables = nk._tables
@@ -158,9 +166,14 @@ def _fault_ad_preserves_distributions(mp):
     _patch_structure_constants(mp, index=(ls.H1, ls.M1, ls.M2), add=1e-6)
 
 
-def _fault_killing_form(mp):
-    basis = verify.basis
-    mp.setattr(verify, "basis", lambda eps: _edited(basis(eps), index=ls.M1, scale=1.0 + 1e-6))
+def _fault_m1_m2_bracket(mp):
+    # [m1, m2] gains 1e-6 m3, antisymmetrically: the Jacobi sum and B(m1, m1), B(m2, m2) move
+    _patch_bracket(mp, ls.M1, ls.M2, ls.M3)
+
+
+def _fault_reductive_bracket(mp):
+    # [h1, m1] gains 1e-6 h2, antisymmetrically: the bracket leaves m
+    _patch_bracket(mp, ls.H1, ls.M1, ls.H2)
 
 
 def _fault_coefficient_roundtrip(mp):
@@ -242,7 +255,9 @@ def _fault_nan_isotropy_constant(mp):
 _FAULTS = {
     "metric_ad_invariance": _fault_metric_ad_invariance,
     "ad_preserves_distributions": _fault_ad_preserves_distributions,
-    "killing_form_proportionality": _fault_killing_form,
+    "killing_form_proportionality": _fault_m1_m2_bracket,
+    "jacobi_identity": _fault_m1_m2_bracket,
+    "reductive_bracket": _fault_reductive_bracket,
     "coefficient_roundtrip": _fault_coefficient_roundtrip,
     "connection_diagonal": _fault_nabla_diagonal,
     "g_vanishing_diagonal_random": _fault_nabla_diagonal,
