@@ -1,16 +1,15 @@
 """Project-wide numerical policy.
 
 Each check takes its tolerance from its source of error, in two tiers.
-Exact checks take no finite difference anywhere in the pipeline, so their
-only error is rounding, and they are held near machine precision by three
-constants: ``TOL_EXACT`` for the checks whose arithmetic rounds (the
-orthonormal h2, ``expm``, the two curvature routes, the six analytic
-surface rows); ``TOL_TABLE`` for exact tables and the identities read off
-them, which read 0.0 or one rounding; and ``TOL_INTEGER_IDENTITY`` for
-polynomial identities on integer nodes, where no operation rounds.  The
-finite-difference tier holds only finite differences, each at the floor
-set by its step size: ``TOL_FRAME_AGREEMENT`` for the difference frames
-and ``TOL_CURVATURE`` for the Gauss curvature and the totally geodesic
+Exact checks take no finite difference anywhere in the pipeline.  Those
+whose arithmetic rounds (``expm``, the six analytic surface rows, the
+family tangency) are held near machine precision by ``TOL_EXACT``; those
+that read integral tables, where no float op rounds (every ``verify``
+basis row, the surface Lie triples, polynomial identities on integer
+nodes), must read 0 under ``TOL_INTEGER_IDENTITY``.  The finite-difference
+tier holds only finite differences, each at the floor set by its step
+size: ``TOL_FRAME_AGREEMENT`` for the difference frames and
+``TOL_CURVATURE`` for the Gauss curvature and the totally geodesic
 residual.  Keeping the ladder in one place makes it obvious which kind of
 error a failing check is reporting.
 """
@@ -19,15 +18,10 @@ import math
 
 # --- exact-structure tier -------------------------------------------------
 
-#: generic exact checks (identities evaluated on the basis, analytic surface
-#: quantities on their grids); the default of ``verify --tol-exact``
+#: exact checks whose arithmetic rounds; the default of ``verify --tol-exact``
 TOL_EXACT = 1e-12
 
-#: exact tables (+-1/2 coefficients, brackets, pinned tensor values) and the
-#: identities read off them: Jacobi, round trip, curvature symmetries, ...
-TOL_TABLE = 1e-14
-
-#: polynomial identities on small integer nodes, where every float op is exact
+#: integral tables and polynomial identities on integer nodes: no op rounds
 TOL_INTEGER_IDENTITY = 0.0
 
 # --- finite-difference tier ----------------------------------------------

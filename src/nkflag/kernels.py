@@ -95,6 +95,12 @@ def _mul(m, d):
                     np.maximum(m[0] * d[1], m[1] * d[1]))
 
 
+def _norm_lo(n2_lo):
+    """A float at most |x| wherever |x|^2 >= n2_lo: on the simplex also
+    |x|^2 >= (a + b + c)^2 / 3 = 1/3, and float 1/3 is below it."""
+    return np.nextafter(np.sqrt(np.maximum(n2_lo, 1.0 / 3.0)), 0.0)
+
+
 def box_enclosure(eps: int, b_lo, b_hi, c_lo, c_hi):
     """(lower, a_hi, b_hi, c_hi) for each box [b_lo, b_hi] x [c_lo, c_hi]:
     over the box's points with a = 1 - b - c >= 0, the rounding-safe
@@ -116,8 +122,7 @@ def box_enclosure(eps: int, b_lo, b_hi, c_lo, c_hi):
         lower = np.maximum(lower, np.maximum(lo, -hi))
     n2 = _add(_add(a2, b2), c2)
     lower = np.maximum(np.nextafter(lower / _mul_nonneg(n2, n2)[1], -np.inf), 0.0)
-    # |x|^2 >= (a + b + c)^2 / 3 = 1/3 on the simplex, and float 1/3 is below it
-    norm_lo = np.nextafter(np.sqrt(np.maximum(n2[0], 1.0 / 3.0)), 0.0)
+    norm_lo = _norm_lo(n2[0])
     return (lower, *(np.nextafter(x[1] / norm_lo, np.inf) for x in (a, b, c)))
 
 

@@ -8,13 +8,14 @@ part is span(h1, h2); its complement m carries the tangent space of the
 quotient at the base point, split into three rank-two distributions
 V1 = span(m1, m4), V2 = span(m2, m5), V3 = span(m3, m6).
 
-Structure constants are computed once from matrix commutators and cached;
-they are never hand-entered.  Coefficient extraction goes through the
-metric Gram matrix so that both signatures are handled uniformly.
+The basis is integral (h2 = diag(i, -2i, i) is not normalized), and
+coefficient extraction divides by the metric Gram diagonal last, so both
+signatures are handled uniformly and every table read off the basis is
+exact.  Structure constants are computed once from matrix commutators,
+never hand-entered, and cached; they are integers.
 """
 
 import functools
-import math
 
 import numpy as np
 
@@ -31,7 +32,6 @@ __all__ = [
     "check_signature",
     "signature_label",
     "basis",
-    "metric",
     "gram_diagonal",
     "coefficients",
     "from_coefficients",
@@ -50,8 +50,6 @@ H1, H2, M1, M2, M3, M4, M5, M6 = range(8)
 BASIS_NAMES = ("h1", "h2", "m1", "m2", "m3", "m4", "m5", "m6")
 M_SLICE = slice(2, 8)
 H_SLICE = slice(0, 2)
-
-_SQ3 = math.sqrt(3.0)
 
 IMINUS = np.diag([1.0, 1.0, -1.0]).astype(np.complex128)
 IMINUS.setflags(write=False)
@@ -74,10 +72,12 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def basis(eps: int) -> np.ndarray:
-    """The eight ordered basis matrices, shape (8, 3, 3)."""
+    """The eight ordered basis matrices, shape (8, 3, 3), with integer entries
+    (times 1 or i).  h1 and every m_i have metric(b, b) = +-1; h2 is left
+    unnormalized, with metric(h2, h2) = 3."""
     check_signature(eps)
     h1 = [[-1j, 0, 0], [0, 0, 0], [0, 0, 1j]]
-    h2 = [[1j / _SQ3, 0, 0], [0, -2j / _SQ3, 0], [0, 0, 1j / _SQ3]]
+    h2 = [[1j, 0, 0], [0, -2j, 0], [0, 0, 1j]]
     m1 = [[0, -1, 0], [1, 0, 0], [0, 0, 0]]
     m4 = [[0, 1j, 0], [1j, 0, 0], [0, 0, 0]]
     if eps == RIEMANNIAN:
@@ -99,47 +99,36 @@ def _twisted_adjoint(x: np.ndarray, eps: int) -> np.ndarray:
     return IMINUS @ xh @ IMINUS if eps == PSEUDO else xh
 
 
-def metric(x: np.ndarray, y: np.ndarray, eps: int) -> float:
-    """Bi-invariant trace-form metric; signature-twisted for the split form."""
-    check_signature(eps)
-    return float(0.5 * np.trace(_twisted_adjoint(x, eps) @ y).real)
-
-
 @functools.lru_cache(maxsize=None)
 def _gram(eps: int) -> np.ndarray:
-    """metric(b_i, b_j) on the 64 basis pairs, as one contraction."""
+    """The trace-form metric 0.5 Re tr(b_i* b_j) on the 64 basis pairs."""
     b = basis(eps)
     return _frozen(0.5 * np.einsum("iab,jba->ij", _twisted_adjoint(b, eps), b).real)
 
 
 @functools.lru_cache(maxsize=None)
 def gram_diagonal(eps: int) -> np.ndarray:
-    """Diagonal of the basis Gram matrix (the basis is orthogonal in both forms)."""
+    """Diagonal of the basis Gram matrix (the basis is orthogonal in both
+    forms, exactly: every off-diagonal entry must be 0)."""
     g = _gram(eps)
-    off = g - np.diag(np.diag(g))
-    if not np.max(np.abs(off)) <= 1e-14:
+    if not np.all(g - np.diag(np.diag(g)) == 0.0):
         raise RuntimeError("basis Gram matrix is not diagonal")
     return _frozen(np.diag(g).copy())
 
 
-def _dual_of(b: np.ndarray, eps: int) -> np.ndarray:
-    """Extraction tensor of an orthogonal basis b: the twisted adjoint of each
-    b_i divided by 2 metric(b_i, b_i)."""
-    bh = _twisted_adjoint(b, eps)
-    norms = 0.5 * np.einsum("ijk,ikj->i", bh, b).real
-    return 0.5 * bh / norms[:, None, None]
-
-
 @functools.lru_cache(maxsize=None)
 def _dual(eps: int) -> np.ndarray:
-    """Extraction tensor: coefficients(x)[i] = Re sum_jk dual[i,j,k] * x[k,j]."""
-    return _frozen(_dual_of(basis(eps), eps))
+    """Half the twisted adjoint b_i* of each basis matrix: metric(b_i, x) is
+    Re sum_jk dual[i, j, k] x[k, j], and coefficients(x)[i] is that divided by
+    gram_diagonal[i], last, so an integral x has exact coordinates."""
+    return _frozen(0.5 * _twisted_adjoint(basis(eps), eps))
 
 
 def coefficients(x: np.ndarray, eps: int) -> np.ndarray:
     """Coordinates of an algebra element (batched over leading axes): the
     (3, 3) complex matrices, viewed as 18 floats, times a real (18, 8) form of
-    ``_dual`` rebuilt on every call, so whatever ``_dual`` returns is applied."""
+    ``_dual`` rebuilt on every call, so whatever ``_dual`` returns is applied,
+    then divided by the Gram diagonal."""
     d = np.swapaxes(_dual(eps), 1, 2).reshape(8, 9).T   # d[3k + j, i] = dual[i, j, k]
     real_dual = np.empty((18, 8))
     real_dual[0::2], real_dual[1::2] = d.real, -d.imag
@@ -148,7 +137,7 @@ def coefficients(x: np.ndarray, eps: int) -> np.ndarray:
     flat = x.view(np.float64).reshape(rows, 18)
     if rows == 1:   # numpy sends one row to gemv, which rounds unlike a row of gemm
         flat = np.vstack([flat, flat])
-    return (flat @ real_dual)[:rows].reshape(x.shape[:-2] + (8,))
+    return ((flat @ real_dual)[:rows] / gram_diagonal(eps)).reshape(x.shape[:-2] + (8,))
 
 
 def from_coefficients(c, eps: int) -> np.ndarray:
@@ -162,16 +151,24 @@ def from_coefficients(c, eps: int) -> np.ndarray:
 
 def structure_constants_of(b: np.ndarray, eps: int) -> np.ndarray:
     """c[i, j, k] with [b_i, b_j] = sum_k c[i, j, k] b_k for any ordered
-    orthogonal basis b of the algebra of signature eps; never cached."""
+    orthogonal basis b of the algebra of signature eps; never cached.
+
+    Raises unless every bracket is rebuilt from its coefficients exactly and
+    4c is an integer below 2**20 in absolute value: then every table read
+    off these constants by sums of products stays exact."""
     check_signature(eps)
     br = commutator(b[:, None], b[None, :])
-    c = np.einsum("ljk,...kj->...l", _dual_of(b, eps), br).real
-    # guard against drift out of the algebra
+    half = 0.5 * _twisted_adjoint(b, eps)
+    norms = np.einsum("ijk,ikj->i", half, b).real
+    c = np.einsum("ljk,...kj->...l", half, br).real / norms
     drift = np.max(np.abs(np.einsum("...l,ljk->...jk", c, b) - br), axis=(-2, -1))
-    bad = np.argwhere(~(drift <= 1e-12))
-    if bad.size:
-        i, j = bad[0]
-        raise RuntimeError(f"bracket [{BASIS_NAMES[i]}, {BASIS_NAMES[j]}] left the algebra")
+    quarters = 4.0 * c
+    dyadic = np.all((quarters == np.round(quarters)) & (np.abs(quarters) < 2.0 ** 20), axis=-1)
+    for bad, why in ((~(drift == 0.0), "left the algebra"),
+                     (~dyadic, "has a coefficient outside (1/4)Z")):
+        if np.any(bad):
+            i, j = np.argwhere(bad)[0]
+            raise RuntimeError(f"bracket [{BASIS_NAMES[i]}, {BASIS_NAMES[j]}] {why}")
     return c
 
 

@@ -13,7 +13,9 @@ __all__ = ["SCHEMA_VERSION", "CheckReport", "floor_check", "report_to_dict", "re
 
 @dataclasses.dataclass(frozen=True)
 class CheckReport:
-    """One named check: worst observed error over some number of samples."""
+    """One named check: worst observed error over some number of samples.
+    An error is a distance, so it passes only in [0, tolerance]: a negative
+    error (a sign slip) fails like a NaN does."""
 
     name: str
     max_abs_error: float
@@ -22,7 +24,7 @@ class CheckReport:
 
     @property
     def passed(self) -> bool:
-        return self.max_abs_error <= self.tolerance
+        return 0.0 <= self.max_abs_error <= self.tolerance
 
     @property
     def status(self) -> str:

@@ -77,9 +77,10 @@ def _alloc(t):
 class SurfaceDescriptor:
     """Everything needed to evaluate and verify one example immersion.
 
-    ``plane`` is the pair of matrices (A, B).  A ``rotor`` plane is swept as
-    exp(t (cos u A + sin u B)); otherwise A and B commute and the surface is
-    exp(t A + u B) (the flat torus)."""
+    ``plane`` is the pair of matrices (A, B) of length ``size`` (integral for
+    the six surfaces).  A ``rotor`` plane is swept as exp(t (cos u A + sin u B)
+    / size); otherwise A and B commute and the surface is exp((t A + u B) /
+    size) (the flat torus)."""
 
     sid: int
     eps: int
@@ -88,6 +89,7 @@ class SurfaceDescriptor:
     expected_K: float
     expected_amplitudes: tuple[float, float, float]
     plane: tuple[np.ndarray, np.ndarray]
+    size: float
     rotor: bool
     closed_form: Callable
     expected_metric: Optional[Callable]
@@ -102,9 +104,9 @@ class SurfaceDescriptor:
         a, b = self.plane
         t, u = _broadcast(t, u)
         if self.rotor:
-            return t[..., None, None] * (
+            return (t / self.size)[..., None, None] * (
                 np.cos(u)[..., None, None] * a + np.sin(u)[..., None, None] * b)
-        return t[..., None, None] * a + u[..., None, None] * b
+        return (t[..., None, None] * a + u[..., None, None] * b) / self.size
 
     @functools.cached_property
     def lie_triple(self):
@@ -241,7 +243,8 @@ def _build_surfaces() -> dict[int, SurfaceDescriptor]:
     return {sid: SurfaceDescriptor(
         sid=sid, eps=fam.eps, label=label, trig=fam.norm_sign > 0,
         expected_K=fam.K, expected_amplitudes=fam.amplitudes,
-        plane=_plane(fam.amplitudes, fam.eps), rotor=rotor, closed_form=closed_form,
+        plane=_plane(fam.direction, fam.eps), size=math.sqrt(sum(d * d for d in fam.direction)),
+        rotor=rotor, closed_form=closed_form,
         expected_metric=_space_form_metric(fam.norm_sign, fam.K, rotor),
     ) for sid, fam, (closed_form, rotor, label) in zip(SURFACE_IDS, families, _SURFACE_TABLE)}
 
@@ -267,7 +270,7 @@ def control_surface() -> SurfaceDescriptor:
         sid=0, eps=RIEMANNIAN, trig=True,
         label=f"control plane, amplitudes ({amps[0]:.3f}, {amps[1]:.3f}, 0)",
         expected_K=math.nan, expected_amplitudes=amps,
-        plane=_plane(amps, RIEMANNIAN), rotor=True,
+        plane=_plane(amps, RIEMANNIAN), size=1.0, rotor=True,
         closed_form=lambda t, u: expm(ctrl.generator(t, u)),
         expected_metric=None,
         has_analytic_frames=False,
@@ -294,19 +297,22 @@ def _fd_frames(desc: SurfaceDescriptor, t, u) -> tuple[np.ndarray, np.ndarray]:
 
 def _lie_triple(desc: SurfaceDescriptor):
     """(a, b, h, mu, residual) of the plane: the coordinates a, b of A, B and
-    h of H = [A, B], the factor mu read from [H, A] = mu B, and how far the
-    plane is from the Lie triple that the frame formula of :func:`_frames`
-    assumes.  For a rotor plane the residual is the largest coordinate of
-    [H, A] - mu B, [H, B] + mu A and the m-part of H; for commuting A, B it
-    is the largest coordinate of H (and mu is 0)."""
+    h of H = [A, B], the factor mu read from [H, A] = mu B, each scaled to
+    unit speed (by 1/size, 1/size^2), and how far the plane as stored is from
+    the Lie triple that the frame formula of :func:`_frames` assumes.  For a
+    rotor plane the residual is the largest coordinate of [H, A] - mu B,
+    [H, B] + mu A and the m-part of H; for commuting A, B it is the largest
+    coordinate of H (and mu is 0)."""
     a, b = coefficients(np.stack(desc.plane), desc.eps)
     c = structure_constants(desc.eps)
     h = np.einsum("i,j,ijk->k", a, b, c)
+    n, n2 = desc.size, desc.size ** 2
     if not desc.rotor:
-        return a, b, h, 0.0, max_abs(h)
+        return a / n, b / n, h / n2, 0.0, max_abs(h)
     ha, hb = np.einsum("i,j,ijk->k", h, a, c), np.einsum("i,j,ijk->k", h, b, c)
     mu = float(ha @ b / (b @ b))
-    return a, b, h, mu, max_abs(np.concatenate([ha - mu * b, hb + mu * a, h[2:]]))
+    residual = max_abs(np.concatenate([ha - mu * b, hb + mu * a, h[2:]]))
+    return a / n, b / n, h / n2, mu / n2, residual
 
 
 def _frames(desc: SurfaceDescriptor, t, u) -> tuple[np.ndarray, np.ndarray]:
@@ -657,7 +663,7 @@ def surface_summary(sid, n: int = constants.DEFAULT_GRID,
         check("ac_residual_max", np.max(cols["ac_residual"]), constants.TOL_EXACT, ok.size),
         check("frame_agreement", _frame_agreement(desc, cols),
               constants.TOL_FRAME_AGREEMENT, ok.size),
-        check("orbit_lie_triple", desc.lie_triple[-1], constants.TOL_TABLE, 1),
+        check("orbit_lie_triple", desc.lie_triple[-1], constants.TOL_INTEGER_IDENTITY, 1),
     ]
     return {
         "id": desc.sid,

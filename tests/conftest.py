@@ -1,12 +1,23 @@
 import numpy as np
 import pytest
 
-from nkflag import surfaces
+from nkflag import lie_structure, surfaces
 
 
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20250810)
+
+
+@pytest.fixture(scope="session")
+def trace_metric():
+    """The bi-invariant trace-form metric, 0.5 Re tr(x* y) with x* the
+    adjoint of the signature's form: the referee of ``lie_structure._gram``."""
+    def metric(x, y, eps: int) -> float:
+        lie_structure.check_signature(eps)
+        return float(0.5 * np.trace(lie_structure._twisted_adjoint(x, eps) @ y).real)
+
+    return metric
 
 
 @pytest.fixture(scope="session")

@@ -51,18 +51,21 @@ class TestVerifyCommand:
     def test_absurd_tolerance_fails(self, capsys):
         code = cli.main(["verify", "--signature", "riemannian", "--tol-exact", "1e-30"])
         assert code == 1
-        # tiny but valid: the benchmark's negative control relies on exit 1 here
-        assert cli.main(["verify", "--signature", "riemannian", "--tol-exact", "1e-300"]) == 1
+        # tiny but valid: the benchmark's negative control relies on exit 1 here;
+        # only the six expm contracts round, so only they fail
+        assert cli.main(["verify", "--signature", "both", "--tol-exact", "1e-300"]) == 1
+        assert capsys.readouterr().out.splitlines()[-1] == "87 checks, 6 failed"
 
     def test_tol_exact_reaches_every_exact_row(self, capsys, tmp_path):
-        # the identity-suite rows included; every other row keeps its tolerance
+        # only the six expm contracts round; every other row reads an integral
+        # table and keeps its zero tolerance
         argv = ["verify", "--signature", "both", "--self-test", "--out"]
         cli.main([*argv, str(tmp_path / "default.json")])
         cli.main([*argv, str(tmp_path / "tight.json"), "--tol-exact", "1e-13"])
         default = load_report_file(tmp_path / "default.json")[1]
         tight = load_report_file(tmp_path / "tight.json")[1]
         moved = {r.name for r in default if r.tolerance == 1e-12}
-        assert len(moved) == 59
+        assert len(moved) == 6 and all(n.startswith("expm_") for n in moved)
         assert [r.name for r in tight] == [r.name for r in default]
         assert {r.name for r in tight if r.tolerance == 1e-13} == moved
         assert all(t.tolerance == d.tolerance for d, t in zip(default, tight) if d.name not in moved)
@@ -277,6 +280,13 @@ class TestReportFiles:
         assert meta["seed"] == 7
         assert back == reports
         assert back[0].passed and not back[1].passed
+
+    def test_an_error_passes_only_between_zero_and_its_tolerance(self):
+        assert CheckReport("x", -0.0, 0.0, 1).passed
+        assert CheckReport("x", 0.0, 0.0, 1).passed
+        assert not CheckReport("x", -5e-324, 0.0, 1).passed
+        assert not CheckReport("x", -1e-3, 1e-12, 1).passed
+        assert not CheckReport("x", np.nan, 1e-12, 1).passed
 
     def test_status_consistency_enforced(self):
         d = report_to_dict(CheckReport("x", 1e-15, 1e-12, 1))

@@ -282,6 +282,87 @@ class TestBranchAndBound:
             kernels.box_enclosure(eps, 0.0, 0.1, 0.0, 0.1)
 
 
+def _exact_step(name, args):
+    """The exact interval of one of kernels' rounded interval ops on the
+    rational values of its float endpoints.  A nonnegative operand (the
+    first of ``_mul``, both of ``_mul_nonneg``) encloses a quantity >= 0, so
+    its range is cut at 0 first."""
+    def nonneg(x):
+        return max(x[0], 0), x[1]
+    if name == "_add":
+        (x0, x1), (y0, y1) = args
+        return x0 + y0, x1 + y1
+    if name == "_sub":
+        (x0, x1), (y0, y1) = args
+        return x0 - y1, x1 - y0
+    if name == "_mul_nonneg":
+        (x0, x1), (y0, y1) = map(nonneg, args)
+        return x0 * y0, x1 * y1
+    (m0, m1), (d0, d1) = nonneg(args[0]), args[1]
+    return min(m0 * d0, m1 * d0), max(m0 * d1, m1 * d1)
+
+
+def _exact_box(eps, b_lo, b_hi, c_lo, c_hi):
+    """(lower, |x|^2 lower, a_hi, b_hi, c_hi) of one box in exact interval
+    arithmetic, the float ops of :func:`kernels.box_enclosure` unrounded."""
+    a = max(1 - b_hi - c_hi, 0), 1 - b_lo - c_lo
+    b, c = (b_lo, b_hi), (c_lo, c_hi)
+    a2, b2, c2 = ((x[0] * x[0], x[1] * x[1]) for x in (a, b, c))
+    lower = 0
+    # r1 = ab (a^2 - eps b^2), r2 = ac (a^2 - eps c^2), r3 = bc (c^2 - b^2)
+    for x, y, p, q, signed in ((a, b, a2, b2, True), (a, c, a2, c2, True), (b, c, c2, b2, False)):
+        q = (-q[1], -q[0]) if signed and eps < 0 else q
+        m = _exact_step("_mul_nonneg", (x, y))
+        r_lo, r_hi = _exact_step("_mul", (m, _exact_step("_sub", (p, q))))
+        lower = max(lower, r_lo, -r_hi)
+    n2 = tuple(a2[k] + b2[k] + c2[k] for k in (0, 1))
+    return lower / n2[1] ** 2, max(n2[0], Fraction(1, 3)), a[1], b[1], c[1]
+
+
+def _rationals(x):
+    return [Fraction(v) for v in np.ravel(x).tolist()]
+
+
+class TestExactReferee:
+    """Every interval step of both signatures' scans, replayed in rationals
+    from the same float endpoints: each rounded result must enclose the
+    exact one."""
+
+    def test_every_scanned_box_encloses_its_exact_interval(self, monkeypatch):
+        steps, norms, boxes = [], [], []
+
+        def record(name, log):
+            real = getattr(kernels, name)
+
+            def recorded(*args):
+                out = real(*args)
+                log.append((name, args, out))
+                return out
+            monkeypatch.setattr(kernels, name, recorded)
+
+        for name in ("_add", "_sub", "_mul_nonneg", "_mul"):
+            record(name, steps)
+        record("_norm_lo", norms)
+        record("box_enclosure", boxes)
+        points = sum(kernels.scan_chart(kernels.CHART_SIMPLEX, eps).points for eps in SIGNATURES)
+        assert points == sum(np.size(args[1]) for _, args, _ in boxes) == 1_194
+
+        for name, (x, y), out in steps:
+            for x0, x1, y0, y1, lo, hi in zip(*map(_rationals, np.broadcast_arrays(*x, *y, *out))):
+                exact_lo, exact_hi = _exact_step(name, ((x0, x1), (y0, y1)))
+                assert lo <= exact_lo and exact_hi <= hi, name
+        for _, (n2_lo,), norm_lo in norms:
+            for n2, norm in zip(_rationals(n2_lo), _rationals(norm_lo)):
+                assert norm >= 0 and norm * norm <= max(n2, Fraction(1.0 / 3.0))
+        for _, (eps, *ends), outputs in boxes:
+            for box, (lower, a_hi, b_hi, c_hi) in zip(zip(*map(_rationals, ends)),
+                                                      zip(*map(_rationals, outputs))):
+                exact_lower, n2_lo, *x_hi = _exact_box(eps, *box)
+                assert lower <= exact_lower
+                for out, x in zip((a_hi, b_hi, c_hi), x_hi):
+                    assert out >= 0 and out * out * n2_lo >= x * x
+
+
 class TestRefine:
     def test_converges_to_single_distribution_solution(self):
         a, b, c, res = kernels.refine_candidate(1, b0=4e-3, c0=1e-3)

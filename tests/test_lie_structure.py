@@ -1,15 +1,12 @@
 """Algebra-level tests: bases, metrics, projections, structure constants."""
 
 import itertools
-import math
 
 import numpy as np
 import pytest
 
 from nkflag import lie_structure as ls
 from nkflag.matrix_core import commutator, max_abs
-
-SQ3 = math.sqrt(3.0)
 
 
 class TestBasis:
@@ -42,26 +39,29 @@ class TestBasis:
 
 class TestMetric:
     def test_gram_identity_compact(self):
-        np.testing.assert_allclose(ls.gram_diagonal(+1), np.ones(8), atol=1e-15)
+        # the integral h2 = diag(i, -2i, i) has length squared 3
+        expected = np.array([1, 3, 1, 1, 1, 1, 1, 1.0])
+        np.testing.assert_array_equal(ls.gram_diagonal(+1), expected)
 
     def test_gram_split_signs(self):
         # direct trace computation: V1 positive, V2 and V3 negative
-        expected = np.array([1, 1, 1, -1, -1, 1, -1, -1.0])
-        np.testing.assert_allclose(ls.gram_diagonal(-1), expected, atol=1e-15)
+        expected = np.array([1, 3, 1, -1, -1, 1, -1, -1.0])
+        np.testing.assert_array_equal(ls.gram_diagonal(-1), expected)
 
-    def test_unit_vectors(self):
+    def test_unit_vectors(self, trace_metric):
         b = ls.basis(+1)
-        assert ls.metric(b[ls.M1], b[ls.M1], +1) == pytest.approx(1.0, abs=1e-15)
+        assert trace_metric(b[ls.M1], b[ls.M1], +1) == pytest.approx(1.0, abs=1e-15)
         bp = ls.basis(-1)
-        assert ls.metric(bp[ls.M2], bp[ls.M2], -1) == pytest.approx(-1.0, abs=1e-15)
+        assert trace_metric(bp[ls.M2], bp[ls.M2], -1) == pytest.approx(-1.0, abs=1e-15)
 
     @pytest.mark.parametrize("eps", ls.SIGNATURES)
-    def test_gram_is_the_pairwise_metric(self, eps):
+    def test_gram_is_the_pairwise_metric(self, eps, trace_metric):
         b = ls.basis(eps)
-        want = np.array([[ls.metric(bi, bj, eps) for bj in b] for bi in b])
+        want = np.array([[trace_metric(bi, bj, eps) for bj in b] for bi in b])
         assert ls._gram(eps).tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("bad", (1e-6, -1e-6, np.nan))
+    # 1e-20 is below any rounding of the diagonal: the basis is exactly orthogonal
+    @pytest.mark.parametrize("bad", (1e-6, -1e-6, np.nan, 1e-20))
     def test_gram_diagonal_rejects_an_off_diagonal_entry(self, bad, monkeypatch):
         g = ls._gram(ls.PSEUDO).copy()
         g[ls.M1, ls.M2] = bad
@@ -69,16 +69,16 @@ class TestMetric:
         with pytest.raises(RuntimeError, match="not diagonal"):
             ls.gram_diagonal.__wrapped__(ls.PSEUDO)
 
-    def test_h_orthogonal_to_m(self):
+    def test_h_orthogonal_to_m(self, trace_metric):
         for eps in ls.SIGNATURES:
             b = ls.basis(eps)
-            assert abs(ls.metric(b[ls.H1], b[ls.M3], eps)) < 1e-15
+            assert abs(trace_metric(b[ls.H1], b[ls.M3], eps)) < 1e-15
 
-    def test_symmetry_bilinearity(self, rng):
+    def test_symmetry_bilinearity(self, rng, trace_metric):
         for eps in ls.SIGNATURES:
             x, y = ls.from_coefficients(rng.uniform(-1, 1, (2, 8)), eps)
-            assert ls.metric(x, y, eps) == pytest.approx(ls.metric(y, x, eps), abs=1e-14)
-            assert ls.metric(2.0 * x, y, eps) == pytest.approx(2 * ls.metric(x, y, eps), abs=1e-13)
+            assert trace_metric(x, y, eps) == pytest.approx(trace_metric(y, x, eps), abs=1e-14)
+            assert trace_metric(2.0 * x, y, eps) == pytest.approx(2 * trace_metric(x, y, eps), abs=1e-13)
 
 
 class TestCoefficients:
@@ -92,7 +92,7 @@ class TestCoefficients:
         b = ls.basis(+1)
         c = ls.coefficients(commutator(b[ls.M1], b[ls.M4]), +1)
         assert np.max(np.abs(c[2:])) < 1e-14
-        np.testing.assert_allclose(c[:2], [1.0, -SQ3], atol=1e-13)
+        np.testing.assert_array_equal(c[:2], [1.0, -1.0])
 
     def test_project_bracket_m1_m2(self):
         b = ls.basis(+1)
@@ -107,7 +107,7 @@ class TestCoefficients:
     @pytest.mark.parametrize("shape", [(), (7,), (4, 5, 5)])
     def test_matches_einsum_definition(self, rng, eps, shape):
         x = rng.normal(size=shape + (3, 3)) + 1j * rng.normal(size=shape + (3, 3))
-        want = np.einsum("ijk,...kj->...i", ls._dual(eps), x).real
+        want = np.einsum("ijk,...kj->...i", ls._dual(eps), x).real / ls.gram_diagonal(eps)
         got = ls.coefficients(x, eps)
         assert got.shape == shape + (8,)
         assert np.max(np.abs(got - want)) <= 1e-15
@@ -117,7 +117,7 @@ class TestCoefficients:
         x = rng.normal(size=(6, 3, 3)) + 1j * rng.normal(size=(6, 3, 3))
         view = np.swapaxes(x, -1, -2)[::2]
         assert not view.flags.c_contiguous
-        want = np.einsum("ijk,...kj->...i", ls._dual(eps), view).real
+        want = np.einsum("ijk,...kj->...i", ls._dual(eps), view).real / ls.gram_diagonal(eps)
         assert np.max(np.abs(ls.coefficients(view, eps) - want)) <= 1e-15
 
     @pytest.mark.parametrize("eps", ls.SIGNATURES)
@@ -162,6 +162,32 @@ class TestStructure:
     def test_structure_constants_antisymmetric(self, eps):
         sc = ls.structure_constants(eps)
         assert np.max(np.abs(sc + np.swapaxes(sc, 0, 1))) < 1e-13
+
+    @pytest.mark.parametrize("eps", ls.SIGNATURES)
+    def test_structure_constants_are_integers(self, eps):
+        sc = ls.structure_constants(eps)
+        assert np.array_equal(sc, np.round(sc)) and np.max(np.abs(sc)) == 3.0
+
+    @pytest.mark.parametrize("eps", ls.SIGNATURES)
+    def test_guard_rejects_a_non_dyadic_basis_matrix(self, eps):
+        # 3 m1 keeps every bracket in the algebra exactly (no drift), but
+        # [h1, m4] is then 2/3 (3 m1): the table leaves (1/4)Z
+        b = ls.basis(eps).copy()
+        b[ls.M1] *= 3.0
+        with pytest.raises(RuntimeError, match=r"\[h1, m4\] has a coefficient outside \(1/4\)Z"):
+            ls.structure_constants_of(b, eps)
+        # a dyadic rescale keeps the table in (1/4)Z
+        b[ls.M1] = 2.0 * ls.basis(eps)[ls.M1]
+        sc = ls.structure_constants_of(b, eps)
+        assert sc[ls.H1, ls.M4, ls.M1] == 0.5 * ls.structure_constants(eps)[ls.H1, ls.M4, ls.M1]
+
+    @pytest.mark.parametrize("eps", ls.SIGNATURES)
+    def test_guard_rejects_any_drift_out_of_the_algebra(self, eps):
+        # a one-entry edit far below the old 1e-12 drift bound still fails
+        b = ls.basis(eps).copy()
+        b[ls.M1, 0, 1] += 1e-15
+        with pytest.raises(RuntimeError, match="left the algebra"):
+            ls.structure_constants_of(b, eps)
 
     def test_bracket_coefficients_match_matrices(self, rng):
         for eps in ls.SIGNATURES:

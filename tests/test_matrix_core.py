@@ -31,18 +31,17 @@ class TestCommutator:
         assert mc.max_abs(got - expected) == 0.0
         assert mc.max_abs(got + b[ls.M3]) == 0.0
 
-    def test_m1_m4_solves_to_h1_minus_sqrt3_h2(self):
+    def test_m1_m4_solves_to_h1_minus_h2(self):
         b = ls.basis(ls.RIEMANNIAN)
         got = mc.commutator(b[ls.M1], b[ls.M4])
         assert mc.max_abs(got - np.diag([-2j, 2j, 0])) == 0.0
         # solve the 2x2 diagonal system alpha*h1 + beta*h2 = diag(-2i, 2i, 0)
-        sys = np.array([[-1.0, 1.0 / math.sqrt(3)], [0.0, -2.0 / math.sqrt(3)]])
+        # on the first two diagonal entries of h1 = diag(-i, 0, i), h2 = diag(i, -2i, i)
+        sys = np.array([[-1.0, 1.0], [0.0, -2.0]])
         alpha, beta = np.linalg.solve(sys, [-2.0, 2.0])
-        assert alpha == pytest.approx(1.0, abs=1e-14)
-        assert beta == pytest.approx(-math.sqrt(3), abs=1e-14)
+        assert (alpha, beta) == (1.0, -1.0)
         coeffs = ls.coefficients(got, ls.RIEMANNIAN)
-        np.testing.assert_allclose(coeffs[:2], [alpha, beta], atol=1e-13)
-        assert np.max(np.abs(coeffs[2:])) < 1e-14
+        np.testing.assert_array_equal(coeffs, [alpha, beta, 0, 0, 0, 0, 0, 0])
 
     def test_pseudo_m2_m3_flips_sign(self):
         # the split-form bracket [m2, m3] is +m1 (the compact one is -m1)
@@ -338,8 +337,8 @@ class TestFromCoefficients:
 
     @pytest.mark.parametrize("eps", ls.SIGNATURES)
     def test_coefficients_returns_the_coefficients(self, rng, eps):
-        # tangent coefficients come back exactly; the isotropy pair passes
-        # through the 1/sqrt(3) of h2 and comes back to within roundoff
+        # tangent coefficients come back exactly; the isotropy pair shares the
+        # diagonal entries and the division by |h2|^2 = 3, so it rounds
         c = rng.uniform(-1, 1, (500, 8))
         tangent = c.copy()
         tangent[:, :2] = 0.0

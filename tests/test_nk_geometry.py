@@ -8,7 +8,10 @@ distributions, so the two tables are frozen separately.
 """
 
 import functools
+import inspect
 import itertools
+import sys
+import types
 
 import numpy as np
 import pytest
@@ -376,6 +379,19 @@ def _bump_nabla_ji(i, mp):
                + (1e-6 * (k == i)) * (x[..., M1] * y[..., M2])[..., None] * E6[M1])
 
 
+def _constant_type_mutant(monkeypatch):
+    """nk_geometry with the constant-type row divided by -4.0 for 4.0: a
+    sign slip that reports the row's error negated."""
+    source = inspect.getsource(nk)
+    mutated = source.replace("np.max(np.abs(d)) / 4.0", "np.max(np.abs(d)) / -4.0")
+    assert mutated.count("/ -4.0") == 1
+    mutant = types.ModuleType("nkflag._constant_type_mutant")
+    mutant.__package__ = "nkflag"
+    monkeypatch.setitem(sys.modules, mutant.__name__, mutant)
+    exec(compile(mutated, nk.__file__, "exec"), mutant.__dict__)
+    return mutant
+
+
 # one injected fault per identity row that reads a G tensor shared with other rows
 _IDENTITY_FAULTS = {
     "g_anticommutes_with_j": _flip_g_m1_m2,
@@ -399,6 +415,17 @@ class TestIdentitySuite:
             assert [n for n, r in reports.items() if not r.passed] == [name]
 
     @pytest.mark.parametrize("eps", SIGNATURES)
+    @pytest.mark.parametrize("kind", nk.ACS_KINDS)
+    def test_twisted_g_is_the_basis_table_contracted_with_k(self, eps, kind):
+        # the suite reads G(x, Ky) and G(Kx, y) off its one G table; K is a
+        # signed permutation, so the contraction is bit for bit the evaluation
+        xs, ys, k = E6[:, None], E6[None, :], nk.acs_matrix(kind)
+        gxy = nk.g_tensor(xs, ys, eps)
+        for got, want in ((np.einsum("ilc,lj->ijc", gxy, k), nk.g_tensor(xs, ys @ k.T, eps)),
+                          (np.einsum("ljc,li->ijc", gxy, k), nk.g_tensor(xs @ k.T, ys, eps))):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("eps", SIGNATURES)
     def test_all_pass(self, eps):
         reports = nk.identity_suite(eps)
         assert len(reports) == 23
@@ -415,6 +442,18 @@ class TestIdentitySuite:
             "constant_type_identity",
         }
         assert expected <= names
+
+    @pytest.mark.parametrize("eps", SIGNATURES)
+    def test_a_negated_error_fails_its_row(self, eps, monkeypatch):
+        # on a healthy G the mutant reads -0.0, which passes at 0; once G
+        # drifts it reads a negative error, which must fail, not pass
+        mutant = _constant_type_mutant(monkeypatch)
+        clean = {r.name: r for r in mutant.identity_suite(eps)}["constant_type_identity"]
+        assert clean.max_abs_error == 0.0 and clean.passed
+        g_tensor = mutant.g_tensor
+        monkeypatch.setattr(mutant, "g_tensor", lambda x, y, e: (1.0 + 1e-6) * g_tensor(x, y, e))
+        faulty = {r.name: r for r in mutant.identity_suite(eps)}["constant_type_identity"]
+        assert faulty.max_abs_error < -1e-7 and not faulty.passed
 
     @pytest.mark.parametrize("eps", SIGNATURES)
     def test_constant_type_identity_tight(self, eps):

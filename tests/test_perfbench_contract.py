@@ -136,9 +136,10 @@ def test_traced_classify_records_the_oracle_layers():
 
 def test_traced_verify_evaluates_each_basis_tensor_once():
     # per signature: the cross-check, the symmetry rows and the self-test each
-    # evaluate the tensorial curvature once; the identity suite builds G at
-    # eight argument twists and verify builds none; nabla runs twice per G,
-    # twice per nabla_J{1,2,3} and once for the connection table
+    # evaluate the tensorial curvature once; the identity suite builds G once
+    # and reads its argument twists off that table, and verify builds none;
+    # nabla runs twice for G, twice per nabla_J{1,2,3} and once for the
+    # connection table
     src = pathlib.Path(nkflag.__file__).resolve().parents[1]
     code = (
         "import collections, json\n"
@@ -158,8 +159,8 @@ def test_traced_verify_evaluates_each_basis_tensor_once():
     assert {"verify.curvature_cross_check", "verify.corruption_self_test",
             "nk_geometry.identity_suite"} <= set(calls)
     assert calls["nk_geometry.curvature_tensorial"] == 6
-    assert calls["nk_geometry.g_tensor"] == 16
-    assert calls["nk_geometry.nabla"] == 46
+    assert calls["nk_geometry.g_tensor"] == 2
+    assert calls["nk_geometry.nabla"] == 18
 
 
 def test_gate_parses_every_verify_table_row(gate, capsys):

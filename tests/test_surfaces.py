@@ -23,7 +23,6 @@ from nkflag.matrix_core import max_abs
 from nkflag.nk_geometry import acs_matrix
 from nkflag.report import write_report_file
 
-SQ3 = math.sqrt(3.0)
 GRID = 21
 
 
@@ -61,12 +60,14 @@ def _family_of(sid):
 class TestFamilyTable:
     @pytest.mark.parametrize("sid", sf.SURFACE_IDS)
     def test_plane_is_x_and_jx_of_its_family(self, sid):
+        # X is the family's integer direction; the unit speed is the size |X|
         fam, desc = _family_of(sid), sf.get_surface(sid)
         b, j = basis(fam.eps), acs_matrix("J")
-        x = sum(a * b[M1 + d] for d, a in enumerate(fam.amplitudes))
-        jx = sum(j[d + 3, d] * a * b[M4 + d] for d, a in enumerate(fam.amplitudes))
+        x = sum(a * b[M1 + d] for d, a in enumerate(fam.direction))
+        jx = sum(j[d + 3, d] * a * b[M4 + d] for d, a in enumerate(fam.direction))
         np.testing.assert_array_equal(desc.plane[0], x)
         np.testing.assert_array_equal(desc.plane[1], jx)
+        assert desc.size == math.sqrt(sum(d * d for d in fam.direction))
 
     @pytest.mark.parametrize("sid", sf.SURFACE_IDS)
     def test_expectations_are_its_familys(self, sid):
@@ -198,11 +199,11 @@ class TestFrames:
 
     def test_vertical_part_of_u_derivative(self):
         # for the V1 sphere the isotropy component is
-        # -(sin^2 t / 2) h1 + (sqrt(3) sin^2 t / 2) h2
+        # -(sin^2 t / 2) h1 + (sin^2 t / 2) h2
         for t, u in ((0.5, 0.0), (1.1, 2.0)):
             _, omega_u = sf._frames(sf.get_surface(1), t, u)
             s2 = math.sin(t) ** 2
-            np.testing.assert_allclose(omega_u[:2], [-s2 / 2.0, SQ3 * s2 / 2.0], atol=1e-13)
+            np.testing.assert_allclose(omega_u[:2], [-s2 / 2.0, s2 / 2.0], atol=1e-13)
 
     def test_hyperbolic_u_derivative(self):
         # mu < 0 on the V2 plane of the split form: the sinh/cosh branch,
@@ -268,9 +269,10 @@ class TestFrames:
         assert calls == [2]
 
     def test_flat_torus_plane_must_commute(self):
-        # the constant frames need [A, B] = 0; the V1 plane's bracket is h1 - sqrt(3) h2
+        # the constant frames need [A, B] = 0; the V1 plane's bracket is h1 - h2,
+        # read off the plane as stored, whatever its size
         swapped = dataclasses.replace(sf.get_surface(3), plane=sf.get_surface(1).plane)
-        assert sf._lie_triple(swapped)[-1] == pytest.approx(SQ3, abs=1e-13)
+        assert sf._lie_triple(swapped)[-1] == 1.0
 
 
 class TestAlmostComplex:
@@ -553,7 +555,7 @@ class TestExport:
             ("tg_residual_max[surface1]", constants.TOL_CURVATURE, checked),
             ("ac_residual_max[surface1]", constants.TOL_EXACT, GRID * GRID),
             ("frame_agreement[surface1]", constants.TOL_FRAME_AGREEMENT, GRID * GRID),
-            ("orbit_lie_triple[surface1]", constants.TOL_TABLE, 1),
+            ("orbit_lie_triple[surface1]", constants.TOL_INTEGER_IDENTITY, 1),
         ]
         assert 0 < checked < GRID * GRID
 

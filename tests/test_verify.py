@@ -51,17 +51,6 @@ _NAMES = (
 
 _SAMPLED = ("expm_inverse_defect", "expm_group_membership", "expm_commuting_product")
 
-# the rows of one signature judged against TOL_TABLE: exact tables and the
-# identities read off them
-_TABLE_ROWS = (
-    "basis_traceless", "basis_antihermitian", "coefficient_roundtrip",
-    "structure_antisymmetry", "jacobi_identity", "reductive_bracket",
-    "connection_table", "connection_off_table", "g_m1_m2_is_m6", "constant_type_identity",
-    "curvature_skew_first_pair", "curvature_first_bianchi",
-    "curvature_pair_symmetry", "curvature_metric_compatibility",
-)
-
-
 @pytest.mark.parametrize("eps", SIGNATURES)
 def test_report_names_in_order(eps):
     label = signature_label(eps)
@@ -95,22 +84,24 @@ def test_one_seed_gives_one_report_and_leaves_the_global_random_state(eps):
 
 
 def test_exact_tables_share_one_tolerance(summary_cache):
-    # the round-trip, property and constant-type tolerances were folded into
-    # TOL_TABLE; the next test pins the names that remain
-    assert constants.TOL_TABLE == 1e-14
+    # every basis row (all but the sampled expm contracts) and the surfaces'
+    # Lie-triple rows read integral tables: each is judged at 0 and reads 0
+    assert constants.TOL_INTEGER_IDENTITY == 0.0
     reports = [r for eps in SIGNATURES for r in verify.run_verification(eps)]
     reports += [r for sid in SURFACE_IDS for r in summary_cache(sid, 21)["reports"]
                 if r.name.startswith("orbit_lie_triple[")]
-    table = [r for r in reports if r.tolerance == constants.TOL_TABLE]
-    assert {r.name.split("[")[0] for r in table} == {*_TABLE_ROWS, "orbit_lie_triple"}
-    assert len(table) == 34 and all(r.passed for r in table)
+    exact = [r for r in reports if r.tolerance == constants.TOL_INTEGER_IDENTITY]
+    assert {r.name for r in reports} - {r.name for r in exact} == {
+        f"{n}[{signature_label(eps)}]" for n in _SAMPLED for eps in SIGNATURES}
+    assert len(exact) == 81 + 6
+    assert [r.name for r in exact if r.max_abs_error != 0.0 or not r.passed] == []
 
 
 def test_every_tolerance_constant_judges_a_row(summary_cache):
     # the rows of `verify --signature both --self-test`, `classify` and
     # `surface --id 1..6`: no TOL_* constant outlives the rows it judged
     names = {n for n in vars(constants) if n.startswith("TOL_")}
-    assert names == {"TOL_EXACT", "TOL_TABLE", "TOL_INTEGER_IDENTITY",
+    assert names == {"TOL_EXACT", "TOL_INTEGER_IDENTITY",
                      "TOL_FRAME_AGREEMENT", "TOL_CURVATURE"}
     reports = [r for eps in SIGNATURES for r in verify.run_verification(eps, self_test=True)]
     reports += [r for eps in SIGNATURES for r in classification_reports(eps)]
