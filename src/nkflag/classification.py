@@ -99,10 +99,14 @@ class SolutionFamily:
     eps: int
 
     @property
+    def size(self) -> float:
+        """|direction|, the length of the family's integer plane."""
+        return math.sqrt(sum(d * d for d in self.direction))
+
+    @property
     def amplitudes(self) -> tuple[float, float, float]:
-        """The unit amplitudes direction / |direction|."""
-        size = math.sqrt(sum(d * d for d in self.direction))
-        return tuple(d / size for d in self.direction)
+        """The unit amplitudes direction / size."""
+        return tuple(d / self.size for d in self.direction)
 
 
 def canonical_amplitudes(a: float, b: float, c: float, eps: int) -> tuple[float, float, float]:

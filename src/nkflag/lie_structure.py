@@ -99,17 +99,22 @@ def _twisted_adjoint(x: np.ndarray, eps: int) -> np.ndarray:
     return IMINUS @ xh @ IMINUS if eps == PSEUDO else xh
 
 
+def _dual_of(b: np.ndarray, eps: int) -> np.ndarray:
+    """Half the twisted adjoint of each b_i of an orthogonal basis: metric(b_i, x) is
+    Re sum_jk dual[i, j, k] x[k, j]; coordinates divide it by metric(b_i, b_i) last."""
+    return 0.5 * _twisted_adjoint(b, eps)
+
+
 @functools.lru_cache(maxsize=None)
 def _gram(eps: int) -> np.ndarray:
     """The trace-form metric 0.5 Re tr(b_i* b_j) on the 64 basis pairs."""
     b = basis(eps)
-    return _frozen(0.5 * np.einsum("iab,jba->ij", _twisted_adjoint(b, eps), b).real)
+    return _frozen(np.einsum("iab,jba->ij", _dual_of(b, eps), b).real)
 
 
 @functools.lru_cache(maxsize=None)
 def gram_diagonal(eps: int) -> np.ndarray:
-    """Diagonal of the basis Gram matrix (the basis is orthogonal in both
-    forms, exactly: every off-diagonal entry must be 0)."""
+    """Diagonal of the basis Gram matrix, whose off-diagonal entries must be 0."""
     g = _gram(eps)
     if not np.all(g - np.diag(np.diag(g)) == 0.0):
         raise RuntimeError("basis Gram matrix is not diagonal")
@@ -118,10 +123,8 @@ def gram_diagonal(eps: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _dual(eps: int) -> np.ndarray:
-    """Half the twisted adjoint b_i* of each basis matrix: metric(b_i, x) is
-    Re sum_jk dual[i, j, k] x[k, j], and coefficients(x)[i] is that divided by
-    gram_diagonal[i], last, so an integral x has exact coordinates."""
-    return _frozen(0.5 * _twisted_adjoint(basis(eps), eps))
+    """:func:`_dual_of` the basis."""
+    return _frozen(_dual_of(basis(eps), eps))
 
 
 def coefficients(x: np.ndarray, eps: int) -> np.ndarray:
@@ -151,16 +154,15 @@ def from_coefficients(c, eps: int) -> np.ndarray:
 
 def structure_constants_of(b: np.ndarray, eps: int) -> np.ndarray:
     """c[i, j, k] with [b_i, b_j] = sum_k c[i, j, k] b_k for any ordered
-    orthogonal basis b of the algebra of signature eps; never cached.
-
-    Raises unless every bracket is rebuilt from its coefficients exactly and
-    4c is an integer below 2**20 in absolute value: then every table read
-    off these constants by sums of products stays exact."""
+    orthogonal basis b of the algebra of signature eps; never cached.  Raises
+    unless every bracket is rebuilt from its coefficients exactly and 4c is an
+    integer below 2**20 in absolute value: then every table read off these
+    constants by sums of products stays exact."""
     check_signature(eps)
     br = commutator(b[:, None], b[None, :])
-    half = 0.5 * _twisted_adjoint(b, eps)
-    norms = np.einsum("ijk,ikj->i", half, b).real
-    c = np.einsum("ljk,...kj->...l", half, br).real / norms
+    dual = _dual_of(b, eps)
+    norms = np.einsum("ijk,ikj->i", dual, b).real   # the Gram diagonal of b
+    c = np.einsum("ljk,...kj->...l", dual, br).real / norms
     drift = np.max(np.abs(np.einsum("...l,ljk->...jk", c, b) - br), axis=(-2, -1))
     quarters = 4.0 * c
     dyadic = np.all((quarters == np.round(quarters)) & (np.abs(quarters) < 2.0 ** 20), axis=-1)

@@ -243,8 +243,7 @@ def _build_surfaces() -> dict[int, SurfaceDescriptor]:
     return {sid: SurfaceDescriptor(
         sid=sid, eps=fam.eps, label=label, trig=fam.norm_sign > 0,
         expected_K=fam.K, expected_amplitudes=fam.amplitudes,
-        plane=_plane(fam.direction, fam.eps), size=math.sqrt(sum(d * d for d in fam.direction)),
-        rotor=rotor, closed_form=closed_form,
+        plane=_plane(fam.direction, fam.eps), size=fam.size, rotor=rotor, closed_form=closed_form,
         expected_metric=_space_form_metric(fam.norm_sign, fam.K, rotor),
     ) for sid, fam, (closed_form, rotor, label) in zip(SURFACE_IDS, families, _SURFACE_TABLE)}
 

@@ -67,7 +67,7 @@ class TestFamilyTable:
         jx = sum(j[d + 3, d] * a * b[M4 + d] for d, a in enumerate(fam.direction))
         np.testing.assert_array_equal(desc.plane[0], x)
         np.testing.assert_array_equal(desc.plane[1], jx)
-        assert desc.size == math.sqrt(sum(d * d for d in fam.direction))
+        assert desc.size == fam.size
 
     @pytest.mark.parametrize("sid", sf.SURFACE_IDS)
     def test_expectations_are_its_familys(self, sid):

@@ -3,9 +3,7 @@ without any certificate command noticing?
 
 Usage (from the root of a checkout):
 
-    python3 tools/mutation_audit.py                 # all nine modules
-    python3 tools/mutation_audit.py kernels report  # only these modules
-    python3 tools/mutation_audit.py --list          # print the mutants, run none
+    python3 tools/mutation_audit.py
 
 Each mutant changes one numeric literal of one module under ``src/nkflag``
 (all but ``cli`` and ``__init__``): 0 becomes 1, any other literal x becomes
@@ -13,15 +11,15 @@ Each mutant changes one numeric literal of one module under ``src/nkflag``
 checkout, and one fresh process runs the eight commands of the certificate
 (``verify --signature both --self-test``, ``classify``, ``surface --id 1..6``)
 through ``nkflag.cli.main``.  A mutant survives when every command exits 0;
-a non-zero exit, an exception or the timeout kills it.  The survivors are
-printed as ``module.py:line:col  literal -> mutant``, one per line.
+a non-zero exit, an exception or the timeout (TIMEOUT seconds) kills it.
+WORKERS mutants run at once.  The survivors are printed as
+``module.py:line:col  literal -> mutant``, one per line.
 
 Not part of the test suite: a full run is about 900 mutants, several minutes
 on two workers.  Exit code 0 means the audit ran (survivors or not), 2 that
 the unmutated tree already fails the certificate.
 """
 
-import argparse
 import ast
 import concurrent.futures
 import io
@@ -37,6 +35,8 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 MODULES = ("classification", "constants", "kernels", "lie_structure", "matrix_core",
            "nk_geometry", "report", "surfaces", "verify")
+WORKERS = 2
+TIMEOUT = 120.0
 CERTIFICATE = (["verify", "--signature", "both", "--self-test"], ["classify"],
                *(["surface", "--id", str(sid)] for sid in range(1, 7)))
 
@@ -68,59 +68,42 @@ def mutants(module: str):
         yield module, row, col, text, new, source[:lo] + new + source[hi:]
 
 
-def run_certificate(src: pathlib.Path, timeout: float) -> bool:
+def run_certificate(src: pathlib.Path) -> bool:
     """True when every certificate command exits 0 on the package under ``src``."""
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     try:
         out = subprocess.run([sys.executable, "-c", _CHILD], env=env, capture_output=True,
-                             text=True, timeout=timeout)
+                             text=True, timeout=TIMEOUT)
     except subprocess.TimeoutExpired:
         return False
     return out.returncode == 0 and out.stdout.strip() == "[" + ", ".join(["0"] * 8) + "]"
 
 
-def survives(mutant, timeout: float) -> bool:
+def survives(mutant) -> bool:
     module, _row, _col, _text, _new, source = mutant
     with tempfile.TemporaryDirectory(prefix="nkflag_mutant_") as tmp:
         src = pathlib.Path(tmp) / "src"
         shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
         (src / "nkflag" / f"{module}.py").write_text(source)
-        return run_certificate(src, timeout)
+        return run_certificate(src)
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("modules", nargs="*", metavar="MODULE",
-                        help=f"modules to mutate (default: all of {', '.join(MODULES)})")
-    parser.add_argument("--workers", type=int, choices=(1, 2), default=2,
-                        help="mutants run at once (at most 2)")
-    parser.add_argument("--timeout", type=float, default=120.0,
-                        help="seconds before a mutant's process is killed")
-    parser.add_argument("--list", action="store_true", help="print the mutants and run none")
-    args = parser.parse_args(argv)
-    unknown = set(args.modules) - set(MODULES)
-    if unknown:
-        parser.error(f"unknown modules: {', '.join(sorted(unknown))}")
-
+def main() -> int:
     todo = []
-    for module in args.modules or MODULES:
+    for module in MODULES:
         for m in mutants(module):
             try:
                 compile(m[-1], f"{module}.py", "exec")
             except SyntaxError:
                 continue
             todo.append(m)
-    if args.list:
-        for module, row, col, text, new, _ in todo:
-            print(f"{module}.py:{row}:{col}  {text} -> {new}")
-        return 0
-    if not run_certificate(SRC, args.timeout):
+    if not run_certificate(SRC):
         print("the unmutated tree fails the certificate", file=sys.stderr)
         return 2
 
     survivors = []
-    with concurrent.futures.ThreadPoolExecutor(max_workers=args.workers) as pool:
-        futures = {pool.submit(survives, m, args.timeout): m for m in todo}
+    with concurrent.futures.ThreadPoolExecutor(max_workers=WORKERS) as pool:
+        futures = {pool.submit(survives, m): m for m in todo}
         for done, future in enumerate(concurrent.futures.as_completed(futures), 1):
             if future.result():
                 survivors.append(futures[future])
