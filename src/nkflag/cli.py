@@ -5,17 +5,15 @@ report, ``classify`` prints the solution-family tables, ``surface`` checks
 one example immersion and exports its per-grid-point samples.  The
 verdicts are :class:`~nkflag.report.CheckReport` rows built below this
 module; every command ends by printing the shared check table and taking its
-exit code from it.  Every flag that takes a value, except ``--id``, can
-also be supplied through an ``NKFLAG_``-prefixed environment variable
-(flags win); ``--id``, ``--self-test`` and ``--no-oracle`` have no
-fallback.  Exit codes are 0 = all checks passed, 1 = some check failed,
-2 = usage error.
+exit code from it.  The command line is the only configuration: no
+environment variable sets a flag.  The tolerance flags may only tighten
+their rows, never loosen them.  Exit codes are 0 = all checks passed,
+1 = some check failed, 2 = usage error.
 Human-readable output is a plain aligned table; machine output is JSON/CSV.
 """
 
 import argparse
 import gc
-import os
 import sys
 
 from . import __version__, constants, report, verify
@@ -38,20 +36,6 @@ EXIT_USAGE = 2
 _MAX_GRID = 201
 
 
-def _env(name: str, default: str | None) -> str | None:
-    """Environment fallback for a flag.  argparse sends a string default
-    through the flag's ``type``, so fallbacks get the same validation."""
-    return os.environ.get(f"NKFLAG_{name}", default)
-
-
-def _one_of(options):
-    def parse(text: str) -> str:
-        if text not in options:
-            raise argparse.ArgumentTypeError(f"expected one of {', '.join(options)}, got {text!r}")
-        return text
-    return parse
-
-
 def _int_in_range(low: int, high: int | None = None):
     def parse(text: str) -> int:
         try:
@@ -66,14 +50,19 @@ def _int_in_range(low: int, high: int | None = None):
     return parse
 
 
-def _positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
-    if not 0.0 < value < float("inf"):
-        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
-    return value
+def _tolerance(ceiling: float):
+    """A tolerance flag: positive and at most the row's own tolerance, so a
+    flag can only tighten what it judges."""
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+        if not 0.0 < value <= ceiling:
+            raise argparse.ArgumentTypeError(
+                f"must be positive and at most {ceiling:g}, got {text!r}")
+        return value
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -86,32 +75,28 @@ def _build_parser() -> argparse.ArgumentParser:
 
     signatures = tuple(sorted(_SIGNATURE_CHOICES))
     p_verify = sub.add_parser("verify", help="run the structural verification suites")
-    p_verify.add_argument("--signature", choices=signatures, type=_one_of(signatures),
-                          default=_env("SIGNATURE", "both"))
-    p_verify.add_argument("--seed", type=_int_in_range(0), default=_env("SEED", str(constants.DEFAULT_SEED)))
-    p_verify.add_argument("--tol-exact", type=_positive_float,
-                          default=_env("TOL_EXACT", str(constants.TOL_EXACT)))
-    p_verify.add_argument("--out", default=_env("OUT", None),
-                          help="write the JSON report here")
+    p_verify.add_argument("--signature", choices=signatures, default="both")
+    p_verify.add_argument("--seed", type=_int_in_range(0), default=constants.DEFAULT_SEED)
+    p_verify.add_argument("--tol-exact", type=_tolerance(constants.TOL_EXACT),
+                          default=constants.TOL_EXACT)
+    p_verify.add_argument("--out", help="write the JSON report here")
     p_verify.add_argument("--self-test", action="store_true",
                           help="also flip one basis sign and require the "
                                "curvature cross-check to notice")
 
     p_classify = sub.add_parser("classify", help="print the solution-family tables")
-    p_classify.add_argument("--signature", choices=signatures, type=_one_of(signatures),
-                            default=_env("SIGNATURE", "both"))
+    p_classify.add_argument("--signature", choices=signatures, default="both")
     p_classify.add_argument("--no-oracle", action="store_true",
                             help="skip the oracle cross check")
 
     p_surface = sub.add_parser("surface", help="sample and export one example immersion")
     p_surface.add_argument("--id", type=int, required=True, help="surface id, 1..6")
     p_surface.add_argument("--grid", type=_int_in_range(9, _MAX_GRID),
-                           default=_env("GRID", str(constants.DEFAULT_GRID)))
-    p_surface.add_argument("--tol-fd", type=_positive_float,
-                           default=_env("TOL_FD", str(constants.TOL_CURVATURE)))
-    p_surface.add_argument("--out", default=_env("OUT", None))
-    p_surface.add_argument("--format", choices=("csv", "json"), type=_one_of(("csv", "json")),
-                           default=_env("FORMAT", "csv"))
+                           default=constants.DEFAULT_GRID)
+    p_surface.add_argument("--tol-fd", type=_tolerance(constants.TOL_CURVATURE),
+                           default=constants.TOL_CURVATURE)
+    p_surface.add_argument("--out")
+    p_surface.add_argument("--format", choices=("csv", "json"), default="csv")
     return parser
 
 

@@ -12,7 +12,8 @@ generator, the analytic frames are cross-checked against central
 differences of the closed form, and the induced metric feeds a
 stencil-based Gauss curvature that is compared with the ambient holomorphic
 sectional curvature at the base point (homogeneity moves the tangent plane
-there).  The control surface exponentiates a plane that violates the
+there) and recomputed in a sheared chart, where every term of the Brioschi
+formula counts.  The control surface exponentiates a plane that violates the
 tangency equations; its residuals must stay away from zero.
 """
 
@@ -314,25 +315,28 @@ def _lie_triple(desc: SurfaceDescriptor):
     return a / n, b / n, h / n2, mu / n2, residual
 
 
-def _frames(desc: SurfaceDescriptor, t, u) -> tuple[np.ndarray, np.ndarray]:
+def _frames(desc: SurfaceDescriptor, t, u, part=slice(None)) -> tuple[np.ndarray, np.ndarray]:
     """(omega_t, omega_u), the left-translated frame derivatives, as (..., 8)
-    coordinate rows; t and u broadcast.  The control plane goes through
-    central differences.  Every other surface derives them from its
-    plane: commuting A, B give the constant frames (a, b), and a rotor plane,
-    with H = [A, B], [H, A] = mu B and [H, B] = -mu A, gives
+    coordinate rows, or their coordinates ``part`` alone; t and u broadcast.
+    The control plane goes through central differences.  Every other
+    surface derives them from its plane: commuting A, B give the constant
+    frames (a, b), and a rotor plane, with H = [A, B], [H, A] = mu B and
+    [H, B] = -mu A, gives
 
         omega_t = cos u a + sin u b,
         omega_u = s(t) (cos u b - sin u a) - c(t) h,
 
     with s = sin(r t) / r and c = (1 - cos(r t)) / mu for r = sqrt|mu|, and
     sinh, cosh in place of sin, cos when mu < 0 (ad of t omega_t squares to
-    -mu t^2 on span(cos u B - sin u A, H))."""
+    -mu t^2 on span(cos u B - sin u A, H)).  The formula acts coordinate by
+    coordinate, so it runs on the ``part`` of (a, b, h) alone."""
     if not desc.has_analytic_frames:
-        return tuple(coefficients(w, desc.eps) for w in _fd_frames(desc, t, u))
+        return tuple(coefficients(w, desc.eps)[..., part] for w in _fd_frames(desc, t, u))
     a, b, h, mu, _ = desc.lie_triple
+    a, b, h = a[part], b[part], h[part]
     t, u = np.asarray(t, dtype=float), np.asarray(u, dtype=float)
     if not desc.rotor:
-        shape = np.broadcast_shapes(t.shape, u.shape) + (8,)
+        shape = np.broadcast_shapes(t.shape, u.shape) + a.shape
         return np.broadcast_to(a, shape).copy(), np.broadcast_to(b, shape).copy()
     r = math.sqrt(abs(mu))
     sin, cos = (np.sin, np.cos) if mu > 0 else (np.sinh, np.cosh)
@@ -343,8 +347,7 @@ def _frames(desc: SurfaceDescriptor, t, u) -> tuple[np.ndarray, np.ndarray]:
 
 def _frames_m(desc: SurfaceDescriptor, t, u):
     """Tangent parts of both frame vectors, batched: two (..., 6) arrays."""
-    ct, cu = _frames(desc, t, u)
-    return ct[..., 2:], cu[..., 2:]
+    return _frames(desc, t, u, slice(2, None))
 
 
 def _metric_from_frames(mt: np.ndarray, mu: np.ndarray, eps: int):
@@ -397,23 +400,23 @@ def _stencil(c: np.ndarray, w) -> np.ndarray:
     return sum(c[k] * w[k] for k in range(5))
 
 
-def _metric_jets(desc: SurfaceDescriptor, t, u) -> dict[str, np.ndarray]:
-    """The jets of the induced metric E dt^2 + 2F dt du + G du^2 that the
-    Brioschi formula reads at the 1-D point arrays (t, u): ``E``, ``F``,
-    ``G``, their six first derivatives (``E_t``, ``E_u``, ...) and
-    ``E_uu``, ``F_tu``, ``G_tt``."""
+def _metric_jets(metric: Callable, t, u) -> dict[str, np.ndarray]:
+    """The jets of the metric E dt^2 + 2F dt du + G du^2, with (E, F, G) =
+    ``metric(t, u)``, that the Brioschi formula reads at the 1-D point
+    arrays (t, u): ``E``, ``F``, ``G``, their six first derivatives
+    (``E_t``, ``E_u``, ...) and ``E_uu``, ``F_tu``, ``G_tt``.  The six
+    first-derivative arms go through one stencil, the two second-derivative
+    arms through another."""
     h = constants.CURV_STEP
     ts = t[None, None, :] + h * _OFFSETS[:, None, None]   # (5, 1, n)
     us = u[None, None, :] + h * _OFFSETS[None, :, None]   # (1, 5, n)
-    e, f, g = np.broadcast_arrays(*induced_metric(desc, ts, us))   # each (5, 5, n)
+    e, f, g = np.broadcast_arrays(*metric(ts, us))   # each (5, 5, n)
+    first = _stencil(_D1, np.stack([x for v in (e, f, g) for x in (v[:, 2], v[2])], axis=1)) / h
+    e_uu, g_tt = _stencil(_D2, np.stack([e[2], g[:, 2]], axis=1)) / (h * h)
     return {
         "E": e[2, 2], "F": f[2, 2], "G": g[2, 2],
-        "E_t": _stencil(_D1, e[:, 2]) / h, "E_u": _stencil(_D1, e[2]) / h,
-        "F_t": _stencil(_D1, f[:, 2]) / h, "F_u": _stencil(_D1, f[2]) / h,
-        "G_t": _stencil(_D1, g[:, 2]) / h, "G_u": _stencil(_D1, g[2]) / h,
-        "E_uu": _stencil(_D2, e[2]) / (h * h),
-        "F_tu": _stencil(_D1, _stencil(_D1, f)) / (h * h),
-        "G_tt": _stencil(_D2, g[:, 2]) / (h * h),
+        **dict(zip(("E_t", "E_u", "F_t", "F_u", "G_t", "G_u"), first)),
+        "E_uu": e_uu, "F_tu": _stencil(_D1, _stencil(_D1, f)) / (h * h), "G_tt": g_tt,
     }
 
 
@@ -453,8 +456,9 @@ def gauss_curvature_batch(sid, t, u) -> np.ndarray:
     the induced metric determinant falls below the documented floor, come
     back NaN.  No value depends on the block size."""
     desc = _descriptor(sid)
+    metric = functools.partial(induced_metric, desc)
     t, u = (np.atleast_1d(v) for v in _broadcast(t, u))
-    return np.concatenate([np.empty(0), *(_curvature_block(desc, t[b], u[b])
+    return np.concatenate([np.empty(0), *(_curvature_block(metric, t[b], u[b])[0]
                                           for b in _blocks(t.size, _BLOCK_POINTS))])
 
 
@@ -463,14 +467,44 @@ def _blocks(n: int, size: int):
     return (slice(lo, lo + size) for lo in range(0, n, size))
 
 
-def _curvature_block(desc: SurfaceDescriptor, t, u) -> np.ndarray:
-    jets = _metric_jets(desc, t, u)
+def _curvature_block(metric: Callable, t, u) -> tuple[np.ndarray, np.ndarray]:
+    """(K, nondegenerate) of ``metric`` at the points (t, u); K is NaN where
+    the metric is degenerate."""
+    jets = _metric_jets(metric, t, u)
     det = jets["E"] * jets["G"] - jets["F"] ** 2
     good = np.abs(det) > constants.DEGENERATE_METRIC_MIN
     out = np.full(det.shape, np.nan)
     if good.any():
         out[good] = _curvature_from_jets({name: v[good] for name, v in jets.items()})
-    return out
+    return out, good
+
+
+#: the shear (alpha, beta) of the chart (t, u) = (s + alpha sin v, v + beta s)
+#: and the side of its (s, v) grid, whose 121 points are one stencil block
+_SHEAR, _SHEAR_GRID = (0.15, 0.3), 11
+
+
+def _sheared_metric(desc: SurfaceDescriptor) -> Callable:
+    """The induced metric pulled back to the sheared chart (s, v): J^T g J
+    with J = d(t, u)/d(s, v) = [[1, alpha cos v], [beta, 1]].  Its E varies
+    and its F does not vanish, so every term of the Brioschi formula counts,
+    where the six surfaces' own charts have constant E and F = 0."""
+    alpha, beta = _SHEAR
+
+    def metric(s, v):
+        e, f, g = induced_metric(desc, s + alpha * np.sin(v), v + beta * s)
+        tv = alpha * np.cos(v)
+        return (e + 2.0 * beta * f + beta * beta * g,
+                tv * e + (1.0 + beta * tv) * f + beta * g,
+                tv * tv * e + 2.0 * tv * f + g)
+    return metric
+
+
+def _sheared_chart_K(desc: SurfaceDescriptor) -> np.ndarray:
+    """Gauss curvature in the sheared chart at the nondegenerate points of
+    its ``_SHEAR_GRID`` grid over the default (s, v) ranges."""
+    k, good = _curvature_block(_sheared_metric(desc), *default_grid(desc, _SHEAR_GRID))
+    return k[good]
 
 
 # ---------------------------------------------------------------------------
@@ -627,7 +661,9 @@ def surface_summary(sid, n: int = constants.DEFAULT_GRID,
     held at ``TOL_EXACT``.  ``frame_agreement`` compares the analytic frames,
     rebuilt as matrices at the grid points, with central differences of the
     closed form under its own tolerance.  ``orbit_lie_triple`` checks the
-    premise of the frame formula on the plane itself.
+    premise of the frame formula on the plane itself.  ``K_sheared_chart``
+    recomputes K in the sheared chart of :func:`_sheared_metric`, at
+    ``TOL_CURVATURE`` whatever ``tol_fd``.
     ``columns`` holds the per-point sample columns, the export's among them.
     Without a closed-form metric (the control plane) the metric row is NaN.
     Aggregates reduce with ``np.max``, so a NaN reaches its report and
@@ -640,7 +676,7 @@ def surface_summary(sid, n: int = constants.DEFAULT_GRID,
     expm_err, group_err = expm_defect(desc, n), group_membership_defect(desc, n)
     cols = _sample_columns(desc, *default_grid(desc, n))
     ok = cols["nondegenerate"]
-    ks = cols["K"][ok]
+    ks, sheared = cols["K"][ok], _sheared_chart_K(desc)
     amps = distribution_amplitudes(cols["unit_frame"], desc.eps)
     expected = desc.expected_metric(cols["t"]) if desc.expected_metric else (math.nan,) * 3
 
@@ -663,6 +699,8 @@ def surface_summary(sid, n: int = constants.DEFAULT_GRID,
         check("frame_agreement", _frame_agreement(desc, cols),
               constants.TOL_FRAME_AGREEMENT, ok.size),
         check("orbit_lie_triple", desc.lie_triple[-1], constants.TOL_INTEGER_IDENTITY, 1),
+        check("K_sheared_chart", max_abs(sheared - desc.expected_K), constants.TOL_CURVATURE,
+              sheared.size),
     ]
     return {
         "id": desc.sid,

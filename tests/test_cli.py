@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from nkflag import cli, surfaces
+from nkflag import cli, constants, surfaces
 from nkflag.report import (
     SCHEMA_VERSION,
     CheckReport,
@@ -69,12 +69,6 @@ class TestVerifyCommand:
         assert [r.name for r in tight] == [r.name for r in default]
         assert {r.name for r in tight if r.tolerance == 1e-13} == moved
         assert all(t.tolerance == d.tolerance for d, t in zip(default, tight) if d.name not in moved)
-
-    def test_env_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("NKFLAG_TOL_EXACT", "1e-30")
-        assert cli.main(["verify", "--signature", "riemannian"]) == 1
-        # explicit flag beats the environment
-        assert cli.main(["verify", "--signature", "riemannian", "--tol-exact", "1e-12"]) == 0
 
 
 class TestClassifyCommand:
@@ -142,12 +136,6 @@ class TestSurfaceCommand:
             cli.main([])
         assert exc.value.code == 2
 
-    def test_grid_env_override(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("NKFLAG_GRID", "11")
-        out = tmp_path / "s.csv"
-        assert cli.main(["surface", "--id", "3", "--out", str(out)]) == 0
-        assert len(out.read_text().strip().splitlines()) == 1 + 121
-
     @pytest.mark.parametrize("argv", [
         ["verify", "--signature", "pseudo"],
         ["surface", "--id", "3", "--grid", "11"],
@@ -178,7 +166,7 @@ class TestSurfaceCommand:
 
 
 class TestBadInput:
-    """Flags and their NKFLAG_ fallbacks share one validator: bad values exit 2."""
+    """Bad flag values exit 2; the command line is the only configuration."""
 
     @pytest.mark.parametrize("argv", [
         ["verify", "--seed", "abc"],
@@ -187,7 +175,11 @@ class TestBadInput:
         ["verify", "--tol-exact", "inf"],
         ["verify", "--tol-exact", "0"],
         ["verify", "--tol-exact", "-1e-12"],
+        ["verify", "--tol-exact", "1.0000000000000002e-12"],
+        ["verify", "--tol-exact", "1"],
         ["surface", "--id", "2", "--tol-fd", "nan"],
+        ["surface", "--id", "2", "--tol-fd", "0.00010000000000000002"],
+        ["surface", "--id", "2", "--tol-fd", "1"],
         ["surface", "--id", "2", "--grid", "x"],
         ["surface", "--id", "2", "--grid", "8"],
         ["surface", "--id", "2", "--grid", "202"],
@@ -198,25 +190,27 @@ class TestBadInput:
         assert exc.value.code == 2
         assert argv[-2] in capsys.readouterr().err
 
-    @pytest.mark.parametrize("name, value, argv", [
-        ("SEED", "abc", ["verify"]),
-        ("TOL_EXACT", "nan", ["verify"]),
-        ("SIGNATURE", "hyperbolic", ["classify", "--no-oracle"]),
-        ("GRID", "x", ["surface", "--id", "2"]),
-        ("TOL_FD", "-1", ["surface", "--id", "2"]),
-        ("FORMAT", "xml", ["surface", "--id", "2"]),
-        ("GRID", "500", ["surface", "--id", "2"]),
-    ])
-    def test_bad_env_value_is_usage_error(self, name, value, argv, capsys, monkeypatch):
-        monkeypatch.setenv(f"NKFLAG_{name}", value)
-        with pytest.raises(SystemExit) as exc:
-            cli.main(argv)
-        assert exc.value.code == 2
-        assert value in capsys.readouterr().err
+    def test_tolerance_flags_may_equal_their_defaults(self):
+        parse = cli._build_parser().parse_args
+        assert parse(["verify", "--tol-exact", "1e-12"]).tol_exact == constants.TOL_EXACT
+        assert parse(["surface", "--id", "2", "--tol-fd", "1e-4"]).tol_fd == constants.TOL_CURVATURE
 
-    def test_flag_overrides_bad_env_value(self, capsys, monkeypatch):
-        monkeypatch.setenv("NKFLAG_SEED", "abc")
-        assert cli.main(["verify", "--signature", "pseudo", "--seed", "3"]) == 0
+    def test_former_env_variables_are_ignored(self, capsys, monkeypatch, tmp_path):
+        commands = (["verify", "--signature", "both", "--self-test"], ["classify"],
+                    ["surface", "--id", "2"])
+        clean = []
+        for argv in commands:
+            assert cli.main(argv) == 0
+            clean.append(capsys.readouterr())
+        out = tmp_path / "env-out"
+        for name, value in [("SEED", "abc"), ("TOL_EXACT", "1"), ("SIGNATURE", "hyperbolic"),
+                            ("GRID", "x"), ("TOL_FD", "1"), ("OUT", str(out)),
+                            ("FORMAT", "xml")]:
+            monkeypatch.setenv(f"NKFLAG_{name}", value)
+        for argv, want in zip(commands, clean):
+            assert cli.main(argv) == 0
+            assert capsys.readouterr() == want
+        assert not out.exists()
 
 
 def _child_env(**extra) -> dict:

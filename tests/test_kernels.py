@@ -224,6 +224,16 @@ class TestBranchAndBound:
         sampled = kernels.residual_linf(a, b, c, PSEUDO)[interior].min()
         assert constants.NONZERO_EMPTY_BOUND < scan.interior_min <= sampled
 
+    @pytest.mark.parametrize("eps", SIGNATURES)
+    def test_interior_argmin_is_a_point_of_the_half_triangle_above_the_bound(self, eps):
+        # the centre of the box that set interior_min: unit amplitudes of the
+        # scanned half c <= b, where the residual is at least the box's bound
+        scan = kernels.scan_chart(kernels.CHART_SIMPLEX, eps)
+        a, b, c = scan.interior_argmin
+        assert min(a, b, c) >= 0.0 and b >= c
+        assert a * a + b * b + c * c == pytest.approx(1.0, abs=1e-15)
+        assert kernels.residual_linf(a, b, c, eps) >= scan.interior_min
+
     def test_compact_interior_bound_admits_the_flat_family(self):
         assert kernels.scan_chart(kernels.CHART_SIMPLEX, 1).interior_min == 0.0
 

@@ -198,7 +198,7 @@ def test_surface_json_export_is_a_report_file(gate, capsys, tmp_path):
                      "--format", "json"]) == 0
     meta, reports = load_report_file(out)
     assert meta["surface"] == 5 and meta["grid"] == 11 and len(meta["rows"]) == 121
-    assert len(reports) == 10 and all(r.passed for r in reports)
+    assert len(reports) == 11 and all(r.passed for r in reports)
     assert gate.check_surface_export(5, "json", 121)(0, capsys.readouterr().out, str(out)) is None
 
 

@@ -419,6 +419,28 @@ class TestBrioschi:
         assert np.all(jets["F"] != 0.0)
         np.testing.assert_allclose(sf._curvature_from_jets(jets), 1.0, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("jet", ["E_u", "E_t"])
+    def test_only_the_sheared_chart_sees_the_first_derivative_terms_of_e(self, jet, monkeypatch):
+        # E is constant and F = 0 in every surface's own chart, so a sign flip
+        # of Brioschi's E_u or E_t terms moves only the sheared chart's K
+        _jet_negated(monkeypatch, jet)
+        reports = {r.name: r for r in sf.surface_summary(2, 11)["reports"]}
+        assert reports["K_max_deviation[surface2]"].passed
+        assert reports["K_sheared_chart[surface2]"].max_abs_error > 1.0
+
+    def test_sheared_chart_pulls_back_the_cross_term(self, monkeypatch):
+        # the six surfaces' own metrics have F = 0; dx^2 + e^(2x) dy^2 (K = -1)
+        # in the chart (x, y) = (t + u / 5, u) has F = 1/5, so every term of
+        # J^T g J counts
+        def skewed(desc, t, u):
+            one = np.ones(np.broadcast_shapes(np.shape(t), np.shape(u)))
+            return one, 0.2 * one, 0.04 + np.exp(2.0 * (t + 0.2 * u))
+
+        monkeypatch.setattr(sf, "induced_metric", skewed)
+        k = sf._sheared_chart_K(sf.get_surface(5))
+        assert k.size == sf._SHEAR_GRID ** 2
+        np.testing.assert_allclose(k, -1.0, rtol=0, atol=constants.TOL_CURVATURE)
+
     def test_nan_jet_gives_nan(self):
         clean = _sheared_sphere_jets(0.4, 0.7)
         for name in clean:
@@ -556,6 +578,7 @@ class TestExport:
             ("ac_residual_max[surface1]", constants.TOL_EXACT, GRID * GRID),
             ("frame_agreement[surface1]", constants.TOL_FRAME_AGREEMENT, GRID * GRID),
             ("orbit_lie_triple[surface1]", constants.TOL_INTEGER_IDENTITY, 1),
+            ("K_sheared_chart[surface1]", constants.TOL_CURVATURE, 120),
         ]
         assert 0 < checked < GRID * GRID
 
@@ -595,8 +618,14 @@ def _frames_shifted(mp, d_t, d_u):
     """Patch :func:`sf._frames` to add the coordinate rows d_t, d_u to
     (omega_t, omega_u)."""
     frames = sf._frames
-    mp.setattr(sf, "_frames", lambda *args: tuple(
-        w + dw for w, dw in zip(frames(*args), (d_t, d_u))))
+    mp.setattr(sf, "_frames", lambda desc, t, u, part=slice(None): tuple(
+        w + np.broadcast_to(dw, (8,))[part] for w, dw in zip(frames(desc, t, u, part), (d_t, d_u))))
+
+
+def _jet_negated(mp, jet):
+    """Patch :func:`sf._curvature_from_jets` to read ``jet`` with its sign flipped."""
+    real = sf._curvature_from_jets
+    mp.setattr(sf, "_curvature_from_jets", lambda j: real({**j, jet: -j[jet]}))
 
 
 def _plane_shifted(d, d_a, d_b):
@@ -627,6 +656,9 @@ _FAULTS = {
     "frame_agreement": lambda d, mp: _frames_shifted(mp, 0.0, 1e-5 * _E[H1]) or d,
     # B leaves V1 + V2, so [[A, B], B] is no longer a multiple of A
     "orbit_lie_triple": lambda d, mp: _plane_shifted(d, 0.0, 1e-6 * _M3),
+    # Brioschi's E_u terms with the wrong sign: E is constant in the surface's
+    # own chart, so only the sheared chart's jets can see them
+    "K_sheared_chart": lambda d, mp: _jet_negated(mp, "E_u") or d,
 }
 
 
