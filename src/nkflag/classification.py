@@ -99,9 +99,14 @@ class SolutionFamily:
     eps: int
 
     @property
+    def size_sq(self) -> int:
+        """|direction|^2, an integer."""
+        return sum(d * d for d in self.direction)
+
+    @property
     def size(self) -> float:
         """|direction|, the length of the family's integer plane."""
-        return math.sqrt(sum(d * d for d in self.direction))
+        return math.sqrt(self.size_sq)
 
     @property
     def amplitudes(self) -> tuple[float, float, float]:
@@ -217,15 +222,16 @@ def _mirror_defect(eps: int) -> float:
 
 
 def classification_reports(eps: int, oracle: bool = True) -> list[CheckReport]:
-    """One signature's verdicts: the case analysis' families are tangent
-    and, with the oracle, the residuals are b <-> c symmetric (so the half
-    chart suffices), the families match the oracle's, and the oracle's bound
-    on the all-nonzero region is at most ``NONZERO_EMPTY_BOUND`` where the
-    case analysis has a family there and at least that floor where not."""
+    """One signature's verdicts: the case analysis' families are tangent at
+    their integer directions, where no operation rounds, and, with the
+    oracle, the residuals are b <-> c symmetric (so the half chart suffices),
+    the families match the oracle's, and the oracle's bound on the
+    all-nonzero region is at most ``NONZERO_EMPTY_BOUND`` where the case
+    analysis has a family there and at least that floor where not."""
     fams, label = solve_families(eps), signature_label(eps)
-    deviation = np.max([tangency_coefficient(*f.amplitudes, eps)[1] for f in fams])
+    deviation = np.max([tangency_coefficient(*f.direction, eps)[1] for f in fams])
     reports = [CheckReport(f"case_analysis_tangency[{label}]", float(deviation),
-                           constants.TOL_EXACT, len(fams))]
+                           constants.TOL_INTEGER_IDENTITY, len(fams))]
     if oracle:
         reports.append(CheckReport(f"oracle_mirror_symmetry[{label}]", _mirror_defect(eps),
                                    constants.TOL_INTEGER_IDENTITY, 5 ** 3))

@@ -90,7 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
                             help="skip the oracle cross check")
 
     p_surface = sub.add_parser("surface", help="sample and export one example immersion")
-    p_surface.add_argument("--id", type=int, required=True, help="surface id, 1..6")
+    p_surface.add_argument("--id", type=int, choices=SURFACE_IDS, required=True)
     p_surface.add_argument("--grid", type=_int_in_range(9, _MAX_GRID),
                            default=constants.DEFAULT_GRID)
     p_surface.add_argument("--tol-fd", type=_tolerance(constants.TOL_CURVATURE),
@@ -136,9 +136,7 @@ def _cmd_classify(args) -> int:
     return _finish(reports)
 
 
-def _cmd_surface(args, parser: argparse.ArgumentParser) -> int:
-    if args.id not in SURFACE_IDS:
-        parser.error(f"--id must be one of {SURFACE_IDS}, got {args.id}")
+def _cmd_surface(args) -> int:
     summary = surface_summary(args.id, args.grid, tol_fd=args.tol_fd)
     reports, columns = summary["reports"], summary["columns"]
     print(f"surface {args.id}: {summary['label']}")
@@ -162,7 +160,7 @@ def main(argv=None) -> int:
     if args.command == "classify":
         return _cmd_classify(args)
     if args.command == "surface":
-        return _cmd_surface(args, parser)
+        return _cmd_surface(args)
     parser.error(f"unknown command {args.command!r}")  # pragma: no cover
     return EXIT_USAGE
 

@@ -2,11 +2,11 @@
 
 Each check takes its tolerance from its source of error, in two tiers.
 Exact checks take no finite difference anywhere in the pipeline.  Those
-whose arithmetic rounds (``expm``, the six analytic surface rows, the
-family tangency) are held near machine precision by ``TOL_EXACT``; those
-that read integral tables, where no float op rounds (every ``verify``
-basis row, the surface Lie triples, polynomial identities on integer
-nodes), must read 0 under ``TOL_INTEGER_IDENTITY``.  The finite-difference
+whose arithmetic rounds (``expm``, the six analytic surface rows) are held
+near machine precision by ``TOL_EXACT``; those that read integral tables,
+where no float op rounds (every ``verify`` basis row, the surface Lie
+triples, the family tangency, polynomial identities on integer nodes),
+must read 0 under ``TOL_INTEGER_IDENTITY``.  The finite-difference
 tier holds only finite differences, each at the floor set by its step
 size: ``TOL_FRAME_AGREEMENT`` for the difference frames and
 ``TOL_CURVATURE`` for the Gauss curvature and the totally geodesic

@@ -3,18 +3,20 @@
 Surface i is the orbit exp(V).o of the plane V = span(A, B) = span(X, JX)
 of the i-th family of :func:`~nkflag.classification.solve_families`, X its
 amplitudes on (m1, m2, m3); the expected curvature, amplitudes and
-space-form metric are that family's too.  The generator and
-the analytic left-translated frame derivatives are derived from it, the
-frames by one formula that reads the bracket H = [A, B] and holds while
-the plane is a Lie triple (checked on every run).  For every surface the
-closed-form matrix is cross-checked against the matrix exponential of its
-generator, the analytic frames are cross-checked against central
-differences of the closed form, and the induced metric feeds a
-stencil-based Gauss curvature that is compared with the ambient holomorphic
-sectional curvature at the base point (homogeneity moves the tangent plane
-there) and recomputed in a sheared chart, where every term of the Brioschi
-formula counts.  The control surface exponentiates a plane that violates the
-tangency equations; its residuals must stay away from zero.
+space-form metric are that family's too.  Every surface is swept in
+geodesic polar coordinates, exp(t (cos u A + sin u B) / |A|).  The
+generator and the analytic left-translated frame derivatives are derived
+from the plane, the frames by one formula that reads the bracket
+H = [A, B] and holds while the plane is a Lie triple (checked on every
+run).  For every surface the closed-form matrix is cross-checked against
+the matrix exponential of its generator, the analytic frames are
+cross-checked against central differences of the closed form, and the
+induced metric feeds a stencil-based Gauss curvature that is compared with
+the ambient holomorphic sectional curvature at the base point (homogeneity
+moves the tangent plane there) and recomputed in a sheared chart, where
+every term of the Brioschi formula counts.  The control surface
+exponentiates a plane that violates the tangency equations; its residuals
+must stay away from zero.
 """
 
 import dataclasses
@@ -78,10 +80,9 @@ def _alloc(t):
 class SurfaceDescriptor:
     """Everything needed to evaluate and verify one example immersion.
 
-    ``plane`` is the pair of matrices (A, B) of length ``size`` (integral for
-    the six surfaces).  A ``rotor`` plane is swept as exp(t (cos u A + sin u B)
-    / size); otherwise A and B commute and the surface is exp((t A + u B) /
-    size) (the flat torus)."""
+    ``plane`` is the pair of matrices (A, B) of squared length ``size_sq``
+    (integral for the six surfaces), swept in geodesic polar coordinates as
+    exp(t (cos u A + sin u B) / sqrt(size_sq))."""
 
     sid: int
     eps: int
@@ -90,8 +91,7 @@ class SurfaceDescriptor:
     expected_K: float
     expected_amplitudes: tuple[float, float, float]
     plane: tuple[np.ndarray, np.ndarray]
-    size: float
-    rotor: bool
+    size_sq: int
     closed_form: Callable
     expected_metric: Optional[Callable]
     has_analytic_frames: bool = True
@@ -104,10 +104,8 @@ class SurfaceDescriptor:
         """The algebra element whose exponential is the immersion at (t, u)."""
         a, b = self.plane
         t, u = _broadcast(t, u)
-        if self.rotor:
-            return (t / self.size)[..., None, None] * (
-                np.cos(u)[..., None, None] * a + np.sin(u)[..., None, None] * b)
-        return (t[..., None, None] * a + u[..., None, None] * b) / self.size
+        return (t / math.sqrt(self.size_sq))[..., None, None] * (
+            np.cos(u)[..., None, None] * a + np.sin(u)[..., None, None] * b)
 
     @functools.cached_property
     def lie_triple(self):
@@ -152,7 +150,9 @@ def _cf_two_distribution_sphere(t, u):
 
 
 def _cf_flat_torus(t, u):
+    # the commuting plane's Cartesian closed form at (t cos u, t sin u)
     t, u = _broadcast(t, u)
+    t, u = t * np.cos(u), t * np.sin(u)
     out = _alloc(t)
     ct, st = np.cos(t), np.sin(t)
     w = np.exp(-2j * u / _SQ3)
@@ -213,28 +213,27 @@ def _plane(amplitudes, eps: int) -> tuple[np.ndarray, np.ndarray]:
     return tuple(from_coefficients(np.r_[0.0, 0.0, v], eps) for v in (x, apply_acs("J", x)))
 
 
-def _space_form_metric(sign: int, k: float, rotor: bool) -> Callable:
+def _space_form_metric(sign: int, k: float) -> Callable:
     """sign * (1, 0, S(t)^2), the space form of curvature k in geodesic polar
-    coordinates: S(t) = sin(sqrt(k) t) / sqrt(k), sinh when sign < 0, and
-    S = 1 in the Cartesian coordinates of a plane swept without a rotor."""
+    coordinates: S(t) = sin(sqrt(k) t) / sqrt(k), sinh when sign < 0, and its
+    limit S(t) = t at k = 0."""
     r, sin = math.sqrt(k), np.sin if sign > 0 else np.sinh
 
     def metric(t):
-        s = sin(r * t) / r if rotor else np.ones_like(t)
+        s = sin(r * t) / r if k else t
         return sign * np.ones_like(t), np.zeros_like(t), sign * s ** 2
     return metric
 
 
-#: closed form, rotor flag and label of each surface, in the order of the
-#: compact and then the split families of :func:`solve_families`
+#: closed form and label of each surface, in the order of the compact and
+#: then the split families of :func:`solve_families`
 _SURFACE_TABLE = (
-    (_cf_block_sphere, True, "V1 plane, round sphere of curvature 4"),
-    (_cf_two_distribution_sphere, True, "V1+V2 plane, round sphere of curvature 1"),
-    # the two generator directions commute, so both frame derivatives are constant
-    (_cf_flat_torus, False, "V1+V2+V3 plane, flat torus"),
-    (_cf_block_sphere, True, "V1 plane (split form), round sphere of curvature 4"),
-    (_cf_hyperbolic_disc, True, "V2 plane, anti-isometric hyperbolic plane (K = 4)"),
-    (_cf_two_distribution_hyperbolic, True, "V2+V3 plane, anti-isometric hyperbolic plane (K = 1)"),
+    (_cf_block_sphere, "V1 plane, round sphere of curvature 4"),
+    (_cf_two_distribution_sphere, "V1+V2 plane, round sphere of curvature 1"),
+    (_cf_flat_torus, "V1+V2+V3 plane, flat torus"),
+    (_cf_block_sphere, "V1 plane (split form), round sphere of curvature 4"),
+    (_cf_hyperbolic_disc, "V2 plane, anti-isometric hyperbolic plane (K = 4)"),
+    (_cf_two_distribution_hyperbolic, "V2+V3 plane, anti-isometric hyperbolic plane (K = 1)"),
 )
 
 
@@ -244,9 +243,9 @@ def _build_surfaces() -> dict[int, SurfaceDescriptor]:
     return {sid: SurfaceDescriptor(
         sid=sid, eps=fam.eps, label=label, trig=fam.norm_sign > 0,
         expected_K=fam.K, expected_amplitudes=fam.amplitudes,
-        plane=_plane(fam.direction, fam.eps), size=fam.size, rotor=rotor, closed_form=closed_form,
-        expected_metric=_space_form_metric(fam.norm_sign, fam.K, rotor),
-    ) for sid, fam, (closed_form, rotor, label) in zip(SURFACE_IDS, families, _SURFACE_TABLE)}
+        plane=_plane(fam.direction, fam.eps), size_sq=fam.size_sq, closed_form=closed_form,
+        expected_metric=_space_form_metric(fam.norm_sign, fam.K),
+    ) for sid, fam, (closed_form, label) in zip(SURFACE_IDS, families, _SURFACE_TABLE)}
 
 
 _SURFACES = _build_surfaces()
@@ -270,7 +269,7 @@ def control_surface() -> SurfaceDescriptor:
         sid=0, eps=RIEMANNIAN, trig=True,
         label=f"control plane, amplitudes ({amps[0]:.3f}, {amps[1]:.3f}, 0)",
         expected_K=math.nan, expected_amplitudes=amps,
-        plane=_plane(amps, RIEMANNIAN), size=1.0, rotor=True,
+        plane=_plane(amps, RIEMANNIAN), size_sq=1,
         closed_form=lambda t, u: expm(ctrl.generator(t, u)),
         expected_metric=None,
         has_analytic_frames=False,
@@ -298,20 +297,17 @@ def _fd_frames(desc: SurfaceDescriptor, t, u) -> tuple[np.ndarray, np.ndarray]:
 def _lie_triple(desc: SurfaceDescriptor):
     """(a, b, h, mu, residual) of the plane: the coordinates a, b of A, B and
     h of H = [A, B], the factor mu read from [H, A] = mu B, each scaled to
-    unit speed (by 1/size, 1/size^2), and how far the plane as stored is from
-    the Lie triple that the frame formula of :func:`_frames` assumes.  For a
-    rotor plane the residual is the largest coordinate of [H, A] - mu B,
-    [H, B] + mu A and the m-part of H; for commuting A, B it is the largest
-    coordinate of H (and mu is 0)."""
+    unit speed (by 1/|A|, and by the integer 1/|A|^2), and how far the
+    plane as stored is from the Lie triple that the frame formula of
+    :func:`_frames` assumes: the largest coordinate of [H, A] - mu B,
+    [H, B] + mu A and the m-part of H."""
     a, b = coefficients(np.stack(desc.plane), desc.eps)
     c = structure_constants(desc.eps)
     h = np.einsum("i,j,ijk->k", a, b, c)
-    n, n2 = desc.size, desc.size ** 2
-    if not desc.rotor:
-        return a / n, b / n, h / n2, 0.0, max_abs(h)
     ha, hb = np.einsum("i,j,ijk->k", h, a, c), np.einsum("i,j,ijk->k", h, b, c)
     mu = float(ha @ b / (b @ b))
     residual = max_abs(np.concatenate([ha - mu * b, hb + mu * a, h[2:]]))
+    n, n2 = math.sqrt(desc.size_sq), desc.size_sq
     return a / n, b / n, h / n2, mu / n2, residual
 
 
@@ -319,30 +315,28 @@ def _frames(desc: SurfaceDescriptor, t, u, part=slice(None)) -> tuple[np.ndarray
     """(omega_t, omega_u), the left-translated frame derivatives, as (..., 8)
     coordinate rows, or their coordinates ``part`` alone; t and u broadcast.
     The control plane goes through central differences.  Every other
-    surface derives them from its plane: commuting A, B give the constant
-    frames (a, b), and a rotor plane, with H = [A, B], [H, A] = mu B and
-    [H, B] = -mu A, gives
+    surface derives them from its plane: with H = [A, B], [H, A] = mu B and
+    [H, B] = -mu A,
 
         omega_t = cos u a + sin u b,
         omega_u = s(t) (cos u b - sin u a) - c(t) h,
 
-    with s = sin(r t) / r and c = (1 - cos(r t)) / mu for r = sqrt|mu|, and
+    with s = sin(r t) / r and c = (1 - cos(r t)) / mu for r = sqrt|mu|,
     sinh, cosh in place of sin, cos when mu < 0 (ad of t omega_t squares to
-    -mu t^2 on span(cos u B - sin u A, H)).  The formula acts coordinate by
-    coordinate, so it runs on the ``part`` of (a, b, h) alone."""
+    -mu t^2 on span(cos u B - sin u A, H)), and the limits s = t,
+    c = t^2 / 2 at mu = 0 (the flat torus, where H = 0).  The formula acts
+    coordinate by coordinate, so it runs on the ``part`` of (a, b, h)
+    alone."""
     if not desc.has_analytic_frames:
         return tuple(coefficients(w, desc.eps)[..., part] for w in _fd_frames(desc, t, u))
     a, b, h, mu, _ = desc.lie_triple
     a, b, h = a[part], b[part], h[part]
     t, u = np.asarray(t, dtype=float), np.asarray(u, dtype=float)
-    if not desc.rotor:
-        shape = np.broadcast_shapes(t.shape, u.shape) + a.shape
-        return np.broadcast_to(a, shape).copy(), np.broadcast_to(b, shape).copy()
     r = math.sqrt(abs(mu))
     sin, cos = (np.sin, np.cos) if mu > 0 else (np.sinh, np.cosh)
-    s, c = (sin(r * t) / r)[..., None], ((1.0 - cos(r * t)) / mu)[..., None]
+    s, c = (sin(r * t) / r, (1.0 - cos(r * t)) / mu) if mu else (t, 0.5 * t * t)
     cu, su = np.cos(u)[..., None], np.sin(u)[..., None]
-    return cu * a + su * b, s * (cu * b - su * a) - c * h
+    return cu * a + su * b, s[..., None] * (cu * b - su * a) - c[..., None] * h
 
 
 def _frames_m(desc: SurfaceDescriptor, t, u):

@@ -126,10 +126,11 @@ class TestSurfaceCommand:
         # negative-definite metric throughout
         assert all(row["G"] <= 0 for row in payload["rows"])
 
-    def test_bad_id_is_usage_error(self):
+    def test_bad_id_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["surface", "--id", "7"])
         assert exc.value.code == 2
+        assert "--id" in capsys.readouterr().err
 
     def test_missing_command_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

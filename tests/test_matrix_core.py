@@ -126,7 +126,9 @@ class TestExpm:
         t1 = (b[ls.M1] + b[ls.M2] + b[ls.M3]) / math.sqrt(3)
         t2 = (b[ls.M4] + b[ls.M5] - b[ls.M6]) / math.sqrt(3)
         assert mc.max_abs(mc.commutator(t1, t2)) < 1e-15
-        assert mc.max_abs(get_surface(3).generator(1.0, 2.0) - (t1 + 2.0 * t2)) < 1e-15
+        t, u = 1.3, 0.4
+        assert mc.max_abs(get_surface(3).generator(t, u)
+                          - t * (math.cos(u) * t1 + math.sin(u) * t2)) < 1e-15
         assert mc.max_abs(mc.expm(1.3 * t1 + 0.4 * t2)
                           - mc.expm(1.3 * t1) @ mc.expm(0.4 * t2)) < 1e-12
 

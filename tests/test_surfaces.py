@@ -46,7 +46,7 @@ class TestDescriptors:
 _HAND_METRICS = {
     1: lambda t: (np.ones_like(t), np.zeros_like(t), (np.sin(2.0 * t) / 2.0) ** 2),
     2: lambda t: (np.ones_like(t), np.zeros_like(t), np.sin(t) ** 2),
-    3: lambda t: (np.ones_like(t), np.zeros_like(t), np.ones_like(t)),
+    3: lambda t: (np.ones_like(t), np.zeros_like(t), t ** 2),
     4: lambda t: (np.ones_like(t), np.zeros_like(t), (np.sin(2.0 * t) / 2.0) ** 2),
     5: lambda t: (-np.ones_like(t), np.zeros_like(t), -((np.sinh(2.0 * t) / 2.0) ** 2)),
     6: lambda t: (-np.ones_like(t), np.zeros_like(t), -np.sinh(t) ** 2),
@@ -67,7 +67,15 @@ class TestFamilyTable:
         jx = sum(j[d + 3, d] * a * b[M4 + d] for d, a in enumerate(fam.direction))
         np.testing.assert_array_equal(desc.plane[0], x)
         np.testing.assert_array_equal(desc.plane[1], jx)
-        assert desc.size == fam.size
+        assert desc.size_sq == fam.size_sq == sum(d * d for d in fam.direction)
+        assert math.sqrt(desc.size_sq) == fam.size
+
+    @pytest.mark.parametrize("sid", sf.SURFACE_IDS)
+    def test_lie_triple_factor_is_the_signed_curvature(self, sid):
+        # mu is scaled by the integer |X|^2, so it is the family's K exactly,
+        # negated on the negative-definite planes
+        desc = sf.get_surface(sid)
+        assert desc.lie_triple[3] == (1 if desc.trig else -1) * desc.expected_K
 
     @pytest.mark.parametrize("sid", sf.SURFACE_IDS)
     def test_expectations_are_its_familys(self, sid):
@@ -219,7 +227,7 @@ class TestFrames:
             np.testing.assert_allclose(omega_u, coefficients(want, PSEUDO), rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("desc", [sf.get_surface(2), sf.get_surface(3), sf.control_surface()],
-                             ids=["rotor", "flat_torus", "control"])
+                             ids=["sphere", "flat_torus", "control"])
     def test_stencil_offsets_need_no_broadcast(self, desc):
         # the metric jets pass the t-offsets as (5, 1, n) and the u-offsets as
         # (1, 5, n); the frames must equal the broadcast evaluation bit for bit
@@ -268,18 +276,12 @@ class TestFrames:
         sf.surface_summary(desc, 11)
         assert calls == [2]
 
-    def test_flat_torus_plane_must_commute(self):
-        # the constant frames need [A, B] = 0; the V1 plane's bracket is h1 - h2,
-        # read off the plane as stored, whatever its size
-        swapped = dataclasses.replace(sf.get_surface(3), plane=sf.get_surface(1).plane)
-        assert sf._lie_triple(swapped)[-1] == 1.0
-
 
 class TestAlmostComplex:
     @pytest.mark.parametrize("sid,factor", [
         (1, lambda t: math.sin(t) * math.cos(t)),
         (2, math.sin),
-        (3, lambda t: 1.0),
+        (3, lambda t: t),
         (4, lambda t: math.sin(t) * math.cos(t)),
         (5, lambda t: math.sinh(t) * math.cosh(t)),
         (6, math.sinh),
@@ -314,7 +316,7 @@ class TestInducedMetric:
         e, f, g = sf.induced_metric(1, math.pi / 4, 1.7)
         assert (e, f, g) == pytest.approx((1.0, 0.0, 0.25), abs=1e-13)
         e, f, g = sf.induced_metric(3, 0.9, 0.1)
-        assert (e, f, g) == pytest.approx((1.0, 0.0, 1.0), abs=1e-13)
+        assert (e, f, g) == pytest.approx((1.0, 0.0, 0.81), abs=1e-13)
         t = 0.8
         e, f, g = sf.induced_metric(6, t, 2.2)
         assert (e, f, g) == pytest.approx((-1.0, 0.0, -math.sinh(t) ** 2), abs=1e-13)
@@ -419,14 +421,16 @@ class TestBrioschi:
         assert np.all(jets["F"] != 0.0)
         np.testing.assert_allclose(sf._curvature_from_jets(jets), 1.0, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("sid", sf.SURFACE_IDS)
     @pytest.mark.parametrize("jet", ["E_u", "E_t"])
-    def test_only_the_sheared_chart_sees_the_first_derivative_terms_of_e(self, jet, monkeypatch):
+    def test_only_the_sheared_chart_sees_the_first_derivative_terms_of_e(self, jet, sid,
+                                                                         monkeypatch):
         # E is constant and F = 0 in every surface's own chart, so a sign flip
         # of Brioschi's E_u or E_t terms moves only the sheared chart's K
         _jet_negated(monkeypatch, jet)
-        reports = {r.name: r for r in sf.surface_summary(2, 11)["reports"]}
-        assert reports["K_max_deviation[surface2]"].passed
-        assert reports["K_sheared_chart[surface2]"].max_abs_error > 1.0
+        reports = {r.name: r for r in sf.surface_summary(sid, 11)["reports"]}
+        assert reports[f"K_max_deviation[surface{sid}]"].passed
+        assert reports[f"K_sheared_chart[surface{sid}]"].max_abs_error > 1.0
 
     def test_sheared_chart_pulls_back_the_cross_term(self, monkeypatch):
         # the six surfaces' own metrics have F = 0; dx^2 + e^(2x) dy^2 (K = -1)
