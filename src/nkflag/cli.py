@@ -142,7 +142,10 @@ def _cmd_surface(args) -> int:
     print(f"surface {args.id}: {summary['label']}")
     print(f"  signature            {signature_label(summary['signature'])}")
     print(f"  samples              {summary['samples']} ({summary['degenerate_points']} degenerate skipped)")
-    print(f"  K mean / expected    {summary['K_mean']:.6f} / {summary['K_expected']}")
+    # rounded first, then + 0.0 turns a -0.0 into 0.0: a mean that scatters
+    # below zero by round-off must not print as -0.000000
+    k_mean = round(summary["K_mean"], 6) + 0.0
+    print(f"  K mean / expected    {k_mean:.6f} / {summary['K_expected']}")
 
     def write(path):
         if args.format == "csv":

@@ -11,7 +11,8 @@ H = [A, B] and holds while the plane is a Lie triple (checked on every
 run).  For every surface the closed-form matrix is cross-checked against
 the matrix exponential of its generator, the analytic frames are
 cross-checked against central differences of the closed form, and the
-induced metric feeds a stencil-based Gauss curvature that is compared with
+induced metric, read off the Gram matrix of the plane and its bracket,
+feeds a stencil-based Gauss curvature that is compared with
 the ambient holomorphic sectional curvature at the base point (homogeneity
 moves the tangent plane there) and recomputed in a sheared chart, where
 every term of the Brioschi formula counts.  The control surface
@@ -311,6 +312,17 @@ def _lie_triple(desc: SurfaceDescriptor):
     return a / n, b / n, h / n2, mu / n2, residual
 
 
+def _polar_factors(desc: SurfaceDescriptor, t, u):
+    """(cos u, sin u, s(t), c(t)) of the frame formula of :func:`_frames`,
+    each in the shape of its own argument."""
+    mu = desc.lie_triple[3]
+    t, u = np.asarray(t, dtype=float), np.asarray(u, dtype=float)
+    r = math.sqrt(abs(mu))
+    sin, cos = (np.sin, np.cos) if mu > 0 else (np.sinh, np.cosh)
+    s, c = (sin(r * t) / r, (1.0 - cos(r * t)) / mu) if mu else (t, 0.5 * t * t)
+    return np.cos(u), np.sin(u), s, c
+
+
 def _frames(desc: SurfaceDescriptor, t, u, part=slice(None)) -> tuple[np.ndarray, np.ndarray]:
     """(omega_t, omega_u), the left-translated frame derivatives, as (..., 8)
     coordinate rows, or their coordinates ``part`` alone; t and u broadcast.
@@ -329,14 +341,10 @@ def _frames(desc: SurfaceDescriptor, t, u, part=slice(None)) -> tuple[np.ndarray
     alone."""
     if not desc.has_analytic_frames:
         return tuple(coefficients(w, desc.eps)[..., part] for w in _fd_frames(desc, t, u))
-    a, b, h, mu, _ = desc.lie_triple
+    a, b, h, _, _ = desc.lie_triple
     a, b, h = a[part], b[part], h[part]
-    t, u = np.asarray(t, dtype=float), np.asarray(u, dtype=float)
-    r = math.sqrt(abs(mu))
-    sin, cos = (np.sin, np.cos) if mu > 0 else (np.sinh, np.cosh)
-    s, c = (sin(r * t) / r, (1.0 - cos(r * t)) / mu) if mu else (t, 0.5 * t * t)
-    cu, su = np.cos(u)[..., None], np.sin(u)[..., None]
-    return cu * a + su * b, s[..., None] * (cu * b - su * a) - c[..., None] * h
+    cu, su, s, c = (v[..., None] for v in _polar_factors(desc, t, u))
+    return cu * a + su * b, s * (cu * b - su * a) - c * h
 
 
 def _frames_m(desc: SurfaceDescriptor, t, u):
@@ -350,9 +358,32 @@ def _metric_from_frames(mt: np.ndarray, mu: np.ndarray, eps: int):
 
 
 def induced_metric(sid, t, u):
-    """Induced metric components (E, F, G) from the horizontal frame parts."""
+    """Induced metric components (E, F, G) at (t, u), which broadcast.
+
+    On the six surfaces they are read off Q, the 3x3 Gram matrix of the
+    tangent parts of (a, b, h) under ``metric_m``: with e = cos u a + sin u b
+    and n = cos u b - sin u a, the frames of :func:`_frames` give
+
+        E = <e, e>,  F = s <e, n> - c <e, h>,
+        G = s^2 <n, n> - 2 s c <n, h> + c^2 <h, h>.
+
+    The five products with e or n depend on u alone and s, c on t alone, so
+    on the stencil's (5, 1, n) t-offsets and (1, 5, n) u-offsets only F and
+    G are broadcast to (5, 5, n), and E stays (1, 5, n).  Q is computed on
+    every call from the descriptor's plane.  The control plane, which has no
+    analytic frames, reads its metric off the difference frames."""
     desc = _descriptor(sid)
-    return _metric_from_frames(*_frames_m(desc, t, u), desc.eps)
+    if not desc.has_analytic_frames:
+        return _metric_from_frames(*_frames_m(desc, t, u), desc.eps)
+    a, b, h, _, _ = desc.lie_triple
+    v = np.stack([a, b, h])[:, 2:]
+    q = metric_m(v[:, None], v[None], desc.eps)
+    cu, su, s, c = _polar_factors(desc, t, u)
+    qe = cu[..., None] * q[0] + su[..., None] * q[1]   # Q e
+    qn = cu[..., None] * q[1] - su[..., None] * q[0]   # Q n
+    en, nn = cu * qn[..., 0] + su * qn[..., 1], cu * qn[..., 1] - su * qn[..., 0]
+    return (cu * qe[..., 0] + su * qe[..., 1], s * en - c * qe[..., 2],
+            s * s * nn - 2.0 * s * c * qn[..., 2] + c * c * q[2, 2])
 
 
 def _almost_complex_fit(mt: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -398,9 +429,12 @@ def _metric_jets(metric: Callable, t, u) -> dict[str, np.ndarray]:
     """The jets of the metric E dt^2 + 2F dt du + G du^2, with (E, F, G) =
     ``metric(t, u)``, that the Brioschi formula reads at the 1-D point
     arrays (t, u): ``E``, ``F``, ``G``, their six first derivatives
-    (``E_t``, ``E_u``, ...) and ``E_uu``, ``F_tu``, ``G_tt``.  The six
-    first-derivative arms go through one stencil, the two second-derivative
-    arms through another."""
+    (``E_t``, ``E_u``, ...) and ``E_uu``, ``F_tu``, ``G_tt``.  ``metric``
+    takes the t-offsets as (5, 1, n) and the u-offsets as (1, 5, n),
+    unbroadcast, and its components are broadcast to (5, 5, n) here, so
+    :func:`induced_metric` runs its products of u on 5 u-values and its s, c
+    on 5 t-values per point.  The six first-derivative arms go through one
+    stencil, the two second-derivative arms through another."""
     h = constants.CURV_STEP
     ts = t[None, None, :] + h * _OFFSETS[:, None, None]   # (5, 1, n)
     us = u[None, None, :] + h * _OFFSETS[None, :, None]   # (1, 5, n)
@@ -437,10 +471,11 @@ def _curvature_from_jets(j: dict[str, np.ndarray]) -> np.ndarray:
     return (det_m1 - det_m2) / (det * det)
 
 
-#: grid points per block of :func:`gauss_curvature_batch` (6,400 stencil
-#: frames) and of the two expm-grid checks, ``frame_agreement`` and the
-#: holomorphic curvatures of ``_sample_columns`` (grid 41 is one block), so
-#: their memory does not grow with the number of points
+#: grid points per block of :func:`gauss_curvature_batch` (its F and G are
+#: (5, 5, 256) arrays of 51 KB) and of the two expm-grid checks,
+#: ``frame_agreement`` and the holomorphic curvatures of ``_sample_columns``
+#: (grid 41 is one block), so their memory does not grow with the number of
+#: points
 _BLOCK_POINTS, _EXPM_BLOCK_POINTS = 256, 2048
 
 
@@ -564,7 +599,7 @@ def _sample_columns(desc: SurfaceDescriptor, t, u) -> dict[str, np.ndarray]:
     other points."""
     omega_t, omega_u = _frames(desc, t, u)
     mt, mu = omega_t[..., 2:], omega_u[..., 2:]
-    e, f, g = _metric_from_frames(mt, mu, desc.eps)
+    e, f, g = induced_metric(desc, t, u)
     ok = np.abs(e * g - f ** 2) > constants.DEGENERATE_METRIC_MIN
     k = gauss_curvature_batch(desc, t, u)
     unit_frame = mt / np.sqrt(np.abs(e))[:, None]

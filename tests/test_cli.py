@@ -114,6 +114,21 @@ class TestSurfaceCommand:
         assert lines[0].startswith("id,t,u,E,F,G,K")
         assert len(lines) == 1 + 15 * 15
 
+    def test_flat_torus_mean_curvature_prints_unsigned_zero(self, capsys):
+        assert cli.main(["surface", "--id", "3"]) == 0
+        assert "  K mean / expected    0.000000 / 0.0\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("k_mean, printed", [
+        (-4e-7, "0.000000"), (-0.0, "0.000000"), (4e-7, "0.000000"),
+        (-6e-7, "-0.000001"), (3.9999996, "4.000000")])
+    def test_mean_curvature_is_rounded_before_its_sign(self, k_mean, printed, capsys,
+                                                       monkeypatch):
+        real = cli.surface_summary
+        monkeypatch.setattr(cli, "surface_summary",
+                            lambda *args, **kw: {**real(*args, **kw), "K_mean": k_mean})
+        cli.main(["surface", "--id", "3", "--grid", "9"])
+        assert f"  K mean / expected    {printed} / 0.0\n" in capsys.readouterr().out
+
     def test_json_format(self, capsys, tmp_path):
         out = tmp_path / "surface5.json"
         code = cli.main(["surface", "--id", "5", "--grid", "11",

@@ -325,6 +325,30 @@ class TestInducedMetric:
     def test_matches_closed_form_over_grid(self, sid, surface_error):
         assert surface_error(sid, GRID, "metric_closed_form_error") < constants.TOL_EXACT
 
+    @pytest.mark.parametrize("sid", sf.SURFACE_IDS)
+    def test_gram_route_matches_the_frames(self, sid):
+        # the metric read off Q agrees with the metric of the frames, on the
+        # grid and on the stencil's unbroadcast (5, 1, n) and (1, 5, n) offsets
+        desc = sf.get_surface(sid)
+        t, u = sf.default_grid(desc, GRID)
+        ts = t[None, None, :] + constants.CURV_STEP * sf._OFFSETS[:, None, None]
+        us = u[None, None, :] + constants.CURV_STEP * sf._OFFSETS[None, :, None]
+        for tt, uu in ((t, u), (ts, us)):
+            frames = sf._metric_from_frames(*sf._frames_m(desc, tt, uu), desc.eps)
+            for got, want in zip(sf.induced_metric(desc, tt, uu), frames):
+                assert max_abs(got - want) < constants.TOL_EXACT
+        e, f, g = sf.induced_metric(desc, ts, us)
+        assert e.shape == (1, 5, t.size) and f.shape == g.shape == (5, 5, t.size)
+
+    @pytest.mark.parametrize("sid", sf.SURFACE_IDS)
+    def test_point_value_does_not_depend_on_batch(self, sid):
+        desc = sf.get_surface(sid)
+        t, u = sf.default_grid(desc, 11)
+        whole = sf.induced_metric(desc, t, u)
+        for i in range(t.size):
+            one = sf.induced_metric(desc, t[i], u[i])
+            assert all(np.array_equal(p, w[i]) for p, w in zip(one, whole))
+
     def test_negative_definite_sign(self):
         t, u = sf.default_grid(5, 11)
         e, f, g = sf.induced_metric(5, t, u)
@@ -667,6 +691,28 @@ _FAULTS = {
 
 
 class TestFaultTable:
+    @pytest.mark.parametrize("sid", [1, 2, 4, 5, 6])
+    def test_an_m_part_of_the_bracket_alone_fails_orbit_lie_triple(self, sid, monkeypatch):
+        # the table gives [A, B] a 1e-6 component along m_k, the first tangent
+        # coordinate off the plane (the flat torus's plane leaves none), and
+        # makes m_k commute with the plane, so [H, A] = mu B and [H, B] = -mu A
+        # still hold and only the m-part of H = [A, B] is wrong
+        desc = dataclasses.replace(sf.get_surface(sid))
+        a, b = coefficients(np.stack(desc.plane), desc.eps)
+        on_plane = [*np.flatnonzero(a), *np.flatnonzero(b)]
+        k = min(set(range(M1, 8)) - set(on_plane))
+        c = sf.structure_constants(desc.eps).copy()
+        c[np.flatnonzero(a)[0], np.flatnonzero(b)[0], k] += 1e-6
+        c[k, on_plane] = 0.0
+        h = np.einsum("i,j,ijk->k", a, b, c)
+        ha, hb = (np.einsum("i,j,ijk->k", h, x, c) for x in (a, b))
+        mu = ha @ b / (b @ b)
+        assert max_abs(np.r_[ha - mu * b, hb + mu * a]) == 0.0 and h[k] != 0.0
+        monkeypatch.setattr(sf, "structure_constants", lambda eps: c)
+        by_name = {r.name: r for r in sf.surface_summary(desc, 11)["reports"]}
+        row = by_name[f"orbit_lie_triple[surface{sid}]"]
+        assert row.max_abs_error == abs(h[k]) and not row.passed
+
     def test_every_report_has_a_fault(self, summary_cache):
         emitted = {r.name.split("[")[0] for sid in sf.SURFACE_IDS
                    for r in summary_cache(sid, GRID)["reports"]}
