@@ -12,9 +12,10 @@ their rows, never loosen them.  Exit codes are 0 = all checks passed,
 Human-readable output is a plain aligned table; machine output is JSON/CSV.
 """
 
-import argparse
 import gc
+import getopt
 import sys
+import types
 
 from . import __version__, constants, report, verify
 from .classification import classification_reports, solve_families
@@ -41,11 +42,11 @@ def _int_in_range(low: int, high: int | None = None):
         try:
             value = int(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+            raise ValueError(f"expected an integer, got {text!r}") from None
         if value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+            raise ValueError(f"must be at least {low}, got {value}")
         if high is not None and value > high:
-            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
+            raise ValueError(f"must be at most {high}, got {value}")
         return value
     return parse
 
@@ -57,47 +58,93 @@ def _tolerance(ceiling: float):
         try:
             value = float(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+            raise ValueError(f"expected a number, got {text!r}") from None
         if not 0.0 < value <= ceiling:
-            raise argparse.ArgumentTypeError(
-                f"must be positive and at most {ceiling:g}, got {text!r}")
+            raise ValueError(f"must be positive and at most {ceiling:g}, got {text!r}")
         return value
     return parse
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="nkflag",
-        description="Numerical certification of the nearly Kahler flag six-manifold.",
-    )
-    parser.add_argument("--version", action="version", version=f"nkflag {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _choice(*values):
+    """A flag that takes one of ``values``, each spelled as ``str`` spells it."""
+    by_text = {str(v): v for v in values}
+    def parse(text: str):
+        if text not in by_text:
+            raise ValueError(f"invalid choice: {text!r} (choose from {', '.join(by_text)})")
+        return by_text[text]
+    parse.metavar = "{" + ",".join(by_text) + "}"
+    return parse
 
-    signatures = tuple(sorted(_SIGNATURE_CHOICES))
-    p_verify = sub.add_parser("verify", help="run the structural verification suites")
-    p_verify.add_argument("--signature", choices=signatures, default="both")
-    p_verify.add_argument("--seed", type=_int_in_range(0), default=constants.DEFAULT_SEED)
-    p_verify.add_argument("--tol-exact", type=_tolerance(constants.TOL_EXACT),
-                          default=constants.TOL_EXACT)
-    p_verify.add_argument("--out", help="write the JSON report here")
-    p_verify.add_argument("--self-test", action="store_true",
-                          help="also flip one basis sign and require the "
-                               "curvature cross-check to notice")
 
-    p_classify = sub.add_parser("classify", help="print the solution-family tables")
-    p_classify.add_argument("--signature", choices=signatures, default="both")
-    p_classify.add_argument("--no-oracle", action="store_true",
-                            help="skip the oracle cross check")
+_SWITCH = "switch"     # the parser of a flag without a value: True when given
+_REQUIRED = object()   # the default of a flag that must be given
 
-    p_surface = sub.add_parser("surface", help="sample and export one example immersion")
-    p_surface.add_argument("--id", type=int, choices=SURFACE_IDS, required=True)
-    p_surface.add_argument("--grid", type=_int_in_range(9, _MAX_GRID),
-                           default=constants.DEFAULT_GRID)
-    p_surface.add_argument("--tol-fd", type=_tolerance(constants.TOL_CURVATURE),
-                           default=constants.TOL_CURVATURE)
-    p_surface.add_argument("--out")
-    p_surface.add_argument("--format", choices=("csv", "json"), default="csv")
-    return parser
+#: each command's flags, each with its value parser (or _SWITCH) and default
+_COMMANDS = {
+    "verify": {"signature": (_choice(*sorted(_SIGNATURE_CHOICES)), "both"),
+               "seed": (_int_in_range(0), constants.DEFAULT_SEED),
+               "tol-exact": (_tolerance(constants.TOL_EXACT), constants.TOL_EXACT),
+               "out": (str, None),
+               "self-test": (_SWITCH, False)},
+    "classify": {"signature": (_choice(*sorted(_SIGNATURE_CHOICES)), "both"),
+                 "no-oracle": (_SWITCH, False)},
+    "surface": {"id": (_choice(*SURFACE_IDS), _REQUIRED),
+                "grid": (_int_in_range(9, _MAX_GRID), constants.DEFAULT_GRID),
+                "tol-fd": (_tolerance(constants.TOL_CURVATURE), constants.TOL_CURVATURE),
+                "out": (str, None),
+                "format": (_choice("csv", "json"), "csv")},
+}
+
+
+def _split(prog: str, argv: list[str], flags: dict, commands=()) -> tuple[dict, list[str]]:
+    """The values of ``flags`` in ``argv`` (a repeated flag's last one) and the words
+    after them: one of ``commands`` and its words, or none.  ``-h`` and ``--version``
+    exit 0; a usage error prints the usage line and the reason, then exits 2."""
+    words = {f: f"--{f}" if p is _SWITCH else
+             f"--{f} {getattr(p, 'metavar', f.upper().replace('-', '_'))}"
+             for f, (p, _) in flags.items()}
+    usage = " ".join(["usage:", prog, "[-h]", *(w if flags[f][1] is _REQUIRED else f"[{w}]"
+                                                for f, w in words.items())])
+    usage += " {" + ",".join(commands) + "} ..." if commands else ""
+
+    def fail(reason: str):
+        print(f"{usage}\n{prog}: error: {reason}", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE)
+
+    try:
+        pairs, rest = getopt.getopt(argv, "h", ["help", *(f if p is _SWITCH else f + "="
+                                                           for f, (p, _) in flags.items())])
+    except getopt.GetoptError as exc:   # "option --seed requires argument"
+        fail("argument " + exc.msg.removeprefix("option ").replace(" ", ": ", 1))
+    values = {f: default for f, (_, default) in flags.items()}
+    for opt, text in pairs:
+        if opt in ("-h", "--help", "--version"):
+            print(f"nkflag {__version__}" if opt == "--version" else "\n".join([usage, *(
+                f"  {words[f]:38} " + ("required" if d is _REQUIRED else f"default: {d}")
+                for f, (_, d) in flags.items())]))
+            raise SystemExit(EXIT_OK)
+        parse = flags[opt[2:]][0]
+        try:
+            values[opt[2:]] = (True if parse is _SWITCH else parse(text) if text[:2] != "--"
+                               else fail(f"argument {opt}: expected one argument"))
+        except ValueError as exc:
+            fail(f"argument {opt}: {exc}")
+    for flag in (f for f, v in values.items() if v is _REQUIRED):
+        fail(f"argument --{flag}: required")
+    if commands and (not rest or rest[0] not in commands):
+        fail("argument command: " + (f"invalid choice: {rest[0]!r} (choose from "
+                                     f"{', '.join(commands)})" if rest else "required"))
+    if rest and not commands:
+        fail(f"unrecognized arguments: {' '.join(rest)}")
+    return values, rest
+
+
+def _parse_args(argv: list[str]) -> types.SimpleNamespace:
+    """argv as ``command`` plus one attribute per flag of the command."""
+    _, (command, *rest) = _split("nkflag", argv, {"version": (_SWITCH, False)}, _COMMANDS)
+    values, _ = _split(f"nkflag {command}", rest, _COMMANDS[command])
+    return types.SimpleNamespace(command=command,
+                                 **{f.replace("-", "_"): v for f, v in values.items()})
 
 
 def _finish(reports: list[CheckReport], out=None, what="", write=None) -> int:
@@ -156,16 +203,9 @@ def _cmd_surface(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "verify":
-        return _cmd_verify(args)
-    if args.command == "classify":
-        return _cmd_classify(args)
-    if args.command == "surface":
-        return _cmd_surface(args)
-    parser.error(f"unknown command {args.command!r}")  # pragma: no cover
-    return EXIT_USAGE
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
+    return {"verify": _cmd_verify, "classify": _cmd_classify,
+            "surface": _cmd_surface}[args.command](args)
 
 
 if __name__ == "__main__":  # pragma: no cover

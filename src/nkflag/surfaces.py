@@ -31,6 +31,8 @@ import numpy as np
 from . import constants
 from .classification import holomorphic_K, solve_families
 from .lie_structure import (
+    H_SLICE,
+    M_SLICE,
     PSEUDO,
     RIEMANNIAN,
     coefficients,
@@ -307,7 +309,7 @@ def _lie_triple(desc: SurfaceDescriptor):
     h = np.einsum("i,j,ijk->k", a, b, c)
     ha, hb = np.einsum("i,j,ijk->k", h, a, c), np.einsum("i,j,ijk->k", h, b, c)
     mu = float(ha @ b / (b @ b))
-    residual = max_abs(np.concatenate([ha - mu * b, hb + mu * a, h[2:]]))
+    residual = max_abs(np.concatenate([ha - mu * b, hb + mu * a, h[M_SLICE]]))
     n, n2 = math.sqrt(desc.size_sq), desc.size_sq
     return a / n, b / n, h / n2, mu / n2, residual
 
@@ -349,7 +351,7 @@ def _frames(desc: SurfaceDescriptor, t, u, part=slice(None)) -> tuple[np.ndarray
 
 def _frames_m(desc: SurfaceDescriptor, t, u):
     """Tangent parts of both frame vectors, batched: two (..., 6) arrays."""
-    return _frames(desc, t, u, slice(2, None))
+    return _frames(desc, t, u, M_SLICE)
 
 
 def _metric_from_frames(mt: np.ndarray, mu: np.ndarray, eps: int):
@@ -376,7 +378,7 @@ def induced_metric(sid, t, u):
     if not desc.has_analytic_frames:
         return _metric_from_frames(*_frames_m(desc, t, u), desc.eps)
     a, b, h, _, _ = desc.lie_triple
-    v = np.stack([a, b, h])[:, 2:]
+    v = np.stack([a, b, h])[:, M_SLICE]
     q = metric_m(v[:, None], v[None], desc.eps)
     cu, su, s, c = _polar_factors(desc, t, u)
     qe = cu[..., None] * q[0] + su[..., None] * q[1]   # Q e
@@ -596,10 +598,12 @@ def _sample_columns(desc: SurfaceDescriptor, t, u) -> dict[str, np.ndarray]:
     :func:`_frames`, the unit horizontal frame ``unit_frame`` and the mask
     ``nondegenerate`` of points whose induced metric has |det| above the
     degeneracy floor.  K and the totally geodesic residual are NaN at the
-    other points."""
+    other points.  The control plane's E, F, G are read off the difference
+    frames held here, as :func:`induced_metric` reads them."""
     omega_t, omega_u = _frames(desc, t, u)
-    mt, mu = omega_t[..., 2:], omega_u[..., 2:]
-    e, f, g = induced_metric(desc, t, u)
+    mt, mu = omega_t[..., M_SLICE], omega_u[..., M_SLICE]
+    e, f, g = (induced_metric(desc, t, u) if desc.has_analytic_frames
+               else _metric_from_frames(mt, mu, desc.eps))
     ok = np.abs(e * g - f ** 2) > constants.DEGENERATE_METRIC_MIN
     k = gauss_curvature_batch(desc, t, u)
     unit_frame = mt / np.sqrt(np.abs(e))[:, None]
@@ -715,7 +719,7 @@ def surface_summary(sid, n: int = constants.DEFAULT_GRID,
     reports = [
         check("expm_defect", expm_err, constants.TOL_EXACT, n * n),
         check("group_defect", group_err, constants.TOL_EXACT, n * n),
-        check("horizontality", np.max(np.abs(cols["omega_t"][..., :2])),
+        check("horizontality", np.max(np.abs(cols["omega_t"][..., H_SLICE])),
               constants.TOL_EXACT, ok.size),
         check("metric_closed_form_error",
               np.max([np.max(np.abs(cols[c] - want)) for c, want in zip("EFG", expected)]),

@@ -177,7 +177,7 @@ class TestSurfaceCommand:
         assert nan_rows and all(row[1] == "fail" for row in nan_rows)
 
     def test_largest_grid_is_accepted(self):
-        args = cli._build_parser().parse_args(["surface", "--id", "2", "--grid", "201"])
+        args = cli._parse_args(["surface", "--id", "2", "--grid", "201"])
         assert args.grid == 201
 
 
@@ -207,9 +207,78 @@ class TestBadInput:
         assert argv[-2] in capsys.readouterr().err
 
     def test_tolerance_flags_may_equal_their_defaults(self):
-        parse = cli._build_parser().parse_args
+        parse = cli._parse_args
         assert parse(["verify", "--tol-exact", "1e-12"]).tol_exact == constants.TOL_EXACT
         assert parse(["surface", "--id", "2", "--tol-fd", "1e-4"]).tol_fd == constants.TOL_CURVATURE
+
+    @pytest.mark.parametrize("argv, word", [
+        (["verify", "--bogus"], "--bogus"),
+        (["verify", "--s", "pseudo"], "--s"),
+        (["verify", "--seed"], "--seed"),
+        (["verify", "--out", "--self-test"], "--out"),
+        (["verify", "--self-test=1"], "--self-test"),
+        (["surface"], "--id"),
+        (["surface", "--grid", "11"], "--id"),
+        (["polish"], "polish"),
+        ([], "command"),
+        (["verify", "extra"], "extra"),
+        (["classify", "--no-oracle", "extra", "--signature", "pseudo"], "extra"),
+    ], ids=["unknown", "ambiguous", "no-value", "flag-as-value", "switch-value", "no-id",
+            "no-id-grid", "unknown-command", "no-command", "stray", "stray-mid"])
+    def test_malformed_argv_is_usage_error(self, argv, word, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        usage, error = capsys.readouterr().err.splitlines()
+        prog = "nkflag" if argv[:1] in ([], ["polish"]) else f"nkflag {argv[0]}"
+        assert usage.startswith(f"usage: {prog} [-h]")
+        assert error.startswith(f"{prog}: error: ") and word in error
+
+    @pytest.mark.parametrize("argv, name, want", [
+        (["verify", "--seed=7"], "seed", 7),
+        (["verify", "--tol-exact=1e-13"], "tol_exact", 1e-13),
+        (["verify", "--sig", "pseudo"], "signature", "pseudo"),
+        (["verify", "--self"], "self_test", True),
+        (["surface", "--id=4", "--form", "json"], "format", "json"),
+        (["surface", "--id", "4", "--grid", "11", "--grid", "13"], "grid", 13),
+        (["classify", "--signature", "pseudo", "--sig=riemannian"], "signature", "riemannian"),
+        (["classify", "--no-oracle", "--no-oracle"], "no_oracle", True),
+    ], ids=["equals", "equals-float", "prefix", "switch-prefix", "equals-and-prefix",
+            "repeated", "repeated-prefix", "repeated-switch"])
+    def test_flag_spellings(self, argv, name, want):
+        args = cli._parse_args(argv)
+        assert args.command == argv[0] and getattr(args, name) == want
+
+    def test_defaults_come_from_the_flag_table(self):
+        args = cli._parse_args(["surface", "--id", "6"])
+        assert vars(args) == {"command": "surface", "id": 6, "grid": constants.DEFAULT_GRID,
+                              "tol_fd": constants.TOL_CURVATURE, "out": None, "format": "csv"}
+        assert vars(cli._parse_args(["verify"])) == {
+            "command": "verify", "signature": "both", "seed": constants.DEFAULT_SEED,
+            "tol_exact": constants.TOL_EXACT, "out": None, "self_test": False}
+
+    @pytest.mark.parametrize("argv", [["-h"], ["--help"], *(
+        [command, flag] for command in cli._COMMANDS for flag in ("-h", "--help"))])
+    def test_help_lists_every_flag_and_exits_0(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 0
+        printed = capsys.readouterr().out
+        flags = cli._COMMANDS[argv[0]] if argv[0] in cli._COMMANDS else {"version": None}
+        assert printed.startswith("usage: nkflag")
+        assert all(f"  --{flag}" in printed for flag in flags)
+        assert printed.count("default: ") + printed.count("required") == len(flags)
+
+    def test_version(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--version"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == "nkflag 1.0.0\n"
+
+    def test_main_reads_sys_argv(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["nkflag", "classify", "--no-oracle"])
+        assert cli.main() == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "2 checks, 0 failed"
 
     def test_former_env_variables_are_ignored(self, capsys, monkeypatch, tmp_path):
         commands = (["verify", "--signature", "both", "--self-test"], ["classify"],

@@ -73,7 +73,8 @@ def test_active_backend_exists():
 
 def test_cli_freezes_its_imports_and_never_loads_numpy_random():
     # every process used to pay for numpy.random (about 6 MB and 13 ms),
-    # and for a full walk of the import heap at exit
+    # for a full walk of the import heap at exit, and for argparse, whose
+    # first message imported locale
     src = pathlib.Path(nkflag.__file__).resolve().parents[1]
     code = (
         "import contextlib, gc, io, json, sys\n"
@@ -84,7 +85,8 @@ def test_cli_freezes_its_imports_and_never_loads_numpy_random():
         "        ['verify', '--signature', 'both', '--self-test'], ['classify'],\n"
         "        ['surface', '--id', '1', '--grid', '9'])]\n"
         "print(json.dumps({'frozen': frozen, 'rcs': rcs,\n"
-        "                  'loaded': [m for m in sys.modules if m.startswith('numpy.random')]}))\n"
+        "                  'loaded': [m for m in sys.modules if m.startswith('numpy.random')\n"
+        "                             or m in ('argparse', 'locale')]}))\n"
     )
     out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
                          capture_output=True, text=True, check=True, timeout=120).stdout

@@ -518,6 +518,19 @@ class TestControlSurface:
         metric = by_name["metric_closed_form_error[surface0]"]
         assert not metric.passed and math.isnan(metric.max_abs_error)
 
+    def test_sample_columns_take_the_metric_from_their_frames(self, monkeypatch):
+        # the control's E, F, G come from the difference frames the columns
+        # already hold: one run on the grid points, not a second for the metric
+        ctrl = sf.control_surface()
+        t, u = sf.default_grid(ctrl, 11)
+        want = sf.induced_metric(ctrl, t, u)
+        shapes, real = [], sf._fd_frames
+        monkeypatch.setattr(sf, "_fd_frames",
+                            lambda desc, tt, uu: shapes.append(np.shape(tt)) or real(desc, tt, uu))
+        cols = sf._sample_columns(ctrl, t, u)
+        assert shapes.count(t.shape) == 1
+        assert all(np.array_equal(cols[name], w) for name, w in zip("EFG", want))
+
     def test_no_analytic_frames(self):
         # the frames come from central differences; exp(t X(u)) has
         # omega_t = X(u), the generator at t = 1
