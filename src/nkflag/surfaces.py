@@ -325,12 +325,11 @@ def _polar_factors(desc: SurfaceDescriptor, t, u):
     return np.cos(u), np.sin(u), s, c
 
 
-def _frames(desc: SurfaceDescriptor, t, u, part=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+def _frames(desc: SurfaceDescriptor, t, u) -> tuple[np.ndarray, np.ndarray]:
     """(omega_t, omega_u), the left-translated frame derivatives, as (..., 8)
-    coordinate rows, or their coordinates ``part`` alone; t and u broadcast.
-    The control plane goes through central differences.  Every other
-    surface derives them from its plane: with H = [A, B], [H, A] = mu B and
-    [H, B] = -mu A,
+    coordinate rows; t and u broadcast.  The control plane goes through
+    central differences.  Every other surface derives them from its plane:
+    with H = [A, B], [H, A] = mu B and [H, B] = -mu A,
 
         omega_t = cos u a + sin u b,
         omega_u = s(t) (cos u b - sin u a) - c(t) h,
@@ -338,20 +337,12 @@ def _frames(desc: SurfaceDescriptor, t, u, part=slice(None)) -> tuple[np.ndarray
     with s = sin(r t) / r and c = (1 - cos(r t)) / mu for r = sqrt|mu|,
     sinh, cosh in place of sin, cos when mu < 0 (ad of t omega_t squares to
     -mu t^2 on span(cos u B - sin u A, H)), and the limits s = t,
-    c = t^2 / 2 at mu = 0 (the flat torus, where H = 0).  The formula acts
-    coordinate by coordinate, so it runs on the ``part`` of (a, b, h)
-    alone."""
+    c = t^2 / 2 at mu = 0 (the flat torus, where H = 0)."""
     if not desc.has_analytic_frames:
-        return tuple(coefficients(w, desc.eps)[..., part] for w in _fd_frames(desc, t, u))
+        return tuple(coefficients(w, desc.eps) for w in _fd_frames(desc, t, u))
     a, b, h, _, _ = desc.lie_triple
-    a, b, h = a[part], b[part], h[part]
     cu, su, s, c = (v[..., None] for v in _polar_factors(desc, t, u))
     return cu * a + su * b, s * (cu * b - su * a) - c * h
-
-
-def _frames_m(desc: SurfaceDescriptor, t, u):
-    """Tangent parts of both frame vectors, batched: two (..., 6) arrays."""
-    return _frames(desc, t, u, M_SLICE)
 
 
 def _metric_from_frames(mt: np.ndarray, mu: np.ndarray, eps: int):
@@ -376,7 +367,7 @@ def induced_metric(sid, t, u):
     analytic frames, reads its metric off the difference frames."""
     desc = _descriptor(sid)
     if not desc.has_analytic_frames:
-        return _metric_from_frames(*_frames_m(desc, t, u), desc.eps)
+        return _metric_from_frames(*(w[..., M_SLICE] for w in _frames(desc, t, u)), desc.eps)
     a, b, h, _, _ = desc.lie_triple
     v = np.stack([a, b, h])[:, M_SLICE]
     q = metric_m(v[:, None], v[None], desc.eps)
@@ -407,7 +398,7 @@ def almost_complex_check(sid, t, u) -> tuple[float, float]:
     """(residual, factor) at one point: best scalar f with
     omega_u_h = f * J(omega_t_h); (0, 0) where omega_u_h vanishes."""
     desc = _descriptor(sid)
-    residual, f = _almost_complex_fit(*_frames_m(desc, float(t), float(u)))
+    residual, f = _almost_complex_fit(*(w[M_SLICE] for w in _frames(desc, float(t), float(u))))
     return float(residual), float(f)
 
 
@@ -473,12 +464,12 @@ def _curvature_from_jets(j: dict[str, np.ndarray]) -> np.ndarray:
     return (det_m1 - det_m2) / (det * det)
 
 
-#: grid points per block of :func:`gauss_curvature_batch` (its F and G are
-#: (5, 5, 256) arrays of 51 KB) and of the two expm-grid checks,
-#: ``frame_agreement`` and the holomorphic curvatures of ``_sample_columns``
-#: (grid 41 is one block), so their memory does not grow with the number of
-#: points
-_BLOCK_POINTS, _EXPM_BLOCK_POINTS = 256, 2048
+#: points per block of every point stage (the stencils of
+#: :func:`gauss_curvature_batch`, the expm-grid checks, ``frame_agreement``,
+#: the holomorphic curvatures of ``_sample_columns``), so memory does not grow
+#: with the grid.  Fresh ``surface --id 5`` runs on a 2-core x86 box: 2048
+#: peaks 1.5 MB higher at grid 41, 256 runs grid 201 10% slower than 1024.
+_BLOCK_POINTS = 1024
 
 
 def gauss_curvature_batch(sid, t, u) -> np.ndarray:
@@ -490,12 +481,12 @@ def gauss_curvature_batch(sid, t, u) -> np.ndarray:
     metric = functools.partial(induced_metric, desc)
     t, u = (np.atleast_1d(v) for v in _broadcast(t, u))
     return np.concatenate([np.empty(0), *(_curvature_block(metric, t[b], u[b])[0]
-                                          for b in _blocks(t.size, _BLOCK_POINTS))])
+                                          for b in _blocks(t.size))])
 
 
-def _blocks(n: int, size: int):
-    """Consecutive slices of ``size`` points that cover ``n`` points."""
-    return (slice(lo, lo + size) for lo in range(0, n, size))
+def _blocks(n: int):
+    """Consecutive slices of ``_BLOCK_POINTS`` points that cover ``n`` points."""
+    return (slice(lo, lo + _BLOCK_POINTS) for lo in range(0, n, _BLOCK_POINTS))
 
 
 def _curvature_block(metric: Callable, t, u) -> tuple[np.ndarray, np.ndarray]:
@@ -570,23 +561,22 @@ def expm_defect(sid, n: int = constants.DEFAULT_GRID) -> float:
     desc = _descriptor(sid)
     t, u = expm_grid(desc, n)
     return float(np.max([max_abs(expm(desc.generator(t[b], u[b])) - desc.closed_form(t[b], u[b]))
-                         for b in _blocks(t.size, _EXPM_BLOCK_POINTS)], initial=0.0))
+                         for b in _blocks(t.size)], initial=0.0))
 
 
 def group_membership_defect(sid, n: int = constants.DEFAULT_GRID) -> float:
     desc = _descriptor(sid)
     t, u = expm_grid(desc, n)
     return float(np.max([group_defect(desc.closed_form(t[b], u[b]), desc.eps)
-                         for b in _blocks(t.size, _EXPM_BLOCK_POINTS)], initial=0.0))
+                         for b in _blocks(t.size)], initial=0.0))
 
 
 def _frame_agreement(desc: SurfaceDescriptor, cols: dict[str, np.ndarray]) -> float:
     """Worst difference between the analytic frames of the sample columns,
-    rebuilt as matrices, and central differences of the closed form, in
-    blocks of ``_EXPM_BLOCK_POINTS`` points (grid 41 is one block)."""
+    rebuilt as matrices, and central differences of the closed form."""
     return float(np.max([
         max_abs(from_coefficients(cols[w][b], desc.eps) - fd)
-        for b in _blocks(cols["t"].size, _EXPM_BLOCK_POINTS)
+        for b in _blocks(cols["t"].size)
         for w, fd in zip(("omega_t", "omega_u"), _fd_frames(desc, cols["t"][b], cols["u"][b]))],
         initial=0.0))
 
@@ -609,7 +599,7 @@ def _sample_columns(desc: SurfaceDescriptor, t, u) -> dict[str, np.ndarray]:
     unit_frame = mt / np.sqrt(np.abs(e))[:, None]
     tg = np.full_like(k, np.nan)
     good = np.flatnonzero(ok)
-    for block in _blocks(good.size, _EXPM_BLOCK_POINTS):
+    for block in _blocks(good.size):
         i = good[block]
         tg[i] = np.abs(k[i] - holomorphic_K(unit_frame[i], desc.eps))
     ac, _ = _almost_complex_fit(mt, mu)

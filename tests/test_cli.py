@@ -383,6 +383,16 @@ class TestReportFiles:
         with pytest.raises(ValueError):
             load_report_file(path)
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--signature", "both", "--self-test"],
+        ["surface", "--id", "5", "--grid", "11", "--format", "json"],
+    ], ids=["verify", "surface"])
+    def test_files_on_disk_carry_schema_version_1(self, argv, tmp_path):
+        # the raw file, not the loader, which agrees with whatever the writer says
+        out = tmp_path / "out.json"
+        assert cli.main([*argv, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["schema_version"] == 1
+
     def test_format_table_counts(self):
         reports = [CheckReport("a", 0.0, 1e-12, 3), CheckReport("b", 1.0, 1e-12, 3)]
         table = format_table(reports)

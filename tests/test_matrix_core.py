@@ -364,6 +364,13 @@ class TestExpmStackWithAHugeMatrix:
         assert elapsed < 5.0
 
 
+class TestMaxAbs:
+    def test_empty_array_is_zero(self):
+        # an empty grid reads as no defect, as expm_defect promises
+        assert mc.max_abs(np.empty((0, 3, 3), dtype=complex)) == 0.0
+        assert surfaces.expm_defect(2, 0) == 0.0
+
+
 class TestOneCodePath:
     def test_no_linalg_solver_on_the_surface_and_verify_paths(self, monkeypatch):
         # every stacked inverse, solve and determinant of ``surface`` and

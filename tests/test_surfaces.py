@@ -18,7 +18,8 @@ from nkflag import constants
 from nkflag import surfaces as sf
 from nkflag.classification import solve_families
 from nkflag.kernels import minor_equations
-from nkflag.lie_structure import H1, M1, M3, M4, PSEUDO, RIEMANNIAN, basis, coefficients
+from nkflag.lie_structure import (
+    H1, M1, M3, M4, M_SLICE, PSEUDO, RIEMANNIAN, basis, coefficients)
 from nkflag.matrix_core import max_abs
 from nkflag.nk_geometry import acs_matrix
 from nkflag.report import write_report_file
@@ -247,7 +248,8 @@ class TestFrames:
         monkeypatch.setattr(sf, "_fd_frames",
                             lambda desc, t, u: sizes.append(np.size(t)) or real(desc, t, u))
         sf.surface_summary(3, 161)
-        assert len(sizes) == 13 and max(sizes) <= sf._EXPM_BLOCK_POINTS
+        assert len(sizes) == math.ceil(161 ** 2 / sf._BLOCK_POINTS) == 26
+        assert max(sizes) <= sf._BLOCK_POINTS
 
     @pytest.mark.parametrize("sid, grid", [(5, 41), (5, 201), (1, 201)])
     def test_holomorphic_curvatures_run_in_point_blocks(self, sid, grid, monkeypatch):
@@ -257,9 +259,9 @@ class TestFrames:
         monkeypatch.setattr(sf, "holomorphic_K",
                             lambda x, eps: sizes.append(len(x)) or real(x, eps))
         blocked = sf._sample_columns(desc, t, u)
-        assert max(sizes) <= sf._EXPM_BLOCK_POINTS
+        assert max(sizes) <= sf._BLOCK_POINTS
         assert sum(sizes) == np.count_nonzero(blocked["nondegenerate"])
-        monkeypatch.setattr(sf, "_EXPM_BLOCK_POINTS", t.size)
+        monkeypatch.setattr(sf, "_BLOCK_POINTS", t.size)
         whole = sf._sample_columns(desc, t, u)["tg_residual"]
         np.testing.assert_array_equal(blocked["tg_residual"], whole)
 
@@ -301,7 +303,7 @@ class TestAlmostComplex:
     def test_batched_fit_matches_pointwise(self, sid):
         desc = sf.get_surface(sid)
         t, u = sf.default_grid(desc, 11)
-        residual, factor = sf._almost_complex_fit(*sf._frames_m(desc, t, u))
+        residual, factor = sf._almost_complex_fit(*(w[..., M_SLICE] for w in sf._frames(desc, t, u)))
         pointwise = np.array([sf.almost_complex_check(desc, ti, ui) for ti, ui in zip(t, u)])
         np.testing.assert_array_equal(residual, pointwise[:, 0])
         np.testing.assert_array_equal(factor, pointwise[:, 1])
@@ -334,7 +336,8 @@ class TestInducedMetric:
         ts = t[None, None, :] + constants.CURV_STEP * sf._OFFSETS[:, None, None]
         us = u[None, None, :] + constants.CURV_STEP * sf._OFFSETS[None, :, None]
         for tt, uu in ((t, u), (ts, us)):
-            frames = sf._metric_from_frames(*sf._frames_m(desc, tt, uu), desc.eps)
+            frames = sf._metric_from_frames(*(w[..., M_SLICE] for w in sf._frames(desc, tt, uu)),
+                                            desc.eps)
             for got, want in zip(sf.induced_metric(desc, tt, uu), frames):
                 assert max_abs(got - want) < constants.TOL_EXACT
         e, f, g = sf.induced_metric(desc, ts, us)
@@ -659,8 +662,8 @@ def _frames_shifted(mp, d_t, d_u):
     """Patch :func:`sf._frames` to add the coordinate rows d_t, d_u to
     (omega_t, omega_u)."""
     frames = sf._frames
-    mp.setattr(sf, "_frames", lambda desc, t, u, part=slice(None): tuple(
-        w + np.broadcast_to(dw, (8,))[part] for w, dw in zip(frames(desc, t, u, part), (d_t, d_u))))
+    mp.setattr(sf, "_frames", lambda desc, t, u: tuple(
+        w + dw for w, dw in zip(frames(desc, t, u), (d_t, d_u))))
 
 
 def _jet_negated(mp, jet):

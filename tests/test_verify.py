@@ -177,6 +177,16 @@ def _fault_nabla_diagonal(mp):
     _patch_tables(mp, "nabla", index=(0, 0, 1), add=1e-6)
 
 
+def _fault_connection_table(mp):
+    # the tabulated m3 coefficient of nabla(m1, m2) drifts
+    _patch_tables(mp, "nabla", index=(0, 1, 2), add=1e-6)
+
+
+def _fault_connection_off_table(mp):
+    # nabla(m1, m4), off the table and off the diagonal, gains an m2 component
+    _patch_tables(mp, "nabla", index=(0, 3, 1), add=1e-6)
+
+
 def _fault_metric_family(mp):
     # the weight of m1 drifts away from that of m4 = J m1
     _patch_tables(mp, "gram_m", index=0, scale=1.0 + 1e-6)
@@ -250,6 +260,8 @@ _FAULTS = {
     "jacobi_identity": _fault_m1_m2_bracket,
     "reductive_bracket": _fault_reductive_bracket,
     "coefficient_roundtrip": _fault_coefficient_roundtrip,
+    "connection_table": _fault_connection_table,
+    "connection_off_table": _fault_connection_off_table,
     "connection_diagonal": _fault_nabla_diagonal,
     "g_vanishing_diagonal_random": _fault_nabla_diagonal,
     "g_vanishing_on_diagonal": _fault_nabla_diagonal,
