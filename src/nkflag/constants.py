@@ -9,9 +9,11 @@ triples, the family tangency, polynomial identities on integer nodes),
 must read 0 under ``TOL_INTEGER_IDENTITY``.  The finite-difference
 tier holds only finite differences, each at the floor set by its step
 size: ``TOL_FRAME_AGREEMENT`` for the difference frames and
-``TOL_CURVATURE`` for the Gauss curvature and the totally geodesic
-residual.  Keeping the ladder in one place makes it obvious which kind of
-error a failing check is reporting.
+``TOL_CURVATURE`` for the stencil Gauss curvature.  The six surfaces'
+curvature and totally geodesic residual now come from closed-form jets
+and read about 1e-13, but stay under ``TOL_CURVATURE`` until a tighter
+bound is derived for them.  Keeping the ladder in one place makes it
+obvious which kind of error a failing check is reporting.
 """
 
 import math
@@ -32,10 +34,12 @@ FD_STEP = 1e-5
 #: analytic frame derivatives vs central differences of the closed form
 TOL_FRAME_AGREEMENT = 1e-6
 
-#: step for the five-point metric-jet stencils feeding Gauss curvature
+#: step for the five-point metric-jet stencils: the Gauss curvature of the
+#: sheared chart and of the control plane (the six surfaces' own charts take
+#: closed-form jets)
 CURV_STEP = 1e-3
 
-#: numeric Gauss curvature vs expected constant
+#: Gauss curvature vs expected constant, and the totally geodesic residual
 TOL_CURVATURE = 1e-4
 
 #: induced metric is treated as degenerate below this |det| scale

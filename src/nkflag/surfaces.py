@@ -12,12 +12,15 @@ run).  For every surface the closed-form matrix is cross-checked against
 the matrix exponential of its generator, the analytic frames are
 cross-checked against central differences of the closed form, and the
 induced metric, read off the Gram matrix of the plane and its bracket,
-feeds a stencil-based Gauss curvature that is compared with
-the ambient holomorphic sectional curvature at the base point (homogeneity
-moves the tangent plane there) and recomputed in a sheared chart, where
-every term of the Brioschi formula counts.  The control surface
-exponentiates a plane that violates the tangency equations; its residuals
-must stay away from zero.
+feeds a Gauss curvature from its closed-form jets (the derivative rules
+e' = n, n' = -e of the polar pair and s' = C, C' = -mu s, c' = s of the
+radial factors) that is compared with the ambient holomorphic sectional
+curvature at the base point (homogeneity moves the tangent plane there).
+Five-point stencils of the same metric recompute K in a sheared chart,
+where every term of the Brioschi formula counts: the difference route
+that checks the jets.  The control surface exponentiates a plane that
+violates the tangency equations; its residuals must stay away from zero,
+and its curvature, with no closed-form jets, goes through the stencils.
 """
 
 import dataclasses
@@ -315,14 +318,16 @@ def _lie_triple(desc: SurfaceDescriptor):
 
 
 def _polar_factors(desc: SurfaceDescriptor, t, u):
-    """(cos u, sin u, s(t), c(t)) of the frame formula of :func:`_frames`,
-    each in the shape of its own argument."""
+    """(cos u, sin u, s(t), c(t), C(t)) of the frame formula of
+    :func:`_frames`, each in the shape of its own argument; C = s' is
+    cos(r t), cosh(r t) when mu < 0, and 1 at mu = 0."""
     mu = desc.lie_triple[3]
     t, u = np.asarray(t, dtype=float), np.asarray(u, dtype=float)
     r = math.sqrt(abs(mu))
     sin, cos = (np.sin, np.cos) if mu > 0 else (np.sinh, np.cosh)
-    s, c = (sin(r * t) / r, (1.0 - cos(r * t)) / mu) if mu else (t, 0.5 * t * t)
-    return np.cos(u), np.sin(u), s, c
+    cc = cos(r * t) if mu else np.ones_like(t)
+    s, c = (sin(r * t) / r, (1.0 - cc) / mu) if mu else (t, 0.5 * t * t)
+    return np.cos(u), np.sin(u), s, c, cc
 
 
 def _frames(desc: SurfaceDescriptor, t, u) -> tuple[np.ndarray, np.ndarray]:
@@ -341,7 +346,7 @@ def _frames(desc: SurfaceDescriptor, t, u) -> tuple[np.ndarray, np.ndarray]:
     if not desc.has_analytic_frames:
         return tuple(coefficients(w, desc.eps) for w in _fd_frames(desc, t, u))
     a, b, h, _, _ = desc.lie_triple
-    cu, su, s, c = (v[..., None] for v in _polar_factors(desc, t, u))
+    cu, su, s, c, _ = (v[..., None] for v in _polar_factors(desc, t, u))
     return cu * a + su * b, s * (cu * b - su * a) - c * h
 
 
@@ -353,30 +358,45 @@ def _metric_from_frames(mt: np.ndarray, mu: np.ndarray, eps: int):
 def induced_metric(sid, t, u):
     """Induced metric components (E, F, G) at (t, u), which broadcast.
 
-    On the six surfaces they are read off Q, the 3x3 Gram matrix of the
-    tangent parts of (a, b, h) under ``metric_m``: with e = cos u a + sin u b
-    and n = cos u b - sin u a, the frames of :func:`_frames` give
-
-        E = <e, e>,  F = s <e, n> - c <e, h>,
-        G = s^2 <n, n> - 2 s c <n, h> + c^2 <h, h>.
-
-    The five products with e or n depend on u alone and s, c on t alone, so
-    on the stencil's (5, 1, n) t-offsets and (1, 5, n) u-offsets only F and
-    G are broadcast to (5, 5, n), and E stays (1, 5, n).  Q is computed on
-    every call from the descriptor's plane.  The control plane, which has no
-    analytic frames, reads its metric off the difference frames."""
+    On the six surfaces they are :func:`_gram_metric` of the Gram products
+    of :func:`_gram_products` with x = y = (s, c).  The products depend on u
+    alone and s, c on t alone, so on the stencil's (5, 1, n) t-offsets and
+    (1, 5, n) u-offsets only F and G are broadcast to (5, 5, n), and E stays
+    (1, 5, n).  The control plane, which has no analytic frames, reads its
+    metric off the difference frames."""
     desc = _descriptor(sid)
     if not desc.has_analytic_frames:
         return _metric_from_frames(*(w[..., M_SLICE] for w in _frames(desc, t, u)), desc.eps)
+    cu, su, s, c, _ = _polar_factors(desc, t, u)
+    return _gram_metric(_gram_products(desc, cu, su), (s, c), (s, c))
+
+
+def _gram_products(desc: SurfaceDescriptor, cu, su) -> tuple:
+    """(<e,e>, <e,n>, <n,n>, <e,h>, <n,h>, <h,h>) under Q, the 3x3 Gram
+    matrix of the tangent parts of (a, b, h) under ``metric_m``, computed on
+    every call from the plane; e = cos u a + sin u b, n = cos u b - sin u a,
+    and <h,h> is the scalar Q[2, 2]."""
     a, b, h, _, _ = desc.lie_triple
     v = np.stack([a, b, h])[:, M_SLICE]
     q = metric_m(v[:, None], v[None], desc.eps)
-    cu, su, s, c = _polar_factors(desc, t, u)
     qe = cu[..., None] * q[0] + su[..., None] * q[1]   # Q e
     qn = cu[..., None] * q[1] - su[..., None] * q[0]   # Q n
-    en, nn = cu * qn[..., 0] + su * qn[..., 1], cu * qn[..., 1] - su * qn[..., 0]
-    return (cu * qe[..., 0] + su * qe[..., 1], s * en - c * qe[..., 2],
-            s * s * nn - 2.0 * s * c * qn[..., 2] + c * c * q[2, 2])
+    return (cu * qe[..., 0] + su * qe[..., 1], cu * qn[..., 0] + su * qn[..., 1],
+            cu * qn[..., 1] - su * qn[..., 0], qe[..., 2], qn[..., 2], q[2, 2])
+
+
+def _gram_metric(p: tuple, x: tuple, y: tuple) -> tuple:
+    """(E, F, G) of the Gram products p and the radial pairs x = (x_s, x_c),
+    y = (y_s, y_c):
+
+        E = <e,e>,  F = x_s <e,n> - x_c <e,h>,
+        G = x_s y_s <n,n> - (x_s y_c + x_c y_s) <n,h> + x_c y_c <h,h>,
+
+    the metric of the frames omega_t = e, omega_u = s n - c h of
+    :func:`_frames` at x = y = (s, c), and its jets at other arguments."""
+    ee, en, nn, eh, nh, hh = p
+    (xs, xc), (ys, yc) = x, y
+    return ee, xs * en - xc * eh, xs * ys * nn - (xs * yc + xc * ys) * nh + xc * yc * hh
 
 
 def _almost_complex_fit(mt: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -421,13 +441,15 @@ def _stencil(c: np.ndarray, w) -> np.ndarray:
 def _metric_jets(metric: Callable, t, u) -> dict[str, np.ndarray]:
     """The jets of the metric E dt^2 + 2F dt du + G du^2, with (E, F, G) =
     ``metric(t, u)``, that the Brioschi formula reads at the 1-D point
-    arrays (t, u): ``E``, ``F``, ``G``, their six first derivatives
-    (``E_t``, ``E_u``, ...) and ``E_uu``, ``F_tu``, ``G_tt``.  ``metric``
-    takes the t-offsets as (5, 1, n) and the u-offsets as (1, 5, n),
-    unbroadcast, and its components are broadcast to (5, 5, n) here, so
-    :func:`induced_metric` runs its products of u on 5 u-values and its s, c
-    on 5 t-values per point.  The six first-derivative arms go through one
-    stencil, the two second-derivative arms through another."""
+    arrays (t, u), from five-point stencils of step ``CURV_STEP``: ``E``,
+    ``F``, ``G``, their six first derivatives (``E_t``, ``E_u``, ...) and
+    ``E_uu``, ``F_tu``, ``G_tt``.  They serve the sheared chart and the
+    control plane, and check :func:`_polar_jets`.  ``metric`` takes the
+    t-offsets as (5, 1, n) and the u-offsets as (1, 5, n), unbroadcast, and
+    its components are broadcast to (5, 5, n) here, so :func:`induced_metric`
+    runs its products of u on 5 u-values and its s, c on 5 t-values per
+    point.  The six first-derivative arms go through one stencil, the two
+    second-derivative arms through another."""
     h = constants.CURV_STEP
     ts = t[None, None, :] + h * _OFFSETS[:, None, None]   # (5, 1, n)
     us = u[None, None, :] + h * _OFFSETS[None, :, None]   # (1, 5, n)
@@ -438,6 +460,42 @@ def _metric_jets(metric: Callable, t, u) -> dict[str, np.ndarray]:
         "E": e[2, 2], "F": f[2, 2], "G": g[2, 2],
         **dict(zip(("E_t", "E_u", "F_t", "F_u", "G_t", "G_u"), first)),
         "E_uu": e_uu, "F_tu": _stencil(_D1, _stencil(_D1, f)) / (h * h), "G_tt": g_tt,
+    }
+
+
+def _u_rule(ee, en, nn, eh, nh, hh) -> tuple:
+    """d/du of the Gram products of :func:`_gram_products` by e' = n and
+    n' = -e (h and Q do not move): <e,e>' = 2 <e,n>, <e,n>' = <n,n> - <e,e>,
+    <n,n>' = -2 <e,n>, <e,h>' = <n,h>, <n,h>' = -<e,h>, <h,h>' = 0."""
+    return 2.0 * en, nn - ee, -2.0 * en, nh, -eh, 0.0
+
+
+def _t_rule(s, c, cc, mu: float) -> tuple:
+    """d/dt of the radial factors (s, c, C) of :func:`_polar_factors`:
+    s' = C, c' = s, C' = -mu s."""
+    return cc, s, -mu * s
+
+
+def _polar_jets(desc: SurfaceDescriptor, t, u) -> dict[str, np.ndarray]:
+    """The jets of :func:`_metric_jets` in closed form, for the six surfaces.
+    E, F, G are :func:`induced_metric`'s, bit for bit.  They are linear in
+    the Gram products p, F in x = (s, c) and G bilinear in x, so the rules
+    give every derivative through :func:`_gram_metric`: E_t = 0,
+    G_t = 2 G(x', x) and G_tt = 2 G(x', x') + 2 G(x'', x)."""
+    cu, su, s, c, cc = _polar_factors(desc, t, u)
+    p, mu = _gram_products(desc, cu, su), desc.lie_triple[3]
+    pu = _u_rule(*p)
+    ds, dc, dcc = _t_rule(s, c, cc, mu)
+    dds, ddc, _ = _t_rule(ds, dc, dcc, mu)
+    x, xt, xtt = (s, c), (ds, dc), (dds, ddc)
+    e, f, g = _gram_metric(p, x, x)
+    e_u, f_u, g_u = _gram_metric(pu, x, x)
+    _, f_t, half_g_t = _gram_metric(p, xt, x)
+    return {
+        "E": e, "F": f, "G": g, "E_t": np.zeros_like(e), "E_u": e_u,
+        "F_t": f_t, "F_u": f_u, "G_t": 2.0 * half_g_t, "G_u": g_u,
+        "E_uu": _u_rule(*pu)[0], "F_tu": _gram_metric(pu, xt, x)[1],
+        "G_tt": 2.0 * (_gram_metric(p, xt, xt)[2] + _gram_metric(p, xtt, x)[2]),
     }
 
 
@@ -464,24 +522,23 @@ def _curvature_from_jets(j: dict[str, np.ndarray]) -> np.ndarray:
     return (det_m1 - det_m2) / (det * det)
 
 
-#: points per block of every point stage (the stencils of
-#: :func:`gauss_curvature_batch`, the expm-grid checks, ``frame_agreement``,
-#: the holomorphic curvatures of ``_sample_columns``), so memory does not grow
-#: with the grid.  Fresh ``surface --id 5`` runs on a 2-core x86 box: 2048
-#: peaks 1.5 MB higher at grid 41, 256 runs grid 201 10% slower than 1024.
+#: points per block of every point stage (the curvature pass of
+#: :func:`_metric_curvature`, the expm-grid checks, ``frame_agreement``, the
+#: holomorphic curvatures of ``_sample_columns``), so memory does not grow
+#: with the grid.  Measured on fresh ``surface --id 5`` runs on a 2-core x86
+#: box while the pass still took stencils on all six surfaces: 2048 peaks
+#: 1.5 MB higher at grid 41, 256 runs grid 201 10% slower than 1024.
 _BLOCK_POINTS = 1024
 
 
 def gauss_curvature_batch(sid, t, u) -> np.ndarray:
-    """Numeric Gauss curvature of the induced metric at each point (t, u),
-    evaluated in blocks of ``_BLOCK_POINTS`` points; degenerate points, where
-    the induced metric determinant falls below the documented floor, come
-    back NaN.  No value depends on the block size."""
-    desc = _descriptor(sid)
-    metric = functools.partial(induced_metric, desc)
+    """Gauss curvature of the induced metric at each point (t, u), the K of
+    :func:`_metric_curvature`: closed-form jets on the six surfaces,
+    stencils on the control plane.  Degenerate points, where the induced
+    metric determinant falls below the documented floor, come back NaN.  No
+    value depends on the block size."""
     t, u = (np.atleast_1d(v) for v in _broadcast(t, u))
-    return np.concatenate([np.empty(0), *(_curvature_block(metric, t[b], u[b])[0]
-                                          for b in _blocks(t.size))])
+    return _metric_curvature(_descriptor(sid), t, u)[3]
 
 
 def _blocks(n: int):
@@ -489,16 +546,33 @@ def _blocks(n: int):
     return (slice(lo, lo + _BLOCK_POINTS) for lo in range(0, n, _BLOCK_POINTS))
 
 
-def _curvature_block(metric: Callable, t, u) -> tuple[np.ndarray, np.ndarray]:
-    """(K, nondegenerate) of ``metric`` at the points (t, u); K is NaN where
-    the metric is degenerate."""
-    jets = _metric_jets(metric, t, u)
+def _metric_curvature(desc: SurfaceDescriptor, t, u) -> np.ndarray:
+    """Rows E, F, G and K of the induced metric at the 1-D points (t, u), one
+    block at a time, from :func:`_polar_jets`, or from the stencils where
+    the plane has no analytic frames; K is NaN at degenerate points."""
+    out = np.empty((4, t.size))
+    for b in _blocks(t.size):
+        jets = (_polar_jets(desc, t[b], u[b]) if desc.has_analytic_frames
+                else _metric_jets(functools.partial(induced_metric, desc), t[b], u[b]))
+        out[:, b] = jets["E"], jets["F"], jets["G"], _curvature(jets)[0]
+    return out
+
+
+def _curvature(jets: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """(K, nondegenerate) from the jets; K is NaN where the metric is
+    degenerate."""
     det = jets["E"] * jets["G"] - jets["F"] ** 2
     good = np.abs(det) > constants.DEGENERATE_METRIC_MIN
     out = np.full(det.shape, np.nan)
     if good.any():
         out[good] = _curvature_from_jets({name: v[good] for name, v in jets.items()})
     return out, good
+
+
+def _curvature_block(metric: Callable, t, u) -> tuple[np.ndarray, np.ndarray]:
+    """(K, nondegenerate) of ``metric`` at the points (t, u), from the
+    stencils of :func:`_metric_jets`."""
+    return _curvature(_metric_jets(metric, t, u))
 
 
 #: the shear (alpha, beta) of the chart (t, u) = (s + alpha sin v, v + beta s)
@@ -588,14 +662,16 @@ def _sample_columns(desc: SurfaceDescriptor, t, u) -> dict[str, np.ndarray]:
     :func:`_frames`, the unit horizontal frame ``unit_frame`` and the mask
     ``nondegenerate`` of points whose induced metric has |det| above the
     degeneracy floor.  K and the totally geodesic residual are NaN at the
-    other points.  The control plane's E, F, G are read off the difference
-    frames held here, as :func:`induced_metric` reads them."""
+    other points.  E, F, G and K come from one pass of
+    :func:`_metric_curvature`, except that the control plane's E, F, G are
+    read off the difference frames held here, as :func:`induced_metric`
+    reads them."""
     omega_t, omega_u = _frames(desc, t, u)
     mt, mu = omega_t[..., M_SLICE], omega_u[..., M_SLICE]
-    e, f, g = (induced_metric(desc, t, u) if desc.has_analytic_frames
-               else _metric_from_frames(mt, mu, desc.eps))
+    e, f, g, k = _metric_curvature(desc, t, u)
+    if not desc.has_analytic_frames:
+        e, f, g = _metric_from_frames(mt, mu, desc.eps)
     ok = np.abs(e * g - f ** 2) > constants.DEGENERATE_METRIC_MIN
-    k = gauss_curvature_batch(desc, t, u)
     unit_frame = mt / np.sqrt(np.abs(e))[:, None]
     tg = np.full_like(k, np.nan)
     good = np.flatnonzero(ok)

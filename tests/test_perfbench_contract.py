@@ -185,7 +185,7 @@ def test_verify_emits_the_gated_report_count(gate, capsys, tmp_path):
 
 
 def test_gate_rejects_failing_surface_rows(gate, capsys):
-    assert cli.main(["surface", "--id", "1", "--tol-fd", "1e-12"]) == 1
+    assert cli.main(["surface", "--id", "1", "--tol-fd", "1e-15"]) == 1
     out = capsys.readouterr().out
     check = gate.check_samples(41 * 41)
     assert check(1, out, None) is not None

@@ -7,6 +7,7 @@ module repeats them on the full default grids.
 
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -384,7 +385,8 @@ class TestGaussCurvature:
     def test_single_point_value(self):
         assert sf.gauss_curvature_batch(2, [0.9], [1.0])[0] == pytest.approx(1.0, abs=1e-6)
 
-    @pytest.mark.parametrize("surface", [2, 5, sf.control_surface()], ids=["2", "5", "control"])
+    @pytest.mark.parametrize("surface", [*sf.SURFACE_IDS, sf.control_surface()],
+                             ids=[*map(str, sf.SURFACE_IDS), "control"])
     def test_point_value_does_not_depend_on_batch(self, surface, monkeypatch):
         # grid 41 spans several point blocks and ends in a ragged one
         desc = sf._descriptor(surface)
@@ -403,6 +405,142 @@ class TestGaussCurvature:
         unblocked = sf._sample_columns(desc, t, u)
         for name, column in whole.items():
             np.testing.assert_array_equal(unblocked[name], column, err_msg=name)
+
+
+def _stencil_route(desc, t, u):
+    """(K, nondegenerate) of the induced metric from the five-point stencils."""
+    return sf._curvature_block(functools.partial(sf.induced_metric, desc), t, u)
+
+
+class TestPolarJets:
+    @pytest.mark.parametrize("grid", [9, 10, 41, 81, 161, 201])
+    @pytest.mark.parametrize("sid", sf.SURFACE_IDS)
+    def test_curvature_is_exact_on_every_grid(self, sid, grid):
+        desc = sf.get_surface(sid)
+        cols = sf._sample_columns(desc, *sf.default_grid(desc, grid))
+        ok = cols["nondegenerate"]
+        assert max_abs(cols["K"][ok] - desc.expected_K) <= 1e-12
+        assert np.max(cols["tg_residual"][ok]) <= 1e-12
+
+    @pytest.mark.parametrize("sid", sf.SURFACE_IDS)
+    def test_the_stencils_agree_with_the_jets(self, sid):
+        # jet by jet, not only through K: a jet that K does not read in the
+        # surface's own chart must still be right
+        desc = sf.get_surface(sid)
+        t, u = sf.default_grid(desc, 41)
+        jets = sf._polar_jets(desc, t, u)
+        fd = sf._metric_jets(functools.partial(sf.induced_metric, desc), t, u)
+        assert jets.keys() == fd.keys()
+        for name in jets:
+            assert max_abs(jets[name] - fd[name]) < constants.TOL_CURVATURE, name
+        k, good = sf._curvature(jets)
+        k_fd, good_fd = _stencil_route(desc, t, u)
+        np.testing.assert_array_equal(good, good_fd)
+        assert max_abs(k[good] - k_fd[good]) < constants.TOL_CURVATURE
+
+    @pytest.mark.parametrize("sid", sf.SURFACE_IDS)
+    def test_the_jet_metric_is_the_induced_metric(self, sid):
+        desc = sf.get_surface(sid)
+        t, u = sf.default_grid(desc, 41)
+        want = sf.induced_metric(desc, t, u)
+        jets, cols = sf._polar_jets(desc, t, u), sf._sample_columns(desc, t, u)
+        for name, w in zip("EFG", want):
+            assert jets[name].tobytes() == w.tobytes() == cols[name].tobytes(), name
+
+    @pytest.mark.parametrize("grid", [9, 10, 41, 81])
+    @pytest.mark.parametrize("sid", sf.SURFACE_IDS)
+    def test_the_degenerate_mask_is_unchanged(self, sid, grid):
+        # the V1 spheres lose the t = pi/2 row of every odd grid
+        desc = sf.get_surface(sid)
+        t, u = sf.default_grid(desc, grid)
+        e, f, g = sf.induced_metric(desc, t, u)
+        want = np.abs(e * g - f * f) > constants.DEGENERATE_METRIC_MIN
+        np.testing.assert_array_equal(~np.isnan(sf.gauss_curvature_batch(desc, t, u)), want)
+        np.testing.assert_array_equal(_stencil_route(desc, t, u)[1], want)
+        assert np.count_nonzero(~want) == (grid if sid in (1, 4) and grid % 2 else 0)
+
+
+#: each derivative rule of the closed-form jets with its sign flipped, as a
+#: replacement of the function that applies it; n' = +e turns <e,n>' into
+#: <n,n> + <e,e>, <n,n>' into 2 <e,n> and <n,h>' into <e,h>
+_FLIPPED_RULES = {
+    "C' = +mu s": ("_t_rule", lambda s, c, cc, mu: (cc, s, mu * s)),
+    "c' = -s": ("_t_rule", lambda s, c, cc, mu: (cc, -s, -mu * s)),
+    "n' = +e": ("_u_rule", lambda ee, en, nn, eh, nh, hh: (2.0 * en, nn + ee, 2.0 * en, nh, eh, 0.0)),
+}
+
+
+def _flip_rule(mp, rule):
+    mp.setattr(sf, *_FLIPPED_RULES[rule])
+
+
+def _K_rows(grid=11):
+    """(passed, K column) of ``K_max_deviation`` on each surface."""
+    out = {}
+    for sid in sf.SURFACE_IDS:
+        summary = sf.surface_summary(sid, grid)
+        row = {r.name: r for r in summary["reports"]}[f"K_max_deviation[surface{sid}]"]
+        out[sid] = row.passed, summary["columns"]["K"]
+    return out
+
+
+class TestJetRules:
+    """Each derivative rule, flipped alone, fails ``K_max_deviation`` on every
+    surface whose K reads it.  The flat torus reads neither C' (mu = 0 there,
+    so C' = -mu s and +mu s are both 0) nor n' (C = 1 there, so the flipped
+    E_uu and F_tu cancel in Brioschi's -E_uu/2 + F_tu, and F_u counts only
+    with E_t, E_u or F_t, which vanish).  No surface reads c': h has no
+    tangent part (``orbit_lie_triple``), so <e,h> = <n,h> = <h,h> = 0 and c
+    never reaches E, F or G; a Gram matrix with an h row gives c' its teeth.
+    The torus's own jets still see n'."""
+
+    @pytest.fixture(scope="class")
+    def clean(self):
+        return _K_rows()
+
+    def test_flipped_C_rule_fails_every_curved_surface(self, clean, monkeypatch):
+        _flip_rule(monkeypatch, "C' = +mu s")
+        faulty = _K_rows()
+        assert [sid for sid in sf.SURFACE_IDS if not faulty[sid][0]] == [1, 2, 4, 5, 6]
+        np.testing.assert_array_equal(faulty[3][1], clean[3][1])
+
+    def test_flipped_c_rule_reaches_no_surface(self, clean, monkeypatch):
+        _flip_rule(monkeypatch, "c' = -s")
+        faulty = _K_rows()
+        for sid in sf.SURFACE_IDS:
+            assert clean[sid][0] and faulty[sid][0]
+            np.testing.assert_array_equal(faulty[sid][1], clean[sid][1])
+
+    def test_flipped_n_rule_fails_every_curved_surface(self, clean, monkeypatch):
+        _flip_rule(monkeypatch, "n' = +e")
+        faulty = _K_rows()
+        assert [sid for sid in sf.SURFACE_IDS if not faulty[sid][0]] == [1, 2, 4, 5, 6]
+        np.testing.assert_array_equal(faulty[3][1], clean[3][1])
+
+    def test_the_torus_jets_see_the_flipped_n_rule(self, monkeypatch):
+        desc = sf.get_surface(3)
+        t, u = sf.default_grid(desc, 11)
+        fd = sf._metric_jets(functools.partial(sf.induced_metric, desc), t, u)
+        _flip_rule(monkeypatch, "n' = +e")
+        jets = sf._polar_jets(desc, t, u)
+        assert [name for name in jets if max_abs(jets[name] - fd[name]) > 1.0] == [
+            "F_u", "E_uu", "F_tu"]
+
+    @pytest.mark.parametrize("rule", sorted(_FLIPPED_RULES))
+    @pytest.mark.parametrize("sid", [2, 5])
+    def test_a_flipped_rule_parts_the_jets_from_the_stencils(self, sid, rule, monkeypatch):
+        # metric_m hands back q as the Gram matrix: with a tangent h row and
+        # off-diagonal terms, E, F, G depend on every product and on c, and E
+        # varies with u
+        q = np.array([[1.0, 0.2, 0.3], [0.2, 1.4, -0.25], [0.3, -0.25, 0.6]])
+        monkeypatch.setattr(sf, "metric_m", lambda x, y, eps: q)
+        desc = sf.get_surface(sid)
+        t, u = sf.default_grid(desc, 21)
+        k_fd, good = _stencil_route(desc, t, u)
+        assert good.all()
+        assert max_abs(sf.gauss_curvature_batch(desc, t, u) - k_fd) < constants.TOL_CURVATURE
+        _flip_rule(monkeypatch, rule)
+        assert max_abs(sf.gauss_curvature_batch(desc, t, u) - k_fd) > 0.1
 
 
 _T = np.linspace(0.3, 1.2, 7)
@@ -627,10 +765,10 @@ class TestExport:
         assert 0 < checked < GRID * GRID
 
     def test_tol_fd_bounds_the_curvature_reports(self):
-        reports = sf.surface_summary(2, 11, tol_fd=1e-12)["reports"]
+        reports = sf.surface_summary(2, 11, tol_fd=1e-15)["reports"]
         assert [r.name for r in reports if not r.passed] == [
             "K_max_deviation[surface2]", "tg_residual_max[surface2]"]
-        assert {r.tolerance for r in reports[5:7]} == {1e-12}
+        assert {r.tolerance for r in reports[5:7]} == {1e-15}
 
     def test_degenerate_rows_are_nan(self):
         rows = sf.sample_rows(1, 11)
