@@ -10,8 +10,11 @@ Solutions are enumerated twice: by closed-form case analysis, and by an
 interval branch-and-bound over the simplex a + b + c = 1, which meets every
 ray of the residuals' zero cone, with trust-region Gauss-Newton refinement
 of the surviving boxes (the oracle, see :mod:`nkflag.kernels`).  The oracle
-also gives a certified lower bound on the residual over the region where
-all amplitudes are nonzero.  :func:`classification_reports` judges the two
+scans one fundamental domain of the residuals' symmetries, a >= b >= c in
+the compact form and b >= c in the split form, so each family leaves one
+cluster; ``oracle_mirror_symmetry`` proves the swaps the domain rests on.
+The oracle also gives a certified lower bound on the residual over the
+region where all amplitudes are nonzero.  :func:`classification_reports` judges the two
 routes against each other as :class:`~nkflag.report.CheckReport` rows; a
 NaN anywhere in a comparison fails its row.
 """
@@ -35,7 +38,6 @@ __all__ = [
     "solve_families",
     "grid_oracle",
     "classification_reports",
-    "canonical_amplitudes",
 ]
 
 
@@ -114,15 +116,6 @@ class SolutionFamily:
         return tuple(d / self.size for d in self.direction)
 
 
-def canonical_amplitudes(a: float, b: float, c: float, eps: int) -> tuple[float, float, float]:
-    """Quotient by the documented symmetry: absolute values, then descending
-    order within groups of distributions carrying the same metric sign."""
-    a, b, c = abs(a), abs(b), abs(c)
-    if eps == RIEMANNIAN:
-        return tuple(sorted((a, b, c), reverse=True))
-    return (a, max(b, c), min(b, c))
-
-
 def _family(direction: tuple[int, int, int], eps: int, description: str) -> SolutionFamily:
     """The family of a canonical integer direction; lambda and the norm both
     scale by |direction|^2, so K = lambda / norm is exact at the integers."""
@@ -163,81 +156,56 @@ class OracleResult:
     points: int
 
 
-def _amplitude_order(item) -> tuple[float, ...]:
-    """Sort key of an (amplitudes, residual) pair: amplitudes rounded far
-    above rounding noise (a = 6e-17 must not outrank a = 3e-16) and far
-    below ``ORACLE_MATCH_TOL``."""
-    return tuple(round(x, 12) for x in item[0])
-
-
 def grid_oracle(eps: int) -> OracleResult:
-    """Independent enumeration: interval branch-and-bound over the b >= c
-    half of the simplex a + b + c = 1, greedy clustering of the leaf boxes,
-    then one batched trust-region Gauss-Newton refinement of every
-    cluster's best hit."""
+    """Independent enumeration: interval branch-and-bound over the chart's
+    fundamental domain, greedy clustering of the leaf boxes, then one
+    batched trust-region Gauss-Newton refinement of every cluster's best
+    hit: one family per cluster, in the order the clusters were taken."""
     check_signature(eps)
     scan = kernels.scan_chart(kernels.CHART_SIMPLEX, eps)
-    # take the best remaining hit, drop every hit within 0.05 of it
-    abc = scan.hits[:, 2:5]
-    alive = np.ones(len(abc), dtype=bool)
-    seeds: list[int] = []
-    while alive.any():
-        seeds.append(int(np.argmin(np.where(alive, scan.hit_residuals, np.inf))))
-        alive &= np.linalg.norm(abc - abc[seeds[-1]], axis=1) >= 0.05
-    refined = kernels.refine_candidate(eps, scan.hits[seeds, 0], scan.hits[seeds, 1])
-    candidates = [(canonical_amplitudes(a, b, c, eps), res)
-                  for a, b, c, res in zip(*(x.tolist() for x in refined))]
-    # merge candidates that refined to the same canonical point
-    merged: list[tuple[tuple[float, float, float], float]] = []
-    for amps, res in sorted(candidates, key=_amplitude_order, reverse=True):
-        if merged and np.linalg.norm(np.subtract(amps, merged[-1][0])) < 1e-6:
-            merged[-1] = (merged[-1][0], min(merged[-1][1], res))
-        else:
-            merged.append((amps, res))
+    # take the best remaining hit; retire it and every hit within 0.05 of it
+    abc, left, seeds = scan.hits[:, 2:5], np.arange(len(scan.hits)), []
+    while left.size:
+        seed = left[np.argmin(scan.hit_residuals[left])]
+        seeds.append(seed)
+        left = left[(left != seed) & (np.linalg.norm(abc[left] - abc[seed], axis=1) >= 0.05)]
+    *amps, res = kernels.refine_candidate(eps, scan.hits[seeds, 0], scan.hits[seeds, 1])
     return OracleResult(
-        families=tuple(amps for amps, _ in merged),
-        residuals=tuple(res for _, res in merged),
+        families=tuple(zip(*(x.tolist() for x in amps))),
+        residuals=tuple(res.tolist()),
         interior_min=scan.interior_min,
         interior_argmin=scan.interior_argmin,
         points=scan.points,
     )
 
 
-def _hausdorff(found, expected) -> float:
-    """Hausdorff distance between two sets of amplitude triples: inf when
-    only one is empty, NaN when a triple holds a NaN."""
+def _one_to_one(found, expected) -> float:
+    """Hausdorff distance between two sets of amplitude triples, inf unless equally
+    many, NaN if a triple is; below half their least spacing it pairs them one to one."""
     d = np.linalg.norm(np.reshape(found, (-1, 1, 3)) - np.reshape(expected, (1, -1, 3)), axis=-1)
-    return float(np.max([*np.min(d, axis=0, initial=np.inf), *np.min(d, axis=1, initial=np.inf)]))
-
-
-def _mirror_defect(eps: int) -> float:
-    """Largest |minor_equations(a, c, b) - (r2, r1, -r3)(a, b, c)| over the
-    integer nodes {0..4}^3.  Each residual has degree <= 3 in each variable,
-    so a difference vanishing on these nodes vanishes identically; every
-    float operation on them is exact, so the identity holds iff this is 0.0."""
-    a, b, c = np.meshgrid(*[np.arange(5.0)] * 3, indexing="ij")
-    r1, r2, r3 = kernels.minor_equations(a, b, c, eps)
-    m1, m2, m3 = kernels.minor_equations(a, c, b, eps)
-    return float(np.max(np.abs([m1 - r2, m2 - r1, m3 + r3])))
+    return float(np.max([*np.min(d, axis=0, initial=np.inf), *np.min(d, axis=1, initial=np.inf),
+                         0.0 if len(found) == len(expected) else np.inf]))
 
 
 def classification_reports(eps: int, oracle: bool = True) -> list[CheckReport]:
     """One signature's verdicts: the case analysis' families are tangent at
     their integer directions, where no operation rounds, and, with the
-    oracle, the residuals are b <-> c symmetric (so the half chart suffices),
-    the families match the oracle's, and the oracle's bound on the
-    all-nonzero region is at most ``NONZERO_EMPTY_BOUND`` where the case
-    analysis has a family there and at least that floor where not."""
+    oracle, the residuals are symmetric under the swaps of the chart's
+    fundamental domain, the families match the oracle's one to one, and the
+    oracle's bound on the all-nonzero region is at most
+    ``NONZERO_EMPTY_BOUND`` where the case analysis has a family there and
+    at least that floor where not."""
     fams, label = solve_families(eps), signature_label(eps)
     deviation = np.max([tangency_coefficient(*f.direction, eps)[1] for f in fams])
     reports = [CheckReport(f"case_analysis_tangency[{label}]", float(deviation),
                            constants.TOL_INTEGER_IDENTITY, len(fams))]
     if oracle:
-        reports.append(CheckReport(f"oracle_mirror_symmetry[{label}]", _mirror_defect(eps),
-                                   constants.TOL_INTEGER_IDENTITY, 5 ** 3))
+        defect, checks = kernels.mirror_defect(eps)
+        reports.append(CheckReport(f"oracle_mirror_symmetry[{label}]", defect,
+                                   constants.TOL_INTEGER_IDENTITY, checks))
         found = grid_oracle(eps)
         reports.append(CheckReport(f"oracle_family_match[{label}]",
-                                   _hausdorff(found.families, [f.amplitudes for f in fams]),
+                                   _one_to_one(found.families, [f.amplitudes for f in fams]),
                                    constants.ORACLE_MATCH_TOL, len(found.families)))
         bound, floor = found.interior_min, constants.NONZERO_EMPTY_BOUND
         if any(min(f.amplitudes) >= constants.NONZERO_MARGIN for f in fams):

@@ -76,6 +76,13 @@ def _choice(*values):
     return parse
 
 
+def _path(text: str) -> str:
+    """A file path flag: any text but the empty one, which names no file."""
+    if not text:
+        raise ValueError("expected a file path, got ''")
+    return text
+
+
 _SWITCH = "switch"     # the parser of a flag without a value: True when given
 _REQUIRED = object()   # the default of a flag that must be given
 
@@ -84,14 +91,14 @@ _COMMANDS = {
     "verify": {"signature": (_choice(*sorted(_SIGNATURE_CHOICES)), "both"),
                "seed": (_int_in_range(0), constants.DEFAULT_SEED),
                "tol-exact": (_tolerance(constants.TOL_EXACT), constants.TOL_EXACT),
-               "out": (str, None),
+               "out": (_path, None),
                "self-test": (_SWITCH, False)},
     "classify": {"signature": (_choice(*sorted(_SIGNATURE_CHOICES)), "both"),
                  "no-oracle": (_SWITCH, False)},
     "surface": {"id": (_choice(*SURFACE_IDS), _REQUIRED),
                 "grid": (_int_in_range(9, _MAX_GRID), constants.DEFAULT_GRID),
                 "tol-fd": (_tolerance(constants.TOL_CURVATURE), constants.TOL_CURVATURE),
-                "out": (str, None),
+                "out": (_path, None),
                 "format": (_choice("csv", "json"), "csv")},
 }
 

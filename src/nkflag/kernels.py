@@ -19,11 +19,12 @@ degree 4, so their zeros form a cone; every ray of the positive octant,
 null rays of the split form included, meets the simplex once, where
 |x|^2 >= 1/3, and a residual is judged as |r| / |x|^4, its value at the
 ray's unit vector.  The octant suffices: each residual is odd or even under
-each sign flip of a, b, c.  The half triangle c <= b, b + c <= 1 suffices
-too: swapping b and c permutes the residuals up to sign
-(``oracle_mirror_symmetry`` proves it).  Every bound uses +, - and *
-rounded one ulp outward, then one / and one sqrt nudged one ulp; IEEE 754
-rounds all five correctly, so no bound rests on libm.
+each sign flip of a, b, c.  One fundamental domain suffices too: each swap
+in ``_MIRRORS`` permutes the residuals up to sign, so the scan keeps only
+the boxes that may meet a >= b >= c (compact form) or b >= c (split form),
+and ``oracle_mirror_symmetry`` proves every swap.  Every bound uses +, -
+and * rounded one ulp outward, then one / and one sqrt nudged one ulp;
+IEEE 754 rounds all five correctly, so no bound rests on libm.
 """
 
 import math
@@ -38,6 +39,12 @@ CHART_SIMPLEX = 0
 
 #: (b_max, c_max) of the chart; both coordinates start at 0
 CHART_DOMAIN = (1.0, 0.5)
+
+#: per signature, the swaps (i, j, order, signs) of the fundamental domain's x_i >= x_j:
+#: minor_equations with x_i and x_j exchanged is (signs[k] * r[order[k]] for k < 3)
+_MIRRORS = {1: ((1, 2, (1, 0, 2), (1, 1, -1)),      # (a, c, b) -> (r2, r1, -r3)
+                (0, 1, (0, 2, 1), (-1, -1, -1))),   # (b, a, c) -> (-r1, -r3, -r2)
+            -1: ((1, 2, (1, 0, 2), (1, 1, -1)),)}   # a <-> b would mix metric signs
 
 
 def active_backend() -> str:
@@ -63,6 +70,19 @@ def minor_equations(a, b, c, eps: int):
         a * (a * a - eps * c * c) * c,
         b * (c * c - b * b) * c,
     )
+
+
+def mirror_defect(eps: int) -> tuple[float, int]:
+    """The largest defect of the swaps of ``_MIRRORS[eps]`` on the nodes {0..4}^3,
+    and the number of node-swap pairs.  Each residual has degree <= 3 in each
+    variable and no float op on the nodes rounds, so the swaps hold iff it is 0.0."""
+    x = np.meshgrid(*[np.arange(5.0)] * 3, indexing="ij")
+    r, defects = minor_equations(*x, eps), [0.0]
+    for i, j, order, signs in _MIRRORS[eps]:
+        y = [x[{i: j, j: i}.get(k, k)] for k in range(3)]
+        defects += [np.max(np.abs(m - s * r[k]))
+                    for m, k, s in zip(minor_equations(*y, eps), order, signs)]
+    return float(np.max(defects)), x[0].size * len(_MIRRORS[eps])
 
 
 def residual_linf(a, b, c, eps: int):
@@ -140,8 +160,9 @@ def scan_chart(chart: int, eps: int) -> ScanResult:
     width <= ``GRID_ORACLE_STEP``: each axis is bisected in as many of the
     last levels as it needs, so c, half as wide as b, sits out the first.
 
-    Boxes that miss the half triangle are dropped unevaluated, and so are
-    boxes whose residual lower bound exceeds ``ORACLE_HIT_THRESHOLD``; a box
+    Boxes that miss the fundamental domain (a >= 0 and x_i >= x_j for each swap
+    of ``_MIRRORS``) are dropped unevaluated, and so are boxes whose residual
+    lower bound exceeds ``ORACLE_HIT_THRESHOLD``; a box
     that may meet the region min(a, b, c) >= ``NONZERO_MARGIN`` * |x| needs
     a bound above ``NONZERO_EMPTY_BOUND`` as well.  A NaN bound never drops
     its box.  The leaves that survive are the hits.  ``interior_min`` is the
@@ -159,7 +180,9 @@ def scan_chart(chart: int, eps: int) -> ScanResult:
     points = 0
     bounds, centres = [np.array([np.inf])], [np.full((1, 2), np.nan)]
     for level in range(levels + 1):
-        keep = (lo[:, 1] <= hi[:, 0]) & (lo[:, 0] + lo[:, 1] <= 1.0)  # exact: dyadic ends
+        # the largest and smallest a, b, c over each box; exact: dyadic ends
+        x_hi, x_lo = (1.0 - lo[:, 0] - lo[:, 1], *hi.T), (1.0 - hi[:, 0] - hi[:, 1], *lo.T)
+        keep = np.all([x_hi[0] >= 0.0, *(x_hi[i] >= x_lo[j] for i, j, *_ in _MIRRORS[eps])], axis=0)
         lo, hi = lo[keep], hi[keep]
         lower, a_hi, b_hi, c_hi = box_enclosure(eps, lo[:, 0], hi[:, 0], lo[:, 1], hi[:, 1])
         points += lower.size

@@ -764,9 +764,9 @@ def surface_summary(sid, n: int = constants.DEFAULT_GRID,
     recomputes K in the sheared chart of :func:`_sheared_metric`, at
     ``TOL_CURVATURE`` whatever ``tol_fd``.
     ``columns`` holds the per-point sample columns, the export's among them.
-    Without a closed-form metric (the control plane) the metric row is NaN.
-    Aggregates reduce with ``np.max``, so a NaN reaches its report and
-    fails it; K and the totally geodesic residual cover only the
+    The control plane has no closed-form metric or analytic frames, so those
+    two rows are NaN.  Aggregates reduce with ``np.max``, so a NaN reaches its
+    report and fails it; K and the totally geodesic residual cover only the
     metric-nondegenerate points.  The two expm-grid checks run first, and
     they and ``frame_agreement`` work in point blocks, so only the
     sample-column stage grows with the grid.
@@ -795,8 +795,8 @@ def surface_summary(sid, n: int = constants.DEFAULT_GRID,
         check("K_max_deviation", np.max(np.abs(ks - desc.expected_K)), tol_fd, ks.size),
         check("tg_residual_max", np.max(cols["tg_residual"][ok]), tol_fd, ks.size),
         check("ac_residual_max", np.max(cols["ac_residual"]), constants.TOL_EXACT, ok.size),
-        check("frame_agreement", _frame_agreement(desc, cols),
-              constants.TOL_FRAME_AGREEMENT, ok.size),
+        check("frame_agreement", _frame_agreement(desc, cols) if desc.has_analytic_frames
+              else math.nan, constants.TOL_FRAME_AGREEMENT, ok.size),
         check("orbit_lie_triple", desc.lie_triple[-1], constants.TOL_INTEGER_IDENTITY, 1),
         check("K_sheared_chart", max_abs(sheared - desc.expected_K), constants.TOL_CURVATURE,
               sheared.size),

@@ -3,7 +3,10 @@ facts: J_i J X flips amplitudes, and a frame rotation by a closed-form
 angle aligns G(Y, Z) with JW."""
 
 import dataclasses
+import inspect
 import math
+import signal
+import textwrap
 
 import numpy as np
 import pytest
@@ -245,11 +248,14 @@ class TestSolveFamilies:
 
     @pytest.mark.parametrize("eps", SIGNATURES)
     def test_oracle_recovers_families(self, eps):
+        # one found family within 1e-8 of each case-analysis family, one to one
         oracle = cl.grid_oracle(eps)
-        fams = cl.solve_families(eps)
-        assert len(oracle.families) == len(fams)
-        for found, fam in zip(oracle.families, fams):
-            np.testing.assert_allclose(found, fam.amplitudes, atol=1e-8)
+        fams = [f.amplitudes for f in cl.solve_families(eps)]
+        nearest = [int(np.argmin(np.linalg.norm(np.subtract(fams, found), axis=1)))
+                   for found in oracle.families]
+        assert sorted(nearest) == list(range(len(fams)))
+        for found, k in zip(oracle.families, nearest):
+            np.testing.assert_allclose(found, fams[k], atol=1e-8)
         assert max(oracle.residuals) < 1e-10
 
     def test_split_all_nonzero_region_empty(self):
@@ -273,13 +279,6 @@ class TestSolveFamilies:
         monkeypatch.setattr(cl, "tangency_coefficient", lambda a, b, c, eps: (4.0, math.nan))
         report = _report(RIEMANNIAN, "case_analysis_tangency", oracle=False)
         assert math.isnan(report.max_abs_error) and not report.passed
-
-    def test_canonicalization(self):
-        assert cl.canonical_amplitudes(0.0, -1 / SQ2, 1 / SQ2, RIEMANNIAN) == \
-            pytest.approx((1 / SQ2, 1 / SQ2, 0.0))
-        assert cl.canonical_amplitudes(0.0, 0.0, -1.0, PSEUDO) == pytest.approx((0.0, 1.0, 0.0))
-        # the definite amplitude never mixes with the negative pair
-        assert cl.canonical_amplitudes(0.3, 0.1, 0.9, PSEUDO) == pytest.approx((0.3, 0.9, 0.1))
 
 
 def _phase(y, z, w, eps=RIEMANNIAN):
@@ -362,6 +361,14 @@ class TestOracleVerdicts:
         assert math.isnan(report.max_abs_error) and not report.passed
 
     @pytest.mark.parametrize("eps", SIGNATURES)
+    def test_extra_family_fails(self, fake_oracle, eps):
+        # a second copy of a real family: every distance is 0, the count is not
+        real = cl.grid_oracle(eps)
+        fake_oracle(eps, families=real.families + real.families[:1])
+        report = _report(eps, "oracle_family_match")
+        assert report.max_abs_error == math.inf and report.samples == 4 and not report.passed
+
+    @pytest.mark.parametrize("eps", SIGNATURES)
     def test_no_family_found_fails(self, fake_oracle, eps):
         fake_oracle(eps, families=(), residuals=())
         report = _report(eps, "oracle_family_match")
@@ -426,6 +433,28 @@ def _break_mirror_symmetry(monkeypatch):
     monkeypatch.setattr(kernels, "minor_equations", faulty)
 
 
+def _break_a_b_swap(monkeypatch):
+    # r3 gains 1e-6 a b c (b - c): b <-> c still maps it to -r3, a <-> b no
+    # longer maps r2 to -r3; it vanishes on every family (a b c = 0 or b = c)
+    real = kernels.minor_equations
+
+    def faulty(a, b, c, eps):
+        r1, r2, r3 = real(a, b, c, eps)
+        return r1, r2, r3 + 1e-6 * a * b * c * (b - c)
+
+    monkeypatch.setattr(kernels, "minor_equations", faulty)
+
+
+def _greedy_radius(monkeypatch, radius):
+    """Serve ``grid_oracle`` rebuilt from its source with the greedy
+    clustering radius 0.05 replaced by ``radius``."""
+    source = textwrap.dedent(inspect.getsource(cl.grid_oracle))
+    assert source.count(">= 0.05") == 1
+    namespace = dict(vars(cl))
+    exec(source.replace(">= 0.05", f">= {radius!r}"), namespace)
+    monkeypatch.setattr(cl, "grid_oracle", namespace["grid_oracle"])
+
+
 #: one fault per ``classify`` report, injected into the layer the report
 #: reads: check name -> (signature, fault(monkeypatch))
 _FAULTS = {
@@ -460,3 +489,65 @@ class TestFaultTable:
         rows = _check_rows(capsys.readouterr().out)
         assert rows[name] == "fail"
         assert [n for n, status in rows.items() if status == "fail"] == [name]
+
+
+class TestFundamentalDomain:
+    """The scan covers one fundamental domain of the swaps ``oracle_mirror_symmetry``
+    proves, and each family leaves one seed there."""
+
+    def test_compact_row_checks_both_swaps(self):
+        report = _report(RIEMANNIAN, "oracle_mirror_symmetry")
+        assert report.max_abs_error == 0.0 and report.samples == 2 * 5 ** 3
+        assert _report(PSEUDO, "oracle_mirror_symmetry").samples == 5 ** 3
+
+    def test_a_b_swap_holds_only_in_the_compact_form(self):
+        # (b, a, c) -> (-r1, -r3, -r2): exact at every integer node in the
+        # compact form, off by 1024 at (4, 4, 0) in the split form
+        a, b, c = np.meshgrid(*[np.arange(5.0)] * 3, indexing="ij")
+        defect = {}
+        for eps in SIGNATURES:
+            r1, r2, r3 = kernels.minor_equations(a, b, c, eps)
+            m1, m2, m3 = kernels.minor_equations(b, a, c, eps)
+            defect[eps] = np.max(np.abs([m1 + r1, m2 + r3, m3 + r2]))
+        assert defect == {RIEMANNIAN: 0.0, PSEUDO: 1024.0}
+
+    def test_a_fault_breaking_only_the_a_b_swap_fails_only_the_compact_mirror(
+            self, monkeypatch, capsys):
+        _break_a_b_swap(monkeypatch)
+        assert kernels.mirror_defect(RIEMANNIAN)[0] == pytest.approx(6.4e-5, rel=1e-12)
+        assert kernels.mirror_defect(PSEUDO)[0] == 0.0
+        assert cli.main(["classify"]) == 1
+        rows = _check_rows(capsys.readouterr().out)
+        assert len(rows) == 8
+        assert [n for n, status in rows.items() if status == "fail"] == [
+            "oracle_mirror_symmetry[riemannian]"]
+
+    @pytest.mark.parametrize("eps", SIGNATURES)
+    def test_each_family_leaves_one_seed(self, eps, monkeypatch):
+        real, seeds = kernels.refine_candidate, []
+        monkeypatch.setattr(kernels, "refine_candidate",
+                            lambda e, b, c: seeds.append(len(b)) or real(e, b, c))
+        assert len(cl.grid_oracle(eps).families) == seeds[0] == 3
+
+    @pytest.mark.parametrize("radius", [0.0, -0.05])
+    def test_a_greedy_radius_that_merges_nothing_fails_the_match(
+            self, radius, monkeypatch, capsys):
+        # every hit becomes a seed, and the loop still ends: each pass
+        # retires its own seed whatever the radius
+        def expire(signum, frame):
+            raise TimeoutError("the greedy clustering did not end")
+
+        hits = {eps: len(kernels.scan_chart(kernels.CHART_SIMPLEX, eps).hits)
+                for eps in SIGNATURES}
+        _greedy_radius(monkeypatch, radius)
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(30)
+        try:
+            assert {eps: len(cl.grid_oracle(eps).families) for eps in SIGNATURES} == hits
+            assert cli.main(["classify"]) == 1
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        rows = _check_rows(capsys.readouterr().out)
+        assert [n for n, status in rows.items() if status == "fail"] == [
+            "oracle_family_match[riemannian]", "oracle_family_match[pseudo]"]

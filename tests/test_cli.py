@@ -223,8 +223,13 @@ class TestBadInput:
         ([], "command"),
         (["verify", "extra"], "extra"),
         (["classify", "--no-oracle", "extra", "--signature", "pseudo"], "extra"),
+        (["verify", "--out", ""], "--out"),
+        (["verify", "--out="], "--out"),
+        (["surface", "--id", "1", "--out", ""], "--out"),
+        (["surface", "--id", "1", "--out="], "--out"),
     ], ids=["unknown", "ambiguous", "no-value", "flag-as-value", "switch-value", "no-id",
-            "no-id-grid", "unknown-command", "no-command", "stray", "stray-mid"])
+            "no-id-grid", "unknown-command", "no-command", "stray", "stray-mid",
+            "empty-out", "empty-out-equals", "surface-empty-out", "surface-empty-out-equals"])
     def test_malformed_argv_is_usage_error(self, argv, word, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)

@@ -10,7 +10,7 @@ import pytest
 
 from nkflag import classification as cl
 from nkflag import constants, kernels
-from nkflag.lie_structure import PSEUDO, SIGNATURES
+from nkflag.lie_structure import PSEUDO, RIEMANNIAN, SIGNATURES
 
 
 class TestCharts:
@@ -70,11 +70,12 @@ _LEAF_SIZE = tuple(w / 2 ** math.ceil(math.log2(w / constants.GRID_ORACLE_STEP))
                    for w in kernels.CHART_DOMAIN)
 
 
-def _dense_grid(spacing=1e-3, half=True):
-    """Grid over the triangle b + c <= 1, or over its half c <= b."""
+def _dense_grid(eps=None, spacing=1e-3):
+    """Grid over the triangle b + c <= 1, or over the fundamental domain the
+    scan of signature ``eps`` covers: a >= b >= c (compact), c <= b (split)."""
     b, c = np.meshgrid(np.linspace(0.0, 1.0, round(1.0 / spacing) + 1),
                        np.linspace(0.0, 1.0, round(1.0 / spacing) + 1), indexing="ij")
-    keep = (b + c <= 1.0) & ((c <= b) | (not half))
+    keep = (b + c <= 1.0) & ((eps is None) | (c <= b) & ((eps == PSEUDO) | (1.0 - b - c >= b)))
     return b[keep], c[keep], kernels.chart_point(b[keep], c[keep])
 
 
@@ -180,7 +181,7 @@ class TestBranchAndBound:
         scan = kernels.scan_chart(kernels.CHART_SIMPLEX, eps)
         wb, wc = _LEAF_SIZE
         assert wb <= constants.GRID_ORACLE_STEP and wc <= constants.GRID_ORACLE_STEP
-        b, c, abc = _dense_grid()
+        b, c, abc = _dense_grid(eps)
         low = kernels.residual_linf(*abc, eps) < constants.ORACLE_HIT_THRESHOLD
         assert low.any()
         covered = _in_leaves(scan, b[low], c[low])
@@ -188,14 +189,17 @@ class TestBranchAndBound:
 
     @pytest.mark.parametrize("eps", SIGNATURES)
     def test_leaves_and_their_mirrors_cover_the_triangle(self, eps):
-        # the scan runs on c <= b only; (b, c) -> (c, b) covers the rest
+        # the scan runs on a >= b >= c (compact) or c <= b (split) only;
+        # sorting the amplitudes that may be swapped maps every point there
         scan = kernels.scan_chart(kernels.CHART_SIMPLEX, eps)
         assert kernels.CHART_DOMAIN == (1.0, 0.5)
-        b, c, abc = _dense_grid(half=False)
+        b, c, abc = _dense_grid()
         low = kernels.residual_linf(*abc, eps) < constants.ORACLE_HIT_THRESHOLD
-        b, c = b[low], c[low]
-        assert np.count_nonzero(c > b) > 50  # points beyond the scanned half
-        covered = _in_leaves(scan, b, c) | _in_leaves(scan, c, b)
+        x = np.stack([1.0 - b - c, b, c])[:, low]
+        image = -np.sort(-x, axis=0) if eps == RIEMANNIAN else np.stack(
+            [x[0], np.maximum(x[1], x[2]), np.minimum(x[1], x[2])])
+        assert np.count_nonzero((image != x).any(axis=0)) > 50  # points beyond the domain
+        covered = _in_leaves(scan, image[1], image[2])
         assert covered.all(), f"{np.count_nonzero(~covered)} sub-threshold points outside the leaves"
 
     @pytest.mark.parametrize("eps", _ON_CHART)
@@ -219,7 +223,7 @@ class TestBranchAndBound:
 
     def test_split_interior_bound_is_certified_and_not_above_samples(self):
         scan = kernels.scan_chart(kernels.CHART_SIMPLEX, PSEUDO)
-        _, _, (a, b, c) = _dense_grid()
+        _, _, (a, b, c) = _dense_grid(PSEUDO)
         interior = np.minimum(a, np.minimum(b, c)) >= constants.NONZERO_MARGIN
         sampled = kernels.residual_linf(a, b, c, PSEUDO)[interior].min()
         assert constants.NONZERO_EMPTY_BOUND < scan.interior_min <= sampled
@@ -227,10 +231,11 @@ class TestBranchAndBound:
     @pytest.mark.parametrize("eps", SIGNATURES)
     def test_interior_argmin_is_a_point_of_the_half_triangle_above_the_bound(self, eps):
         # the centre of the box that set interior_min: unit amplitudes of the
-        # scanned half c <= b, where the residual is at least the box's bound
+        # scanned domain, c <= b and in the compact form b <= a, where the
+        # residual is at least the box's bound
         scan = kernels.scan_chart(kernels.CHART_SIMPLEX, eps)
         a, b, c = scan.interior_argmin
-        assert min(a, b, c) >= 0.0 and b >= c
+        assert min(a, b, c) >= 0.0 and b >= c and (a >= b or eps == PSEUDO)
         assert a * a + b * b + c * c == pytest.approx(1.0, abs=1e-15)
         assert kernels.residual_linf(a, b, c, eps) >= scan.interior_min
 
@@ -355,7 +360,7 @@ class TestExactReferee:
         record("_norm_lo", norms)
         record("box_enclosure", boxes)
         points = sum(kernels.scan_chart(kernels.CHART_SIMPLEX, eps).points for eps in SIGNATURES)
-        assert points == sum(np.size(args[1]) for _, args, _ in boxes) == 1_194
+        assert points == sum(np.size(args[1]) for _, args, _ in boxes) == 702
 
         for name, (x, y), out in steps:
             for x0, x1, y0, y1, lo, hi in zip(*map(_rationals, np.broadcast_arrays(*x, *y, *out))):

@@ -131,8 +131,9 @@ def test_traced_classify_records_the_oracle_layers():
     record = json.loads(out.strip().splitlines()[-1])
     assert record["rc"] == 0
     assert {"kernels.scan_chart.sphere", "kernels.refine_candidate"} <= set(record["spans"])
-    # both signatures scan the b >= c half of the simplex: 1,194 boxes
-    assert 0 < record["counters"]["kernels.scan_chart.points"] <= 1_250
+    # both signatures scan one fundamental domain of the simplex: a >= b >= c
+    # (compact, 366 boxes) and b >= c (split, 336 boxes)
+    assert record["counters"]["kernels.scan_chart.points"] == 702
     assert record["counters"]["kernels.scan_chart.hits"] > 0
 
 

@@ -422,6 +422,15 @@ class TestPolarJets:
         assert max_abs(cols["K"][ok] - desc.expected_K) <= 1e-12
         assert np.max(cols["tg_residual"][ok]) <= 1e-12
 
+    @pytest.mark.parametrize("grid", [80, 190])
+    @pytest.mark.parametrize("sid", [1, 4])
+    def test_every_row_passes_where_the_jets_read_worst(self, sid, grid):
+        # of the grids 9..201 the V1 spheres read K above 1e-12 on 60, first
+        # on grid 80 (1.1e-12) and worst on grid 190 (7.4e-12, near t = pi/2
+        # where |EG - F^2| is 6.5e-5): a tighter K tolerance must hold here
+        reports = sf.surface_summary(sid, grid)["reports"]
+        assert len(reports) == 11 and [r.name for r in reports if not r.passed] == []
+
     @pytest.mark.parametrize("sid", sf.SURFACE_IDS)
     def test_the_stencils_agree_with_the_jets(self, sid):
         # jet by jet, not only through K: a jet that K does not read in the
@@ -651,13 +660,20 @@ class TestControlSurface:
         from nkflag.matrix_core import expm
         assert max_abs(got - expm(ctrl.generator(0.7, 0.4))) < 1e-14
 
-    def test_summary_fails_the_plane(self):
-        # no closed-form metric: that row reads NaN instead of raising
+    def test_summary_fails_the_plane(self, monkeypatch):
+        # no closed-form metric and no analytic frames: those rows read NaN
+        # instead of raising, and the difference frames run once on the grid
+        shapes, real = [], sf._fd_frames
+        monkeypatch.setattr(sf, "_fd_frames",
+                            lambda desc, tt, uu: shapes.append(np.shape(tt)) or real(desc, tt, uu))
         by_name = {r.name: r for r in sf.surface_summary(sf.control_surface(), 11)["reports"]}
+        assert shapes.count((121,)) == 1
         lie = by_name["orbit_lie_triple[surface0]"]
         assert not lie.passed and lie.max_abs_error == pytest.approx(0.836, abs=1e-3)
         metric = by_name["metric_closed_form_error[surface0]"]
         assert not metric.passed and math.isnan(metric.max_abs_error)
+        frames = by_name["frame_agreement[surface0]"]
+        assert not frames.passed and math.isnan(frames.max_abs_error)
 
     def test_sample_columns_take_the_metric_from_their_frames(self, monkeypatch):
         # the control's E, F, G come from the difference frames the columns
