@@ -54,15 +54,19 @@ def report_to_dict(r: CheckReport) -> dict:
 
 
 def report_from_dict(d: dict) -> CheckReport:
+    """The report of one file entry.  ValueError unless the entry is an
+    object with every key, a string name, an integer ``samples``, numbers
+    (not bools) for the error and tolerance, and the status they give."""
+    if not isinstance(d, dict):
+        raise ValueError(f"report entry {d!r} is not an object")
     for key in ("name", "status", "max_abs_error", "samples", "tolerance"):
         if key not in d:
             raise ValueError(f"report entry missing key {key!r}")
-    r = CheckReport(
-        name=str(d["name"]),
-        max_abs_error=float(d["max_abs_error"]),
-        tolerance=float(d["tolerance"]),
-        samples=int(d["samples"]),
-    )
+    for key, kinds in (("name", str), ("samples", int), ("max_abs_error", (int, float)),
+                       ("tolerance", (int, float))):
+        if not isinstance(d[key], kinds) or isinstance(d[key], bool):
+            raise ValueError(f"report entry {d['name']!r}: {key} must not be {d[key]!r}")
+    r = CheckReport(d["name"], float(d["max_abs_error"]), float(d["tolerance"]), d["samples"])
     if d["status"] not in ("pass", "fail") or d["status"] != r.status:
         raise ValueError(f"report entry {r.name!r}: status inconsistent with error/tolerance")
     return r

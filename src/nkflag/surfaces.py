@@ -27,7 +27,7 @@ import dataclasses
 import functools
 import json
 import math
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -99,8 +99,7 @@ class SurfaceDescriptor:
     plane: tuple[np.ndarray, np.ndarray]
     size_sq: int
     closed_form: Callable
-    expected_metric: Optional[Callable]
-    has_analytic_frames: bool = True
+    expected_metric: Callable
 
     @property
     def t_range(self) -> tuple[float, float]:
@@ -117,6 +116,11 @@ class SurfaceDescriptor:
     def lie_triple(self):
         """:func:`_lie_triple` of the plane, computed once per descriptor."""
         return _lie_triple(self)
+
+    @property
+    def has_analytic_frames(self) -> bool:
+        """Whether the plane is a Lie triple, exactly: ``orbit_lie_triple``."""
+        return self.lie_triple[-1] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +271,9 @@ def get_surface(sid: int) -> SurfaceDescriptor:
 def control_surface() -> SurfaceDescriptor:
     """Negative control: exponential of a plane mixing V1 and V2 with unequal
     amplitudes (cos 0.6, sin 0.6), which violates the tangency equations.  No
-    closed form; the matrix exponential is the definition, frames go through
-    differences."""
+    closed form or closed-form metric (its columns are NaN); the matrix
+    exponential is the definition, and the plane is no Lie triple, so frames
+    go through differences."""
     mix = 0.6
     amps = (math.cos(mix), math.sin(mix), 0.0)
     ctrl = SurfaceDescriptor(
@@ -277,8 +282,7 @@ def control_surface() -> SurfaceDescriptor:
         expected_K=math.nan, expected_amplitudes=amps,
         plane=_plane(amps, RIEMANNIAN), size_sq=1,
         closed_form=lambda t, u: expm(ctrl.generator(t, u)),
-        expected_metric=None,
-        has_analytic_frames=False,
+        expected_metric=lambda t: (np.full_like(t, math.nan),) * 3,
     )
     return ctrl
 
@@ -332,9 +336,9 @@ def _polar_factors(desc: SurfaceDescriptor, t, u):
 
 def _frames(desc: SurfaceDescriptor, t, u) -> tuple[np.ndarray, np.ndarray]:
     """(omega_t, omega_u), the left-translated frame derivatives, as (..., 8)
-    coordinate rows; t and u broadcast.  The control plane goes through
-    central differences.  Every other surface derives them from its plane:
-    with H = [A, B], [H, A] = mu B and [H, B] = -mu A,
+    coordinate rows; t and u broadcast.  A plane that is no Lie triple (the
+    control) goes through central differences.  On a Lie triple, with
+    H = [A, B], [H, A] = mu B and [H, B] = -mu A,
 
         omega_t = cos u a + sin u b,
         omega_u = s(t) (cos u b - sin u a) - c(t) h,
@@ -350,11 +354,6 @@ def _frames(desc: SurfaceDescriptor, t, u) -> tuple[np.ndarray, np.ndarray]:
     return cu * a + su * b, s * (cu * b - su * a) - c * h
 
 
-def _metric_from_frames(mt: np.ndarray, mu: np.ndarray, eps: int):
-    """(E, F, G) of the horizontal frame parts mt, mu."""
-    return metric_m(mt, mt, eps), metric_m(mt, mu, eps), metric_m(mu, mu, eps)
-
-
 def induced_metric(sid, t, u):
     """Induced metric components (E, F, G) at (t, u), which broadcast.
 
@@ -363,10 +362,11 @@ def induced_metric(sid, t, u):
     alone and s, c on t alone, so on the stencil's (5, 1, n) t-offsets and
     (1, 5, n) u-offsets only F and G are broadcast to (5, 5, n), and E stays
     (1, 5, n).  The control plane, which has no analytic frames, reads its
-    metric off the difference frames."""
+    metric off the horizontal parts of the difference frames."""
     desc = _descriptor(sid)
     if not desc.has_analytic_frames:
-        return _metric_from_frames(*(w[..., M_SLICE] for w in _frames(desc, t, u)), desc.eps)
+        mt, mu = (w[..., M_SLICE] for w in _frames(desc, t, u))
+        return metric_m(mt, mt, desc.eps), metric_m(mt, mu, desc.eps), metric_m(mu, mu, desc.eps)
     cu, su, s, c, _ = _polar_factors(desc, t, u)
     return _gram_metric(_gram_products(desc, cu, su), (s, c), (s, c))
 
@@ -525,20 +525,21 @@ def _curvature_from_jets(j: dict[str, np.ndarray]) -> np.ndarray:
 #: points per block of every point stage (the curvature pass of
 #: :func:`_metric_curvature`, the expm-grid checks, ``frame_agreement``, the
 #: holomorphic curvatures of ``_sample_columns``), so memory does not grow
-#: with the grid.  Measured on fresh ``surface --id 5`` runs on a 2-core x86
-#: box while the pass still took stencils on all six surfaces: 2048 peaks
-#: 1.5 MB higher at grid 41, 256 runs grid 201 10% slower than 1024.
+#: with the grid.  Fresh ``surface --id 5`` processes on a 2-core x86 box
+#: (wait4, median of 7) peak at 32.0, 32.5 and 33.3 MB at grid 41 and run
+#: grid 201 in 0.36, 0.34 and 0.36 s with blocks of 512, 1024 and 2048.
 _BLOCK_POINTS = 1024
 
 
 def gauss_curvature_batch(sid, t, u) -> np.ndarray:
     """Gauss curvature of the induced metric at each point (t, u), the K of
     :func:`_metric_curvature`: closed-form jets on the six surfaces,
-    stencils on the control plane.  Degenerate points, where the induced
-    metric determinant falls below the documented floor, come back NaN.  No
-    value depends on the block size."""
+    stencils on the control plane.  t and u broadcast, and K comes back in
+    their shape, at least 1-D.  Degenerate points, where the induced metric
+    determinant falls below the documented floor, come back NaN.  No value
+    depends on the block size."""
     t, u = (np.atleast_1d(v) for v in _broadcast(t, u))
-    return _metric_curvature(_descriptor(sid), t, u)[3]
+    return _metric_curvature(_descriptor(sid), t.ravel(), u.ravel())[0][3].reshape(t.shape)
 
 
 def _blocks(n: int):
@@ -546,16 +547,18 @@ def _blocks(n: int):
     return (slice(lo, lo + _BLOCK_POINTS) for lo in range(0, n, _BLOCK_POINTS))
 
 
-def _metric_curvature(desc: SurfaceDescriptor, t, u) -> np.ndarray:
-    """Rows E, F, G and K of the induced metric at the 1-D points (t, u), one
-    block at a time, from :func:`_polar_jets`, or from the stencils where
-    the plane has no analytic frames; K is NaN at degenerate points."""
-    out = np.empty((4, t.size))
+def _metric_curvature(desc: SurfaceDescriptor, t, u) -> tuple[np.ndarray, np.ndarray]:
+    """(rows E, F, G and K, nondegenerate) of the induced metric at the 1-D
+    points (t, u), one block at a time, from :func:`_polar_jets`, or from
+    the stencils where the plane has no analytic frames; K is NaN at
+    degenerate points, which the mask of :func:`_curvature` leaves out."""
+    out, good = np.empty((4, t.size)), np.empty(t.size, dtype=bool)
     for b in _blocks(t.size):
         jets = (_polar_jets(desc, t[b], u[b]) if desc.has_analytic_frames
                 else _metric_jets(functools.partial(induced_metric, desc), t[b], u[b]))
-        out[:, b] = jets["E"], jets["F"], jets["G"], _curvature(jets)[0]
-    return out
+        k, good[b] = _curvature(jets)
+        out[:, b] = jets["E"], jets["F"], jets["G"], k
+    return out, good
 
 
 def _curvature(jets: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -567,12 +570,6 @@ def _curvature(jets: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     if good.any():
         out[good] = _curvature_from_jets({name: v[good] for name, v in jets.items()})
     return out, good
-
-
-def _curvature_block(metric: Callable, t, u) -> tuple[np.ndarray, np.ndarray]:
-    """(K, nondegenerate) of ``metric`` at the points (t, u), from the
-    stencils of :func:`_metric_jets`."""
-    return _curvature(_metric_jets(metric, t, u))
 
 
 #: the shear (alpha, beta) of the chart (t, u) = (s + alpha sin v, v + beta s)
@@ -599,7 +596,7 @@ def _sheared_metric(desc: SurfaceDescriptor) -> Callable:
 def _sheared_chart_K(desc: SurfaceDescriptor) -> np.ndarray:
     """Gauss curvature in the sheared chart at the nondegenerate points of
     its ``_SHEAR_GRID`` grid over the default (s, v) ranges."""
-    k, good = _curvature_block(_sheared_metric(desc), *default_grid(desc, _SHEAR_GRID))
+    k, good = _curvature(_metric_jets(_sheared_metric(desc), *default_grid(desc, _SHEAR_GRID)))
     return k[good]
 
 
@@ -662,16 +659,11 @@ def _sample_columns(desc: SurfaceDescriptor, t, u) -> dict[str, np.ndarray]:
     :func:`_frames`, the unit horizontal frame ``unit_frame`` and the mask
     ``nondegenerate`` of points whose induced metric has |det| above the
     degeneracy floor.  K and the totally geodesic residual are NaN at the
-    other points.  E, F, G and K come from one pass of
-    :func:`_metric_curvature`, except that the control plane's E, F, G are
-    read off the difference frames held here, as :func:`induced_metric`
-    reads them."""
+    other points.  E, F, G, K and the mask come from one pass of
+    :func:`_metric_curvature`."""
     omega_t, omega_u = _frames(desc, t, u)
     mt, mu = omega_t[..., M_SLICE], omega_u[..., M_SLICE]
-    e, f, g, k = _metric_curvature(desc, t, u)
-    if not desc.has_analytic_frames:
-        e, f, g = _metric_from_frames(mt, mu, desc.eps)
-    ok = np.abs(e * g - f ** 2) > constants.DEGENERATE_METRIC_MIN
+    (e, f, g, k), ok = _metric_curvature(desc, t, u)
     unit_frame = mt / np.sqrt(np.abs(e))[:, None]
     tg = np.full_like(k, np.nan)
     good = np.flatnonzero(ok)
@@ -754,22 +746,23 @@ def surface_summary(sid, n: int = constants.DEFAULT_GRID,
     """Verification of one surface over its default grids.
 
     ``reports`` holds one :class:`CheckReport` per aggregate, named
-    ``<check>[surface<id>]``; ``tol_fd`` bounds the two finite-difference
-    curvature checks.  The six rows that take no difference (expm, group,
-    horizontality, metric, amplitudes, alignment) round only, so they are
-    held at ``TOL_EXACT``.  ``frame_agreement`` compares the analytic frames,
+    ``<check>[surface<id>]``; ``tol_fd`` bounds ``K_max_deviation`` and
+    ``tg_residual_max``, whose K takes closed-form jets on the six surfaces.
+    The six rows that take no difference (expm, group, horizontality,
+    metric, amplitudes, alignment) round only, so they are held at
+    ``TOL_EXACT``.  ``frame_agreement`` compares the analytic frames,
     rebuilt as matrices at the grid points, with central differences of the
     closed form under its own tolerance.  ``orbit_lie_triple`` checks the
     premise of the frame formula on the plane itself.  ``K_sheared_chart``
     recomputes K in the sheared chart of :func:`_sheared_metric`, at
     ``TOL_CURVATURE`` whatever ``tol_fd``.
     ``columns`` holds the per-point sample columns, the export's among them.
-    The control plane has no closed-form metric or analytic frames, so those
-    two rows are NaN.  Aggregates reduce with ``np.max``, so a NaN reaches its
-    report and fails it; K and the totally geodesic residual cover only the
-    metric-nondegenerate points.  The two expm-grid checks run first, and
-    they and ``frame_agreement`` work in point blocks, so only the
-    sample-column stage grows with the grid.
+    The control plane's closed-form metric is NaN and it is no Lie triple,
+    so those two rows are NaN.  Aggregates reduce with ``np.max``, so a NaN
+    reaches its report and fails it; K and the totally geodesic residual
+    cover only the metric-nondegenerate points.  The two expm-grid checks
+    run first, and they and ``frame_agreement`` work in point blocks, so
+    only the sample-column stage grows with the grid.
     """
     desc = _descriptor(sid)
     expm_err, group_err = expm_defect(desc, n), group_membership_defect(desc, n)
@@ -777,7 +770,7 @@ def surface_summary(sid, n: int = constants.DEFAULT_GRID,
     ok = cols["nondegenerate"]
     ks, sheared = cols["K"][ok], _sheared_chart_K(desc)
     amps = distribution_amplitudes(cols["unit_frame"], desc.eps)
-    expected = desc.expected_metric(cols["t"]) if desc.expected_metric else (math.nan,) * 3
+    expected = desc.expected_metric(cols["t"])
 
     def check(name: str, err, tol: float, samples: int) -> CheckReport:
         return CheckReport(f"{name}[surface{desc.sid}]", float(err), tol, int(samples))

@@ -382,6 +382,37 @@ class TestReportFiles:
         with pytest.raises(ValueError):
             report_from_dict({"name": "x"})
 
+    @pytest.mark.parametrize("entry", [
+        1, None, {"samples": None}, {"samples": 1.5}, {"samples": True},
+        {"max_abs_error": [1]}, {"max_abs_error": "0"}, {"max_abs_error": False},
+        {"tolerance": True}, {"tolerance": None}, {"name": 7},
+    ], ids=["number", "null", "samples-null", "samples-float", "samples-bool",
+            "error-list", "error-string", "error-bool", "tolerance-bool", "tolerance-null",
+            "name-number"])
+    def test_a_malformed_entry_is_a_value_error(self, entry, tmp_path):
+        # not a TypeError, and no silent int() or float() of a wrong type: a
+        # check that catches ValueError fails one report instead of crashing
+        if isinstance(entry, dict):
+            entry = {**report_to_dict(CheckReport("x", 0.0, 1e-12, 3)), **entry}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"schema_version": SCHEMA_VERSION, "reports": [entry]}))
+        with pytest.raises(ValueError, match="report entry"):
+            load_report_file(path)
+
+    def test_non_finite_errors_and_integral_numbers_load(self, tmp_path):
+        reports = [CheckReport("nan", math.nan, 1e-12, 1), CheckReport("inf", math.inf, 1e-12, 1),
+                   CheckReport("ninf", -math.inf, math.inf, 1)]
+        path = tmp_path / "r.json"
+        write_report_file(path, reports)
+        assert "NaN" in path.read_text() and "-Infinity" in path.read_text()
+        _, back = load_report_file(path)
+        assert [(r.name, r.tolerance, r.samples) for r in back] == [
+            (r.name, r.tolerance, r.samples) for r in reports]
+        assert math.isnan(back[0].max_abs_error) and back[1].max_abs_error == math.inf
+        assert back[2].max_abs_error == -math.inf and not any(r.passed for r in back)
+        d = {**report_to_dict(CheckReport("x", 0.0, 1.0, 2)), "max_abs_error": 0, "tolerance": 1}
+        assert report_from_dict(d) == CheckReport("x", 0.0, 1.0, 2)
+
     def test_schema_version_enforced(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"schema_version": 99, "reports": []}))

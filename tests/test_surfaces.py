@@ -22,7 +22,7 @@ from nkflag.kernels import minor_equations
 from nkflag.lie_structure import (
     H1, M1, M3, M4, M_SLICE, PSEUDO, RIEMANNIAN, basis, coefficients)
 from nkflag.matrix_core import max_abs
-from nkflag.nk_geometry import acs_matrix
+from nkflag.nk_geometry import acs_matrix, metric_m
 from nkflag.report import write_report_file
 
 GRID = 21
@@ -337,8 +337,9 @@ class TestInducedMetric:
         ts = t[None, None, :] + constants.CURV_STEP * sf._OFFSETS[:, None, None]
         us = u[None, None, :] + constants.CURV_STEP * sf._OFFSETS[None, :, None]
         for tt, uu in ((t, u), (ts, us)):
-            frames = sf._metric_from_frames(*(w[..., M_SLICE] for w in sf._frames(desc, tt, uu)),
-                                            desc.eps)
+            mt, mu = (w[..., M_SLICE] for w in sf._frames(desc, tt, uu))
+            frames = (metric_m(mt, mt, desc.eps), metric_m(mt, mu, desc.eps),
+                      metric_m(mu, mu, desc.eps))
             for got, want in zip(sf.induced_metric(desc, tt, uu), frames):
                 assert max_abs(got - want) < constants.TOL_EXACT
         e, f, g = sf.induced_metric(desc, ts, us)
@@ -384,6 +385,16 @@ class TestGaussCurvature:
 
     def test_single_point_value(self):
         assert sf.gauss_curvature_batch(2, [0.9], [1.0])[0] == pytest.approx(1.0, abs=1e-6)
+        assert sf.gauss_curvature_batch(2, 0.9, 1.0).shape == (1,)
+
+    @pytest.mark.parametrize("surface", [2, sf.control_surface()], ids=["2", "control"])
+    def test_a_grid_of_points_is_the_flat_call_reshaped(self, surface):
+        t, u = np.meshgrid(np.linspace(0.3, 1.2, 3), np.linspace(0.0, 5.0, 4), indexing="ij")
+        flat = sf.gauss_curvature_batch(surface, t.ravel(), u.ravel())
+        np.testing.assert_array_equal(sf.gauss_curvature_batch(surface, t, u), flat.reshape(3, 4))
+        k = sf.gauss_curvature_batch(surface, np.full((3, 4), 0.9), np.full((3, 4), 1.0))
+        assert k.shape == (3, 4)
+        np.testing.assert_array_equal(k, sf.gauss_curvature_batch(surface, 0.9, 1.0)[0])
 
     @pytest.mark.parametrize("surface", [*sf.SURFACE_IDS, sf.control_surface()],
                              ids=[*map(str, sf.SURFACE_IDS), "control"])
@@ -409,13 +420,14 @@ class TestGaussCurvature:
 
 def _stencil_route(desc, t, u):
     """(K, nondegenerate) of the induced metric from the five-point stencils."""
-    return sf._curvature_block(functools.partial(sf.induced_metric, desc), t, u)
+    return sf._curvature(sf._metric_jets(functools.partial(sf.induced_metric, desc), t, u))
 
 
 class TestPolarJets:
     @pytest.mark.parametrize("grid", [9, 10, 41, 81, 161, 201])
     @pytest.mark.parametrize("sid", sf.SURFACE_IDS)
-    def test_curvature_is_exact_on_every_grid(self, sid, grid):
+    def test_curvature_is_within_1e_12_on_six_grids(self, sid, grid):
+        # not on every grid: the next test's grids read up to 7.4e-12
         desc = sf.get_surface(sid)
         cols = sf._sample_columns(desc, *sf.default_grid(desc, grid))
         ok = cols["nondegenerate"]
@@ -428,8 +440,12 @@ class TestPolarJets:
         # of the grids 9..201 the V1 spheres read K above 1e-12 on 60, first
         # on grid 80 (1.1e-12) and worst on grid 190 (7.4e-12, near t = pi/2
         # where |EG - F^2| is 6.5e-5): a tighter K tolerance must hold here
-        reports = sf.surface_summary(sid, grid)["reports"]
+        summary = sf.surface_summary(sid, grid)
+        reports, cols = summary["reports"], summary["columns"]
         assert len(reports) == 11 and [r.name for r in reports if not r.passed] == []
+        ok = cols["nondegenerate"]
+        assert max_abs(cols["K"][ok] - sf.get_surface(sid).expected_K) <= 1e-11
+        assert np.max(cols["tg_residual"][ok]) <= 1e-11
 
     @pytest.mark.parametrize("sid", sf.SURFACE_IDS)
     def test_the_stencils_agree_with_the_jets(self, sid):
@@ -457,16 +473,19 @@ class TestPolarJets:
             assert jets[name].tobytes() == w.tobytes() == cols[name].tobytes(), name
 
     @pytest.mark.parametrize("grid", [9, 10, 41, 81])
-    @pytest.mark.parametrize("sid", sf.SURFACE_IDS)
-    def test_the_degenerate_mask_is_unchanged(self, sid, grid):
-        # the V1 spheres lose the t = pi/2 row of every odd grid
-        desc = sf.get_surface(sid)
+    @pytest.mark.parametrize("surface", [*sf.SURFACE_IDS, sf.control_surface()],
+                             ids=[*map(str, sf.SURFACE_IDS), "control"])
+    def test_the_degenerate_mask_is_unchanged(self, surface, grid):
+        # the V1 spheres lose the t = pi/2 row of every odd grid, the control
+        # no point
+        desc = sf._descriptor(surface)
         t, u = sf.default_grid(desc, grid)
         e, f, g = sf.induced_metric(desc, t, u)
         want = np.abs(e * g - f * f) > constants.DEGENERATE_METRIC_MIN
         np.testing.assert_array_equal(~np.isnan(sf.gauss_curvature_batch(desc, t, u)), want)
         np.testing.assert_array_equal(_stencil_route(desc, t, u)[1], want)
-        assert np.count_nonzero(~want) == (grid if sid in (1, 4) and grid % 2 else 0)
+        np.testing.assert_array_equal(sf._sample_columns(desc, t, u)["nondegenerate"], want)
+        assert np.count_nonzero(~want) == (grid if desc.sid in (1, 4) and grid % 2 else 0)
 
 
 #: each derivative rule of the closed-form jets with its sign flipped, as a
@@ -661,12 +680,14 @@ class TestControlSurface:
         assert max_abs(got - expm(ctrl.generator(0.7, 0.4))) < 1e-14
 
     def test_summary_fails_the_plane(self, monkeypatch):
-        # no closed-form metric and no analytic frames: those rows read NaN
+        # a NaN closed-form metric and no analytic frames: those rows read NaN
         # instead of raising, and the difference frames run once on the grid
+        ctrl = sf.control_surface()
+        assert all(np.isnan(c).all() for c in ctrl.expected_metric(np.linspace(0.1, 3.0, 5)))
         shapes, real = [], sf._fd_frames
         monkeypatch.setattr(sf, "_fd_frames",
                             lambda desc, tt, uu: shapes.append(np.shape(tt)) or real(desc, tt, uu))
-        by_name = {r.name: r for r in sf.surface_summary(sf.control_surface(), 11)["reports"]}
+        by_name = {r.name: r for r in sf.surface_summary(ctrl, 11)["reports"]}
         assert shapes.count((121,)) == 1
         lie = by_name["orbit_lie_triple[surface0]"]
         assert not lie.passed and lie.max_abs_error == pytest.approx(0.836, abs=1e-3)
@@ -676,8 +697,9 @@ class TestControlSurface:
         assert not frames.passed and math.isnan(frames.max_abs_error)
 
     def test_sample_columns_take_the_metric_from_their_frames(self, monkeypatch):
-        # the control's E, F, G come from the difference frames the columns
-        # already hold: one run on the grid points, not a second for the metric
+        # the control's E, F, G are the centre of the curvature pass's
+        # stencils, the same bits as the metric of the difference frames the
+        # columns hold: those frames run once on the grid points
         ctrl = sf.control_surface()
         t, u = sf.default_grid(ctrl, 11)
         want = sf.induced_metric(ctrl, t, u)
@@ -882,6 +904,25 @@ class TestFaultTable:
         by_name = {r.name: r for r in sf.surface_summary(desc, 11)["reports"]}
         row = by_name[f"orbit_lie_triple[surface{sid}]"]
         assert row.max_abs_error == abs(h[k]) and not row.passed
+
+    def test_the_frame_route_follows_orbit_lie_triple(self, summary_cache):
+        # the six planes are Lie triples exactly and take the frame formula;
+        # the control's plane is none and takes the differences
+        for sid in sf.SURFACE_IDS:
+            rows = {r.name: r for r in summary_cache(sid, GRID)["reports"]}
+            assert rows[f"orbit_lie_triple[surface{sid}]"].max_abs_error == 0.0
+            assert sf.get_surface(sid).has_analytic_frames
+        assert sf.control_surface().lie_triple[-1] > 0.8
+        assert not sf.control_surface().has_analytic_frames
+
+    @pytest.mark.parametrize("check", ["expm_defect", "orbit_lie_triple"])
+    def test_a_plane_fault_takes_the_difference_route(self, check, monkeypatch):
+        # a plane shifted off its Lie triple never takes a frame formula that
+        # does not hold for it, and still fails its own row
+        faulty = _FAULTS[check](sf.get_surface(2), monkeypatch)
+        assert faulty.lie_triple[-1] > 0.0 and not faulty.has_analytic_frames
+        by_name = {r.name: r for r in sf.surface_summary(faulty, 11)["reports"]}
+        assert not by_name[f"{check}[surface2]"].passed
 
     def test_every_report_has_a_fault(self, summary_cache):
         emitted = {r.name.split("[")[0] for sid in sf.SURFACE_IDS
