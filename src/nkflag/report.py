@@ -56,7 +56,8 @@ def report_to_dict(r: CheckReport) -> dict:
 def report_from_dict(d: dict) -> CheckReport:
     """The report of one file entry.  ValueError unless the entry is an
     object with every key, a string name, an integer ``samples``, numbers
-    (not bools) for the error and tolerance, and the status they give."""
+    (not bools) in float range for the error and tolerance, and the status
+    they give."""
     if not isinstance(d, dict):
         raise ValueError(f"report entry {d!r} is not an object")
     for key in ("name", "status", "max_abs_error", "samples", "tolerance"):
@@ -66,7 +67,10 @@ def report_from_dict(d: dict) -> CheckReport:
                        ("tolerance", (int, float))):
         if not isinstance(d[key], kinds) or isinstance(d[key], bool):
             raise ValueError(f"report entry {d['name']!r}: {key} must not be {d[key]!r}")
-    r = CheckReport(d["name"], float(d["max_abs_error"]), float(d["tolerance"]), d["samples"])
+    try:
+        r = CheckReport(d["name"], float(d["max_abs_error"]), float(d["tolerance"]), d["samples"])
+    except OverflowError:
+        raise ValueError(f"report entry {d['name']!r}: a number is out of float range") from None
     if d["status"] not in ("pass", "fail") or d["status"] != r.status:
         raise ValueError(f"report entry {r.name!r}: status inconsistent with error/tolerance")
     return r
@@ -89,8 +93,10 @@ def load_report_file(path) -> tuple[dict, list[CheckReport]]:
         payload = json.load(fh)
     if not isinstance(payload, dict):
         raise ValueError("report file must contain a JSON object")
-    if payload.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported schema_version {payload.get('schema_version')!r}")
+    version = payload.get("schema_version")
+    # an int, not merely equal to one: True == 1.0 == 1
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise ValueError(f"unsupported schema_version {version!r}")
     if not isinstance(payload.get("reports"), list):
         raise ValueError("report file missing 'reports' array")
     reports = [report_from_dict(d) for d in payload["reports"]]

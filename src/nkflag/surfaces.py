@@ -11,10 +11,10 @@ H = [A, B] and holds while the plane is a Lie triple (checked on every
 run).  For every surface the closed-form matrix is cross-checked against
 the matrix exponential of its generator, the analytic frames are
 cross-checked against central differences of the closed form, and the
-induced metric, read off the Gram matrix of the plane and its bracket,
-feeds a Gauss curvature from its closed-form jets (the derivative rules
-e' = n, n' = -e of the polar pair and s' = C, C' = -mu s, c' = s of the
-radial factors) that is compared with the ambient holomorphic sectional
+induced metric, read off the Gram matrix of the plane (whose bracket has
+no tangent part), feeds a Gauss curvature from its closed-form jets (the
+rules e' = n, n' = -e of the polar pair and s' = C, C' = -mu s of the
+radial factor) that is compared with the ambient holomorphic sectional
 curvature at the base point (homogeneity moves the tangent plane there).
 Five-point stencils of the same metric recompute K in a sheared chart,
 where every term of the Brioschi formula counts: the difference route
@@ -262,10 +262,10 @@ _SURFACES = _build_surfaces()
 
 
 def get_surface(sid: int) -> SurfaceDescriptor:
-    try:
-        return _SURFACES[int(sid)]
-    except (KeyError, ValueError, TypeError):
-        raise ValueError(f"surface id must be one of {SURFACE_IDS}, got {sid!r}") from None
+    """The surface whose id equals ``sid``, not truncated: 1.9 and bools name none."""
+    if isinstance(sid, (bool, np.bool_)) or sid not in SURFACE_IDS:
+        raise ValueError(f"surface id must be one of {SURFACE_IDS}, got {sid!r}")
+    return _SURFACES[int(sid)]
 
 
 def control_surface() -> SurfaceDescriptor:
@@ -357,46 +357,32 @@ def _frames(desc: SurfaceDescriptor, t, u) -> tuple[np.ndarray, np.ndarray]:
 def induced_metric(sid, t, u):
     """Induced metric components (E, F, G) at (t, u), which broadcast.
 
-    On the six surfaces they are :func:`_gram_metric` of the Gram products
-    of :func:`_gram_products` with x = y = (s, c).  The products depend on u
-    alone and s, c on t alone, so on the stencil's (5, 1, n) t-offsets and
-    (1, 5, n) u-offsets only F and G are broadcast to (5, 5, n), and E stays
-    (1, 5, n).  The control plane, which has no analytic frames, reads its
-    metric off the horizontal parts of the difference frames."""
+    On the six surfaces they are E = <e,e>, F = s <e,n>, G = s^2 <n,n> of
+    :func:`_polar_jets`.  The products depend on u alone and s on t alone,
+    so on the stencil's (5, 1, n) t-offsets and (1, 5, n) u-offsets only F
+    and G are broadcast to (5, 5, n), and E stays (1, 5, n).  The control
+    plane, which has no analytic frames, reads its metric off the
+    horizontal parts of the difference frames."""
     desc = _descriptor(sid)
     if not desc.has_analytic_frames:
         mt, mu = (w[..., M_SLICE] for w in _frames(desc, t, u))
         return metric_m(mt, mt, desc.eps), metric_m(mt, mu, desc.eps), metric_m(mu, mu, desc.eps)
-    cu, su, s, c, _ = _polar_factors(desc, t, u)
-    return _gram_metric(_gram_products(desc, cu, su), (s, c), (s, c))
+    jets = _polar_jets(desc, t, u)
+    return jets["E"], jets["F"], jets["G"]
 
 
 def _gram_products(desc: SurfaceDescriptor, cu, su) -> tuple:
-    """(<e,e>, <e,n>, <n,n>, <e,h>, <n,h>, <h,h>) under Q, the 3x3 Gram
-    matrix of the tangent parts of (a, b, h) under ``metric_m``, computed on
-    every call from the plane; e = cos u a + sin u b, n = cos u b - sin u a,
-    and <h,h> is the scalar Q[2, 2]."""
-    a, b, h, _, _ = desc.lie_triple
-    v = np.stack([a, b, h])[:, M_SLICE]
-    q = metric_m(v[:, None], v[None], desc.eps)
-    qe = cu[..., None] * q[0] + su[..., None] * q[1]   # Q e
-    qn = cu[..., None] * q[1] - su[..., None] * q[0]   # Q n
-    return (cu * qe[..., 0] + su * qe[..., 1], cu * qn[..., 0] + su * qn[..., 1],
-            cu * qn[..., 1] - su * qn[..., 0], qe[..., 2], qn[..., 2], q[2, 2])
-
-
-def _gram_metric(p: tuple, x: tuple, y: tuple) -> tuple:
-    """(E, F, G) of the Gram products p and the radial pairs x = (x_s, x_c),
-    y = (y_s, y_c):
-
-        E = <e,e>,  F = x_s <e,n> - x_c <e,h>,
-        G = x_s y_s <n,n> - (x_s y_c + x_c y_s) <n,h> + x_c y_c <h,h>,
-
-    the metric of the frames omega_t = e, omega_u = s n - c h of
-    :func:`_frames` at x = y = (s, c), and its jets at other arguments."""
-    ee, en, nn, eh, nh, hh = p
-    (xs, xc), (ys, yc) = x, y
-    return ee, xs * en - xc * eh, xs * ys * nn - (xs * yc + xc * ys) * nh + xc * yc * hh
+    """(<e,e>, <e,n>, <n,n>) under Q, the 2x2 Gram matrix of the tangent
+    parts of (a, b) under ``metric_m``, from the plane on every call; e =
+    cos u a + sin u b, n = cos u b - sin u a.  The h of omega_u = s n - c h
+    has no row: a plane here is a Lie triple exactly, and the residual that
+    certifies it (``orbit_lie_triple``) includes the m-part of h."""
+    a, b, _, _, _ = desc.lie_triple
+    v = np.stack([a, b])[:, M_SLICE]
+    (qaa, qab), (qba, qbb) = metric_m(v[:, None], v[None], desc.eps)
+    ea, eb = cu * qaa + su * qba, cu * qab + su * qbb   # Q e
+    na, nb = cu * qba - su * qaa, cu * qbb - su * qab   # Q n
+    return cu * ea + su * eb, cu * na + su * nb, cu * nb - su * na
 
 
 def _almost_complex_fit(mt: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -463,39 +449,33 @@ def _metric_jets(metric: Callable, t, u) -> dict[str, np.ndarray]:
     }
 
 
-def _u_rule(ee, en, nn, eh, nh, hh) -> tuple:
+def _u_rule(ee, en, nn) -> tuple:
     """d/du of the Gram products of :func:`_gram_products` by e' = n and
-    n' = -e (h and Q do not move): <e,e>' = 2 <e,n>, <e,n>' = <n,n> - <e,e>,
-    <n,n>' = -2 <e,n>, <e,h>' = <n,h>, <n,h>' = -<e,h>, <h,h>' = 0."""
-    return 2.0 * en, nn - ee, -2.0 * en, nh, -eh, 0.0
+    n' = -e (Q does not move): <e,e>' = 2 <e,n>, <e,n>' = <n,n> - <e,e>,
+    <n,n>' = -2 <e,n>."""
+    return 2.0 * en, nn - ee, -2.0 * en
 
 
-def _t_rule(s, c, cc, mu: float) -> tuple:
-    """d/dt of the radial factors (s, c, C) of :func:`_polar_factors`:
-    s' = C, c' = s, C' = -mu s."""
-    return cc, s, -mu * s
+def _t_rule(s, cc, mu: float) -> tuple:
+    """d/dt of the radial factors (s, C) of :func:`_polar_factors`: s' = C,
+    C' = -mu s."""
+    return cc, -mu * s
 
 
 def _polar_jets(desc: SurfaceDescriptor, t, u) -> dict[str, np.ndarray]:
-    """The jets of :func:`_metric_jets` in closed form, for the six surfaces.
-    E, F, G are :func:`induced_metric`'s, bit for bit.  They are linear in
-    the Gram products p, F in x = (s, c) and G bilinear in x, so the rules
-    give every derivative through :func:`_gram_metric`: E_t = 0,
-    G_t = 2 G(x', x) and G_tt = 2 G(x', x') + 2 G(x'', x)."""
-    cu, su, s, c, cc = _polar_factors(desc, t, u)
-    p, mu = _gram_products(desc, cu, su), desc.lie_triple[3]
-    pu = _u_rule(*p)
-    ds, dc, dcc = _t_rule(s, c, cc, mu)
-    dds, ddc, _ = _t_rule(ds, dc, dcc, mu)
-    x, xt, xtt = (s, c), (ds, dc), (dds, ddc)
-    e, f, g = _gram_metric(p, x, x)
-    e_u, f_u, g_u = _gram_metric(pu, x, x)
-    _, f_t, half_g_t = _gram_metric(p, xt, x)
+    """The jets of :func:`_metric_jets` in closed form on the six surfaces, of
+    E = <e,e>, F = s <e,n>, G = s^2 <n,n> with the products of u alone of
+    :func:`_gram_products` and s of t alone, by the rules: E_t = 0,
+    F_t = s' <e,n>, G_t = 2 s' s <n,n>, G_tt = 2 (s' s' + s'' s) <n,n>."""
+    cu, su, s, _, cc = _polar_factors(desc, t, u)
+    ee, en, nn = _gram_products(desc, cu, su)
+    ee_u, en_u, nn_u = _u_rule(ee, en, nn)
+    ds, dds = _t_rule(s, cc, desc.lie_triple[3])
     return {
-        "E": e, "F": f, "G": g, "E_t": np.zeros_like(e), "E_u": e_u,
-        "F_t": f_t, "F_u": f_u, "G_t": 2.0 * half_g_t, "G_u": g_u,
-        "E_uu": _u_rule(*pu)[0], "F_tu": _gram_metric(pu, xt, x)[1],
-        "G_tt": 2.0 * (_gram_metric(p, xt, xt)[2] + _gram_metric(p, xtt, x)[2]),
+        "E": ee, "F": s * en, "G": s * s * nn, "E_t": np.zeros_like(ee), "E_u": ee_u,
+        "F_t": ds * en, "F_u": s * en_u, "G_t": 2.0 * (ds * s * nn), "G_u": s * s * nn_u,
+        "E_uu": _u_rule(ee_u, en_u, nn_u)[0], "F_tu": ds * en_u,
+        "G_tt": 2.0 * (ds * ds * nn + dds * s * nn),
     }
 
 

@@ -386,9 +386,10 @@ class TestReportFiles:
         1, None, {"samples": None}, {"samples": 1.5}, {"samples": True},
         {"max_abs_error": [1]}, {"max_abs_error": "0"}, {"max_abs_error": False},
         {"tolerance": True}, {"tolerance": None}, {"name": 7},
+        {"max_abs_error": 10 ** 400}, {"tolerance": 10 ** 400},
     ], ids=["number", "null", "samples-null", "samples-float", "samples-bool",
             "error-list", "error-string", "error-bool", "tolerance-bool", "tolerance-null",
-            "name-number"])
+            "name-number", "error-overflow", "tolerance-overflow"])
     def test_a_malformed_entry_is_a_value_error(self, entry, tmp_path):
         # not a TypeError, and no silent int() or float() of a wrong type: a
         # check that catches ValueError fails one report instead of crashing
@@ -414,10 +415,12 @@ class TestReportFiles:
         assert report_from_dict(d) == CheckReport("x", 0.0, 1.0, 2)
 
     def test_schema_version_enforced(self, tmp_path):
+        # True and 1.0 compare equal to 1 but are no schema version
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"schema_version": 99, "reports": []}))
-        with pytest.raises(ValueError):
-            load_report_file(path)
+        for version in (99, True, 1.0, "1", None):
+            path.write_text(json.dumps({"schema_version": version, "reports": []}))
+            with pytest.raises(ValueError, match="schema_version"):
+                load_report_file(path)
 
     @pytest.mark.parametrize("argv", [
         ["verify", "--signature", "both", "--self-test"],

@@ -35,9 +35,11 @@ class TestDescriptors:
             RIEMANNIAN, RIEMANNIAN, RIEMANNIAN, PSEUDO, PSEUDO, PSEUDO]
 
     def test_bad_id_rejected(self):
-        for bad in (0, 7, "x", None):
+        # an id is compared, not truncated: 1.9 and True would read as 1
+        for bad in (0, 7, "x", None, 1.9, True):
             with pytest.raises(ValueError):
                 sf.get_surface(bad)
+        assert sf.get_surface(2.0) is sf.get_surface(np.int64(2)) is sf.get_surface(2)
 
     def test_expected_curvatures(self):
         assert [sf.get_surface(i).expected_K for i in sf.SURFACE_IDS] == [4, 1, 0, 4, 4, 1]
@@ -490,11 +492,10 @@ class TestPolarJets:
 
 #: each derivative rule of the closed-form jets with its sign flipped, as a
 #: replacement of the function that applies it; n' = +e turns <e,n>' into
-#: <n,n> + <e,e>, <n,n>' into 2 <e,n> and <n,h>' into <e,h>
+#: <n,n> + <e,e> and <n,n>' into 2 <e,n>
 _FLIPPED_RULES = {
-    "C' = +mu s": ("_t_rule", lambda s, c, cc, mu: (cc, s, mu * s)),
-    "c' = -s": ("_t_rule", lambda s, c, cc, mu: (cc, -s, -mu * s)),
-    "n' = +e": ("_u_rule", lambda ee, en, nn, eh, nh, hh: (2.0 * en, nn + ee, 2.0 * en, nh, eh, 0.0)),
+    "C' = +mu s": ("_t_rule", lambda s, cc, mu: (cc, mu * s)),
+    "n' = +e": ("_u_rule", lambda ee, en, nn: (2.0 * en, nn + ee, 2.0 * en)),
 }
 
 
@@ -517,10 +518,8 @@ class TestJetRules:
     surface whose K reads it.  The flat torus reads neither C' (mu = 0 there,
     so C' = -mu s and +mu s are both 0) nor n' (C = 1 there, so the flipped
     E_uu and F_tu cancel in Brioschi's -E_uu/2 + F_tu, and F_u counts only
-    with E_t, E_u or F_t, which vanish).  No surface reads c': h has no
-    tangent part (``orbit_lie_triple``), so <e,h> = <n,h> = <h,h> = 0 and c
-    never reaches E, F or G; a Gram matrix with an h row gives c' its teeth.
-    The torus's own jets still see n'."""
+    with E_t, E_u or F_t, which vanish).  The torus's own jets still see
+    n'."""
 
     @pytest.fixture(scope="class")
     def clean(self):
@@ -531,13 +530,6 @@ class TestJetRules:
         faulty = _K_rows()
         assert [sid for sid in sf.SURFACE_IDS if not faulty[sid][0]] == [1, 2, 4, 5, 6]
         np.testing.assert_array_equal(faulty[3][1], clean[3][1])
-
-    def test_flipped_c_rule_reaches_no_surface(self, clean, monkeypatch):
-        _flip_rule(monkeypatch, "c' = -s")
-        faulty = _K_rows()
-        for sid in sf.SURFACE_IDS:
-            assert clean[sid][0] and faulty[sid][0]
-            np.testing.assert_array_equal(faulty[sid][1], clean[sid][1])
 
     def test_flipped_n_rule_fails_every_curved_surface(self, clean, monkeypatch):
         _flip_rule(monkeypatch, "n' = +e")
@@ -557,10 +549,9 @@ class TestJetRules:
     @pytest.mark.parametrize("rule", sorted(_FLIPPED_RULES))
     @pytest.mark.parametrize("sid", [2, 5])
     def test_a_flipped_rule_parts_the_jets_from_the_stencils(self, sid, rule, monkeypatch):
-        # metric_m hands back q as the Gram matrix: with a tangent h row and
-        # off-diagonal terms, E, F, G depend on every product and on c, and E
-        # varies with u
-        q = np.array([[1.0, 0.2, 0.3], [0.2, 1.4, -0.25], [0.3, -0.25, 0.6]])
+        # metric_m hands back q as the Gram matrix: with unequal diagonal
+        # terms E varies with u, and with an off-diagonal term F is not 0
+        q = np.array([[1.0, 0.2], [0.2, 1.4]])
         monkeypatch.setattr(sf, "metric_m", lambda x, y, eps: q)
         desc = sf.get_surface(sid)
         t, u = sf.default_grid(desc, 21)
@@ -904,14 +895,18 @@ class TestFaultTable:
         by_name = {r.name: r for r in sf.surface_summary(desc, 11)["reports"]}
         row = by_name[f"orbit_lie_triple[surface{sid}]"]
         assert row.max_abs_error == abs(h[k]) and not row.passed
+        # so a bracket with a tangent part never reaches _gram_products
+        assert not desc.has_analytic_frames
 
     def test_the_frame_route_follows_orbit_lie_triple(self, summary_cache):
-        # the six planes are Lie triples exactly and take the frame formula;
+        # the six planes are Lie triples exactly and take the frame formula,
+        # whose Gram matrix has no h row: their bracket has no tangent part;
         # the control's plane is none and takes the differences
         for sid in sf.SURFACE_IDS:
             rows = {r.name: r for r in summary_cache(sid, GRID)["reports"]}
             assert rows[f"orbit_lie_triple[surface{sid}]"].max_abs_error == 0.0
             assert sf.get_surface(sid).has_analytic_frames
+            assert max_abs(sf.get_surface(sid).lie_triple[2][M_SLICE]) == 0.0
         assert sf.control_surface().lie_triple[-1] > 0.8
         assert not sf.control_surface().has_analytic_frames
 
