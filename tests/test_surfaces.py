@@ -35,11 +35,20 @@ class TestDescriptors:
             RIEMANNIAN, RIEMANNIAN, RIEMANNIAN, PSEUDO, PSEUDO, PSEUDO]
 
     def test_bad_id_rejected(self):
-        # an id is compared, not truncated: 1.9 and True would read as 1
-        for bad in (0, 7, "x", None, 1.9, True):
+        for bad in (0, 7, "x", None):
             with pytest.raises(ValueError):
                 sf.get_surface(bad)
-        assert sf.get_surface(2.0) is sf.get_surface(np.int64(2)) is sf.get_surface(2)
+
+    @pytest.mark.parametrize("bad", [1.9, True, np.True_], ids=["1.9", "True", "np.True_"])
+    def test_an_id_is_compared_not_truncated(self, bad):
+        # int() of each of these reads as 1
+        with pytest.raises(ValueError, match="surface id"):
+            sf.get_surface(bad)
+
+    @pytest.mark.parametrize("sid", [2.0, np.int64(2), np.float64(2.0)],
+                             ids=["2.0", "np.int64", "np.float64"])
+    def test_an_id_equal_to_a_surface_id_names_it(self, sid):
+        assert sf.get_surface(sid) is sf.get_surface(2)
 
     def test_expected_curvatures(self):
         assert [sf.get_surface(i).expected_K for i in sf.SURFACE_IDS] == [4, 1, 0, 4, 4, 1]
